@@ -4,8 +4,7 @@
 
 Single JSON config with dotted-key overrides; reports are written as JSON
 with sorted keys (byte-identical for identical configs), a one-line
-summary per block goes to standard output.  PAQFT_THREADS caps the worker
-pool used to spread suite samples; report assembly stays ordered.
+summary per block goes to standard output.
 
 Exit status: 0 iff every checked residual is within tolerance, 2 for
 usage and config errors.
@@ -16,10 +15,8 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -149,23 +146,6 @@ def validate_config(cfg: dict) -> None:
         raise UsageError("suites must be a list of suite names")
 
 
-def _threads() -> int:
-    raw = os.environ.get("PAQFT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise UsageError(f"PAQFT_THREADS must be an integer, got {raw!r}")
-
-
-def _map_ordered(fn, items):
-    """Apply fn across items on the worker pool, preserving order."""
-    n = _threads()
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def _build(cfg: dict):
     lat = Lattice(cfg["lattice"]["nt"], cfg["lattice"]["nx"],
                   float(cfg["lattice"]["mass"]))
@@ -281,8 +261,7 @@ def _suite_S(cfg, lat, S):
         units.append(dict(shared, spacelike_pairs=[p]))
     for c in plan["t1_chains"]:
         units.append(dict(shared, t1_chains=[c]))
-    chunks = _map_ordered(lambda u: check_S_axioms(S, u), units)
-    return [row for chunk in chunks for row in chunk]
+    return [row for u in units for row in check_S_axioms(S, u)]
 
 
 def _suite_Z(cfg, lat, S):
@@ -298,8 +277,7 @@ def _suite_Z(cfg, lat, S):
     units = [dict(shared, singles=plan["singles"])]
     for t in plan["causal_triples"]:
         units.append(dict(shared, causal_triples=[t]))
-    chunks = _map_ordered(lambda u: check_Z_axioms(Z, lat, u), units)
-    return [row for chunk in chunks for row in chunk]
+    return [row for u in units for row in check_Z_axioms(Z, lat, u)]
 
 
 def _suite_SD(cfg, lat, S):
@@ -324,7 +302,6 @@ def _suite_SD(cfg, lat, S):
             r["flagged"] = bool(r["bound"] > tol)
         return out
 
-    # sampling stays sequential for determinism; the checks parallelize
     samples = [one(i) for i in range(count)]
     return [row for chunk in samples for row in chunk]
 
@@ -449,7 +426,7 @@ def cmd_extract_z(cfg: dict) -> int:
                         "pass": bool(ok)})
         return vals, out
 
-    results = _map_ordered(one, list(enumerate(fs)))
+    results = [one(item) for item in enumerate(fs)]
     grading = {}
     for i, (vals, out) in enumerate(results):
         for r in out:
@@ -538,7 +515,6 @@ def main(argv=None) -> int:
                 "extract-z": cmd_extract_z, "correlate": cmd_correlate}
     try:
         cfg = load_config(args.config, args.sets)
-        _threads()
         return dispatch[args.command](cfg)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -108,15 +108,52 @@ def _is_zero(x) -> bool:
     return bool(x == 0)
 
 
+class _Identity:
+    """Memo key of an argument compared by identity.  It holds the argument,
+    so the id cannot be reused by another object while the entry lives."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return isinstance(other, _Identity) and other.obj is self.obj
+
+
+def arg_key(a):
+    """Content key of one multilinear argument.
+
+    An object with a ``content_key()`` method (PolyFunctional) is keyed by
+    it, a hashable value by its type and value, anything else by identity.
+    Equal keys mean arguments that every evaluator treats alike.
+    """
+    content_key = getattr(a, "content_key", None)
+    if content_key is not None:
+        return content_key()
+    try:
+        hash(a)
+    except TypeError:
+        return _Identity(a)
+    return (type(a), a)
+
+
 class MultilinearFamily:
     """Order-indexed family n -> T_n of symmetric multilinear maps.
 
     Backed by a mixed-argument evaluator, a diagonal-only evaluator, or
     both.  Mixed evaluation prefers the direct evaluator and falls back to
-    polarization over the diagonal one.  Evaluations are memoized on object
-    identity of the arguments (strong references are kept so ids stay
-    valid); the memo is guarded by a lock with idempotent insertion, so
-    concurrent duplicate computation is tolerated.
+    polarization over the diagonal one.  Evaluations are memoized on the
+    content of the arguments (see arg_key), so a repeated evaluation on
+    freshly built but equal arguments reuses its entry.  A symmetric family
+    keys the multiset of argument keys (a permuted call returns the value
+    computed for the first order seen), a non-symmetric one their sequence.
+    Without a diagonal evaluator, diagonal(n, f) is mixed(n, [f] * n) and
+    shares its entry.  The memo is not bounded; its size follows the
+    distinct argument contents evaluated.
     """
 
     def __init__(self, evaluate_mixed: Callable = None,
@@ -127,23 +164,27 @@ class MultilinearFamily:
         self._diagonal = evaluate_diagonal
         self.symmetric = symmetric
         self._memo: dict = {}
-        self._refs: list = []
-        self._lock = threading.Lock()
 
     def _memo_get(self, key):
-        with self._lock:
-            return self._memo.get(key)
+        return self._memo.get(key)
 
-    def _memo_put(self, key, value, args):
-        with self._lock:
-            self._refs.append(args)
-            return self._memo.setdefault(key, value)
+    def _memo_put(self, key, value):
+        self._memo[key] = value
+        return value
+
+    def _mixed_key(self, n: int, keys) -> tuple:
+        args = frozenset(Counter(keys).items()) if self.symmetric \
+            else tuple(keys)
+        return ("mixed", n, args)
 
     def diagonal(self, n: int, f):
         """T_n(f^{tensor n})."""
         if n < 1:
             raise ValueError("order must be >= 1")
-        key = ("diag", n, id(f))
+        if self._diagonal is None:
+            key = self._mixed_key(n, [arg_key(f)] * n)
+        else:
+            key = ("diag", n, arg_key(f))
         hit = self._memo_get(key)
         if hit is not None:
             return hit
@@ -151,7 +192,7 @@ class MultilinearFamily:
             val = self._diagonal(n, f)
         else:
             val = self._mixed(n, [f] * n)
-        return self._memo_put(key, val, (f,))
+        return self._memo_put(key, val)
 
     def mixed(self, n: int, args: Sequence):
         """T_n(f_1,...,f_n), by direct evaluation or polarization."""
@@ -159,9 +200,7 @@ class MultilinearFamily:
             raise ValueError(f"need {n} arguments, got {len(args)}")
         if n < 1:
             raise ValueError("order must be >= 1")
-        ids = tuple(sorted(id(a) for a in args)) if self.symmetric \
-            else tuple(id(a) for a in args)
-        key = ("mixed", n, ids)
+        key = self._mixed_key(n, [arg_key(a) for a in args])
         hit = self._memo_get(key)
         if hit is not None:
             return hit
@@ -169,7 +208,7 @@ class MultilinearFamily:
             val = self._mixed(n, list(args))
         else:
             val = polarize(self, n, args)
-        return self._memo_put(key, val, tuple(args))
+        return self._memo_put(key, val)
 
 
 def polarize(family: MultilinearFamily, n: int, args: Sequence):

@@ -273,6 +273,16 @@ class PolyFunctional:
                 hi = r[1] if hi is None else max(hi, r[1])
         return None if lo is None else (lo, hi)
 
+    def content_key(self) -> tuple:
+        """Hashable key of the lattice and the terms in iteration order.
+
+        Equal keys mean equal coefficients met in the same order, so any
+        computation over the terms sums them in the same order."""
+        return (self.lattice, tuple(
+            (deg, tuple((key, tuple(c.coeffs.items()))
+                        for key, c in t.items()))
+            for deg, t in self.terms.items()))
+
     def monomials(self):
         for deg in sorted(self.terms):
             for key, coeff in self.terms[deg].items():

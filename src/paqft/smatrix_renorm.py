@@ -22,9 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .formal_series import (LambdaSeries, MultilinearFamily, compose_SZ,
-                            expand_on_series_argument, series_multiply,
-                            series_invert, series_add, series_scale)
+from .formal_series import (LambdaSeries, MultilinearFamily, arg_key,
+                            compose_SZ, expand_on_series_argument,
+                            series_multiply, series_invert, series_add,
+                            series_scale)
 from .functionals import (GeneralizedLagrangian, HbarScalar, PolyFunctional,
                           _fattened_indicator, delta_L, is_local_at_scale)
 from .lattice import Lattice, LatticePoint, field_values
@@ -59,8 +60,15 @@ class SMatrix:
     @classmethod
     def standard(cls, context: StarAlgebraContext, label: str = "S"
                  ) -> "SMatrix":
-        fam = MultilinearFamily(
-            evaluate_mixed=lambda n, args: context.time_ordered_n(args))
+        def mixed(n, args):
+            # T_n = T(T_{n-1}(f_1..f_{n-1}), f_n): the inner value is the
+            # memo entry of the shorter product, so each order folds once
+            if n == 1:
+                return args[0]
+            return context.time_ordered(fam.mixed(n - 1, args[:-1]),
+                                        args[-1])
+
+        fam = MultilinearFamily(evaluate_mixed=mixed)
         return cls(context=context, family=fam, label=label)
 
     @property
@@ -525,12 +533,10 @@ def verify_extracted_locality(S: SMatrix, S_tilde: SMatrix,
             f"got {len(fs)}")
     lat = S.lattice
     cache: dict = {}
-    keep = []
 
     def diag(n, g):
-        key = id(g)
+        key = arg_key(g)
         if key not in cache:
-            keep.append(g)
             cache[key] = extract_Z(S, S_tilde, g, cap)
         return cache[key][n]
 

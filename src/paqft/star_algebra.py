@@ -11,6 +11,17 @@ field slots weighted by a permanent of the kernel submatrix.  The 1/r!
 cancels against ordered slot selection, so the implementation sums over
 unordered selections and matrix permanents with no factorial division.
 Polynomial degree means r <= 8 throughout.
+
+The contraction accumulates flat: the kernel rows of F's sites are read
+once per call as Python lists, and each output monomial collects one plain
+complex per hbar exponent.  Terms are formed and added in the order, and
+with the exact complex operations, of the HbarScalar arithmetic
+``acc[key] += (c_F * c_G) * (per * HbarScalar({r: 1}))``; zero terms and
+zero sums are dropped the way HbarScalar drops them.  For finite
+coefficients the result is bitwise that of the HbarScalar loop, with one
+HbarScalar per output monomial built at the end, through the validating
+PolyFunctional constructor.  The r = 0 term is the same loop with the
+empty selection, whose permanent is 1.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .functionals import HbarScalar, PolyFunctional
+from .functionals import HBAR_WINDOW, HbarScalar, PolyFunctional
 from .lattice import Kernel, Lattice, Region
 
 
@@ -39,6 +50,13 @@ def _selections(degree: int, r: int):
     return tuple(out)
 
 
+def _site_selections(key: tuple, r: int):
+    """_selections(len(key), r) mapped to the sites of a monomial key."""
+    get = key.__getitem__
+    return [(tuple(map(get, sel)), tuple(map(get, rem)))
+            for sel, rem in _selections(len(key), r)]
+
+
 def _poly_from_flat(lattice: Lattice, flat: dict) -> PolyFunctional:
     nested: dict[int, dict] = {}
     for key, coeff in flat.items():
@@ -46,17 +64,18 @@ def _poly_from_flat(lattice: Lattice, flat: dict) -> PolyFunctional:
     return PolyFunctional(lattice, nested)
 
 
-def _permanent(mat: np.ndarray) -> complex:
-    """Permanent of a small square matrix by direct permutation sum (r <= 8)."""
-    r = mat.shape[0]
+def _permanent(mat) -> complex:
+    """Permanent of a small square matrix, given as rows indexable by
+    column, by direct permutation sum (r <= 8)."""
+    r = len(mat)
     if r == 1:
-        return complex(mat[0, 0])
+        return complex(mat[0][0])
     total = 0.0 + 0.0j
     rows = range(r)
     for perm in itertools.permutations(rows):
         p = 1.0 + 0.0j
         for i, j in enumerate(perm):
-            p *= mat[i, j]
+            p *= mat[i][j]
             if p == 0:
                 break
         total += p
@@ -108,35 +127,68 @@ class StarAlgebraContext:
         """Exponentiated-contraction product of F and G along `entries`."""
         if F.lattice != self.lattice or G.lattice != self.lattice:
             raise ValueError("functionals must live on the context lattice")
+        f_monos = list(F.monomials())
+        g_monos = list(G.monomials())
+        kernel = {s: entries[s].tolist()
+                  for s in {s for _d, ka, _c in f_monos for s in ka}}
+        lo, hi = HBAR_WINDOW
+        picks: dict = {}
         acc: dict = {}
         cap = self.max_contraction_order
-        for da, ka, ca in F.monomials():
-            for db, kb, cb in G.monomials():
+        for da, ka, ca in f_monos:
+            for db, kb, cb in g_monos:
                 rmax = min(da, db)
                 if cap is not None:
                     rmax = min(rmax, cap)
-                cc = ca * cb
+                cc = list((ca * cb).coeffs.items())
                 for r in range(rmax + 1):
-                    if r == 0:
-                        key = tuple(sorted(ka + kb))
-                        prev = acc.get(key)
-                        acc[key] = cc if prev is None else prev + cc
-                        continue
-                    weight = HbarScalar({r: 1.0})
-                    for sa, ra in _selections(da, r):
-                        rows = [ka[i] for i in sa]
-                        for sb, rb in _selections(db, r):
-                            cols = [kb[j] for j in sb]
-                            mat = entries[np.ix_(rows, cols)]
-                            per = _permanent(mat)
+                    shifted = [(e + r, v) for e, v in cc]
+                    sels_a = picks.get((ka, r))
+                    if sels_a is None:
+                        sels_a = picks[ka, r] = _site_selections(ka, r)
+                    sels_b = picks.get((kb, r))
+                    if sels_b is None:
+                        sels_b = picks[kb, r] = _site_selections(kb, r)
+                    for sa, rest in sels_a:
+                        krows = [kernel[s] for s in sa]
+                        for sb, rb in sels_b:
+                            if r == 1:
+                                per = krows[0][sb[0]]
+                            elif r:
+                                per = _permanent([[row[s] for s in sb]
+                                                  for row in krows])
+                            else:
+                                per = 1 + 0j
                             if per == 0:
                                 continue
-                            key = tuple(sorted(
-                                [ka[i] for i in ra] + [kb[j] for j in rb]))
-                            term = cc * (per * weight)
-                            prev = acc.get(key)
-                            acc[key] = term if prev is None else prev + term
-        return _poly_from_flat(self.lattice, acc)
+                            # the weight HbarScalar({r: 1}) * per, then
+                            # cc * weight, each term as HbarScalar forms it
+                            w = 0j + (1 + 0j) * per
+                            key = tuple(sorted(rest + rb))
+                            coeffs = acc.get(key)
+                            if coeffs is None:
+                                coeffs = acc[key] = {}
+                            for e, v in shifted:
+                                z = 0j + v * w
+                                if z == 0:
+                                    continue
+                                prev = coeffs.get(e)
+                                if prev is None:
+                                    if not lo <= e <= hi:
+                                        raise ValueError(
+                                            f"hbar exponent {e} outside "
+                                            f"window {[lo, hi]}")
+                                    coeffs[e] = z
+                                    continue
+                                # HbarScalar addition drops a zero sum; a
+                                # later term re-enters it at the end
+                                z = prev + z
+                                if z == 0:
+                                    del coeffs[e]
+                                else:
+                                    coeffs[e] = z
+        return _poly_from_flat(self.lattice, {
+            key: HbarScalar(coeffs) for key, coeffs in acc.items()})
 
     def star(self, F: PolyFunctional, G: PolyFunctional) -> PolyFunctional:
         """Star product along the Wightman kernel (associative,

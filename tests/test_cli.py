@@ -71,18 +71,6 @@ def test_undersized_lattice_for_sampled_suites_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_invalid_thread_env_rejected(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PAQFT_THREADS", "many")
-    code = main(["axioms", "--set", 'suites=["S"]', "--set",
-                 f"output={tmp_path}"] + SMALL)
-    assert code == 2
-    assert "PAQFT_THREADS" in capsys.readouterr().err
-    # rejected even by commands that never consult the worker pool
-    code = main(["propagators", "--set", f"output={tmp_path}"])
-    assert code == 2
-    assert "PAQFT_THREADS" in capsys.readouterr().err
-
-
 # -- propagators ------------------------------------------------------------
 
 
@@ -125,23 +113,17 @@ def test_propagators_strict_tolerance_exit_1(tmp_path):
 # -- axioms -----------------------------------------------------------------
 
 
-def test_axioms_deterministic_across_runs_and_threads(tmp_path, monkeypatch,
-                                                      capsys):
+def test_axioms_deterministic_across_runs(tmp_path, capsys):
     args = ["axioms", "--set", f"output={tmp_path}",
             "--set", 'suites=["S"]'] + SMALL
-    monkeypatch.setenv("PAQFT_THREADS", "1")
     assert main(args) == 0
     out1 = capsys.readouterr().out
     blob1 = (tmp_path / "axioms.json").read_bytes()
     assert main(args) == 0
     out2 = capsys.readouterr().out
     blob2 = (tmp_path / "axioms.json").read_bytes()
-    monkeypatch.setenv("PAQFT_THREADS", "4")
-    assert main(args) == 0
-    out3 = capsys.readouterr().out
-    blob3 = (tmp_path / "axioms.json").read_bytes()
-    assert blob1 == blob2 == blob3
-    assert out1 == out2 == out3
+    assert blob1 == blob2
+    assert out1 == out2
 
 
 def test_axioms_all_suites_small(tmp_path, capsys):

@@ -9,6 +9,8 @@ from paqft.formal_series import (LambdaSeries, MultilinearFamily, compose_SZ,
                                  expand_on_series_argument, polarize,
                                  series_add, series_invert, series_multiply,
                                  series_scale)
+from paqft.functionals import PolyFunctional
+from paqft.lattice import LatticePoint
 
 F = Fraction
 
@@ -156,6 +158,67 @@ def test_mixed_memo_is_order_insensitive():
     v2 = fam.mixed(2, [y, x])
     assert v1 == v2 == 6
     assert len(calls) == 1
+
+
+def _counting_family(calls, **kw):
+    return MultilinearFamily(
+        evaluate_mixed=lambda n, args: calls.append(n) or math.prod(args),
+        **kw)
+
+
+def test_memo_keys_scalars_by_type_and_value():
+    calls = []
+    fam = _counting_family(calls)
+    assert fam.mixed(2, [F(2), F(3)]) == 6
+    assert fam.mixed(2, [F(3), F(2)]) == 6
+    assert len(calls) == 1
+    # equal but differently typed values get their own entries
+    got = fam.mixed(2, [2.0, 3.0])
+    assert got == 6.0 and isinstance(got, float)
+    assert len(calls) == 2
+
+
+def test_memo_shares_equal_polyfunctionals(lat):
+    def build():
+        return PolyFunctional.from_monomials(
+            lat, [(0.5, [LatticePoint(4, 2)]),
+                  (-1.25, [LatticePoint(4, 2), LatticePoint(5, 3)])])
+
+    calls = []
+    fam = MultilinearFamily(
+        evaluate_mixed=lambda n, args: calls.append(n) or args[0])
+    f1, f2 = build(), build()
+    assert f1 is not f2
+    assert fam.mixed(2, [f1, f1]) is f1
+    assert fam.mixed(2, [f2, f2]) is f1
+    assert fam.diagonal(2, f2) is f1
+    assert calls == [2]
+    assert len(fam._memo) == 1
+
+
+def test_diagonal_after_mixed_calls_no_evaluator():
+    calls = []
+    fam = _counting_family(calls)
+    assert fam.mixed(3, [F(2)] * 3) == 8
+    assert fam.diagonal(3, F(2)) == 8
+    assert calls == [3]
+    # a non-symmetric family shares the entry too
+    ordered = _counting_family(calls, symmetric=False)
+    assert ordered.diagonal(2, F(5)) == 25
+    assert ordered.mixed(2, [F(5), F(5)]) == 25
+    assert calls == [3, 2]
+
+
+def test_memo_never_reuses_ids_of_dead_arguments():
+    # vectors built in the loop die after each call; their ids are free to
+    # be reused, and a key on the bare id would hand out a stale value
+    fam = MultilinearFamily(evaluate_diagonal=lambda n, v: float(v.sum()) * n)
+    for i in range(200):
+        assert fam.diagonal(2, np.full(3, float(i))) == 6.0 * i
+    mixed = MultilinearFamily(
+        evaluate_mixed=lambda n, args: float(sum(a.sum() for a in args)))
+    for i in range(200):
+        assert mixed.mixed(2, [np.full(2, float(i)), np.ones(2)]) == 2.0 * i + 2
 
 
 # -- series-argument expansion and composition ----------------------------

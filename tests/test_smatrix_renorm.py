@@ -19,6 +19,7 @@ from paqft.smatrix_renorm import (RenormalizationMap, SMatrix,
                                   make_handcrafted_Z, prefactor,
                                   random_local_functional, relative_smatrix,
                                   verify_extracted_locality)
+from paqft.star_algebra import StarAlgebraContext
 
 
 def _mid_window(lat):
@@ -205,6 +206,34 @@ def test_module_action_closure(lat, S):
     plan = default_s_plan(lat, seed=8, count=2, cap=3, locality_cap=3)
     rows = check_S_axioms(St, plan)
     assert rows and all(r["pass"] for r in rows)
+
+
+def test_series_builds_each_order_on_the_previous(lat, ctx, monkeypatch):
+    calls = []
+    plain = StarAlgebraContext.time_ordered
+
+    def counted(self, F, G):
+        calls.append(1)
+        return plain(self, F, G)
+
+    monkeypatch.setattr(StarAlgebraContext, "time_ordered", counted)
+    S_fresh = SMatrix.standard(ctx)
+    f = random_local_functional(lat, np.random.default_rng(11), (4, 7))
+    ser = S_fresh.series(f, 4)
+    assert len(calls) == 3
+    fold = ctx.time_ordered_n([f] * 4)
+    assert ser.coeff(4) == (fold * prefactor(4)) * Fraction(1, 24)
+
+
+def test_repeated_S_suite_adds_no_memo_entries(lat, ctx):
+    S_fresh = SMatrix.standard(ctx)
+    kw = dict(seed=4, count=2, cap=2, locality_cap=2)
+    rows1 = check_S_axioms(S_fresh, default_s_plan(lat, **kw))
+    size = len(S_fresh.family._memo)
+    # a fresh plan: equal functionals, but new objects
+    rows2 = check_S_axioms(S_fresh, default_s_plan(lat, **kw))
+    assert len(S_fresh.family._memo) == size
+    assert rows1 == rows2
 
 
 def test_roundtrip_extraction_matches_planted(lat, S):

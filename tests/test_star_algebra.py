@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paqft.functionals import HbarScalar, PolyFunctional
 from paqft.lattice import Kernel, Lattice, LatticePoint
@@ -109,6 +113,105 @@ def test_classical_limit_is_pointwise_product(lat, ctx, rng):
     classical = (F * G).evaluate(phi).at(0)
     assert abs(ctx.star(F, G).evaluate(phi).at(0) - classical) < 1e-12
     assert abs(ctx.time_ordered(F, G).evaluate(phi).at(0) - classical) < 1e-12
+
+
+# -- bitwise oracle: the contraction loop with one HbarScalar per term ------
+
+
+def _reference_permanent(mat):
+    r = mat.shape[0]
+    if r == 1:
+        return complex(mat[0, 0])
+    total = 0.0 + 0.0j
+    for perm in itertools.permutations(range(r)):
+        p = 1.0 + 0.0j
+        for i, j in enumerate(perm):
+            p *= mat[i, j]
+            if p == 0:
+                break
+        total += p
+    return total
+
+
+def _reference_selections(degree, r):
+    return [(sel, tuple(i for i in range(degree) if i not in sel))
+            for sel in itertools.combinations(range(degree), r)]
+
+
+def _reference_contract(lat, F, G, entries):
+    """The contraction as it was written before flat accumulation: numpy
+    submatrices and one HbarScalar per term."""
+    acc: dict = {}
+    for da, ka, ca in F.monomials():
+        for db, kb, cb in G.monomials():
+            cc = ca * cb
+            for r in range(min(da, db) + 1):
+                if r == 0:
+                    key = tuple(sorted(ka + kb))
+                    prev = acc.get(key)
+                    acc[key] = cc if prev is None else prev + cc
+                    continue
+                weight = HbarScalar({r: 1.0})
+                for sa, ra in _reference_selections(da, r):
+                    rows = [ka[i] for i in sa]
+                    for sb, rb in _reference_selections(db, r):
+                        cols = [kb[j] for j in sb]
+                        per = _reference_permanent(entries[np.ix_(rows, cols)])
+                        if per == 0:
+                            continue
+                        key = tuple(sorted(
+                            [ka[i] for i in ra] + [kb[j] for j in rb]))
+                        term = cc * (per * weight)
+                        prev = acc.get(key)
+                        acc[key] = term if prev is None else prev + term
+    nested: dict = {}
+    for key, coeff in acc.items():
+        nested.setdefault(len(key), {})[key] = coeff
+    return PolyFunctional(lat, nested)
+
+
+def _bits(F):
+    """Every term with its coefficient's exponents and float bit patterns,
+    in iteration order (signed zeros and dict order included)."""
+    return [(deg, key, [(e, v.real.hex(), v.imag.hex())
+                        for e, v in c.coeffs.items()])
+            for deg, t in F.terms.items() for key, c in t.items()]
+
+
+# a few neighbouring sites, so keys repeat sites as in (a, a, b)
+_SITES = [5 * 16 + 3, 5 * 16 + 4, 6 * 16 + 3, 6 * 16 + 4, 7 * 16 + 9]
+_parts = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+_hbar = st.dictionaries(st.integers(-2, 2),
+                        st.builds(complex, _parts, _parts | st.just(-0.0)),
+                        min_size=1, max_size=3)
+_monomial = st.tuples(st.lists(st.sampled_from(_SITES), max_size=4), _hbar)
+_poly_terms = st.lists(_monomial, min_size=1, max_size=4)
+
+
+def _poly(lat, monos):
+    terms: dict = {}
+    for sites, coeffs in monos:
+        terms.setdefault(len(sites), {})[tuple(sorted(sites))] = \
+            HbarScalar(coeffs)
+    return PolyFunctional(lat, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_poly_terms, _poly_terms)
+def test_contract_bitwise_matches_per_term_hbar_loop(lat, ctx, fm, gm):
+    F, G = _poly(lat, fm), _poly(lat, gm)
+    for product, kernel in ((ctx.star, ctx.wightman),
+                            (ctx.time_ordered, ctx.feynman)):
+        want = _reference_contract(lat, F, G, kernel.entries)
+        assert _bits(product(F, G)) == _bits(want)
+
+
+def test_contract_keeps_hbar_window(lat, ctx):
+    a = LatticePoint(5, 3)
+    F = PolyFunctional.from_monomials(
+        lat, [(HbarScalar({4: 1.0}), [a, a, a, a])])
+    with pytest.raises(ValueError, match="outside window"):
+        ctx.star(F, F)
 
 
 # -- context validation ----------------------------------------------------
