@@ -4,7 +4,10 @@
 
 Single JSON config with dotted-key overrides; reports are written as JSON
 with sorted keys (byte-identical for identical configs), a one-line
-summary per block goes to standard output.
+summary per block goes to standard output.  `propagators` writes the six
+kernels next to its report as `propagators_kernels.npz` (one complex128
+(n_sites, n_sites) array per kernel name, read back with `np.load`); the
+report names that file under `kernels_file`.
 
 Exit status: 0 iff every checked residual is within tolerance, 2 for
 usage and config errors.
@@ -21,12 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .functionals import (HBAR_WINDOW, MAX_DEGREE, PolyFunctional,
-                          free_scalar_lagrangian, is_local_at_scale,
-                          poly_from_json_dict)
+from .functionals import (MAX_DEGREE, PolyFunctional, free_scalar_lagrangian,
+                          is_local_at_scale, poly_from_json_dict)
 from .lattice import Lattice, LatticePoint, kernel_residuals
 from .relations import BinaryRelation, CausalityStructure, check_hammerstein
-from .smatrix_renorm import (build_smatrix, check_S_axioms, check_Z_axioms,
+from .smatrix_renorm import (RenormalizationMap, build_smatrix,
+                             check_S_axioms, check_Z_axioms,
                              check_schwinger_dyson, compose, default_s_plan,
                              default_z_plan, extract_Z, make_handcrafted_Z,
                              random_local_functional, correlation,
@@ -40,7 +43,7 @@ class UsageError(Exception):
 DEFAULT_CONFIG = {
     "lattice": {"nt": 12, "nx": 16, "mass": 0.5},
     "caps": {"lambda_order": 3, "locality_order": 4, "sd_order": 2,
-             "degree": 2, "hbar_window": 8},
+             "degree": 2},
     "hadamard": {"mode": "exact-bisolution", "perturbation-seed": 5,
                  "perturbation-scale": 0.05},
     "samples": {"count": 10, "seed": 0},
@@ -122,11 +125,6 @@ def validate_config(cfg: dict) -> None:
         raise UsageError(
             f"caps.degree must be <= {MAX_DEGREE // 2} so products of "
             f"sampled functionals stay within the module degree cap, got {deg}")
-    hw = cfg["caps"].get("hbar_window")
-    if not isinstance(hw, int) or not (1 <= hw <= HBAR_WINDOW[1]):
-        raise UsageError(
-            f"caps.hbar_window must be an integer in [1, {HBAR_WINDOW[1]}] "
-            f"(module limit), got {hw!r}")
     if cfg["hadamard"].get("mode") not in ("exact-bisolution", "perturbed"):
         raise UsageError(
             "hadamard.mode must be 'exact-bisolution' or 'perturbed', "
@@ -199,6 +197,11 @@ def _summary_line(tag: str, rows) -> str:
 
 # -- commands ------------------------------------------------------------
 
+# the Lattice methods whose kernels `propagators` writes to KERNELS_FILE
+KERNELS = ("green_retarded", "green_advanced", "pauli_jordan",
+           "hadamard_kernel", "wightman", "feynman")
+KERNELS_FILE = "propagators_kernels.npz"
+
 
 def cmd_propagators(cfg: dict) -> int:
     with warnings.catch_warnings(record=True) as caught:
@@ -206,10 +209,7 @@ def cmd_propagators(cfg: dict) -> int:
         lat = Lattice(cfg["lattice"]["nt"], cfg["lattice"]["nx"],
                       float(cfg["lattice"]["mass"]))
         residuals = kernel_residuals(lat)
-        kernels = {name: getattr(lat, name)().to_json_dict()
-                   for name in ("green_retarded", "green_advanced",
-                                "pauli_jordan", "hadamard_kernel",
-                                "wightman", "feynman")}
+        kernels = {name: getattr(lat, name)().entries for name in KERNELS}
     tol = float(cfg["tolerances"]["kernel"])
     checks = {
         "green_retarded_identity": residuals["green_retarded_identity"] <= tol,
@@ -228,11 +228,14 @@ def cmd_propagators(cfg: dict) -> int:
             residuals["feynman_equals_wightman_off_future"] <= tol,
     }
     ok = all(checks.values())
-    report = {"config": cfg, "kernels": kernels, "residuals": residuals,
-              "checks": checks, "warnings": sorted(str(w.message)
-                                                   for w in caught),
-              "pass": ok}
+    report = {"config": cfg, "kernels_file": KERNELS_FILE,
+              "residuals": residuals, "checks": checks,
+              "warnings": sorted(str(w.message) for w in caught), "pass": ok}
     path = _write_report(cfg, "propagators", report)
+    # a new file, not the old one truncated: ext4 (auto_da_alloc) flushes a
+    # file rewritten in place when it is closed, about 1 s for 25 MB
+    (path.parent / KERNELS_FILE).unlink(missing_ok=True)
+    np.savez(path.parent / KERNELS_FILE, **kernels)
     for key in sorted(residuals):
         print(f"propagators {key}: {residuals[key]:.3e} -> "
               f"{'PASS' if checks[key] else 'FAIL'}")
@@ -405,7 +408,8 @@ def cmd_extract_z(cfg: dict) -> int:
         i, f = item
         vals = extract_Z(S, St, f, cap)
         out = []
-        back = compose(S, _map_from_values(lat, vals)).series(f, cap)
+        back = compose(S, RenormalizationMap.from_values(lat, vals)
+                       ).series(f, cap)
         target = St.series(f, cap)
         for n in range(1, cap + 1):
             out.append({"suite": "extract", "axiom": "roundtrip", "order": n,
@@ -451,19 +455,6 @@ def cmd_extract_z(cfg: dict) -> int:
     print(_summary_line(f"extract-z[{mode}]", rows))
     print(f"report written to {path}")
     return 0 if ok else 1
-
-
-def _map_from_values(lat, vals):
-    from .formal_series import MultilinearFamily
-    from .smatrix_renorm import RenormalizationMap
-
-    def diag(n, g):
-        if n == 1:
-            return g
-        return vals.get(n, PolyFunctional.zero(lat))
-
-    return RenormalizationMap(MultilinearFamily(evaluate_diagonal=diag),
-                              label="extracted")
 
 
 def cmd_correlate(cfg: dict) -> int:

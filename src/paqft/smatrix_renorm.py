@@ -131,6 +131,20 @@ class RenormalizationMap:
             return PolyFunctional.zero(args[0].lattice)
         return cls(family=MultilinearFamily(evaluate_mixed=mixed), label="id")
 
+    @classmethod
+    def from_values(cls, lattice: Lattice, vals: dict) -> "RenormalizationMap":
+        """Map replaying extracted diagonal values: Z_1 is the identity and
+        Z_n(f^{tensor n}) = vals[n] for n >= 2 (zero where absent), whatever
+        the argument; valid for the f the values were extracted at."""
+        vals = dict(vals)
+
+        def diag(n, g):
+            if n == 1:
+                return g
+            return vals.get(n, PolyFunctional.zero(lattice))
+
+        return cls(MultilinearFamily(evaluate_diagonal=diag), label="extracted")
+
     def z_series(self, f: PolyFunctional, cap: int) -> LambdaSeries:
         lat = f.lattice
         rows = [PolyFunctional.zero(lat)]
@@ -225,14 +239,7 @@ def extract_Z(S: SMatrix, S_tilde: SMatrix, f: PolyFunctional, cap: int,
             "violated); no renormalization map with Z_1 = id relates them")
     vals: dict = {1: f}
     for N in range(2, cap + 1):
-        snapshot = dict(vals)
-
-        def z_diag(n, g, snap=snapshot):
-            if n == 1:
-                return g
-            return snap.get(n, PolyFunctional.zero(lat))
-
-        zfam = MultilinearFamily(evaluate_diagonal=z_diag)
+        zfam = RenormalizationMap.from_values(lat, vals).family
         composed = compose_SZ(S.family, prefactor, zfam, f, N, unit, zerof)
         diff = ser_t.coeff(N) - composed.coeff(N)
         vals[N] = (diff * HbarScalar({1: -1j})) * math.factorial(N)

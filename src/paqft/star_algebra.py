@@ -202,17 +202,6 @@ class StarAlgebraContext:
         (commutative and associative since the kernel is symmetric)."""
         return self._contract(F, G, self.feynman.entries)
 
-    def time_ordered_n(self, factors: Sequence[PolyFunctional]
-                       ) -> PolyFunctional:
-        """n-ary time-ordered product as a fold of the binary one; the
-        empty product is the unit functional."""
-        out = None
-        for f in factors:
-            out = f if out is None else self.time_ordered(out, f)
-        if out is None:
-            return PolyFunctional.unit(self.lattice)
-        return out
-
     def commutator(self, F: PolyFunctional, G: PolyFunctional
                    ) -> PolyFunctional:
         return self.star(F, G) - self.star(G, F)

@@ -10,7 +10,6 @@ import itertools
 
 import numpy as np
 
-from paqft.formal_series import MultilinearFamily
 from paqft.functionals import (HbarScalar, PolyFunctional,
                                free_scalar_lagrangian)
 from paqft.lattice import LatticePoint
@@ -74,14 +73,6 @@ def _site_diagonal_hadamard(lat, seed, scale):
     H = lat.hadamard_kernel().entries.real.copy()
     H[np.diag_indices_from(H)] += scale * rng.standard_normal(lat.n_sites)
     return H
-
-
-def _map_from_diagonal(lat, vals):
-    """Renormalization map replaying extracted diagonal values."""
-    def diag(n, g):
-        return g if n == 1 else vals.get(n, PolyFunctional.zero(lat))
-    return RenormalizationMap(MultilinearFamily(evaluate_diagonal=diag),
-                              label="replay")
 
 
 # -- kernels ----------------------------------------------------------------
@@ -269,7 +260,8 @@ def test_roundtrip_recovers_planted_map_to_order_four(lat, S, rng):
                           (vals[2] - Z.family.diagonal(2, f)).max_norm())
         for n in (3, 4):
             worst_plant = max(worst_plant, vals[n].max_norm())
-        back = compose(S, _map_from_diagonal(lat, vals)).series(f, cap)
+        back = compose(S, RenormalizationMap.from_values(lat, vals)
+                       ).series(f, cap)
         target = St.series(f, cap)
         for n in range(cap + 1):
             worst_round = max(worst_round,

@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from paqft.cli import DEFAULT_CONFIG, UsageError, load_config, main
-from paqft.lattice import LatticePoint
+from paqft.lattice import Lattice, LatticePoint
 
 SMALL = ["--set", "samples.count=2", "--set", "caps.lambda_order=2",
          "--set", "caps.locality_order=2", "--set", "caps.sd_order=1"]
@@ -29,7 +30,6 @@ def test_load_config_overrides_and_defaults():
     ("lattice.nt=3", "lattice.nt"),
     ("lattice.mass=-1", "lattice.mass"),
     ("caps.degree=9", "caps.degree"),
-    ("caps.hbar_window=0", "caps.hbar_window"),
     ("hadamard.mode=weird", "hadamard.mode"),
     ("extract.mode=weird", "extract.mode"),
     ("samples.count=0", "samples.count"),
@@ -80,10 +80,49 @@ def test_propagators_report(tmp_path, capsys):
     assert code == 0
     rep = _read(tmp_path, "propagators")
     assert rep["pass"] is True
-    assert len(rep["kernels"]) == 6
+    assert "kernels" not in rep
+    assert rep["kernels_file"] == "propagators_kernels.npz"
+    assert (tmp_path / rep["kernels_file"]).is_file()
     assert set(rep["checks"]) == set(rep["residuals"])
     assert rep["warnings"] == []
     assert "report written to" in capsys.readouterr().out
+
+
+def test_propagators_kernels_sidecar(tmp_path):
+    main(["propagators", "--set", f"output={tmp_path}",
+          "--set", "lattice.nt=8", "--set", "lattice.nx=8"])
+    lat = Lattice(8, 8, 0.5)
+    names = ("green_retarded", "green_advanced", "pauli_jordan",
+             "hadamard_kernel", "wightman", "feynman")
+    with np.load(tmp_path / "propagators_kernels.npz") as z:
+        assert sorted(z.files) == sorted(names)
+        for name in names:
+            arr = z[name]
+            assert arr.dtype == np.complex128
+            assert arr.shape == (lat.n_sites, lat.n_sites)
+            assert arr.tobytes() == getattr(lat, name)().entries.tobytes()
+
+
+def test_propagators_outputs_byte_identical(tmp_path):
+    args = ["propagators", "--set", f"output={tmp_path}",
+            "--set", "lattice.nt=8", "--set", "lattice.nx=8"]
+    files = ("propagators.json", "propagators_kernels.npz")
+    runs = []
+    for _ in range(2):
+        assert main(args) == 0
+        runs.append([(tmp_path / f).read_bytes() for f in files])
+    assert runs[0] == runs[1]
+
+
+def test_propagators_report_size_does_not_scale(tmp_path):
+    sizes = []
+    for nt, nx in ((8, 8), (16, 32)):
+        out = tmp_path / f"{nt}x{nx}"
+        assert main(["propagators", "--set", f"output={out}",
+                     "--set", f"lattice.nt={nt}",
+                     "--set", f"lattice.nx={nx}"]) == 0
+        sizes.append((out / "propagators.json").stat().st_size)
+    assert abs(sizes[1] - sizes[0]) < 1000
 
 
 def test_propagators_zero_mass_warns_and_fails_H3(tmp_path):

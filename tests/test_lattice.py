@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paqft.cli import main
 from paqft.lattice import (FieldConfiguration, Kernel, Lattice, LatticePoint,
-                           field_values, kernel_from_json_dict,
-                           kernel_residuals)
+                           feynman_from_hadamard, field_values,
+                           kernel_residuals, wightman_from_hadamard)
 from paqft.functionals import PolyFunctional
 
 
@@ -64,6 +67,93 @@ def test_green_identities_and_cone_support():
     assert res["cone_support_violations"] == 0
 
 
+def _reference_cone(lat, R):
+    """Per-point double loop over site pairs: the count of retarded entries
+    outside the cone, and the mask of pairs whose column point is not in
+    the causal future of the row point."""
+    n = lat.n_sites
+    cone_leaks = 0
+    off_future = np.zeros((n, n), dtype=bool)
+    for i, p in enumerate(lat.points()):
+        for j, q in enumerate(lat.points()):
+            inside = lat.in_causal_future(p, q)  # q source, p field point
+            if not inside and R[i, j] != 0:
+                cone_leaks += 1
+            off_future[i, j] = not lat.in_causal_future(q, p)
+    return cone_leaks, off_future
+
+
+def _plant(monkeypatch, lat, **planted):
+    """Serve each planted `name=entries` as lat.<name>() for this lattice
+    only.  Every true kernel is built (and cached) first, so no cache ever
+    holds a defect."""
+    kernel_residuals(lat)
+    for name, entries in planted.items():
+        bad = Kernel(getattr(lat, name)().kind, lat, entries)
+        orig = getattr(Lattice, name)
+        monkeypatch.setattr(
+            Lattice, name,
+            lambda self, bad=bad, orig=orig: bad if self == lat else orig(self))
+
+
+@pytest.mark.parametrize("nt, nx", [(8, 8), (12, 16)])
+def test_vectorized_cone_check_matches_reference_loop(monkeypatch, nt, nx):
+    lat = Lattice(nt, nx, 0.5)
+    n = lat.n_sites
+    rng = np.random.default_rng(nt * nx)
+    R = lat.green_retarded().entries.copy()
+    DF = lat.feynman().entries.copy()
+    # random entries anywhere, inside the cone and outside it
+    for i, j in rng.integers(0, n, size=(40, 2)):
+        R[i, j] = rng.normal()
+    # symmetric defects keep the Feynman kernel symmetric
+    for i, j in rng.integers(0, n, size=(10, 2)):
+        DF[i, j] = DF[j, i] = DF[i, j] + rng.normal()
+    leaks, off_future = _reference_cone(lat, R)
+    assert leaks > 0
+    _plant(monkeypatch, lat, green_retarded=R, feynman=DF)
+    res = kernel_residuals(lat)
+    assert type(res["cone_support_violations"]) is int
+    assert res["cone_support_violations"] == leaks
+    W = lat.wightman().entries
+    want = float(np.max(np.abs((DF - W)[off_future])))
+    assert want > 0
+    assert res["feynman_equals_wightman_off_future"] == want
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_planted_cone_leaks_counted_exactly(monkeypatch, tmp_path, capsys, k):
+    lat = Lattice(8, 8, 0.5)
+    R = lat.green_retarded().entries.copy()
+    _, off_future = _reference_cone(lat, R)
+    outside = np.argwhere(off_future.T)  # R[i, j] with i not in J^+(j)
+    picks = np.random.default_rng(k).choice(len(outside), k, replace=False)
+    for i, j in outside[picks]:
+        R[i, j] = 1e-30  # far below every float gate: only the count sees it
+    _plant(monkeypatch, lat, green_retarded=R)
+    assert kernel_residuals(lat)["cone_support_violations"] == k
+    code = main(["propagators", "--set", f"output={tmp_path}",
+                 "--set", "lattice.nt=8", "--set", "lattice.nx=8"])
+    assert code == 1
+    rep = json.loads((tmp_path / "propagators.json").read_text())
+    assert rep["residuals"]["cone_support_violations"] == k
+    assert [c for c, ok in rep["checks"].items() if not ok] == \
+        ["cone_support_violations"]
+    capsys.readouterr()
+
+
+def test_planted_feynman_defect_off_future_fails(monkeypatch):
+    lat = Lattice(8, 8, 0.5)
+    DF = lat.feynman().entries.copy()
+    a = lat.site_index(LatticePoint(3, 0))
+    b = lat.site_index(LatticePoint(3, 4))  # spacelike to a
+    DF[a, b] = DF[b, a] = DF[a, b] + 1e-6
+    _plant(monkeypatch, lat, feynman=DF)
+    res = kernel_residuals(lat)
+    assert res["feynman_symmetry"] == 0.0
+    assert res["feynman_equals_wightman_off_future"] > 1e-10
+
+
 def test_pauli_jordan_antisymmetric_and_spacelike_zero(lat):
     D = lat.pauli_jordan().entries
     assert np.max(np.abs(D + D.T)) == 0.0
@@ -111,12 +201,26 @@ def test_field_values_shapes(lat):
         field_values(lat, np.zeros(7))
 
 
-def test_kernel_json_roundtrip():
+def test_kernel_npz_roundtrip(tmp_path):
     lat = Lattice(4, 4, 1.0)
     K = lat.wightman()
-    K2 = kernel_from_json_dict(K.to_json_dict())
-    assert K2.kind == "wightman"
-    assert np.allclose(K2.entries, K.entries, atol=0, rtol=0)
+    np.savez(tmp_path / "k.npz", wightman=K.entries)
+    with np.load(tmp_path / "k.npz") as z:
+        K2 = Kernel("wightman", lat, z["wightman"])
+    assert K2.entries.dtype == np.complex128
+    assert K2.entries.tobytes() == K.entries.tobytes()
+
+
+def test_hadamard_part_must_be_real_and_symmetric(lat):
+    H = lat.hadamard_kernel().entries.real
+    for build in (feynman_from_hadamard, wightman_from_hadamard):
+        assert build(lat, H).kind in ("feynman", "wightman")
+        with pytest.raises(ValueError, match="real"):
+            build(lat, H + 1e-3j * np.eye(lat.n_sites))
+        asym = H.copy()
+        asym[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            build(lat, asym)
 
 
 def test_kernel_validation(lat):

@@ -27,6 +27,17 @@ def _mid_window(lat):
             for x in range(lat.nx)]
 
 
+def _time_ordered_fold(ctx, factors):
+    """n-ary time-ordered product as a left fold of the binary one; the
+    empty product is the unit functional."""
+    out = None
+    for f in factors:
+        out = f if out is None else ctx.time_ordered(out, f)
+    if out is None:
+        return PolyFunctional.unit(ctx.lattice)
+    return out
+
+
 def _pairing_oracle(lat, entries, pts1, pts2):
     """Binary contraction product of two field monomials, by explicit
     enumeration of partial pairings (independent of the permanent-based
@@ -221,7 +232,7 @@ def test_series_builds_each_order_on_the_previous(lat, ctx, monkeypatch):
     f = random_local_functional(lat, np.random.default_rng(11), (4, 7))
     ser = S_fresh.series(f, 4)
     assert len(calls) == 3
-    fold = ctx.time_ordered_n([f] * 4)
+    fold = _time_ordered_fold(ctx, [f] * 4)
     assert ser.coeff(4) == (fold * prefactor(4)) * Fraction(1, 24)
 
 
