@@ -4,10 +4,11 @@
 
 Single JSON config with dotted-key overrides; reports are written as JSON
 with sorted keys (byte-identical for identical configs), a one-line
-summary per block goes to standard output.  `propagators` writes the six
-kernels next to its report as `propagators_kernels.npz` (one complex128
-(n_sites, n_sites) array per kernel name, read back with `np.load`); the
-report names that file under `kernels_file`.
+summary per block (for `axioms`, per suite and per (suite, axiom) pair)
+goes to standard output.  `propagators` writes the six kernels next to its
+report as `propagators_kernels.npz` (one complex128 (n_sites, n_sites)
+array per kernel name, read back with `np.load`); the report names that
+file under `kernels_file`.
 
 Exit status: 0 iff every checked residual is within tolerance, 2 for
 usage and config errors.
@@ -370,6 +371,11 @@ def cmd_axioms(cfg: dict) -> int:
         rows = SUITES[name](cfg, lat, S)
         report["rows"].extend(rows)
         print(_summary_line(f"axioms[{name}]", rows))
+        groups: dict = {}
+        for r in rows:
+            groups.setdefault((r["suite"], r["axiom"]), []).append(r)
+        for (suite, axiom), group in groups.items():
+            print(_summary_line(f"axioms[{suite}/{axiom}]", group))
     ok = all(r["pass"] for r in report["rows"])
     report["pass"] = ok
     path = _write_report(cfg, "axioms", report)

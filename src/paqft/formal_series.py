@@ -1,5 +1,6 @@
-"""Truncated formal power series in the coupling, and symmetric multilinear
-families with memoized mixed/diagonal evaluation and polarization.
+"""Truncated formal power series in the coupling, symmetric multilinear
+families with memoized mixed/diagonal evaluation and polarization, and
+compose_SZ, the set-partition sum that is the one route to S compose Z.
 
 The series engine is target-agnostic: coefficients may be scalars
 (complex, Fraction), HbarScalar, or PolyFunctional; they need addition,
@@ -146,7 +147,8 @@ class MultilinearFamily:
 
     Backed by a mixed-argument evaluator, a diagonal-only evaluator, or
     both.  Mixed evaluation prefers the direct evaluator and falls back to
-    polarization over the diagonal one.  Evaluations are memoized on the
+    polarization over the diagonal one, or to the diagonal value itself
+    when all arguments are equal.  Evaluations are memoized on the
     content of the arguments (see arg_key), so a repeated evaluation on
     freshly built but equal arguments reuses its entry.  A symmetric family
     keys the multiset of argument keys (a permuted call returns the value
@@ -195,12 +197,16 @@ class MultilinearFamily:
         return self._memo_put(key, val)
 
     def mixed(self, n: int, args: Sequence):
-        """T_n(f_1,...,f_n), by direct evaluation or polarization."""
+        """T_n(f_1,...,f_n), by direct evaluation or polarization; without
+        a mixed evaluator, equal arguments are a diagonal value."""
         if len(args) != n:
             raise ValueError(f"need {n} arguments, got {len(args)}")
         if n < 1:
             raise ValueError("order must be >= 1")
-        key = self._mixed_key(n, [arg_key(a) for a in args])
+        keys = [arg_key(a) for a in args]
+        if self._mixed is None and keys.count(keys[0]) == n:
+            return self.diagonal(n, args[0])
+        key = self._mixed_key(n, keys)
         hit = self._memo_get(key)
         if hit is not None:
             return hit
@@ -231,54 +237,38 @@ def polarize(family: MultilinearFamily, n: int, args: Sequence):
     return acc * Fraction(1, math.factorial(n))
 
 
-def _compositions(total: int, parts: int):
-    """Ordered tuples of `parts` positive integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
+def set_partitions(n: int):
+    """Set partitions of range(n), each a list of blocks (lists of
+    indices); blocks are ordered by their first index and the partition
+    of range(n) into one block comes first."""
+    if n == 0:
+        yield []
         return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def expand_on_series_argument(family: MultilinearFamily, g: LambdaSeries,
-                              prefactor: Callable[[int], object],
-                              unit) -> LambdaSeries:
-    """Coefficients of 1 + sum_k prefactor(k)/k! T_k(g^{tensor k}) for a
-    series-valued argument g with g_0 = 0.
-
-    Coefficient at order N is
-    sum_{k=1..N} prefactor(k)/k! sum_{m_1+..+m_k=N, m_i>=1} T_k(g_{m_1},..,g_{m_k}).
-    """
-    if not _is_zero(g.coeff(0)):
-        raise ValueError("series argument must vanish at order 0")
-    coeffs = [unit]
-    for N in range(1, g.order_cap + 1):
-        acc = None
-        for k in range(1, N + 1):
-            pre = prefactor(k)
-            inv_fact = Fraction(1, math.factorial(k))
-            for comp in _compositions(N, k):
-                val = family.mixed(k, [g.coeff(m) for m in comp])
-                term = (val * pre) * inv_fact
-                acc = term if acc is None else acc + term
-        coeffs.append(acc)
-    return LambdaSeries(g.order_cap, tuple(coeffs))
+    for part in set_partitions(n - 1):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [n - 1]] + part[i + 1:]
+        yield part + [[n - 1]]
 
 
 def compose_SZ(family: MultilinearFamily, prefactor: Callable[[int], object],
-               z_family: MultilinearFamily, f, cap: int, unit,
-               zero) -> LambdaSeries:
-    """Lambda-coefficients of (S compose Z)(lambda f).
+               z_family: MultilinearFamily, args: Sequence):
+    """prefactor(n) (S compose Z)_n(f_1..f_n) for n = len(args), by the
+    set-partition (Faa di Bruno) sum
 
-    Z(lambda f) = lambda f + sum_{n>=2} lambda^n/n! Z_n(f^{tensor n});
-    the order-1 coefficient of Z must be the identity (axiom Z4).
+        sum_{pi partition of [n]} prefactor(|pi|) T_{|pi|}(Z_{|B|}(f_B))_{B in pi}
+
+    where S(F) = 1 + sum_k prefactor(k)/k! T_k(F^{tensor k}) with T_k =
+    family, and Z(F) = sum_m 1/m! Z_m(F^{tensor m}) with Z_m = z_family,
+    whose order-1 member must be the identity (axiom Z4).  The coefficient
+    of lambda^n in (S compose Z)(lambda f) is compose_SZ(.., [f] * n)/n!.
     """
-    z1 = z_family.diagonal(1, f)
-    if not _is_zero(z1 - f):
-        raise ValueError("Z violates Z4: order-1 coefficient is not the identity")
-    rows = [zero, f]
-    for n in range(2, cap + 1):
-        rows.append(z_family.diagonal(n, f) * Fraction(1, math.factorial(n)))
-    g = LambdaSeries(cap, tuple(rows))
-    return expand_on_series_argument(family, g, prefactor, unit)
+    for a in args:
+        if not _is_zero(z_family.mixed(1, [a]) - a):
+            raise ValueError(
+                "Z violates Z4: order-1 coefficient is not the identity")
+    acc = None
+    for blocks in set_partitions(len(args)):
+        zvals = [z_family.mixed(len(b), [args[i] for i in b]) for b in blocks]
+        term = family.mixed(len(blocks), zvals) * prefactor(len(blocks))
+        acc = term if acc is None else acc + term
+    return acc

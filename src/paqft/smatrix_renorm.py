@@ -23,9 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .formal_series import (LambdaSeries, MultilinearFamily, arg_key,
-                            compose_SZ, expand_on_series_argument,
-                            series_multiply, series_invert, series_add,
-                            series_scale)
+                            compose_SZ, series_multiply, series_invert,
+                            series_add, series_scale)
 from .functionals import (GeneralizedLagrangian, HbarScalar, PolyFunctional,
                           _fattened_indicator, delta_L, is_local_at_scale)
 from .lattice import Lattice, LatticePoint, field_values
@@ -91,9 +90,14 @@ class SMatrix:
 
     def series_on(self, g: LambdaSeries) -> LambdaSeries:
         """S applied to a series-valued argument with vanishing order-0
-        part."""
-        return expand_on_series_argument(
-            self.family, g, prefactor, PolyFunctional.unit(self.lattice))
+        part: S(sum_m lambda^m g_m) is (S compose Z)(lambda g_1) for the
+        map Z with Z_m(g_1^{tensor m}) = m! g_m."""
+        if not g.coeff(0).is_zero():
+            raise ValueError("series argument must vanish at order 0")
+        Z = RenormalizationMap.from_values(self.lattice, {
+            m: g.coeff(m) * math.factorial(m)
+            for m in range(2, g.order_cap + 1)})
+        return compose(self, Z).series(g.coeff(1), g.order_cap)
 
     def multiply(self, a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
         return series_multiply(a, b, product=self.context.star)
@@ -202,17 +206,16 @@ def make_handcrafted_Z(lattice: Lattice, kappa, window) -> RenormalizationMap:
 
 
 def compose(S: SMatrix, Z: RenormalizationMap) -> SMatrix:
-    """S-matrix (S compose Z); diagonal coefficients via the partition
-    formula, mixed ones by polarization.  Requires Z_1 = id (Z4)."""
-    lat = S.lattice
-    unit = PolyFunctional.unit(lat)
-    zerof = PolyFunctional.zero(lat)
+    """S-matrix (S compose Z).  Its T_n(f_1..f_n) is the set-partition sum
+    compose_SZ with the (i/hbar)^n weight taken off, so mixed values come
+    directly and diagonal ones are mixed values at equal arguments.
+    Requires Z_1 = id (Z4)."""
 
-    def diag(n, f):
-        ser = compose_SZ(S.family, prefactor, Z.family, f, n, unit, zerof)
-        return (ser.coeff(n) * inverse_prefactor(n)) * math.factorial(n)
+    def mixed(n, args):
+        return compose_SZ(S.family, prefactor, Z.family, args) \
+            * inverse_prefactor(n)
 
-    fam = MultilinearFamily(evaluate_diagonal=diag)
+    fam = MultilinearFamily(evaluate_mixed=mixed)
     return SMatrix(context=S.context, family=fam,
                    label=f"{S.label}.{Z.label}")
 
@@ -222,14 +225,13 @@ def extract_Z(S: SMatrix, S_tilde: SMatrix, f: PolyFunctional, cap: int,
     """Order-by-order values Z_n(f^{tensor n}) of the renormalization map
     relating two S-matrices: S_tilde = S compose Z.
 
-    Inductively, the order-(N) mismatch between S_tilde(lambda f) and
-    (S compose Z^{N-1})(lambda f) sits entirely in the k = 1 term
-    (i/hbar) Z_N(f^{tensor N})/N!, which fixes Z_N.  Values are stripped
-    of the (i/hbar) weight, so they live in the functional space.
+    Inductively, with Z^{N-1} the map of the values found so far and a
+    zero Z_N, the set-partition sum compose_SZ(S, Z^{N-1}) at [f] * N
+    misses exactly the one-block term (i/hbar) Z_N(f^{tensor N}), so the
+    order-N mismatch against S_tilde(lambda f) fixes Z_N.  Values are
+    stripped of the (i/hbar) weight, so they live in the functional space.
     """
     lat = S.lattice
-    unit = PolyFunctional.unit(lat)
-    zerof = PolyFunctional.zero(lat)
     ser_t = S_tilde.series(f, cap)
     ser_s = S.series(f, cap)
     scale = max(1.0, ser_s.coeff(1).max_norm())
@@ -240,8 +242,9 @@ def extract_Z(S: SMatrix, S_tilde: SMatrix, f: PolyFunctional, cap: int,
     vals: dict = {1: f}
     for N in range(2, cap + 1):
         zfam = RenormalizationMap.from_values(lat, vals).family
-        composed = compose_SZ(S.family, prefactor, zfam, f, N, unit, zerof)
-        diff = ser_t.coeff(N) - composed.coeff(N)
+        composed = compose_SZ(S.family, prefactor, zfam, [f] * N) \
+            * Fraction(1, math.factorial(N))
+        diff = ser_t.coeff(N) - composed
         vals[N] = (diff * HbarScalar({1: -1j})) * math.factorial(N)
     return vals
 
@@ -256,15 +259,8 @@ def random_local_functional(lattice: Lattice, rng, t_range: tuple,
     rows lie within t_range (inclusive)."""
     t0 = int(rng.integers(t_range[0], max(t_range[0], t_range[1] - 1) + 1))
     x0 = int(rng.integers(0, lattice.nx))
-    window = [LatticePoint(t, x % lattice.nx)
-              for t in (t0, min(t0 + 1, t_range[1]))
-              for x in (x0, x0 + 1)]
-    monos = []
-    for _ in range(n_terms):
-        d = int(rng.integers(1, degree + 1))
-        pts = [window[int(rng.integers(0, len(window)))] for _ in range(d)]
-        monos.append((complex(rng.normal() * scale), pts))
-    return PolyFunctional.from_monomials(lattice, monos)
+    return _window_functional(lattice, rng, t0, x0, t_range[1], degree=degree,
+                              n_terms=n_terms, scale=scale)
 
 
 def _spacelike_pair(lattice: Lattice, rng, **kw):
@@ -281,9 +277,14 @@ def _spacelike_pair(lattice: Lattice, rng, **kw):
 
 
 def _window_functional(lattice: Lattice, rng, t0: int, x0: int,
-                       degree: int = 2, n_terms: int = 3,
+                       t_last: int = None, degree: int = 2, n_terms: int = 3,
                        scale: float = 0.4) -> PolyFunctional:
-    window = [LatticePoint(min(t0 + dt, lattice.nt - 1), (x0 + dx) % lattice.nx)
+    """Random polynomial of n_terms monomials of degree 1..degree on the
+    2x2 window at (t0, x0), its rows clamped to t_last (default the last
+    lattice row) and its columns wrapped."""
+    if t_last is None:
+        t_last = lattice.nt - 1
+    window = [LatticePoint(min(t0 + dt, t_last), (x0 + dx) % lattice.nx)
               for dt in (0, 1) for dx in (0, 1)]
     monos = []
     for _ in range(n_terms):

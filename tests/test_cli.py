@@ -183,6 +183,30 @@ def test_axioms_all_suites_small(tmp_path, capsys):
     assert out.count("PASS") >= 4
 
 
+def test_axioms_prints_one_line_per_suite_and_axiom(tmp_path, capsys):
+    # a kernel tolerance no float residual meets fails some S rows
+    code = main(["axioms", "--set", f"output={tmp_path}",
+                 "--set", 'suites=["S", "hammerstein"]',
+                 "--set", "tolerances.kernel=1e-300"] + SMALL)
+    assert code == 1
+    rows = _read(tmp_path, "axioms")["rows"]
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("axioms[") and "/" in ln.partition("]")[0]]
+    pairs = sorted({(r["suite"], r["axiom"]) for r in rows})
+    assert len(lines) == len(pairs)
+    flagged = 0
+    for suite, axiom in pairs:
+        group = [r for r in rows if (r["suite"], r["axiom"]) == (suite, axiom)]
+        fails = sum(not r["pass"] for r in group)
+        worst = max(r["residual"] for r in group)
+        status = "FAIL" if fails else "PASS"
+        want = (f"axioms[{suite}/{axiom}]: {len(group)} rows, {fails} "
+                f"failures, worst residual {worst:.3e} -> {status}")
+        assert want in lines
+        flagged += bool(fails)
+    assert 0 < flagged < len(pairs)
+
+
 def test_axioms_perturbed_hadamard_flags_sd(tmp_path):
     code = main(["axioms", "--set", f"output={tmp_path}",
                  "--set", 'suites=["SD"]',

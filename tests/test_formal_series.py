@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from paqft.formal_series import (LambdaSeries, MultilinearFamily, compose_SZ,
-                                 expand_on_series_argument, polarize,
-                                 series_add, series_invert, series_multiply,
-                                 series_scale)
+                                 polarize, series_add, series_invert,
+                                 series_multiply, series_scale, set_partitions)
 from paqft.functionals import PolyFunctional
 from paqft.lattice import LatticePoint
+from paqft.smatrix_renorm import (RenormalizationMap, build_smatrix, compose,
+                                  make_handcrafted_Z)
 
 F = Fraction
 
@@ -221,32 +222,51 @@ def test_memo_never_reuses_ids_of_dead_arguments():
         assert mixed.mixed(2, [np.full(2, float(i)), np.ones(2)]) == 2.0 * i + 2
 
 
-# -- series-argument expansion and composition ----------------------------
+# -- composition by set partitions ----------------------------------------
 
 
-def test_expand_on_series_argument_exponential():
-    fam = _product_family()
+def _composite_coefficients(fam, prefactor, zfam, f, cap):
+    """Coefficients of (S compose Z)(lambda f) through lambda^cap."""
+    return [F(1)] + [compose_SZ(fam, prefactor, zfam, [f] * n)
+                     / math.factorial(n) for n in range(1, cap + 1)]
+
+
+def _map_from_series(poly):
+    """Diagonal-only Z with Z_1 = id and Z_m(f^m) = m! poly[m] whatever f,
+    so that Z(lambda poly[1]) = sum_m poly[m] lambda^m."""
+    return MultilinearFamily(evaluate_diagonal=lambda n, f: f if n == 1
+                             else math.factorial(n) * poly[n])
+
+
+def test_set_partitions_counts_and_order():
+    assert list(set_partitions(0)) == [[]]
+    assert list(set_partitions(2)) == [[[0, 1]], [[0], [1]]]
+    # Bell numbers; each partition once, its blocks covering range(n) and
+    # ordered by their first index
+    for n, bell in ((1, 1), (3, 5), (4, 15), (5, 52)):
+        parts = list(set_partitions(n))
+        assert len(parts) == bell
+        assert len({tuple(map(tuple, p)) for p in parts}) == bell
+        for p in parts:
+            assert sorted(i for b in p for i in b) == list(range(n))
+            assert [b[0] for b in p] == sorted(b[0] for b in p)
+
+
+def test_compose_SZ_series_argument_exponential():
+    # S = exp on the series argument 2x + 3x^2
     poly = [F(0), F(2), F(3), F(0), F(0)]
-    g = LambdaSeries.from_list(poly)
-    out = expand_on_series_argument(fam, g, lambda k: F(1), F(1))
-    assert list(out.coefficients) == _exp_oracle(poly, 4)
+    out = _composite_coefficients(_product_family(), lambda k: F(1),
+                                  _map_from_series(poly), poly[1], 4)
+    assert out == _exp_oracle(poly, 4)
 
 
-def test_expand_with_nontrivial_prefactor():
-    # prefactor p^k turns the expansion into exp(p * g)
-    fam = _product_family()
+def test_compose_SZ_with_nontrivial_prefactor():
+    # prefactor p^k turns the composite into exp(p * g)
     poly = [F(0), F(1), F(-1, 2), F(1, 3)]
-    g = LambdaSeries.from_list(poly)
-    out = expand_on_series_argument(fam, g, lambda k: F(3) ** k, F(1))
+    out = _composite_coefficients(_product_family(), lambda k: F(3) ** k,
+                                  _map_from_series(poly), poly[1], 3)
     scaled = [F(3) * c for c in poly]
-    assert list(out.coefficients) == _exp_oracle(scaled, 3)
-
-
-def test_expand_requires_vanishing_leading_term():
-    fam = _product_family()
-    g = LambdaSeries.from_list([F(1), F(2)])
-    with pytest.raises(ValueError, match="vanish at order 0"):
-        expand_on_series_argument(fam, g, lambda k: F(1), F(1))
+    assert out == _exp_oracle(scaled, 3)
 
 
 def test_compose_SZ_exact_exponential():
@@ -254,14 +274,68 @@ def test_compose_SZ_exact_exponential():
     zfam = MultilinearFamily(
         evaluate_diagonal=lambda n, f: f if n == 1 else
         (F(4) * f * f if n == 2 else F(0)))
-    out = compose_SZ(fam, lambda k: F(1), zfam, F(1), 4, F(1), F(0))
+    out = _composite_coefficients(fam, lambda k: F(1), zfam, F(1), 4)
     # Z(x) = x + 2 x^2, so the composite is exp(x + 2 x^2)
     oracle = _exp_oracle([F(0), F(1), F(2), F(0), F(0)], 4)
-    assert list(out.coefficients) == oracle
+    assert out == oracle
+
+
+def test_compose_SZ_mixed_exact():
+    # S = exp, Z_2(a, b) = 4ab, Z_3 = 0: of the five partitions of three
+    # arguments, the one-block term is 0, each of the three two-block
+    # terms is 4abc and the three-block term is abc
+    zfam = MultilinearFamily(
+        evaluate_mixed=lambda n, args: args[0] if n == 1 else
+        (F(4) * args[0] * args[1] if n == 2 else F(0)))
+    a, b, c = F(1, 2), F(-3), F(5, 7)
+    got = compose_SZ(_product_family(), lambda k: F(1), zfam, [a, b, c])
+    assert got == 13 * a * b * c
 
 
 def test_compose_SZ_rejects_non_identity_order_one():
     fam = _product_family()
     bad = MultilinearFamily(evaluate_diagonal=lambda n, f: 2 * f)
     with pytest.raises(ValueError, match="Z4"):
-        compose_SZ(fam, lambda k: F(1), bad, F(1), 3, F(1), F(0))
+        compose_SZ(fam, lambda k: F(1), bad, [F(1)] * 3)
+
+
+def test_diagonal_only_family_equal_arguments_are_diagonal(lat):
+    # a map replaying one extracted value: Z_2(f, f) = v for any f, which
+    # polarization would turn into -v/2
+    v = PolyFunctional.from_monomials(lat, [(0.75, [LatticePoint(5, 4)])])
+    f = PolyFunctional.from_monomials(lat, [(1.5, [LatticePoint(5, 2)])])
+    fam = RenormalizationMap.from_values(lat, {2: v}).family
+    assert fam.mixed(2, [f, f]) is v
+    assert fam.mixed(1, [f]) is f
+    calls = []
+    diag_only = MultilinearFamily(
+        evaluate_diagonal=lambda n, x: calls.append(n) or x ** n)
+    assert diag_only.mixed(3, [F(2), F(2), F(2)]) == 8
+    assert diag_only.diagonal(3, F(2)) == 8
+    assert calls == [3]
+
+
+def test_series_on_requires_vanishing_leading_term(lat):
+    S = build_smatrix(lat)
+    unit = PolyFunctional.unit(lat)
+    with pytest.raises(ValueError, match="vanish at order 0"):
+        S.series_on(LambdaSeries.from_list([unit, unit]))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_composite_mixed_matches_polarization(lat, n):
+    S = build_smatrix(lat)
+    window = [LatticePoint(t, x) for t in range(2, 10) for x in range(lat.nx)]
+    Z = make_handcrafted_Z(lat, 0.25, window)
+    # overlapping supports, so that the pairing Z_2 does not vanish
+    rng = np.random.default_rng(3)
+    sites = [LatticePoint(t, x) for t in (5, 6) for x in (3, 4)]
+    args = [PolyFunctional.from_monomials(lat, [
+        (rng.normal(), [sites[i % 4]]),
+        (rng.normal(), [sites[i % 4], sites[(i + 1) % 4]])])
+        for i in range(n)]
+    direct = compose(S, Z).family.mixed(n, args)
+    polarized = polarize(compose(S, Z).family, n, args)
+    scale = direct.max_norm()
+    assert (direct - S.family.mixed(n, args)).max_norm() > 0.1 * scale
+    assert (direct - polarized).max_norm() <= 1e-10 * scale

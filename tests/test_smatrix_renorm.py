@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paqft.formal_series import MultilinearFamily
+from paqft.formal_series import LambdaSeries, MultilinearFamily
 from paqft.functionals import (HbarScalar, PolyFunctional,
                                free_scalar_lagrangian, is_local_at_scale)
 from paqft.lattice import Lattice, LatticePoint
@@ -185,6 +185,36 @@ def test_coefficient_supports_are_isotone(lat, S):
         assert supp <= outer
 
 
+def _random_local_functional_reference(lattice, rng, t_range, degree=2,
+                                       n_terms=3, scale=0.4):
+    # the sampler as it was before it shared _window_functional
+    t0 = int(rng.integers(t_range[0], max(t_range[0], t_range[1] - 1) + 1))
+    x0 = int(rng.integers(0, lattice.nx))
+    window = [LatticePoint(t, x % lattice.nx)
+              for t in (t0, min(t0 + 1, t_range[1]))
+              for x in (x0, x0 + 1)]
+    monos = []
+    for _ in range(n_terms):
+        d = int(rng.integers(1, degree + 1))
+        pts = [window[int(rng.integers(0, len(window)))] for _ in range(d)]
+        monos.append((complex(rng.normal() * scale), pts))
+    return PolyFunctional.from_monomials(lattice, monos)
+
+
+@pytest.mark.parametrize("t_range, degree", [
+    ((4, 7), 2), ((5, 6), 3), ((6, 6), 2), ((3, 11), 1), ((10, 11), 4)])
+def test_random_local_functional_draws_as_before(lat, t_range, degree):
+    for seed in range(5):
+        rng_new = np.random.default_rng(seed)
+        rng_old = np.random.default_rng(seed)
+        for _ in range(4):
+            new = random_local_functional(lat, rng_new, t_range, degree=degree)
+            old = _random_local_functional_reference(lat, rng_old, t_range,
+                                                     degree=degree)
+            assert new.content_key() == old.content_key()
+        assert rng_new.integers(1 << 30) == rng_old.integers(1 << 30)
+
+
 # -- renormalization maps --------------------------------------------------
 
 
@@ -298,6 +328,23 @@ def test_two_hadamard_extraction_is_local(lat, S):
 
 def test_bisolution_residual_vanishes(ctx):
     assert bisolution_residual(ctx) < 1e-10
+
+
+def test_series_on_matches_composition_sum(lat, S):
+    # S(lambda g1 + lambda^2 g2 + lambda^3 g3): the order-N coefficient is
+    # sum_k (i/hbar)^k/k! T_k over the ordered splittings of N into k parts
+    rng = np.random.default_rng(13)
+    g1, g2, g3 = (random_local_functional(lat, rng, (4, 7)) for _ in range(3))
+    out = S.series_on(LambdaSeries(3, (PolyFunctional.zero(lat), g1, g2, g3)))
+    T = S.family.mixed
+    want = [PolyFunctional.unit(lat), g1 * prefactor(1),
+            g2 * prefactor(1)
+            + T(2, [g1, g1]) * prefactor(2) * Fraction(1, 2),
+            g3 * prefactor(1) + T(2, [g1, g2]) * prefactor(2)
+            + T(3, [g1] * 3) * prefactor(3) * Fraction(1, 6)]
+    for n in range(4):
+        scale = max(1.0, want[n].max_norm())
+        assert (out.coeff(n) - want[n]).max_norm() <= 1e-12 * scale
 
 
 def test_schwinger_dyson_exact(lat, S):
