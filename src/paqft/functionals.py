@@ -11,6 +11,19 @@ the common value of the symmetric tensor at every permutation of the key.
 
 Degree is capped (default 8) at ingestion boundaries only (from_monomials,
 densities, JSON); internal arithmetic may exceed it transiently.
+
+Canonical form: every key is sorted, its sites are in range and its length
+is its degree; every coefficient is a non-zero HbarScalar inside the hbar
+window; no degree is empty.  ``PolyFunctional(lattice, terms)`` validates,
+sorts and merges its input into this form, and every ingestion route goes
+through it (from_monomials, JSON, shift_field_series, decompose_L1,
+star_algebra.beta, poly x poly products, external callers).  Sums,
+differences, scalings and contraction results are canonical by
+construction and are stored through ``PolyFunctional._canonical`` without
+a second pass; their coefficients are summed as plain complex numbers with
+the exact operations and order of the HbarScalar arithmetic, one
+HbarScalar per output monomial, so they are bitwise what the validating
+route gives.
 """
 
 from __future__ import annotations
@@ -168,6 +181,11 @@ def _bounded_compositions(total: int, bounds: Sequence[int]):
 class PolyFunctional:
     """Polynomial functional F(phi) with HbarScalar coefficients.
 
+    ``terms`` is ``{degree: {sorted site-index key: HbarScalar}}`` in
+    canonical form (see the module docstring); the constructor validates,
+    ``_canonical`` trusts its caller.  Iteration order is part of the
+    value: ``content_key`` and every later summation follow it.
+
     >>> lat = Lattice(4, 4, 0.5)
     >>> F = PolyFunctional.from_monomials(lat, [(2.0, [LatticePoint(1, 1)])])
     >>> phi = np.zeros(lat.n_sites); phi[lat.site_index(LatticePoint(1, 1))] = 3.0
@@ -204,6 +222,16 @@ class PolyFunctional:
         self.terms = {d: t for d, t in clean.items() if t}
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, lattice: Lattice,
+                   terms: dict[int, dict[tuple, HbarScalar]]) -> "PolyFunctional":
+        """Store terms already in canonical form (module docstring) as
+        they are; nothing is checked, sorted or merged."""
+        F = object.__new__(cls)
+        F.lattice = lattice
+        F.terms = terms
+        return F
 
     @staticmethod
     def zero(lattice: Lattice) -> "PolyFunctional":
@@ -374,11 +402,27 @@ class PolyFunctional:
     def _binop(self, other: "PolyFunctional", sign: int) -> "PolyFunctional":
         if self.lattice != other.lattice:
             raise ValueError("lattice mismatch")
+        # bucket.get(key, 0) + sign * coeff with the HbarScalar operations,
+        # one plain complex per exponent: the product term 0j + v * s (zero
+        # dropped), then 0j + z for a new exponent or prev + z
+        s = complex(sign)
         out = {d: dict(t) for d, t in self.terms.items()}
-        for deg, key, coeff in other.monomials():
+        for deg in sorted(other.terms):
             bucket = out.setdefault(deg, {})
-            bucket[key] = bucket.get(key, HbarScalar.zero()) + sign * coeff
-        return PolyFunctional(self.lattice, out)
+            for key, coeff in other.terms[deg].items():
+                prev = bucket.get(key)
+                acc = {} if prev is None else dict(prev.coeffs)
+                for e, v in coeff.coeffs.items():
+                    z = 0j + v * s
+                    if z != 0:
+                        acc[e] = acc.get(e, 0j) + z
+                total = HbarScalar(acc)
+                if total.coeffs:
+                    bucket[key] = total
+                elif prev is not None:
+                    del bucket[key]
+        return PolyFunctional._canonical(
+            self.lattice, {d: t for d, t in out.items() if t})
 
     def __add__(self, other):
         if not isinstance(other, PolyFunctional):
@@ -394,9 +438,24 @@ class PolyFunctional:
         return self.scaled(-1.0)
 
     def scaled(self, c) -> "PolyFunctional":
-        c = HbarScalar.coerce(c)
-        return PolyFunctional(self.lattice, {
-            d: {k: v * c for k, v in t.items()} for d, t in self.terms.items()})
+        # v * c with the HbarScalar operations; HbarScalar(out) drops the
+        # zero sums and keeps the window check
+        cs = list(HbarScalar.coerce(c).coeffs.items())
+        terms: dict[int, dict[tuple, HbarScalar]] = {}
+        for deg, t in self.terms.items():
+            bucket = {}
+            for key, v in t.items():
+                out: dict[int, complex] = {}
+                for k1, v1 in v.coeffs.items():
+                    for k2, v2 in cs:
+                        k = k1 + k2
+                        out[k] = out.get(k, 0j) + v1 * v2
+                prod = HbarScalar(out)
+                if prod.coeffs:
+                    bucket[key] = prod
+            if bucket:
+                terms[deg] = bucket
+        return PolyFunctional._canonical(self.lattice, terms)
 
     def __mul__(self, other):
         if isinstance(other, PolyFunctional):

@@ -19,9 +19,10 @@ with the exact complex operations, of the HbarScalar arithmetic
 ``acc[key] += (c_F * c_G) * (per * HbarScalar({r: 1}))``; zero terms and
 zero sums are dropped the way HbarScalar drops them.  For finite
 coefficients the result is bitwise that of the HbarScalar loop, with one
-HbarScalar per output monomial built at the end, through the validating
-PolyFunctional constructor.  The r = 0 term is the same loop with the
-empty selection, whose permanent is 1.
+HbarScalar per output monomial built at the end and stored by
+_poly_from_flat without a second validation (the keys are sorted merges
+of canonical keys).  The r = 0 term is the same loop with the empty
+selection, whose permanent is 1.
 """
 
 from __future__ import annotations
@@ -58,10 +59,18 @@ def _site_selections(key: tuple, r: int):
 
 
 def _poly_from_flat(lattice: Lattice, flat: dict) -> PolyFunctional:
+    """{sorted in-range key: HbarScalar} grouped by degree, stored without
+    validation.  A degree takes its place at its first key in `flat`, zero
+    or not, as when the grouped terms go through the validating
+    constructor; zero coefficients and the degrees left empty are
+    dropped."""
     nested: dict[int, dict] = {}
     for key, coeff in flat.items():
-        nested.setdefault(len(key), {})[key] = coeff
-    return PolyFunctional(lattice, nested)
+        bucket = nested.setdefault(len(key), {})
+        if coeff.coeffs:
+            bucket[key] = coeff
+    return PolyFunctional._canonical(
+        lattice, {d: t for d, t in nested.items() if t})
 
 
 def _permanent(mat) -> complex:
@@ -187,6 +196,8 @@ class StarAlgebraContext:
                                     del coeffs[e]
                                 else:
                                     coeffs[e] = z
+        # one HbarScalar per output monomial; the keys are sorted merges of
+        # canonical keys, so the result is stored without re-validation
         return _poly_from_flat(self.lattice, {
             key: HbarScalar(coeffs) for key, coeffs in acc.items()})
 
@@ -251,14 +262,14 @@ def beta(F: PolyFunctional, regions: Sequence[Iterable]) -> list:
     inv_ref = _invert_hbar_monomial(c_ref)
     factors = []
     for i in range(m):
-        terms = {}
+        terms: dict[int, dict] = {}
         for part in sorted(parts_seen[i]):
             probe = refs[:i] + (part,) + refs[i + 1:]
             coeff = table[probe]
             if i > 0:
                 coeff = coeff * inv_ref
-            terms[part] = coeff
-        factors.append(_poly_from_flat(lat, terms))
+            terms.setdefault(len(part), {})[part] = coeff
+        factors.append(PolyFunctional(lat, terms))
     prod = factors[0]
     for g in factors[1:]:
         prod = prod * g

@@ -45,3 +45,24 @@ def test_wrapped_attributes_exist(traced_cli):
             assert callable(getattr(cls, name, None)), f"{cls.__name__}.{name}"
     fam = MultilinearFamily(evaluate_mixed=lambda n, args: args[0])
     assert hasattr(fam, "_mixed") and hasattr(fam, "_diagonal")
+
+
+def test_poly_terms_have_the_shape_the_digest_reads(traced_cli, lat, ctx):
+    # _poly_digest reads F.terms as int degree -> tuple key -> object with
+    # a .coeffs dict, for the operands of every star/time_ordered call
+    from paqft.functionals import PolyFunctional
+    from paqft.lattice import LatticePoint
+
+    F = PolyFunctional.from_monomials(
+        lat, [(1 + 2j, [LatticePoint(4, 3), LatticePoint(5, 3)]),
+              (0.5, [LatticePoint(6, 4)])])
+    G = F.scaled(0.5j) - PolyFunctional.unit(lat)
+    for P in (F, G, F + G, ctx.star(F, G), ctx.time_ordered(G, F)):
+        assert P.terms
+        for deg, bucket in P.terms.items():
+            assert type(deg) is int
+            for key, coeff in bucket.items():
+                assert type(key) is tuple and len(key) == deg
+                assert all(type(i) is int for i in key)
+                assert type(coeff.coeffs) is dict
+        assert len(traced_cli._poly_digest(P)) == 20

@@ -298,3 +298,116 @@ def test_add_scale_properties(seed):
     assert (lhs - rhs).norm() < 1e-10 * max(1.0, rhs.norm())
     c = complex(r.normal(), r.normal())
     assert ((F.scaled(c)).evaluate(phi) - F.evaluate(phi) * c).norm() < 1e-10
+
+
+# -- bitwise oracle: arithmetic through the validating constructor --------
+#
+# The references are the arithmetic as it was written before sums,
+# scalings and contraction results skipped validation: one HbarScalar per
+# term, every result rebuilt by PolyFunctional.__init__.
+
+
+def _reference_binop(F, G, sign):
+    out = {d: dict(t) for d, t in F.terms.items()}
+    for deg, key, coeff in G.monomials():
+        bucket = out.setdefault(deg, {})
+        bucket[key] = bucket.get(key, HbarScalar.zero()) + sign * coeff
+    return PolyFunctional(F.lattice, out)
+
+
+def _reference_scaled(F, c):
+    c = HbarScalar.coerce(c)
+    return PolyFunctional(F.lattice, {
+        d: {k: v * c for k, v in t.items()} for d, t in F.terms.items()})
+
+
+def _reference_poly_from_flat(lattice, flat):
+    nested = {}
+    for key, coeff in flat.items():
+        nested.setdefault(len(key), {})[key] = coeff
+    return PolyFunctional(lattice, nested)
+
+
+def _hex_key(F):
+    """content_key() with every coefficient as float.hex pairs: equal means
+    equal bits (signed zeros too), degree order and key order."""
+    lattice, terms = F.content_key()
+    return lattice, [(deg, [(key, [(e, v.real.hex(), v.imag.hex())
+                                   for e, v in coeffs])
+                            for key, coeffs in t])
+                     for deg, t in terms]
+
+
+def _assert_canonical(R):
+    assert all(R.terms.values()), "empty degree"
+    assert PolyFunctional(R.lattice, R.terms).content_key() == R.content_key()
+
+
+# few sites, so keys overlap and repeat sites; parts that cancel exactly
+_SITES = [0, 1, 7, 35]
+_part = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5])
+         | st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False))
+_complex = st.builds(complex, _part, _part)
+_hbar = st.dictionaries(st.integers(-2, 2), _complex, max_size=3)
+_key = st.lists(st.sampled_from(_SITES), max_size=3).map(
+    lambda s: tuple(sorted(s)))
+_monos = st.lists(st.tuples(_key, _hbar), max_size=6)
+_scalar = (_complex | st.fractions(-4, 4, max_denominator=7)
+           | _hbar.map(HbarScalar) | st.integers(-2, 2))
+
+
+def _poly(lat, monos):
+    """Validating constructor with degrees in order of first appearance."""
+    terms = {}
+    for key, coeffs in monos:
+        terms.setdefault(len(key), {})[key] = HbarScalar(coeffs)
+    return PolyFunctional(lat, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monos, _monos, _scalar)
+def test_arithmetic_bitwise_matches_validating_reference(fm, gm, c):
+    lat = Lattice(6, 6, 0.5)
+    F, G = _poly(lat, fm), _poly(lat, gm)
+    cases = [(F + G, _reference_binop(F, G, 1)),
+             (G + F, _reference_binop(G, F, 1)),
+             (F + F, _reference_binop(F, F, 1)),
+             (F - G, _reference_binop(F, G, -1)),
+             (F - F, _reference_binop(F, F, -1)),
+             (-F, _reference_scaled(F, -1.0)),
+             (F.scaled(c), _reference_scaled(F, c)),
+             (F * c, _reference_scaled(F, c))]
+    for got, want in cases:
+        assert _hex_key(got) == _hex_key(want)
+        _assert_canonical(got)
+    assert (F - F).terms == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(_key, _hbar.map(HbarScalar), max_size=6))
+def test_poly_from_flat_bitwise_matches_validating_reference(flat):
+    from paqft.star_algebra import _poly_from_flat
+    lat = Lattice(6, 6, 0.5)
+    got = _poly_from_flat(lat, flat)
+    assert _hex_key(got) == _hex_key(_reference_poly_from_flat(lat, flat))
+    _assert_canonical(got)
+
+
+# -- guards of the validating constructor and the window -----------------
+
+
+def test_constructor_rejects_bad_keys(lat):
+    with pytest.raises(ValueError, match="out of range"):
+        PolyFunctional(lat, {2: {(0, lat.n_sites): 1}})
+    with pytest.raises(ValueError, match="length"):
+        PolyFunctional(lat, {2: {(1,): 1}})
+
+
+def test_arithmetic_keeps_hbar_window(lat):
+    a = LatticePoint(5, 3)
+    F = PolyFunctional.from_monomials(lat, [(HbarScalar.monomial(1), [a])])
+    with pytest.raises(ValueError, match="outside window"):
+        F.scaled(HbarScalar.monomial(8))
+    G = PolyFunctional.from_monomials(lat, [(HbarScalar.monomial(5), [a])])
+    with pytest.raises(ValueError, match="outside window"):
+        G * G

@@ -361,6 +361,24 @@ def test_schwinger_dyson_exact(lat, S):
     assert {r["sample-id"] for r in rows} == {"left", "right"}
 
 
+def test_schwinger_dyson_shifts_an_overlapping_observable(lat, S):
+    # F on the 2x2 window at rows 5-6, columns 2-3, inside supp phi0, so
+    # F(. + lambda phi0) has a non-zero lambda^1 row and the m! g_m
+    # replay of series_on is exercised
+    rng = np.random.default_rng(19)
+    L = free_scalar_lagrangian(lat)
+    F = _window_functional(lat, rng, 5, 2)
+    phi0 = np.zeros(lat.n_sites)
+    for t in (5, 6):
+        for x in (2, 3, 4):
+            phi0[lat.site_index(LatticePoint(t, x))] = rng.normal() * 0.3
+    assert F.support() & {lat.point(int(i)) for i in np.flatnonzero(phi0)}
+    assert not F.shift_field_series(phi0)[1].is_zero()
+    rows = check_schwinger_dyson(S, L, F, phi0, cap=2)
+    assert rows and all(r["pass"] for r in rows)
+    assert max(r["residual"] for r in rows) < 1e-10
+
+
 def test_schwinger_dyson_rejects_boundary_source(lat, S):
     L = free_scalar_lagrangian(lat)
     F = random_local_functional(lat, np.random.default_rng(3), (4, 6))
