@@ -332,7 +332,6 @@ def _suite_hammerstein(cfg, lat, S):
         add=lambda a, b: a + b,
         zero=PolyFunctional.zero(lat),
         mult=S.multiply,
-        unit=S.unit_series(cap),
         inverse=S.invert,
         structure=structure,
         samples=triples,

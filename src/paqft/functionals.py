@@ -77,10 +77,6 @@ class HbarScalar:
         return HbarScalar({0: 1.0})
 
     @staticmethod
-    def from_complex(z) -> "HbarScalar":
-        return HbarScalar({0: complex(z)})
-
-    @staticmethod
     def monomial(exponent: int, coeff=1.0) -> "HbarScalar":
         return HbarScalar({exponent: coeff})
 
@@ -280,9 +276,6 @@ class PolyFunctional:
 
     def distance(self, other: "PolyFunctional") -> float:
         return (self - other).max_norm()
-
-    def is_unit_preserving(self) -> bool:
-        return 0 not in self.terms
 
     def support(self) -> Region:
         lat = self.lattice

@@ -107,10 +107,6 @@ class Lattice:
         self.site_index(p)  # range check
         return frozenset(q for q in self.points() if self.in_causal_future(q, p))
 
-    def causal_past(self, p: LatticePoint) -> Region:
-        self.site_index(p)
-        return frozenset(q for q in self.points() if self.in_causal_future(p, q))
-
     def not_later_than(self, A, B) -> bool:
         """A does not meet the causal future of B (A "not later than" B).
 
@@ -131,28 +127,25 @@ class Lattice:
         """Apply P = -(box + m^2) row-wise, zero-padding outside the slab.
 
         Only interior rows of the result are meaningful.  Accepts a flat
-        array or a FieldConfiguration and returns the same kind.
+        (n_sites,) array, an (n_sites, k) stack of columns (each column
+        transformed on its own), or a FieldConfiguration, and returns the
+        same kind.
         """
         if isinstance(phi, FieldConfiguration):
             return FieldConfiguration(self, self.klein_gordon_apply(phi.values))
         phi = np.asarray(phi)
-        u = phi.reshape(self.nt, self.nx)
+        u = phi.reshape(self.nt, self.nx, *phi.shape[1:])
         up = np.zeros_like(u)
         dn = np.zeros_like(u)
         up[:-1] = u[1:]
         dn[1:] = u[:-1]
         d2t = up - 2 * u + dn
         d2x = np.roll(u, -1, axis=1) - 2 * u + np.roll(u, 1, axis=1)
-        return (-(d2t - d2x + self.mass ** 2 * u)).reshape(-1)
+        return (-(d2t - d2x + self.mass ** 2 * u)).reshape(phi.shape)
 
     def operator_matrix(self) -> np.ndarray:
         """Dense matrix of klein_gordon_apply (for oracle-style checks)."""
-        n = self.n_sites
-        P = np.zeros((n, n))
-        eye = np.eye(n)
-        for j in range(n):
-            P[:, j] = self.klein_gordon_apply(eye[:, j])
-        return P
+        return self.klein_gordon_apply(np.eye(self.n_sites))
 
     def green_retarded(self) -> "Kernel":
         return _green_retarded(self)

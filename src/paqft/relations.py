@@ -6,6 +6,10 @@ not assumed: constructors never raise on a broken relation, so checkers
 can receive deliberately broken inputs and report the violations.
 Universe elements are opaque and may be unhashable; membership is by
 identity first, then equality.
+
+hammerstein_sides is the one place the generalized Hammerstein identity
+is formed; check_hammerstein and the S2, multiplicativity and Z3 rows of
+the S and Z suites all evaluate it there.
 """
 
 from __future__ import annotations
@@ -272,40 +276,44 @@ def _default_distance(a, b) -> float:
     return abs(diff)
 
 
-def check_hammerstein(phi: Callable, add: Callable, zero,
-                      mult: Callable, unit, inverse: Callable,
-                      structure, samples: Sequence[tuple],
-                      distance: Callable = None, tol: float = 1e-9) -> list:
-    """Generalized Hammerstein property of a map phi from an additive
-    carrier to a (possibly noncommutative) multiplicative target.
-
-    For each sample (f1, f, f2) with f1 preceding (or independent of) f2:
+def hammerstein_sides(phi: Callable, add: Callable, mult: Callable,
+                      inverse: Callable, f1, f, f2) -> tuple:
+    """(lhs, rhs) of the generalized Hammerstein identity, for f1 preceding
+    (or independent of) f2:
 
         phi(f1 + f + f2) = phi(f2 + f) . phi(f)^{-1} . phi(f + f1)
 
-    in the S2 ordering; for abelian additive targets this is the familiar
-    three-term additivity.  Each row also reports the f = 0 reduction
-    (disjoint additivity of the pair), so padd holds whenever the full
-    property does.  Samples violating the relation precondition are
+    S2 is the case phi = S over star-product series, its multiplicativity
+    corollary the same at f = 0; Z3 is the abelian case mult = +.
+    """
+    lhs = phi(add(add(f1, f), f2))
+    rhs = mult(mult(phi(add(f2, f)), inverse(phi(f))), phi(add(f, f1)))
+    return lhs, rhs
+
+
+def check_hammerstein(phi: Callable, add: Callable, zero,
+                      mult: Callable, inverse: Callable,
+                      structure, samples: Sequence[tuple],
+                      distance: Callable = None, tol: float = 1e-9) -> list:
+    """hammerstein_sides on each sample (f1, f, f2), for a map phi from an
+    additive carrier to a (possibly noncommutative) multiplicative target.
+
+    Each row reports the residual at f ("hammerstein") and at f = zero
+    ("padd", disjoint additivity of the pair), so padd holds whenever the
+    full property does.  Samples violating the relation precondition are
     flagged as rejected, not silently checked.
     """
     dist = distance if distance is not None else _default_distance
     rel = structure.relation
     rows = []
     for sid, (f1, f, f2) in enumerate(samples):
-        row = {"sample-id": sid}
         if not rel.predicate(f1, f2):
-            row.update({"rejected": True, "hammerstein": None,
-                        "padd": None, "pass": False})
-            rows.append(row)
+            rows.append({"sample-id": sid, "rejected": True,
+                         "hammerstein": None, "padd": None, "pass": False})
             continue
-        row["rejected"] = False
-        lhs = phi(add(add(f1, f), f2))
-        rhs = mult(mult(phi(add(f2, f)), inverse(phi(f))), phi(add(f, f1)))
-        row["hammerstein"] = dist(lhs, rhs)
-        lhs0 = phi(add(f1, f2))
-        rhs0 = mult(mult(phi(f2), inverse(phi(zero))), phi(f1))
-        row["padd"] = dist(lhs0, rhs0)
-        row["pass"] = row["hammerstein"] <= tol and row["padd"] <= tol
-        rows.append(row)
+        ham, padd = (dist(*hammerstein_sides(phi, add, mult, inverse,
+                                             f1, mid, f2))
+                     for mid in (f, zero))
+        rows.append({"sample-id": sid, "rejected": False, "hammerstein": ham,
+                     "padd": padd, "pass": ham <= tol and padd <= tol})
     return rows

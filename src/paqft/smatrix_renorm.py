@@ -15,7 +15,9 @@ the left of star products, so S(f1+f+f2) = S(f2+f) . S(f)^{-1} . S(f+f1).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -28,6 +30,7 @@ from .formal_series import (LambdaSeries, MultilinearFamily, arg_key,
 from .functionals import (GeneralizedLagrangian, HbarScalar, PolyFunctional,
                           _fattened_indicator, delta_L, is_local_at_scale)
 from .lattice import Lattice, LatticePoint, field_values
+from .relations import hammerstein_sides
 from .star_algebra import StarAlgebraContext
 
 
@@ -40,8 +43,8 @@ def inverse_prefactor(n: int) -> HbarScalar:
     return HbarScalar({n: (-1j) ** n})
 
 
-def _series_sub(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
-    return series_add(a, series_scale(b, -1.0))
+def _negate(a: LambdaSeries) -> LambdaSeries:
+    return series_scale(a, -1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,12 +76,6 @@ class SMatrix:
     @property
     def lattice(self) -> Lattice:
         return self.context.lattice
-
-    def unit_series(self, cap: int) -> LambdaSeries:
-        lat = self.lattice
-        rows = [PolyFunctional.unit(lat)] + \
-            [PolyFunctional.zero(lat)] * cap
-        return LambdaSeries(cap, tuple(rows))
 
     def series(self, f: PolyFunctional, cap: int) -> LambdaSeries:
         """Coefficients of S(lambda f) through lambda^cap."""
@@ -373,6 +370,16 @@ def _row(suite: str, axiom: str, order: int, sample_id: str,
             "pass": bool(residual <= tol)}
 
 
+def _check_causal_triples(lattice: Lattice, triples) -> None:
+    """Reject a plan whose causal triple (f1, f, f2) has f1 later than f2."""
+    for i, (f1, _f, f2) in enumerate(triples):
+        if not lattice.not_later_than(f1.support(), f2.support()):
+            raise ValueError(
+                f"malformed plan: causal triple #{i} is not causally "
+                "ordered (support of f1 must be not later than support "
+                "of f2)")
+
+
 def _support_violation_count(lattice: Lattice, early, late) -> int:
     """Number of points of `early` inside the causal future of `late`
     (zero iff early is not later than late)."""
@@ -385,7 +392,8 @@ def _support_violation_count(lattice: Lattice, early, late) -> int:
 
 def check_S_axioms(S: SMatrix, plan: dict) -> list:
     """S1 (unit), S3 (order-1 identity), S2 (causal factorization with
-    middle term, plus the pairwise multiplicativity corollary), S4
+    middle term, plus the pairwise multiplicativity corollary, both
+    through relations.hammerstein_sides), S4
     (support of series coefficients, exact on the lattice), the locality
     corollary on spacelike pairs, and T1 (two-block causal factorization
     of the time-ordered product)."""
@@ -398,12 +406,7 @@ def check_S_axioms(S: SMatrix, plan: dict) -> list:
     pairs = plan.get("spacelike_pairs", [])
     chains = plan.get("t1_chains", [])
     singles = plan.get("singles", [])
-    for i, (f1, _f, f2) in enumerate(triples):
-        if not lat.not_later_than(f1.support(), f2.support()):
-            raise ValueError(
-                f"malformed plan: causal triple #{i} is not causally "
-                "ordered (support of f1 must be not later than support "
-                "of f2)")
+    _check_causal_triples(lat, triples)
     for i, (f1, f2) in enumerate(pairs):
         if not lat.spacelike(f1.support(), f2.support()):
             raise ValueError(
@@ -427,21 +430,16 @@ def check_S_axioms(S: SMatrix, plan: dict) -> list:
     for i, f in enumerate(singles):
         res = (S.series(f, 1).coeff(1) - f * prefactor(1)).max_norm()
         rows.append(_row("S", "S3", 1, f"s3-{i:02d}", res, kernel_tol))
+    phi = functools.partial(S.series, cap=cap)
     for i, (f1, fm, f2) in enumerate(triples):
-        lhs = S.series(f1 + fm + f2, cap)
-        rhs = S.multiply(
-            S.multiply(S.series(f2 + fm, cap), S.invert(S.series(fm, cap))),
-            S.series(fm + f1, cap))
-        for n in range(1, cap + 1):
-            rows.append(_row("S", "S2", n, f"s2-{i:02d}",
-                             (lhs.coeff(n) - rhs.coeff(n)).max_norm(),
-                             series_tol))
-        both = S.series(f1 + f2, cap)
-        prod = S.multiply(S.series(f2, cap), S.series(f1, cap))
-        for n in range(1, cap + 1):
-            rows.append(_row("S", "S2", n, f"mult-{i:02d}",
-                             (both.coeff(n) - prod.coeff(n)).max_norm(),
-                             series_tol))
+        # S2 at the middle term, then its multiplicativity corollary at 0
+        for tag, mid in (("s2", fm), ("mult", zerof)):
+            lhs, rhs = hammerstein_sides(phi, operator.add, S.multiply,
+                                         S.invert, f1, mid, f2)
+            for n in range(1, cap + 1):
+                rows.append(_row("S", "S2", n, f"{tag}-{i:02d}",
+                                 (lhs.coeff(n) - rhs.coeff(n)).max_norm(),
+                                 series_tol))
         ser1 = S.series(f1, cap)
         ser2 = S.series(f2, cap)
         supp1, supp2 = f1.support(), f2.support()
@@ -454,7 +452,7 @@ def check_S_axioms(S: SMatrix, plan: dict) -> list:
     for i, (f1, f2) in enumerate(pairs):
         a = S.series(f1, loc_cap)
         b = S.series(f2, loc_cap)
-        comm = _series_sub(S.multiply(a, b), S.multiply(b, a))
+        comm = series_add(S.multiply(a, b), _negate(S.multiply(b, a)))
         for n in range(loc_cap + 1):
             rows.append(_row("S", "locality", n, f"loc-{i:02d}",
                              comm.coeff(n).max_norm(), kernel_tol))
@@ -473,10 +471,11 @@ def check_S_axioms(S: SMatrix, plan: dict) -> list:
 
 def check_Z_axioms(Z: RenormalizationMap, lattice: Lattice,
                    plan: dict) -> list:
-    """Z1 (zero preserving), Z4 (identity at order 1), Z3 (abelian
-    Hammerstein identity), Z2 (support of relative-map coefficients),
-    and membership of the per-order outputs in the local functionals
-    (additivity at the configured radius).
+    """Z1 (zero preserving), Z4 (identity at order 1), Z3 (the abelian
+    Hammerstein identity: relations.hammerstein_sides with series
+    addition as the product and negation as the inverse), Z2 (support of
+    relative-map coefficients), and membership of the per-order outputs
+    in the local functionals (additivity at the configured radius).
 
     Z3 and Z2 are checked both at the sampled middle functional and at
     f = 0 (whose residual the general case should track)."""
@@ -486,6 +485,7 @@ def check_Z_axioms(Z: RenormalizationMap, lattice: Lattice,
     radius = int(plan.get("locality_radius", 2))
     triples = plan.get("causal_triples", [])
     singles = plan.get("singles", [])
+    _check_causal_triples(lat, triples)
     rows = []
     zerof = PolyFunctional.zero(lat)
     zser = Z.z_series(zerof, cap)
@@ -494,20 +494,16 @@ def check_Z_axioms(Z: RenormalizationMap, lattice: Lattice,
     for i, f in enumerate(singles):
         res = (Z.family.diagonal(1, f) - f).max_norm()
         rows.append(_row("Z", "Z4", 1, f"z4-{i:02d}", res, tol))
+    phi = functools.partial(Z.z_series, cap=cap)
     for i, (f1, fm, f2) in enumerate(triples):
-        if not lat.not_later_than(f1.support(), f2.support()):
-            raise ValueError(
-                f"malformed plan: causal triple #{i} is not causally "
-                "ordered")
         for tag, mid in (("gen", fm), ("f0", zerof)):
-            a = Z.z_series(f1 + mid + f2, cap)
-            b = Z.z_series(f1 + mid, cap)
-            c = Z.z_series(mid, cap)
-            d = Z.z_series(f2 + mid, cap)
+            lhs, rhs = hammerstein_sides(phi, operator.add, series_add,
+                                         _negate, f1, mid, f2)
             for n in range(cap + 1):
-                res = (a.coeff(n)
-                       - (b.coeff(n) - c.coeff(n) + d.coeff(n))).max_norm()
+                res = (lhs.coeff(n) - rhs.coeff(n)).max_norm()
                 rows.append(_row("Z", "Z3", n, f"z3-{i:02d}-{tag}", res, tol))
+            # the relative maps, from the memo entries the identity made
+            b, c, d = phi(mid + f1), phi(mid), phi(f2 + mid)
             supp1, supp2 = f1.support(), f2.support()
             for n in range(1, cap + 1):
                 rel1 = b.coeff(n) - c.coeff(n)
@@ -573,10 +569,8 @@ def bisolution_residual(context: StarAlgebraContext) -> float:
     lat = context.lattice
     W = context.wightman.entries
     mask = lat.interior_mask()
-    left = np.stack([lat.klein_gordon_apply(W[:, j]) for j in range(W.shape[1])],
-                    axis=1)
-    right = np.stack([lat.klein_gordon_apply(W[i, :]) for i in range(W.shape[0])],
-                     axis=0)
+    left = lat.klein_gordon_apply(W)
+    right = lat.klein_gordon_apply(W.T).T
     return max(np.max(np.abs(left[mask, :])), np.max(np.abs(right[:, mask])))
 
 

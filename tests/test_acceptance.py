@@ -430,7 +430,7 @@ def test_relations_exhaustive_and_planted_violations():
                (frozenset({0, 1}), frozenset({4}), frozenset({5}))]
     rows = check_hammerstein(
         total, lambda a, b: a | b, frozenset(),
-        lambda a, b: a + b, 0.0, lambda v: -v, struct, samples)
+        lambda a, b: a + b, lambda v: -v, struct, samples)
     assert all(not r["rejected"] and r["hammerstein"] == 0.0
                and r["padd"] == 0.0 and r["pass"] for r in rows)
 
@@ -447,12 +447,12 @@ def test_relations_exhaustive_and_planted_violations():
                  CausalityStructure(sym_caus).invariant_violations())
     bad_rows = check_hammerstein(
         lambda u: float(sum(u)) ** 2, lambda a, b: a | b, frozenset(),
-        lambda a, b: a + b, 0.0, lambda v: -v, struct,
+        lambda a, b: a + b, lambda v: -v, struct,
         [(frozenset({1}), frozenset({4}), frozenset({5}))])
     flaws += not bad_rows[0]["pass"]
     misordered = check_hammerstein(
         total, lambda a, b: a | b, frozenset(),
-        lambda a, b: a + b, 0.0, lambda v: -v, struct,
+        lambda a, b: a + b, lambda v: -v, struct,
         [(frozenset({5}), frozenset(), frozenset({0}))])
     flaws += bool(misordered[0]["rejected"])
     assert flaws == 5

@@ -253,3 +253,19 @@ def test_retarded_propagation_matches_wave_solution():
     target = np.zeros(lat.n_sites)
     target[src] = 1.0
     assert np.max(np.abs((Pu - target)[interior])) < 1e-12
+
+
+def test_klein_gordon_apply_transforms_each_column_of_a_stack():
+    lat = Lattice(12, 16, 0.5)
+    rng = np.random.default_rng(4)
+    U = rng.standard_normal((lat.n_sites, 5)) \
+        + 1j * rng.standard_normal((lat.n_sites, 5))
+    PU = lat.klein_gordon_apply(U)
+    assert PU.shape == U.shape
+    for j in range(U.shape[1]):
+        assert np.array_equal(PU[:, j], lat.klein_gordon_apply(U[:, j]))
+    # operator_matrix is the stack form applied to the identity
+    P = lat.operator_matrix()
+    eye = np.eye(lat.n_sites)
+    for j in range(0, lat.n_sites, 7):
+        assert np.array_equal(P[:, j], lat.klein_gordon_apply(eye[:, j]))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from paqft.relations import (BinaryRelation, CausalityStructure,
                              LocalityStructure, check_group_with_causality,
                              check_group_with_locality, check_hammerstein,
-                             mutually_independent, polar, polar_left,
+                             hammerstein_sides, mutually_independent, polar, polar_left,
                              polar_right, symmetrize)
 
 
@@ -210,12 +210,23 @@ def test_group_with_locality_detects_leak():
 # -- Hammerstein checker --------------------------------------------------
 
 
+def test_hammerstein_sides_factor_order():
+    # words record the order: the late pair stands left, phi(f)^{-1} in
+    # the middle, and the left pair of factors is multiplied first
+    lhs, rhs = hammerstein_sides(
+        phi=lambda x: f"phi({x})", add=lambda a, b: f"{a}+{b}",
+        mult=lambda a, b: f"[{a}.{b}]", inverse=lambda x: f"{x}^-1",
+        f1="f1", f="f", f2="f2")
+    assert lhs == "phi(f1+f+f2)"
+    assert rhs == "[[phi(f2+f).phi(f)^-1].phi(f+f1)]"
+
+
 def test_hammerstein_linear_map_passes():
     u = list(range(-3, 4))
     lt = CausalityStructure(BinaryRelation(u, holds=lambda a, b: a < b))
     rows = check_hammerstein(
         phi=lambda x: 3.0 * x, add=lambda a, b: a + b, zero=0,
-        mult=lambda a, b: a + b, unit=0.0, inverse=lambda x: -x,
+        mult=lambda a, b: a + b, inverse=lambda x: -x,
         structure=lt,
         samples=[(-2, 0, 1), (-1, 2, 3), (0, -3, 2)])
     assert all(r["pass"] and not r["rejected"] for r in rows)
@@ -227,7 +238,7 @@ def test_hammerstein_rejects_misordered_sample():
     lt = CausalityStructure(BinaryRelation(u, holds=lambda a, b: a < b))
     rows = check_hammerstein(
         phi=lambda x: x, add=lambda a, b: a + b, zero=0,
-        mult=lambda a, b: a + b, unit=0.0, inverse=lambda x: -x,
+        mult=lambda a, b: a + b, inverse=lambda x: -x,
         structure=lt, samples=[(3, 0, -3)])
     assert rows[0]["rejected"] and not rows[0]["pass"]
     assert rows[0]["hammerstein"] is None and rows[0]["padd"] is None
@@ -238,7 +249,7 @@ def test_hammerstein_detects_nonadditive_map():
     lt = CausalityStructure(BinaryRelation(u, holds=lambda a, b: a < b))
     rows = check_hammerstein(
         phi=lambda x: x * x, add=lambda a, b: a + b, zero=0,
-        mult=lambda a, b: a + b, unit=0.0, inverse=lambda x: -x,
+        mult=lambda a, b: a + b, inverse=lambda x: -x,
         structure=lt, samples=[(-2, 1, 3)])
     assert not rows[0]["pass"]
     assert rows[0]["hammerstein"] > 1.0

@@ -9,7 +9,7 @@ from paqft.functionals import (HbarScalar, PolyFunctional,
                                free_scalar_lagrangian, is_local_at_scale)
 from paqft.lattice import Lattice, LatticePoint
 from paqft.smatrix_renorm import (RenormalizationMap, SMatrix,
-                                  _causal_triple, _spacelike_pair,
+                                  _causal_triple, _partial, _spacelike_pair,
                                   _window_functional, bisolution_residual,
                                   build_smatrix, check_S_axioms,
                                   check_Z_axioms, check_schwinger_dyson,
@@ -232,6 +232,128 @@ def test_z_suite_passes_on_handcrafted(lat):
                                           "additivity"}
 
 
+# -- one Hammerstein identity ----------------------------------------------
+
+
+def _old_s2_and_mult(S, f1, fm, f2, cap):
+    """Residuals of the S2 and multiplicativity blocks as check_S_axioms
+    wrote them out by hand, orders 1..cap."""
+    lhs = S.series(f1 + fm + f2, cap)
+    rhs = S.multiply(
+        S.multiply(S.series(f2 + fm, cap), S.invert(S.series(fm, cap))),
+        S.series(fm + f1, cap))
+    both = S.series(f1 + f2, cap)
+    prod = S.multiply(S.series(f2, cap), S.series(f1, cap))
+    return ([(lhs.coeff(n) - rhs.coeff(n)).max_norm()
+             for n in range(1, cap + 1)],
+            [(both.coeff(n) - prod.coeff(n)).max_norm()
+             for n in range(1, cap + 1)])
+
+
+def _old_z3(Z, f1, mid, f2, cap):
+    """Residuals of the Z3 block as check_Z_axioms wrote it out by hand,
+    orders 0..cap, with the largest coefficient norm each compared."""
+    a = Z.z_series(f1 + mid + f2, cap)
+    b = Z.z_series(f1 + mid, cap)
+    c = Z.z_series(mid, cap)
+    d = Z.z_series(f2 + mid, cap)
+    out = []
+    for n in range(cap + 1):
+        res = (a.coeff(n) - (b.coeff(n) - c.coeff(n) + d.coeff(n))).max_norm()
+        scale = max(s.coeff(n).max_norm() for s in (a, b, c, d))
+        out.append((res, scale))
+    return out
+
+
+def test_s2_and_mult_rows_equal_the_hand_written_blocks(lat, S):
+    cap = 3
+    triples = default_s_plan(lat, seed=0, count=3, cap=cap)["causal_triples"]
+    rows = check_S_axioms(S, {"cap": cap, "causal_triples": triples})
+    got = {(r["sample-id"], r["order"]): r["residual"] for r in rows
+           if r["axiom"] == "S2"}
+    assert len(got) == 2 * cap * len(triples)
+    for i, (f1, fm, f2) in enumerate(triples):
+        s2, mult = _old_s2_and_mult(S, f1, fm, f2, cap)
+        for n in range(1, cap + 1):
+            assert got[f"s2-{i:02d}", n] == s2[n - 1]
+            assert got[f"mult-{i:02d}", n] == mult[n - 1]
+
+
+def test_z3_rows_match_the_hand_written_block(lat):
+    # f = 0 sums the same two terms, so those rows are bitwise equal; at
+    # the sampled f the identity adds (phi(f2+f) - phi(f)) + phi(f+f1)
+    # where the old block added (phi(f1+f) - phi(f)) + phi(f2+f), which
+    # can move a residual by rounding.  It does on this plan, the Z suite
+    # of `paqft axioms --set samples.count=5 --set samples.seed=1`.
+    cap = 3
+    eps = np.finfo(float).eps
+    Z = make_handcrafted_Z(lat, 0.3, _mid_window(lat))
+    triples = default_z_plan(lat, seed=2, count=5, cap=cap)["causal_triples"]
+    rows = check_Z_axioms(Z, lat, {"cap": cap, "causal_triples": triples})
+    got = {(r["sample-id"], r["order"]): r["residual"] for r in rows
+           if r["axiom"] == "Z3"}
+    for i, (f1, fm, f2) in enumerate(triples):
+        for tag, mid in (("gen", fm), ("f0", PolyFunctional.zero(lat))):
+            for n, (res, scale) in enumerate(_old_z3(Z, f1, mid, f2, cap)):
+                new = got[f"z3-{i:02d}-{tag}", n]
+                if tag == "f0":
+                    assert new == res
+                else:
+                    assert abs(new - res) <= 8 * eps * scale
+
+
+def _nonlocal_pairing_Z(lat, kappa=0.3):
+    """Z_2(F, G) = kappa (sum_s dF/dphi(s)) (sum_s dG/dphi(s)), Z_n = 0
+    for n >= 3: a product of two site sums, so Z_2(f1, f) does not vanish
+    for far-apart f1 and f and the map is not local."""
+
+    def grad_sum(F):
+        acc = PolyFunctional.zero(lat)
+        for p in F.support():
+            acc = acc + _partial(F, lat.site_index(p))
+        return acc
+
+    def mixed(n, args):
+        if n == 1:
+            return args[0]
+        if n == 2:
+            return (grad_sum(args[0]) * grad_sum(args[1])).scaled(kappa)
+        return PolyFunctional.zero(lat)
+
+    return RenormalizationMap(MultilinearFamily(evaluate_mixed=mixed),
+                              label="Z-nonlocal")
+
+
+def test_planted_nonlocal_Z_fails_the_z3_rows(lat):
+    plan = default_z_plan(lat, seed=1, count=2)
+    rows = check_Z_axioms(_nonlocal_pairing_Z(lat), lat, plan)
+    failed = [r for r in rows if not r["pass"]]
+    assert {(r["axiom"], r["sample-id"].rsplit("-", 1)[1])
+            for r in failed} == {("Z3", "gen"), ("Z3", "f0")}
+    assert max(r["residual"] for r in failed) > 0.1
+
+
+def test_planted_star_ordered_S_fails_s2_and_mult_rows(lat, ctx):
+    # T_n folded with the star product in place of the time-ordered one:
+    # still a unit-preserving series, but not causally factorizing
+    def mixed(n, args):
+        if n == 1:
+            return args[0]
+        return ctx.star(fam.mixed(n - 1, args[:-1]), args[-1])
+
+    fam = MultilinearFamily(evaluate_mixed=mixed, symmetric=False)
+    S_bad = SMatrix(context=ctx, family=fam, label="S-star")
+    cap = 3
+    triples = default_s_plan(lat, seed=0, count=2, cap=cap)["causal_triples"]
+    rows = check_S_axioms(S_bad, {"cap": cap, "causal_triples": triples})
+    s2 = [r for r in rows if r["axiom"] == "S2"]
+    assert {r["sample-id"][:-3] for r in s2} == {"s2", "mult"}
+    assert len(s2) == 2 * cap * len(triples)
+    # order 1 is linear in f and holds for any T_1 = id
+    assert all(r["pass"] == (r["order"] == 1) for r in s2)
+    assert max(r["residual"] for r in s2) > 0.1
+
+
 def test_compose_with_identity_is_noop(lat, S, rng):
     Sid = compose(S, RenormalizationMap.identity())
     f = random_local_functional(lat, rng, (4, 7))
@@ -328,6 +450,22 @@ def test_two_hadamard_extraction_is_local(lat, S):
 
 def test_bisolution_residual_vanishes(ctx):
     assert bisolution_residual(ctx) < 1e-10
+
+
+def test_bisolution_residual_equals_the_per_column_form(lat):
+    # a perturbed Hadamard part, so the residual is not rounding noise
+    rng = np.random.default_rng(5)
+    H = lat.hadamard_kernel().entries.real.copy()
+    H[np.diag_indices_from(H)] += 0.05 * rng.standard_normal(lat.n_sites)
+    ctx = StarAlgebraContext.from_hadamard(lat, H)
+    W = ctx.wightman.entries
+    mask = lat.interior_mask()
+    left = np.stack([lat.klein_gordon_apply(W[:, j])
+                     for j in range(W.shape[1])], axis=1)
+    right = np.stack([lat.klein_gordon_apply(W[i, :])
+                      for i in range(W.shape[0])], axis=0)
+    want = max(np.max(np.abs(left[mask, :])), np.max(np.abs(right[:, mask])))
+    assert bisolution_residual(ctx) == want > 1e-3
 
 
 def test_series_on_matches_composition_sum(lat, S):
