@@ -10,6 +10,12 @@ report as `propagators_kernels.npz` (one complex128 (n_sites, n_sites)
 array per kernel name, read back with `np.load`); the report names that
 file under `kernels_file`.
 
+`axioms` splits its suites into independent units (one per sample, or
+per causal triple, spacelike pair or T1 chain) and runs them in forked
+worker processes, one per usable CPU (`os.sched_getaffinity`), with no
+setting.  Rows come back in unit order, so reports and standard output
+do not depend on the CPU count.
+
 Exit status: 0 iff every checked residual is within tolerance, 2 for
 usage and config errors.
 """
@@ -18,7 +24,9 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -265,7 +273,7 @@ def _suite_S(cfg, lat, S):
         units.append(dict(shared, spacelike_pairs=[p]))
     for c in plan["t1_chains"]:
         units.append(dict(shared, t1_chains=[c]))
-    return [row for u in units for row in check_S_axioms(S, u)]
+    return [functools.partial(check_S_axioms, S, u) for u in units]
 
 
 def _suite_Z(cfg, lat, S):
@@ -281,7 +289,7 @@ def _suite_Z(cfg, lat, S):
     units = [dict(shared, singles=plan["singles"])]
     for t in plan["causal_triples"]:
         units.append(dict(shared, causal_triples=[t]))
-    return [row for u in units for row in check_Z_axioms(Z, lat, u)]
+    return [functools.partial(check_Z_axioms, Z, lat, u) for u in units]
 
 
 def _suite_SD(cfg, lat, S):
@@ -290,24 +298,25 @@ def _suite_SD(cfg, lat, S):
     cap = int(cfg["caps"]["sd_order"])
     tol = float(cfg["tolerances"]["extraction"])
     mid = lat.nt // 2
-    rows = []
     count = max(2, int(cfg["samples"]["count"]) // 3)
 
-    def one(i):
-        F = random_local_functional(lat, rng, (mid - 1, mid))
-        phi0 = np.zeros(lat.n_sites)
-        for t in (mid - 1, mid):
-            for dx in range(3):
-                x = (3 + 4 * i + dx) % lat.nx
-                phi0[lat.site_index(LatticePoint(t, x))] = rng.normal() * 0.3
+    def one(i, F, phi0):
         out = check_schwinger_dyson(S, L, F, phi0, cap=cap, tol=tol)
         for r in out:
             r["sample-id"] = f"{i:02d}-{r['sample-id']}"
             r["flagged"] = bool(r["bound"] > tol)
         return out
 
-    samples = [one(i) for i in range(count)]
-    return [row for chunk in samples for row in chunk]
+    units = []
+    for i in range(count):
+        F = random_local_functional(lat, rng, (mid - 1, mid))
+        phi0 = np.zeros(lat.n_sites)
+        for t in (mid - 1, mid):
+            for dx in range(3):
+                x = (3 + 4 * i + dx) % lat.nx
+                phi0[lat.site_index(LatticePoint(t, x))] = rng.normal() * 0.3
+        units.append(functools.partial(one, i, F, phi0))
+    return units
 
 
 def _suite_hammerstein(cfg, lat, S):
@@ -327,27 +336,52 @@ def _suite_hammerstein(cfg, lat, S):
         return max((A.coeff(n) - B.coeff(n)).max_norm()
                    for n in range(cap + 1))
 
-    rows = check_hammerstein(
-        phi=lambda f: S.series(f, cap),
-        add=lambda a, b: a + b,
-        zero=PolyFunctional.zero(lat),
-        mult=S.multiply,
-        inverse=S.invert,
-        structure=structure,
-        samples=triples,
-        distance=dist,
-        tol=tol)
-    out = []
-    for r in rows:
-        out.append({"suite": "hammerstein", "axiom": "S2",
-                    "order": cap, "sample-id": f"{r['sample-id']:02d}",
-                    "residual": r["hammerstein"], "pass": bool(r["pass"]),
-                    "padd": r["padd"], "rejected": r["rejected"]})
-    return out
+    def one(i, triple):
+        rows = check_hammerstein(
+            phi=lambda f: S.series(f, cap),
+            add=lambda a, b: a + b,
+            zero=PolyFunctional.zero(lat),
+            mult=S.multiply,
+            inverse=S.invert,
+            structure=structure,
+            samples=[triple],
+            distance=dist,
+            tol=tol)
+        return [{"suite": "hammerstein", "axiom": "S2",
+                 "order": cap, "sample-id": f"{i:02d}",
+                 "residual": r["hammerstein"], "pass": bool(r["pass"]),
+                 "padd": r["padd"], "rejected": r["rejected"]}
+                for r in rows]
+
+    return [functools.partial(one, i, t) for i, t in enumerate(triples)]
 
 
+# each builder returns its independent units: zero-argument callables that
+# return rows; a suite's rows are its units' rows in unit order
 SUITES = {"S": _suite_S, "Z": _suite_Z, "SD": _suite_SD,
           "hammerstein": _suite_hammerstein}
+
+# the units of the running `axioms` command: forked workers inherit the
+# list and take units by index, since closures do not pickle
+_UNITS: list = []
+
+
+def _run_unit(i: int) -> list:
+    return _UNITS[i]()
+
+
+def _run_units(units: list) -> list:
+    """The rows of each unit, in unit order, from a fork pool of one
+    worker per usable CPU (at most one per unit)."""
+    import multiprocessing  # here, so the other commands never load it
+
+    workers = min(len(os.sched_getaffinity(0)), len(units))
+    _UNITS[:] = units
+    try:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            return pool.map(_run_unit, range(len(units)), chunksize=1)
+    finally:
+        _UNITS.clear()
 
 
 def cmd_axioms(cfg: dict) -> int:
@@ -365,9 +399,11 @@ def cmd_axioms(cfg: dict) -> int:
             f"suite(s) {sorted(needy)} sample causal triples and need "
             f"lattice.nt >= 11, got {nt}")
     lat, S = _build(cfg)
+    suite_units = [(name, SUITES[name](cfg, lat, S)) for name in suites]
+    unit_rows = iter(_run_units([u for _, us in suite_units for u in us]))
     report = {"config": cfg, "rows": []}
-    for name in suites:
-        rows = SUITES[name](cfg, lat, S)
+    for name, us in suite_units:
+        rows = [row for _ in us for row in next(unit_rows)]
         report["rows"].extend(rows)
         print(_summary_line(f"axioms[{name}]", rows))
         groups: dict = {}

@@ -14,10 +14,11 @@ densities, JSON); internal arithmetic may exceed it transiently.
 
 Canonical form: every key is sorted, its sites are in range and its length
 is its degree; every coefficient is a non-zero HbarScalar inside the hbar
-window; no degree is empty.  ``PolyFunctional(lattice, terms)`` validates,
-sorts and merges its input into this form, and every ingestion route goes
-through it (from_monomials, JSON, shift_field_series, decompose_L1,
-star_algebra.beta, poly x poly products, external callers).  Sums,
+window; no degree is empty, and degrees are stored in ascending order.
+``PolyFunctional(lattice, terms)`` validates, sorts and merges its input
+into this form, and every ingestion route goes through it (from_monomials,
+JSON, shift_field_series, decompose_L1, star_algebra.beta, poly x poly
+products, external callers).  Sums,
 differences, scalings and contraction results are canonical by
 construction and are stored through ``PolyFunctional._canonical`` without
 a second pass; their coefficients are summed as plain complex numbers with
@@ -179,8 +180,9 @@ class PolyFunctional:
 
     ``terms`` is ``{degree: {sorted site-index key: HbarScalar}}`` in
     canonical form (see the module docstring); the constructor validates,
-    ``_canonical`` trusts its caller.  Iteration order is part of the
-    value: ``content_key`` and every later summation follow it.
+    ``_canonical`` trusts its caller.  Degrees ascend; the order of the
+    keys within a degree is part of the value: ``content_key`` and every
+    later summation follow it.
 
     >>> lat = Lattice(4, 4, 0.5)
     >>> F = PolyFunctional.from_monomials(lat, [(2.0, [LatticePoint(1, 1)])])
@@ -215,7 +217,7 @@ class PolyFunctional:
                         bucket[key] = merged
                 else:
                     bucket[key] = coeff
-        self.terms = {d: t for d, t in clean.items() if t}
+        self.terms = {d: clean[d] for d in sorted(clean) if clean[d]}
 
     # -- constructors --------------------------------------------------------
 
@@ -415,7 +417,7 @@ class PolyFunctional:
                 elif prev is not None:
                     del bucket[key]
         return PolyFunctional._canonical(
-            self.lattice, {d: t for d, t in out.items() if t})
+            self.lattice, {d: out[d] for d in sorted(out) if out[d]})
 
     def __add__(self, other):
         if not isinstance(other, PolyFunctional):

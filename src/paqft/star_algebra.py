@@ -59,18 +59,15 @@ def _site_selections(key: tuple, r: int):
 
 
 def _poly_from_flat(lattice: Lattice, flat: dict) -> PolyFunctional:
-    """{sorted in-range key: HbarScalar} grouped by degree, stored without
-    validation.  A degree takes its place at its first key in `flat`, zero
-    or not, as when the grouped terms go through the validating
-    constructor; zero coefficients and the degrees left empty are
-    dropped."""
+    """{sorted in-range key: HbarScalar} grouped by degree, in ascending
+    degree order, stored without validation; zero coefficients and the
+    degrees left empty are dropped."""
     nested: dict[int, dict] = {}
     for key, coeff in flat.items():
-        bucket = nested.setdefault(len(key), {})
         if coeff.coeffs:
-            bucket[key] = coeff
+            nested.setdefault(len(key), {})[key] = coeff
     return PolyFunctional._canonical(
-        lattice, {d: t for d, t in nested.items() if t})
+        lattice, {d: nested[d] for d in sorted(nested)})
 
 
 def _permanent(mat) -> complex:

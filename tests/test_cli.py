@@ -1,10 +1,18 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paqft
+from paqft import cli
 from paqft.cli import DEFAULT_CONFIG, UsageError, load_config, main
 from paqft.lattice import Lattice, LatticePoint
+from paqft.smatrix_renorm import default_s_plan
 
 SMALL = ["--set", "samples.count=2", "--set", "caps.lambda_order=2",
          "--set", "caps.locality_order=2", "--set", "caps.sd_order=1"]
@@ -216,6 +224,88 @@ def test_axioms_perturbed_hadamard_flags_sd(tmp_path):
     sd = [r for r in rep["rows"] if r["suite"] == "SD"]
     assert sd and all(r["flagged"] for r in sd)
     assert all(r["bound"] > 1e-8 for r in sd)
+
+
+# -- axioms worker pool ------------------------------------------------------
+
+
+def _hex(obj):
+    """Rows with every float as float.hex: equal means equal bits."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _hex(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_hex(v) for v in obj]
+    return obj
+
+
+def _units(cfg):
+    lat, S = cli._build(cfg)
+    return [u for name in cfg["suites"]
+            for u in cli.SUITES[name](cfg, lat, S)]
+
+
+def test_axioms_unit_rows_do_not_depend_on_schedule():
+    # SD at its default order 2: at order 1 its residuals are exactly 0
+    cfg = load_config(None, ["samples.count=2", "caps.lambda_order=2",
+                             "caps.locality_order=2"])
+    serial = [_hex(u()) for u in _units(cfg)]
+    assert len(serial) > len(cfg["suites"])
+    for i, rows in enumerate(serial):
+        # unit i alone, on a fresh S with an empty memo
+        assert _hex(_units(cfg)[i]()) == rows, f"unit {i}"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_axioms_report_does_not_depend_on_worker_count(tmp_path, capsys,
+                                                       monkeypatch, seed):
+    fork = type(multiprocessing.get_context("fork"))
+    pool = fork.Pool
+    sizes = []
+
+    def counting_pool(self, processes=None, *args, **kwargs):
+        sizes.append(processes)
+        return pool(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(fork, "Pool", counting_pool)
+    args = ["axioms", "--set", f"output={tmp_path}",
+            "--set", f"samples.seed={seed}"] + SMALL
+    outputs = set()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=cpus: set(range(n)))
+        assert main(args) == 0
+        assert multiprocessing.active_children() == []
+        outputs.add((capsys.readouterr().out,
+                     (tmp_path / "axioms.json").read_bytes()))
+    assert sizes == [1, 2, 3]
+    assert len(outputs) == 1
+
+
+def test_axioms_worker_exception_reaches_parent(tmp_path, monkeypatch):
+    def malformed_plan(lat, **kw):
+        plan = default_s_plan(lat, **kw)
+        f1, _, f2 = plan["causal_triples"][0]
+        plan["spacelike_pairs"][0] = (f1, f2)   # causal, not spacelike
+        return plan
+
+    monkeypatch.setattr(cli, "default_s_plan", malformed_plan)
+    with pytest.raises(ValueError,
+                       match="malformed plan: pair #0 is not spacelike"):
+        main(["axioms", "--set", f"output={tmp_path}",
+              "--set", 'suites=["S"]'] + SMALL)
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "axioms.json").exists()
+
+
+def test_python_m_paqft_runs_the_cli():
+    src = str(Path(paqft.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "paqft", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "axioms" in out.stdout and "extract-z" in out.stdout
 
 
 # -- extract-z ---------------------------------------------------------------

@@ -587,3 +587,19 @@ def test_correlation_free_field_two_point(lat, ctx, S):
     want = HbarScalar({1: ctx.wightman.entry(a, b)})
     assert (corr.coeff(0) - want).norm() < 1e-12
     assert corr.coeff(1).norm() < 1e-12
+
+
+def test_degree_order_does_not_split_memo_entries(lat, ctx):
+    # degrees given out of order are stored ascending, as a sum stores them
+    f = PolyFunctional(lat, {
+        2: {(lat.site_index(LatticePoint(5, 3)),) * 2: HbarScalar.one()},
+        1: {(lat.site_index(LatticePoint(5, 4)),): HbarScalar.coerce(0.5)}})
+    g = PolyFunctional.zero(lat) + f
+    assert list(f.terms) == [1, 2]
+    assert g.content_key() == f.content_key()
+    assert list(ctx.star(f, f).terms) == sorted(ctx.star(f, f).terms)
+    S_fresh = SMatrix.standard(ctx)
+    S_fresh.series(f, 2)
+    size = len(S_fresh.family._memo)
+    S_fresh.series(g, 2)
+    assert len(S_fresh.family._memo) == size
