@@ -10,11 +10,14 @@ report as `propagators_kernels.npz` (one complex128 (n_sites, n_sites)
 array per kernel name, read back with `np.load`); the report names that
 file under `kernels_file`.
 
-`axioms` splits its suites into independent units (one per sample, or
-per causal triple, spacelike pair or T1 chain) and runs them in forked
-worker processes, one per usable CPU (`os.sched_getaffinity`), with no
-setting.  Rows come back in unit order, so reports and standard output
-do not depend on the CPU count.
+`axioms` and `extract-z` split their work into independent units and run
+them in forked worker processes, one per usable CPU
+(`os.sched_getaffinity`), with no setting.  `axioms` has one unit per
+sample, or per causal triple, spacelike pair or T1 chain; `extract-z` one
+per sampled functional, then the units of the extracted map's Z suite
+(its Z1/Z4 head, one per causal triple, its additivity tail) and one per
+multilinearity order.  Rows come back in unit order, so reports and
+standard output do not depend on the CPU count.
 
 Exit status: 0 iff every checked residual is within tolerance, 2 for
 usage and config errors.
@@ -40,9 +43,9 @@ from .relations import BinaryRelation, CausalityStructure, check_hammerstein
 from .smatrix_renorm import (RenormalizationMap, build_smatrix,
                              check_S_axioms, check_Z_axioms,
                              check_schwinger_dyson, compose, default_s_plan,
-                             default_z_plan, extract_Z, make_handcrafted_Z,
-                             random_local_functional, correlation,
-                             verify_extracted_locality)
+                             default_z_plan, extract_Z,
+                             extracted_locality_units, make_handcrafted_Z,
+                             random_local_functional, correlation)
 
 
 class UsageError(Exception):
@@ -309,7 +312,11 @@ def _suite_SD(cfg, lat, S):
 
     units = []
     for i in range(count):
-        F = random_local_functional(lat, rng, (mid - 1, mid))
+        # sample 00's F sits on phi0's first two columns, so F(. + lambda
+        # phi0) has orders above 0 and series_on weighs them; the others
+        # miss phi0
+        F = random_local_functional(lat, rng, (mid - 1, mid),
+                                    column=3 if i == 0 else None)
         phi0 = np.zeros(lat.n_sites)
         for t in (mid - 1, mid):
             for dx in range(3):
@@ -361,8 +368,8 @@ def _suite_hammerstein(cfg, lat, S):
 SUITES = {"S": _suite_S, "Z": _suite_Z, "SD": _suite_SD,
           "hammerstein": _suite_hammerstein}
 
-# the units of the running `axioms` command: forked workers inherit the
-# list and take units by index, since closures do not pickle
+# the units of the running `axioms` or `extract-z` command: forked workers
+# inherit the list and take units by index, since closures do not pickle
 _UNITS: list = []
 
 
@@ -418,13 +425,10 @@ def cmd_axioms(cfg: dict) -> int:
     return 0 if ok else 1
 
 
-def cmd_extract_z(cfg: dict) -> int:
-    nt = cfg["lattice"]["nt"]
-    if nt < 11:
-        raise UsageError(
-            f"the extracted-locality suite samples causal triples and "
-            f"needs lattice.nt >= 11, got {nt}")
-    lat, S = _build(cfg)
+def _extract_z_units(cfg: dict, lat: Lattice, S):
+    """The independent units of `extract-z`, in row order: one per sampled
+    functional, returning its rows and its `z_values` and `hbar_grading`
+    entries, then the extracted_locality_units, returning rows."""
     mode = cfg["extract"]["mode"]
     cap = int(cfg["caps"]["lambda_order"])
     tol = float(cfg["tolerances"]["extraction"])
@@ -442,53 +446,62 @@ def cmd_extract_z(cfg: dict) -> int:
                                 float(cfg["hadamard"]["perturbation-scale"]))
         St = build_smatrix(lat, hadamard=H, label="S-tilde")
         Z = None
-    rows = []
-    z_values = {}
 
-    def one(item):
-        i, f = item
+    def one(i, f):
         vals = extract_Z(S, St, f, cap)
-        out = []
+        sid = f"f-{i:02d}"
         back = compose(S, RenormalizationMap.from_values(lat, vals)
                        ).series(f, cap)
         target = St.series(f, cap)
+        rows = []
         for n in range(1, cap + 1):
-            out.append({"suite": "extract", "axiom": "roundtrip", "order": n,
-                        "sample-id": f"f-{i:02d}",
-                        "residual": (back.coeff(n) - target.coeff(n)).max_norm(),
-                        "pass": None})
+            res = (back.coeff(n) - target.coeff(n)).max_norm()
+            rows.append({"suite": "extract", "axiom": "roundtrip",
+                         "order": n, "sample-id": sid, "residual": res,
+                         "pass": bool(res <= tol)})
         if Z is not None:
             for n in range(2, cap + 1):
                 res = (vals[n] - Z.family.diagonal(n, f)).max_norm()
-                out.append({"suite": "extract", "axiom": "planted-match",
-                            "order": n, "sample-id": f"f-{i:02d}",
-                            "residual": res, "pass": None})
+                rows.append({"suite": "extract", "axiom": "planted-match",
+                             "order": n, "sample-id": sid, "residual": res,
+                             "pass": bool(res <= tol)})
         for n in range(2, cap + 1):
             ok, rep = is_local_at_scale(vals[n], radius=2)
-            out.append({"suite": "extract", "axiom": "additivity", "order": n,
-                        "sample-id": f"f-{i:02d}",
-                        "residual": float(rep["worst_eq11"]),
-                        "pass": bool(ok)})
-        return vals, out
+            rows.append({"suite": "extract", "axiom": "additivity",
+                         "order": n, "sample-id": sid,
+                         "residual": float(rep["worst_eq11"]),
+                         "pass": bool(ok)})
+        z_values = {str(n): vals[n].to_json_dict() for n in range(2, cap + 1)}
+        grading = {str(n): list(vals[n].hbar_exponent_range() or ())
+                   for n in range(2, cap + 1)}
+        return rows, z_values, grading
 
-    results = [one(item) for item in enumerate(fs)]
-    grading = {}
-    for i, (vals, out) in enumerate(results):
-        for r in out:
-            if r["pass"] is None:
-                r["pass"] = bool(r["residual"] <= tol)
-        rows.extend(out)
-        z_values[f"f-{i:02d}"] = {str(n): vals[n].to_json_dict()
-                                  for n in range(2, cap + 1)}
-        grading[f"f-{i:02d}"] = {
-            str(n): list(vals[n].hbar_exponent_range() or ())
-            for n in range(2, cap + 1)}
-    vrows = verify_extracted_locality(
+    f_units = [functools.partial(one, i, f) for i, f in enumerate(fs)]
+    z_units = extracted_locality_units(
         S, St, fs, cap,
         plan=default_z_plan(lat, seed=int(cfg["samples"]["seed"]) + 5,
                             count=4, cap=cap,
                             tol=float(cfg["tolerances"]["series"])))
-    rows.extend(vrows)
+    return f_units, z_units
+
+
+def cmd_extract_z(cfg: dict) -> int:
+    nt = cfg["lattice"]["nt"]
+    if nt < 11:
+        raise UsageError(
+            f"the extracted-locality suite samples causal triples and "
+            f"needs lattice.nt >= 11, got {nt}")
+    lat, S = _build(cfg)
+    mode = cfg["extract"]["mode"]
+    f_units, z_units = _extract_z_units(cfg, lat, S)
+    results = _run_units(f_units + z_units)
+    rows, z_values, grading = [], {}, {}
+    for i, (out, vals, grades) in enumerate(results[:len(f_units)]):
+        rows.extend(out)
+        z_values[f"f-{i:02d}"] = vals
+        grading[f"f-{i:02d}"] = grades
+    for out in results[len(f_units):]:
+        rows.extend(out)
     ok = all(r["pass"] for r in rows)
     report = {"config": cfg, "mode": mode, "z_values": z_values,
               "hbar_grading": grading, "rows": rows, "pass": ok}

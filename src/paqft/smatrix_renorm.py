@@ -251,11 +251,16 @@ def extract_Z(S: SMatrix, S_tilde: SMatrix, f: PolyFunctional, cap: int,
 
 def random_local_functional(lattice: Lattice, rng, t_range: tuple,
                             degree: int = 2, n_terms: int = 3,
-                            scale: float = 0.4) -> PolyFunctional:
+                            scale: float = 0.4,
+                            column: int = None) -> PolyFunctional:
     """Unit-preserving random polynomial supported on a 2x2 window whose
-    rows lie within t_range (inclusive)."""
+    rows lie within t_range (inclusive).  A given `column` fixes the
+    window's first column; the column is drawn all the same, so the
+    draws that follow do not move."""
     t0 = int(rng.integers(t_range[0], max(t_range[0], t_range[1] - 1) + 1))
     x0 = int(rng.integers(0, lattice.nx))
+    if column is not None:
+        x0 = column
     return _window_functional(lattice, rng, t0, x0, t_range[1], degree=degree,
                               n_terms=n_terms, scale=scale)
 
@@ -469,16 +474,13 @@ def check_S_axioms(S: SMatrix, plan: dict) -> list:
     return rows
 
 
-def check_Z_axioms(Z: RenormalizationMap, lattice: Lattice,
-                   plan: dict) -> list:
-    """Z1 (zero preserving), Z4 (identity at order 1), Z3 (the abelian
-    Hammerstein identity: relations.hammerstein_sides with series
-    addition as the product and negation as the inverse), Z2 (support of
-    relative-map coefficients), and membership of the per-order outputs
-    in the local functionals (additivity at the configured radius).
-
-    Z3 and Z2 are checked both at the sampled middle functional and at
-    f = 0 (whose residual the general case should track)."""
+def z_axiom_units(Z: RenormalizationMap, lattice: Lattice,
+                  plan: dict) -> list:
+    """The independent units of check_Z_axioms, in row order: zero-argument
+    callables that return rows.  They are a head unit (Z1 and the Z4 rows
+    of the singles), one unit per causal triple i (its z3-{i:02d}-* and
+    z2-{i:02d}-* rows) and an additivity unit for the singles.  The plan
+    is checked here, before any unit runs."""
     lat = lattice
     cap = int(plan.get("cap", 3))
     tol = float(plan.get("tol", 1e-9))
@@ -486,16 +488,20 @@ def check_Z_axioms(Z: RenormalizationMap, lattice: Lattice,
     triples = plan.get("causal_triples", [])
     singles = plan.get("singles", [])
     _check_causal_triples(lat, triples)
-    rows = []
     zerof = PolyFunctional.zero(lat)
-    zser = Z.z_series(zerof, cap)
-    for n in range(cap + 1):
-        rows.append(_row("Z", "Z1", n, "z1", zser.coeff(n).max_norm(), tol))
-    for i, f in enumerate(singles):
-        res = (Z.family.diagonal(1, f) - f).max_norm()
-        rows.append(_row("Z", "Z4", 1, f"z4-{i:02d}", res, tol))
     phi = functools.partial(Z.z_series, cap=cap)
-    for i, (f1, fm, f2) in enumerate(triples):
+
+    def head():
+        zser = Z.z_series(zerof, cap)
+        rows = [_row("Z", "Z1", n, "z1", zser.coeff(n).max_norm(), tol)
+                for n in range(cap + 1)]
+        for i, f in enumerate(singles):
+            res = (Z.family.diagonal(1, f) - f).max_norm()
+            rows.append(_row("Z", "Z4", 1, f"z4-{i:02d}", res, tol))
+        return rows
+
+    def triple(i, f1, fm, f2):
+        rows = []
         for tag, mid in (("gen", fm), ("f0", zerof)):
             lhs, rhs = hammerstein_sides(phi, operator.add, series_add,
                                          _negate, f1, mid, f2)
@@ -512,25 +518,48 @@ def check_Z_axioms(Z: RenormalizationMap, lattice: Lattice,
                 viol += _support_violation_count(lat, supp1, rel2.support())
                 rows.append(_row("Z", "Z2", n, f"z2-{i:02d}-{tag}",
                                  float(viol), 0.0))
-    for i, f in enumerate(singles):
-        for n in range(2, cap + 1):
-            val = Z.family.diagonal(n, f)
-            ok, rep = is_local_at_scale(val, radius=radius)
-            res = float(rep.get("worst_eq11", 0.0))
-            row = _row("Z", "additivity", n, f"loc-{i:02d}", res, tol)
-            row["pass"] = bool(ok)
-            rows.append(row)
-    return rows
+        return rows
+
+    def additivity():
+        rows = []
+        for i, f in enumerate(singles):
+            for n in range(2, cap + 1):
+                val = Z.family.diagonal(n, f)
+                ok, rep = is_local_at_scale(val, radius=radius)
+                res = float(rep.get("worst_eq11", 0.0))
+                row = _row("Z", "additivity", n, f"loc-{i:02d}", res, tol)
+                row["pass"] = bool(ok)
+                rows.append(row)
+        return rows
+
+    return ([head]
+            + [functools.partial(triple, i, *t) for i, t in enumerate(triples)]
+            + [additivity])
 
 
-def verify_extracted_locality(S: SMatrix, S_tilde: SMatrix,
-                              fs: Sequence[PolyFunctional], cap: int,
-                              plan: dict = None, seed: int = 101) -> list:
-    """Reconstruct the multilinear Z from diagonal extractions (by
-    polarization over sums of the given family) and run the Z suite on
-    it, plus explicit multilinearity rows.
+def check_Z_axioms(Z: RenormalizationMap, lattice: Lattice,
+                   plan: dict) -> list:
+    """Z1 (zero preserving), Z4 (identity at order 1), Z3 (the abelian
+    Hammerstein identity: relations.hammerstein_sides with series
+    addition as the product and negation as the inverse), Z2 (support of
+    relative-map coefficients), and membership of the per-order outputs
+    in the local functionals (additivity at the configured radius).
 
-    Needs at least cap functionals to polarize order cap."""
+    Z3 and Z2 are checked both at the sampled middle functional and at
+    f = 0 (whose residual the general case should track).  The rows are
+    those of z_axiom_units, run one after another."""
+    return [row for unit in z_axiom_units(Z, lattice, plan)
+            for row in unit()]
+
+
+def extracted_locality_units(S: SMatrix, S_tilde: SMatrix,
+                             fs: Sequence[PolyFunctional], cap: int,
+                             plan: dict = None, seed: int = 101) -> list:
+    """The independent units of verify_extracted_locality, in row order:
+    the z_axiom_units of the extracted map, then one multilinearity unit
+    per order n = 2..cap.  All units share one extraction cache, so a
+    unit that runs after others in the same process reuses their
+    extractions; its rows do not depend on that."""
     if len(fs) < cap:
         raise ValueError(
             f"need at least {cap} functionals to polarize order {cap}; "
@@ -548,16 +577,33 @@ def verify_extracted_locality(S: SMatrix, S_tilde: SMatrix,
     Z = RenormalizationMap(family=fam, label="extracted")
     if plan is None:
         plan = default_z_plan(lat, seed=seed, cap=cap)
-    rows = check_Z_axioms(Z, lat, plan)
     tol = float(plan.get("tol", 1e-9))
     scale = max(1.0, max(f.max_norm() for f in fs))
-    for n in range(2, cap + 1):
+
+    def multilinearity(n):
         lin_lhs = fam.mixed(n, [fs[0] + fs[1]] + list(fs[1:n]))
         lin_rhs = fam.mixed(n, list(fs[:n])) + \
             fam.mixed(n, [fs[1]] + list(fs[1:n]))
         res = (lin_lhs - lin_rhs).max_norm() / scale
-        rows.append(_row("Z", "multilinearity", n, f"polar-{n}", res, tol))
-    return rows
+        return [_row("Z", "multilinearity", n, f"polar-{n}", res, tol)]
+
+    return (z_axiom_units(Z, lat, plan)
+            + [functools.partial(multilinearity, n)
+               for n in range(2, cap + 1)])
+
+
+def verify_extracted_locality(S: SMatrix, S_tilde: SMatrix,
+                              fs: Sequence[PolyFunctional], cap: int,
+                              plan: dict = None, seed: int = 101) -> list:
+    """Reconstruct the multilinear Z from diagonal extractions (by
+    polarization over sums of the given family) and run the Z suite on
+    it, plus explicit multilinearity rows.  The rows are those of
+    extracted_locality_units, run one after another.
+
+    Needs at least cap functionals to polarize order cap."""
+    return [row for unit in extracted_locality_units(S, S_tilde, fs, cap,
+                                                     plan=plan, seed=seed)
+            for row in unit()]
 
 
 # -- Schwinger-Dyson -----------------------------------------------------

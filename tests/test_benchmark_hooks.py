@@ -1,23 +1,38 @@
 """The traced benchmark run (`perfbench/traced_cli.py`) wraps paqft's
-functions by name from outside.  A refactor that renames or drops one of
-them must fail here rather than in a traced run."""
+functions by name from outside, and the benchmark checks each report's
+row keys against `perfbench/reference.py`.  A refactor that renames or
+drops one of those functions, or changes a report's row keys, must fail
+here rather than in a benchmark run."""
 
 import importlib
+import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from paqft.cli import main
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(PERFBENCH))
 
 
 @pytest.fixture(scope="module")
 def traced_cli():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        yield importlib.import_module("traced_cli")
-    finally:
-        sys.path.remove(str(PERFBENCH))
+    return _perfbench_module("traced_cli")
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return _perfbench_module("reference")
 
 
 def test_traced_functions_exist(traced_cli):
@@ -66,3 +81,20 @@ def test_poly_terms_have_the_shape_the_digest_reads(traced_cli, lat, ctx):
                 assert all(type(i) is int for i in key)
                 assert type(coeff.coeffs) is dict
         assert len(traced_cli._poly_digest(P)) == 20
+
+
+@pytest.mark.parametrize("command, sets, seed", [
+    ("extract-z", [], 0), ("extract-z", [], 1),
+    ("axioms", ["--set", "samples.count=5"], 0)],
+    ids=["extract-z-0", "extract-z-1", "axioms-count5-0"])
+def test_report_row_keys_match_the_reference(reference, tmp_path, command,
+                                             sets, seed):
+    # the benchmark rejects a report whose row-key multiset differs from
+    # reference.py's; a unit split that renumbers triples or repeats Z1
+    # rows must fail here first
+    assert main([command, "--set", f"output={tmp_path}",
+                 "--set", f"samples.seed={seed}"] + sets) == 0
+    name = command.replace("-", "_")
+    report = json.loads((tmp_path / f"{name}.json").read_text())
+    keys = Counter(key for key, _ok in reference.report_rows(command, report))
+    assert keys == reference.EXPECTED[command](seed)

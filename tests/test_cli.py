@@ -11,8 +11,10 @@ import pytest
 import paqft
 from paqft import cli
 from paqft.cli import DEFAULT_CONFIG, UsageError, load_config, main
+from paqft.formal_series import MultilinearFamily
+from paqft.functionals import PolyFunctional
 from paqft.lattice import Lattice, LatticePoint
-from paqft.smatrix_renorm import default_s_plan
+from paqft.smatrix_renorm import RenormalizationMap, default_s_plan
 
 SMALL = ["--set", "samples.count=2", "--set", "caps.lambda_order=2",
          "--set", "caps.locality_order=2", "--set", "caps.sd_order=1"]
@@ -226,7 +228,7 @@ def test_axioms_perturbed_hadamard_flags_sd(tmp_path):
     assert all(r["bound"] > 1e-8 for r in sd)
 
 
-# -- axioms worker pool ------------------------------------------------------
+# -- worker pool -------------------------------------------------------------
 
 
 def _hex(obj):
@@ -240,26 +242,48 @@ def _hex(obj):
     return obj
 
 
-def _units(cfg):
+def _units(command, cfg):
     lat, S = cli._build(cfg)
+    if command == "extract-z":
+        f_units, z_units = cli._extract_z_units(cfg, lat, S)
+        return f_units + z_units
     return [u for name in cfg["suites"]
             for u in cli.SUITES[name](cfg, lat, S)]
 
 
-def test_axioms_unit_rows_do_not_depend_on_schedule():
+@pytest.mark.parametrize("command, sets", [
     # SD at its default order 2: at order 1 its residuals are exactly 0
-    cfg = load_config(None, ["samples.count=2", "caps.lambda_order=2",
-                             "caps.locality_order=2"])
-    serial = [_hex(u()) for u in _units(cfg)]
-    assert len(serial) > len(cfg["suites"])
+    ("axioms", ["samples.count=2", "caps.lambda_order=2",
+                "caps.locality_order=2"]),
+    # the multilinearity unit runs with a cold extraction cache alone
+    ("extract-z", ["caps.lambda_order=2"]),
+    ("extract-z", ["extract.mode=two-hadamard", "caps.lambda_order=2"]),
+], ids=["axioms", "extract-z", "extract-z-two-hadamard"])
+def test_axioms_unit_rows_do_not_depend_on_schedule(command, sets):
+    cfg = load_config(None, sets)
+    serial = [_hex(u()) for u in _units(command, cfg)]
+    assert len(serial) > 4
     for i, rows in enumerate(serial):
         # unit i alone, on a fresh S with an empty memo
-        assert _hex(_units(cfg)[i]()) == rows, f"unit {i}"
+        assert _hex(_units(command, cfg)[i]()) == rows, f"unit {i}"
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+# the commands that run on the fork pool, as (test id prefix, arguments,
+# report name); the axioms runs are identified by their seed alone
+POOLED = [("", ["axioms"], "axioms"),
+          ("extract-z-", ["extract-z", "--set", "extract.functionals=2"],
+           "extract_z"),
+          ("two-hadamard-", ["extract-z", "--set", "extract.functionals=2",
+                             "--set", "extract.mode=two-hadamard"],
+           "extract_z")]
+
+
+@pytest.mark.parametrize("command, report, seed", [
+    pytest.param(command, report, seed, id=f"{prefix}{seed}")
+    for prefix, command, report in POOLED for seed in (0, 1)])
 def test_axioms_report_does_not_depend_on_worker_count(tmp_path, capsys,
-                                                       monkeypatch, seed):
+                                                       monkeypatch, command,
+                                                       report, seed):
     fork = type(multiprocessing.get_context("fork"))
     pool = fork.Pool
     sizes = []
@@ -269,8 +293,8 @@ def test_axioms_report_does_not_depend_on_worker_count(tmp_path, capsys,
         return pool(self, processes, *args, **kwargs)
 
     monkeypatch.setattr(fork, "Pool", counting_pool)
-    args = ["axioms", "--set", f"output={tmp_path}",
-            "--set", f"samples.seed={seed}"] + SMALL
+    args = command + ["--set", f"output={tmp_path}",
+                      "--set", f"samples.seed={seed}"] + SMALL
     outputs = set()
     for cpus in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity",
@@ -278,12 +302,12 @@ def test_axioms_report_does_not_depend_on_worker_count(tmp_path, capsys,
         assert main(args) == 0
         assert multiprocessing.active_children() == []
         outputs.add((capsys.readouterr().out,
-                     (tmp_path / "axioms.json").read_bytes()))
+                     (tmp_path / f"{report}.json").read_bytes()))
     assert sizes == [1, 2, 3]
     assert len(outputs) == 1
 
 
-def test_axioms_worker_exception_reaches_parent(tmp_path, monkeypatch):
+def _plant_non_spacelike_pair(monkeypatch):
     def malformed_plan(lat, **kw):
         plan = default_s_plan(lat, **kw)
         f1, _, f2 = plan["causal_triples"][0]
@@ -291,12 +315,50 @@ def test_axioms_worker_exception_reaches_parent(tmp_path, monkeypatch):
         return plan
 
     monkeypatch.setattr(cli, "default_s_plan", malformed_plan)
-    with pytest.raises(ValueError,
-                       match="malformed plan: pair #0 is not spacelike"):
-        main(["axioms", "--set", f"output={tmp_path}",
-              "--set", 'suites=["S"]'] + SMALL)
+    return (["axioms", "--set", 'suites=["S"]'], "axioms",
+            "malformed plan: pair #0 is not spacelike")
+
+
+def _plant_z4_violation(monkeypatch):
+    def doubling_Z(lat, kappa, window):
+        # Z_1 = 2 id; compose_SZ refuses it when a worker first expands S.Z
+        def mixed(n, args):
+            return args[0].scaled(2.0) if n == 1 else \
+                PolyFunctional.zero(lat)
+        return RenormalizationMap(MultilinearFamily(evaluate_mixed=mixed))
+
+    monkeypatch.setattr(cli, "make_handcrafted_Z", doubling_Z)
+    return ["extract-z"], "extract_z", "Z violates Z4"
+
+
+@pytest.mark.parametrize("plant", [_plant_non_spacelike_pair,
+                                   _plant_z4_violation],
+                         ids=["axioms", "extract-z"])
+def test_axioms_worker_exception_reaches_parent(tmp_path, monkeypatch,
+                                                plant):
+    args, report, message = plant(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        main(args + ["--set", f"output={tmp_path}"] + SMALL)
     assert multiprocessing.active_children() == []
-    assert not (tmp_path / "axioms.json").exists()
+    assert not (tmp_path / f"{report}.json").exists()
+
+
+def test_propagators_and_correlate_do_not_load_multiprocessing(tmp_path):
+    # only the pooled commands import it, inside cli._run_units
+    src = str(Path(paqft.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "\n".join([
+        "import sys",
+        "from paqft.cli import main",
+        f"out = 'output={tmp_path}'",
+        "assert main(['propagators', '--set', out, '--set', 'lattice.nt=8',"
+        " '--set', 'lattice.nx=8']) == 0",
+        "assert main(['correlate', '--set', out]) == 0",
+        "print(sorted(m for m in sys.modules if 'multiprocessing' in m))"])
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_python_m_paqft_runs_the_cli():

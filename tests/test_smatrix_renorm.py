@@ -15,10 +15,11 @@ from paqft.smatrix_renorm import (RenormalizationMap, SMatrix,
                                   check_Z_axioms, check_schwinger_dyson,
                                   compose, correlation, default_s_plan,
                                   default_z_plan, extract_Z,
+                                  extracted_locality_units,
                                   interacting_observable, inverse_prefactor,
                                   make_handcrafted_Z, prefactor,
                                   random_local_functional, relative_smatrix,
-                                  verify_extracted_locality)
+                                  verify_extracted_locality, z_axiom_units)
 from paqft.star_algebra import StarAlgebraContext
 
 
@@ -424,6 +425,41 @@ def test_verify_extracted_locality_needs_enough_functionals(lat, S):
     f = random_local_functional(lat, np.random.default_rng(3), (4, 6))
     with pytest.raises(ValueError, match="at least 2 functionals"):
         verify_extracted_locality(S, S, [f], 2)
+
+
+def _rows_unit_by_unit(make_units):
+    """The rows of each unit run alone, on freshly made units (so with
+    empty memos and caches), in order."""
+    n = len(make_units())
+    return [row for i in range(n) for row in make_units()[i]()]
+
+
+def test_z_suite_rows_are_the_rows_of_its_units(lat):
+    plan = default_z_plan(lat, seed=4, count=3, cap=3)
+
+    def units():
+        return z_axiom_units(make_handcrafted_Z(lat, 0.3, _mid_window(lat)),
+                             lat, plan)
+
+    rows = check_Z_axioms(make_handcrafted_Z(lat, 0.3, _mid_window(lat)),
+                          lat, plan)
+    assert len(units()) == 2 + len(plan["causal_triples"])
+    assert [r["axiom"] for r in units()[0]()] == ["Z1"] * 4 + ["Z4"] * 3
+    assert _rows_unit_by_unit(units) == rows
+
+
+def test_extracted_locality_rows_are_the_rows_of_its_units(lat, S):
+    rng = np.random.default_rng(5)
+    St = build_smatrix(lat, hadamard=lat.hadamard_kernel().entries.real
+                       + np.diag(rng.normal(size=lat.n_sites) * 5e-3),
+                       label="S-tilde")
+    fs = [random_local_functional(lat, rng, (5, 6)) for _ in range(3)]
+    plan = default_z_plan(lat, seed=6, count=1, cap=3)
+    plan["singles"] = plan["singles"][:1]
+    rows = verify_extracted_locality(S, St, fs, 3, plan=plan)
+    assert [r["sample-id"] for r in rows[-2:]] == ["polar-2", "polar-3"]
+    assert _rows_unit_by_unit(lambda: extracted_locality_units(
+        S, St, fs, 3, plan=plan)) == rows
 
 
 def test_two_hadamard_extraction_is_local(lat, S):
