@@ -10,12 +10,15 @@ index is ``t * nx + x``.
 The wave operator is P = -(box + m^2), discretized with centered second
 differences.  Operator identities (P applied to a kernel in either argument)
 hold on interior time rows 1 <= t <= nt-2 only; the two boundary rows carry
-the stencil truncation and are excluded from residual norms.
+the stencil truncation and are excluded from residual norms.  Every residual
+comes from the stencil itself (klein_gordon_apply on K for the first
+argument, on K^T for the second); no dense operator matrix is formed.
 
 Kernel direction convention: the retarded Green function satisfies
 Delta_R(x, y) != 0 only if y is in the causal past J^-(x), i.e. the column
-at source y spreads toward the future of y.  The advanced kernel is its
-transpose.
+at source y spreads toward the future of y.  The advanced kernel is the
+retarded one under time reversal t -> nt-1-t in both arguments, which is
+its transpose (reciprocity), bitwise.
 
 Large masses: modes with 4 sin^2(k/2) + m^2 > 4 have no real frequency and
 the kernels grow like sinh(gamma * nt); residuals of the eigensolve-based
@@ -107,6 +110,12 @@ class Lattice:
         self.site_index(p)  # range check
         return frozenset(q for q in self.points() if self.in_causal_future(q, p))
 
+    def count_in_future(self, A, B) -> int:
+        """Number of points of A inside the causal future of B (zero iff A
+        is not later than B)."""
+        return sum(1 for a in A
+                   if any(self.in_causal_future(a, b) for b in B))
+
     def not_later_than(self, A, B) -> bool:
         """A does not meet the causal future of B (A "not later than" B).
 
@@ -116,7 +125,7 @@ class Lattice:
         B = frozenset(B)
         for p in A | B:
             self.site_index(p)
-        return not any(self.in_causal_future(a, b) for a in A for b in B)
+        return self.count_in_future(A, B) == 0
 
     def spacelike(self, A, B) -> bool:
         return self.not_later_than(A, B) and self.not_later_than(B, A)
@@ -139,13 +148,11 @@ class Lattice:
         dn = np.zeros_like(u)
         up[:-1] = u[1:]
         dn[1:] = u[:-1]
-        d2t = up - 2 * u + dn
-        d2x = np.roll(u, -1, axis=1) - 2 * u + np.roll(u, 1, axis=1)
-        return (-(d2t - d2x + self.mass ** 2 * u)).reshape(phi.shape)
-
-    def operator_matrix(self) -> np.ndarray:
-        """Dense matrix of klein_gordon_apply (for oracle-style checks)."""
-        return self.klein_gordon_apply(np.eye(self.n_sites))
+        # the -2u of the time and space second differences cancel; leaving
+        # them out saves rounding, and up + dn keeps the stencil exactly
+        # symmetric under time reversal
+        return (-(up + dn - np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)
+                  + self.mass ** 2 * u)).reshape(phi.shape)
 
     def green_retarded(self) -> "Kernel":
         return _green_retarded(self)
@@ -169,8 +176,7 @@ class Lattice:
         """Per-mode dispersion bookkeeping: stable / unstable / excluded."""
         report = {"stable": [], "unstable": [], "excluded": []}
         for j in range(self.nx):
-            k = 2 * np.pi * j / self.nx
-            s = 4 * np.sin(k / 2) ** 2 + self.mass ** 2
+            s = _dispersion(self, j)
             if abs(s) < _MODE_EPS:
                 report["excluded"].append((j, "zero-mode"))
             elif abs(s - 4.0) < _MODE_EPS:
@@ -278,6 +284,19 @@ class Kernel:
 
 _MODE_EPS = 1e-12
 
+# warning text for each kind of mode hadamard_mode_classification excludes
+_EXCLUDED_MODE_WARNINGS = {
+    "zero-mode": "zero mode excluded from the Hadamard sum "
+                 "(infrared regularization)",
+    "edge-mode": "edge mode (w = pi) excluded from the Hadamard sum",
+}
+
+
+def _dispersion(lat: Lattice, j: int) -> float:
+    """s = 4 sin^2(k/2) + m^2 of spatial mode j (k = 2 pi j / nx)."""
+    k = 2 * np.pi * j / lat.nx
+    return 4 * np.sin(k / 2) ** 2 + lat.mass ** 2
+
 
 @functools.cache
 def _green_retarded(lat: Lattice) -> Kernel:
@@ -303,18 +322,12 @@ def _green_retarded(lat: Lattice) -> Kernel:
 
 @functools.cache
 def _green_advanced(lat: Lattice) -> Kernel:
-    """Mirror of the retarded construction, stepping backward in time."""
-    nt, nx, m2 = lat.nt, lat.nx, lat.mass ** 2
-    G = np.zeros((nt, nx, nt, nx))
-    for tp in range(nt - 1, -1, -1):
-        u = np.zeros((nt, nx, nx))
-        if tp - 1 >= 0:
-            u[tp - 1] = -np.eye(nx)
-            for t in range(tp - 1, 0, -1):
-                u[t - 1] = (np.roll(u[t], -1, axis=0) + np.roll(u[t], 1, axis=0)
-                            - u[t + 1] - m2 * u[t])
-        G[:, :, tp, :] = u
-    return Kernel("advanced", lat, G.reshape(lat.n_sites, lat.n_sites).astype(complex))
+    """The retarded kernel under time reversal t -> nt-1-t in both
+    arguments.  The leapfrog step is time-symmetric, so this is exactly the
+    backward-stepping construction, and A = R^T bitwise."""
+    nt, nx, n = lat.nt, lat.nx, lat.n_sites
+    R = lat.green_retarded().entries.reshape(nt, nx, nt, nx)
+    return Kernel("advanced", lat, R[::-1, :, ::-1, :].copy().reshape(n, n))
 
 
 @functools.cache
@@ -328,7 +341,7 @@ def _hadamard(lat: Lattice) -> Kernel:
     """Real symmetric H with W = (i/2) Delta + H a positive bisolution.
 
     Per spatial mode k the dispersion 4 sin^2(w/2) = 4 sin^2(k/2) + m^2 =: s
-    splits three ways:
+    splits three ways (Lattice.hadamard_mode_classification):
 
     * s < 4 (stable): real frequency w, vacuum block
       H_k(t, t') = cos(w (t - t')) / (2 sin w).
@@ -341,7 +354,7 @@ def _hadamard(lat: Lattice) -> Kernel:
       with a warning; the massless infrared divergence has no finite
       regularization on the torus.
     """
-    nt, nx, m = lat.nt, lat.nx, lat.mass
+    nt, nx = lat.nt, lat.nx
     Delta = lat.pauli_jordan().entries.real.reshape(nt, nx, nt, nx)
 
     # Translation-averaged time blocks D[t, t', xi] at spatial offset xi.
@@ -352,30 +365,24 @@ def _hadamard(lat: Lattice) -> Kernel:
             acc += Delta[:, (xp + xi) % nx, :, xp]
         D[:, :, xi] = acc / nx
 
+    modes = lat.hadamard_mode_classification()
+    for j, kind in modes["excluded"]:
+        warnings.warn(f"mode j={j}: {_EXCLUDED_MODE_WARNINGS[kind]}",
+                      RuntimeWarning, stacklevel=2)
     tgrid = np.arange(nt)
     tau = tgrid[:, None] - tgrid[None, :]
     phases = np.arange(nx)
     Hk = np.zeros((nx, nt, nt))
-    for j in range(nx):
+    for j in modes["stable"]:
+        om = 2 * np.arcsin(np.sqrt(_dispersion(lat, j)) / 2)
+        Hk[j] = np.cos(om * tau) / (2 * np.sin(om))
+    for j in modes["unstable"]:
         k = 2 * np.pi * j / nx
-        s = 4 * np.sin(k / 2) ** 2 + m * m
-        if abs(s) < _MODE_EPS:
-            warnings.warn(f"mode j={j}: zero mode excluded from the Hadamard sum "
-                          "(infrared regularization)", RuntimeWarning, stacklevel=2)
-            continue
-        if abs(s - 4.0) < _MODE_EPS:
-            warnings.warn(f"mode j={j}: edge mode (w = pi) excluded from the "
-                          "Hadamard sum", RuntimeWarning, stacklevel=2)
-            continue
-        if s < 4.0:
-            om = 2 * np.arcsin(np.sqrt(s) / 2)
-            Hk[j] = np.cos(om * tau) / (2 * np.sin(om))
-        else:
-            Dk = np.einsum("abx,x->ab", D, np.exp(-1j * k * phases)).real
-            Dk = (Dk - Dk.T) / 2
-            mu, V = np.linalg.eigh(1j * Dk)
-            Hk[j] = ((V * np.abs(mu)) @ V.conj().T).real / 2
-            Hk[j] = (Hk[j] + Hk[j].T) / 2
+        Dk = np.einsum("abx,x->ab", D, np.exp(-1j * k * phases)).real
+        Dk = (Dk - Dk.T) / 2
+        mu, V = np.linalg.eigh(1j * Dk)
+        Hk[j] = ((V * np.abs(mu)) @ V.conj().T).real / 2
+        Hk[j] = (Hk[j] + Hk[j].T) / 2
 
     xs = np.arange(nx)
     xi_mat = (xs[:, None] - xs[None, :]) % nx
@@ -389,21 +396,18 @@ def _hadamard(lat: Lattice) -> Kernel:
 
 @functools.cache
 def _wightman(lat: Lattice) -> Kernel:
-    W = 0.5j * lat.pauli_jordan().entries + lat.hadamard_kernel().entries
-    return Kernel("wightman", lat, W)
+    return wightman_from_hadamard(lat, lat.hadamard_kernel().entries)
 
 
 @functools.cache
 def _feynman(lat: Lattice) -> Kernel:
-    DF = (0.5j * (lat.green_advanced().entries + lat.green_retarded().entries)
-          + lat.hadamard_kernel().entries)
-    return Kernel("feynman", lat, DF)
+    return feynman_from_hadamard(lat, lat.hadamard_kernel().entries)
 
 
 def _check_hadamard(H) -> np.ndarray:
     """A caller-supplied Hadamard part must be real and exactly symmetric."""
     H = np.asarray(H)
-    if not np.allclose(H, H.T, atol=0.0, rtol=0.0):
+    if not np.array_equal(H, H.T):
         raise ValueError("Hadamard part must be exactly symmetric")
     if np.max(np.abs(H.imag)) > 0:
         raise ValueError("Hadamard part must be real")
@@ -424,18 +428,32 @@ def wightman_from_hadamard(lat: Lattice, H: np.ndarray) -> Kernel:
     return Kernel("wightman", lat, W)
 
 
+def bisolution_residual(lat: Lattice, K: np.ndarray) -> float:
+    """Interior residual of P applied to K in both arguments: the largest
+    |P K| on interior rows and |K P^T| on interior columns (zero for an
+    exact bisolution)."""
+    interior = lat.interior_mask()
+    return float(max(np.max(np.abs(lat.klein_gordon_apply(K)[interior])),
+                     np.max(np.abs(lat.klein_gordon_apply(K.T)[interior]))))
+
+
+def _green_identity_residual(lat: Lattice, G: np.ndarray) -> float:
+    """Largest |P G - 1| on interior rows."""
+    rows = np.flatnonzero(lat.interior_mask())
+    PG = lat.klein_gordon_apply(G)[rows]
+    PG[np.arange(len(rows)), rows] -= 1
+    return float(np.max(np.abs(PG)))
+
+
 def kernel_residuals(lat: Lattice) -> dict:
     """Identity/support/symmetry residual summary for all kernels."""
     n = lat.n_sites
-    P = lat.operator_matrix()
     R = lat.green_retarded().entries
     A = lat.green_advanced().entries
     D = lat.pauli_jordan().entries
     H = lat.hadamard_kernel().entries
     W = lat.wightman().entries
     DF = lat.feynman().entries
-    interior = lat.interior_mask()
-    eye = np.eye(n)
 
     # future[i, j]: site i lies in J^+(site j), i.e. lat.in_causal_future
     # for every pair at once (torus distance <= dt also forces dt >= 0)
@@ -447,20 +465,16 @@ def kernel_residuals(lat: Lattice) -> dict:
     cone_leaks = int(np.count_nonzero(~future & (R != 0)))
     off_future = ~future.T  # column point not in J^+(row point)
 
-    def interior_residual(K):
-        return max(float(np.max(np.abs((P @ K)[interior]))),
-                   float(np.max(np.abs((K @ P.T)[:, interior]))))
-
     gram_min = float(np.min(np.linalg.eigvalsh((W + W.conj().T) / 2)))
     return {
-        "green_retarded_identity": float(np.max(np.abs((P @ R - eye)[interior]))),
-        "green_advanced_identity": float(np.max(np.abs((P @ A - eye)[interior]))),
+        "green_retarded_identity": _green_identity_residual(lat, R),
+        "green_advanced_identity": _green_identity_residual(lat, A),
         "reciprocity": float(np.max(np.abs(A - R.T))),
         "cone_support_violations": cone_leaks,
         "pauli_jordan_antisymmetry": float(np.max(np.abs(D + D.T))),
         "H1_imaginary_part": float(np.max(np.abs(2 * W.imag - D.real))),
-        "H2_interior_H": interior_residual(H),
-        "H2_interior_W": interior_residual(W),
+        "H2_interior_H": bisolution_residual(lat, H),
+        "H2_interior_W": bisolution_residual(lat, W),
         "H3_gram_min_eigenvalue": gram_min,
         "feynman_symmetry": float(np.max(np.abs(DF - DF.T))),
         "feynman_equals_wightman_off_future": float(np.max(np.abs((DF - W)[off_future]))),

@@ -29,7 +29,7 @@ from .formal_series import (LambdaSeries, MultilinearFamily, arg_key,
                             series_add, series_scale)
 from .functionals import (GeneralizedLagrangian, HbarScalar, PolyFunctional,
                           _fattened_indicator, delta_L, is_local_at_scale)
-from .lattice import Lattice, LatticePoint, field_values
+from .lattice import Lattice, LatticePoint, bisolution_residual, field_values
 from .relations import hammerstein_sides
 from .star_algebra import StarAlgebraContext
 
@@ -192,9 +192,13 @@ def make_handcrafted_Z(lattice: Lattice, kappa, window) -> RenormalizationMap:
         if n == 1:
             return args[0]
         if n == 2:
+            F, G = args
+            # a site outside either support adds the zero functional
+            both = {lattice.site_index(p) for p in F.support() & G.support()}
             acc = PolyFunctional.zero(lattice)
             for s in sites:
-                acc = acc + _partial(args[0], s) * _partial(args[1], s)
+                if s in both:
+                    acc = acc + _partial(F, s) * _partial(G, s)
             return acc.scaled(kappa)
         return PolyFunctional.zero(lattice)
 
@@ -385,16 +389,6 @@ def _check_causal_triples(lattice: Lattice, triples) -> None:
                 "of f2)")
 
 
-def _support_violation_count(lattice: Lattice, early, late) -> int:
-    """Number of points of `early` inside the causal future of `late`
-    (zero iff early is not later than late)."""
-    n = 0
-    for a in early:
-        if any(lattice.in_causal_future(a, b) for b in late):
-            n += 1
-    return n
-
-
 def check_S_axioms(S: SMatrix, plan: dict) -> list:
     """S1 (unit), S3 (order-1 identity), S2 (causal factorization with
     middle term, plus the pairwise multiplicativity corollary, both
@@ -449,10 +443,8 @@ def check_S_axioms(S: SMatrix, plan: dict) -> list:
         ser2 = S.series(f2, cap)
         supp1, supp2 = f1.support(), f2.support()
         for n in range(1, cap + 1):
-            viol = _support_violation_count(lat, ser1.coeff(n).support(),
-                                            supp2)
-            viol += _support_violation_count(lat, supp1,
-                                             ser2.coeff(n).support())
+            viol = lat.count_in_future(ser1.coeff(n).support(), supp2)
+            viol += lat.count_in_future(supp1, ser2.coeff(n).support())
             rows.append(_row("S", "S4", n, f"s4-{i:02d}", float(viol), 0.0))
     for i, (f1, f2) in enumerate(pairs):
         a = S.series(f1, loc_cap)
@@ -514,8 +506,8 @@ def z_axiom_units(Z: RenormalizationMap, lattice: Lattice,
             for n in range(1, cap + 1):
                 rel1 = b.coeff(n) - c.coeff(n)
                 rel2 = d.coeff(n) - c.coeff(n)
-                viol = _support_violation_count(lat, rel1.support(), supp2)
-                viol += _support_violation_count(lat, supp1, rel2.support())
+                viol = lat.count_in_future(rel1.support(), supp2)
+                viol += lat.count_in_future(supp1, rel2.support())
                 rows.append(_row("Z", "Z2", n, f"z2-{i:02d}-{tag}",
                                  float(viol), 0.0))
         return rows
@@ -609,17 +601,6 @@ def verify_extracted_locality(S: SMatrix, S_tilde: SMatrix,
 # -- Schwinger-Dyson -----------------------------------------------------
 
 
-def bisolution_residual(context: StarAlgebraContext) -> float:
-    """Interior residual of the wave equation applied to the Wightman
-    kernel in both arguments (zero for the exact discrete bisolution)."""
-    lat = context.lattice
-    W = context.wightman.entries
-    mask = lat.interior_mask()
-    left = lat.klein_gordon_apply(W)
-    right = lat.klein_gordon_apply(W.T).T
-    return max(np.max(np.abs(left[mask, :])), np.max(np.abs(right[:, mask])))
-
-
 def check_schwinger_dyson(S: SMatrix, L: GeneralizedLagrangian,
                           F: PolyFunctional, phi0, cap: int,
                           tol: float = 1e-8) -> list:
@@ -658,7 +639,7 @@ def check_schwinger_dyson(S: SMatrix, L: GeneralizedLagrangian,
     A = S.series(F, cap)
     B = S.series_on(LambdaSeries(cap, tuple(b_rows)))
     M = S.series_on(LambdaSeries(cap, tuple(g_rows)))
-    h2 = bisolution_residual(S.context)
+    h2 = bisolution_residual(lat, S.context.wightman.entries)
     bound = tol if h2 <= 1e-10 else max(tol, 10.0 * h2)
     rows = []
     left = S.multiply(A, B)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -44,6 +45,8 @@ def test_not_later_than_and_spacelike(lat):
     side = {LatticePoint(1, 8)}
     assert lat.not_later_than(early, late)
     assert not lat.not_later_than(late, early)
+    assert lat.count_in_future(late | side, early) == 1
+    assert lat.count_in_future(early | side, late) == 0
     assert lat.spacelike(early, side)
     # overlap is never "not later": points lie in their own future
     assert not lat.not_later_than(early, early)
@@ -65,6 +68,63 @@ def test_green_identities_and_cone_support():
     assert res["green_advanced_identity"] < 1e-10
     assert res["reciprocity"] == 0.0
     assert res["cone_support_violations"] == 0
+    # P is time-symmetric, so A (R under time reversal) meets it as R does
+    assert res["green_advanced_identity"] == res["green_retarded_identity"]
+
+
+def _backward_leapfrog(lat):
+    """The advanced kernel stepped backward in time from a unit source: the
+    mirror of the retarded construction (u(tp-1, xp) = -1, u = 0 for
+    t >= tp)."""
+    nt, nx, m2 = lat.nt, lat.nx, lat.mass ** 2
+    G = np.zeros((nt, nx, nt, nx))
+    for tp in range(nt - 1, -1, -1):
+        u = np.zeros((nt, nx, nx))
+        if tp - 1 >= 0:
+            u[tp - 1] = -np.eye(nx)
+            for t in range(tp - 1, 0, -1):
+                u[t - 1] = (np.roll(u[t], -1, axis=0) + np.roll(u[t], 1, axis=0)
+                            - u[t + 1] - m2 * u[t])
+        G[:, :, tp, :] = u
+    return G.reshape(lat.n_sites, lat.n_sites).astype(complex)
+
+
+@pytest.mark.parametrize("nt, nx, mass", [
+    (12, 16, 0.5), (16, 32, 0.5),
+    (8, 10, 2.3),   # every mode unstable: the kernels grow
+    (6, 8, 0.0)])   # zero and edge modes
+def test_green_advanced_is_the_backward_leapfrog_bitwise(nt, nx, mass):
+    lat = Lattice(nt, nx, mass)
+    A = lat.green_advanced().entries
+    assert A.tobytes() == _backward_leapfrog(lat).tobytes()
+    assert A.tobytes() == lat.green_retarded().entries.T.tobytes()
+
+
+@pytest.mark.parametrize("nt, nx", [(12, 16), (16, 32)])
+def test_stencil_residuals_match_the_dense_operator(nt, nx):
+    lat = Lattice(nt, nx, 0.5)
+    eye = np.eye(lat.n_sites)
+    P = lat.klein_gordon_apply(eye)  # dense oracle
+    for j in range(0, lat.n_sites, 7):
+        assert np.array_equal(P[:, j], lat.klein_gordon_apply(eye[:, j]))
+    interior = lat.interior_mask()
+
+    def green_identity(G):
+        return float(np.max(np.abs((P @ G - eye)[interior])))
+
+    def two_sided(K):
+        return max(float(np.max(np.abs((P @ K)[interior]))),
+                   float(np.max(np.abs((K @ P.T)[:, interior]))))
+
+    R, A = lat.green_retarded().entries, lat.green_advanced().entries
+    H, W = lat.hadamard_kernel().entries, lat.wightman().entries
+    res = kernel_residuals(lat)
+    for key, K, want in (
+            ("green_retarded_identity", R, green_identity(R)),
+            ("green_advanced_identity", A, green_identity(A)),
+            ("H2_interior_H", H, two_sided(H)),
+            ("H2_interior_W", W, two_sided(W))):
+        assert abs(res[key] - want) <= 1e-14 * np.max(np.abs(K)), key
 
 
 def _reference_cone(lat, R):
@@ -192,6 +252,18 @@ def test_zero_mass_warns():
     assert any("zero mode" in str(w.message) for w in rec)
 
 
+def test_edge_mode_warns_and_is_left_out():
+    # 4 sin^2(k/2) + m^2 = 4 at k = pi/2: modes j = 2 and 6 sit at w = pi
+    lat = Lattice(7, 8, math.sqrt(2.0))
+    assert lat.hadamard_mode_classification()["excluded"] == \
+        [(2, "edge-mode"), (6, "edge-mode")]
+    with pytest.warns(RuntimeWarning) as rec:
+        lat.hadamard_kernel()
+    assert sorted(str(w.message) for w in rec) == [
+        f"mode j={j}: edge mode (w = pi) excluded from the Hadamard sum"
+        for j in (2, 6)]
+
+
 def test_field_values_shapes(lat):
     grid = np.arange(lat.n_sites, dtype=float).reshape(lat.nt, lat.nx)
     flat = field_values(lat, grid)
@@ -264,8 +336,15 @@ def test_klein_gordon_apply_transforms_each_column_of_a_stack():
     assert PU.shape == U.shape
     for j in range(U.shape[1]):
         assert np.array_equal(PU[:, j], lat.klein_gordon_apply(U[:, j]))
-    # operator_matrix is the stack form applied to the identity
-    P = lat.operator_matrix()
-    eye = np.eye(lat.n_sites)
-    for j in range(0, lat.n_sites, 7):
-        assert np.array_equal(P[:, j], lat.klein_gordon_apply(eye[:, j]))
+
+
+def test_klein_gordon_apply_commutes_with_time_reversal_bitwise():
+    # what makes green_advanced_identity equal green_retarded_identity
+    lat = Lattice(12, 16, 0.5)
+    U = np.random.default_rng(6).standard_normal((lat.n_sites, 5))
+
+    def reverse(V):
+        return V.reshape(lat.nt, lat.nx, -1)[::-1].reshape(V.shape)
+
+    assert np.array_equal(lat.klein_gordon_apply(reverse(U)),
+                          reverse(lat.klein_gordon_apply(U)))

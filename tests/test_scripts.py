@@ -1,0 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import paqft
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_hadamard_scan_runs_and_shows_the_excluded_mode_positivity_loss():
+    src = str(Path(paqft.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "hadamard_scan.py"),
+         "--nt", "8", "--nx", "10"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    start = lines.index("mass sweep") + 2  # skip the column header
+    h3 = {}
+    for line in lines[start:]:
+        if not line.strip():
+            break
+        mass, _h2, gram_min = line.split()
+        h3[float(mass)] = float(gram_min)
+    assert sorted(h3) == [0.0, 0.25, 0.5, 1.0, 2.0]
+    # the zero mode (m = 0) and the band-edge mode (m = 2) are dropped from
+    # the Hadamard sum while the commutator keeps them; every other row is
+    # positive up to rounding
+    assert h3[0.0] < -1e-3 and h3[2.0] < -1e-3
+    assert min(h3[m] for m in (0.25, 0.5, 1.0)) >= -1e-10

@@ -7,10 +7,10 @@ import pytest
 from paqft.formal_series import LambdaSeries, MultilinearFamily
 from paqft.functionals import (HbarScalar, PolyFunctional,
                                free_scalar_lagrangian, is_local_at_scale)
-from paqft.lattice import Lattice, LatticePoint
+from paqft.lattice import Lattice, LatticePoint, bisolution_residual
 from paqft.smatrix_renorm import (RenormalizationMap, SMatrix,
                                   _causal_triple, _partial, _spacelike_pair,
-                                  _window_functional, bisolution_residual,
+                                  _window_functional,
                                   build_smatrix, check_S_axioms,
                                   check_Z_axioms, check_schwinger_dyson,
                                   compose, correlation, default_s_plan,
@@ -222,6 +222,23 @@ def test_random_local_functional_draws_as_before(lat, t_range, degree):
 def test_handcrafted_window_avoids_boundary(lat):
     with pytest.raises(ValueError, match="boundary rows"):
         make_handcrafted_Z(lat, 0.1, [LatticePoint(0, 3)])
+
+
+def test_handcrafted_pairing_matches_the_all_window_sum(lat):
+    # Z_2 skips the window sites outside either support; the sum over every
+    # window site, zero terms included, is the reference, bitwise
+    window = _mid_window(lat)
+    Z = make_handcrafted_Z(lat, 0.3, window)
+    rng = np.random.default_rng(11)
+    mid = lat.nt // 2
+    fs = [_window_functional(lat, rng, mid, x) for x in (2, 3, 11)]
+    for F, G in itertools.product(fs, repeat=2):
+        want = PolyFunctional.zero(lat)
+        for s in sorted(lat.site_index(p) for p in window):
+            want = want + _partial(F, s) * _partial(G, s)
+        got = Z.family.mixed(2, [F, G])
+        assert got.content_key() == want.scaled(0.3).content_key()
+    assert Z.family.mixed(2, [fs[0], fs[2]]).max_norm() == 0.0
 
 
 def test_z_suite_passes_on_handcrafted(lat):
@@ -484,8 +501,8 @@ def test_two_hadamard_extraction_is_local(lat, S):
 # -- dynamics --------------------------------------------------------------
 
 
-def test_bisolution_residual_vanishes(ctx):
-    assert bisolution_residual(ctx) < 1e-10
+def test_bisolution_residual_vanishes(lat, ctx):
+    assert bisolution_residual(lat, ctx.wightman.entries) < 1e-10
 
 
 def test_bisolution_residual_equals_the_per_column_form(lat):
@@ -501,7 +518,7 @@ def test_bisolution_residual_equals_the_per_column_form(lat):
     right = np.stack([lat.klein_gordon_apply(W[i, :])
                       for i in range(W.shape[0])], axis=0)
     want = max(np.max(np.abs(left[mask, :])), np.max(np.abs(right[:, mask])))
-    assert bisolution_residual(ctx) == want > 1e-3
+    assert bisolution_residual(lat, W) == want > 1e-3
 
 
 def test_series_on_matches_composition_sum(lat, S):
