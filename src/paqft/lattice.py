@@ -20,6 +20,21 @@ at source y spreads toward the future of y.  The advanced kernel is the
 retarded one under time reversal t -> nt-1-t in both arguments, which is
 its transpose (reciprocity), bitwise.
 
+Translation symmetry: every default kernel is exactly invariant under
+spatial translation, K(t, x; t', x') = C(t, t', (x - x') mod nx).  The
+builders compute C (the retarded one from a single leapfrog source, the
+Hadamard one as a sum of mode blocks) and gather it into the dense matrix
+with the same arithmetic as the source-by-source and kron constructions,
+so the entries are the same bits, signed zeros included.  kernel_residuals
+checks the six kernels for that invariance exactly (a shift by one site in
+both x arguments) and then reads only their nt source columns at x' = 0,
+which hold every value of a kernel: maxima are the same and the cone
+count is nx times theirs.  H3 comes from the nx Hermitian nt x nt mode
+blocks of the x' = 0 column.  If any kernel is not invariant (a planted
+defect), every residual reads all columns and H3 comes from a dense
+eigensolve.  bisolution_residual makes the same choice for the one kernel
+it is given, such as a caller's perturbed W.
+
 Large masses: modes with 4 sin^2(k/2) + m^2 > 4 have no real frequency and
 the kernels grow like sinh(gamma * nt); residuals of the eigensolve-based
 Hadamard part are backward-stable relative to the kernel norm, so absolute
@@ -28,10 +43,9 @@ residuals grow with mass.  At the default m = 0.5 they sit near 1e-14.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, TYPE_CHECKING
 
 import numpy as np
@@ -60,6 +74,8 @@ class Lattice:
     nt: int
     nx: int
     mass: float
+    _kernels: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if self.nt < 4 or self.nx < 4:
@@ -154,23 +170,32 @@ class Lattice:
         return (-(up + dn - np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)
                   + self.mass ** 2 * u)).reshape(phi.shape)
 
+    def _kernel(self, build) -> "Kernel":
+        """build(self), built once per lattice instance.  The kernels go
+        with the lattice, at the next cyclic garbage collection: each
+        kernel refers back to its lattice."""
+        kernel = self._kernels.get(build)
+        if kernel is None:
+            kernel = self._kernels[build] = build(self)
+        return kernel
+
     def green_retarded(self) -> "Kernel":
-        return _green_retarded(self)
+        return self._kernel(_green_retarded)
 
     def green_advanced(self) -> "Kernel":
-        return _green_advanced(self)
+        return self._kernel(_green_advanced)
 
     def pauli_jordan(self) -> "Kernel":
-        return _pauli_jordan(self)
+        return self._kernel(_pauli_jordan)
 
     def hadamard_kernel(self) -> "Kernel":
-        return _hadamard(self)
+        return self._kernel(_hadamard)
 
     def wightman(self) -> "Kernel":
-        return _wightman(self)
+        return self._kernel(_wightman)
 
     def feynman(self) -> "Kernel":
-        return _feynman(self)
+        return self._kernel(_feynman)
 
     def hadamard_mode_classification(self) -> dict:
         """Per-mode dispersion bookkeeping: stable / unstable / excluded."""
@@ -298,29 +323,36 @@ def _dispersion(lat: Lattice, j: int) -> float:
     return 4 * np.sin(k / 2) ** 2 + lat.mass ** 2
 
 
-@functools.cache
-def _green_retarded(lat: Lattice) -> Kernel:
-    """Columns built by forward leapfrog stepping from a unit source.
+def _gather(lat: Lattice, C: np.ndarray) -> np.ndarray:
+    """The dense (n, n) kernel K[t, x, t', x'] = C[t, t', (x - x') mod nx]
+    of a kernel invariant under spatial translation."""
+    ts, xs = np.arange(lat.nt), np.arange(lat.nx)
+    xi = (xs[:, None] - xs[None, :]) % lat.nx
+    K = C[ts[:, None, None, None], ts[None, None, :, None], xi[None, :, None, :]]
+    return K.reshape(lat.n_sites, lat.n_sites)
 
-    For the source column y = (tp, xp): u = 0 for t <= tp, the P u = delta_y
-    relation forces u(tp+1, xp) = -1, and for t > tp
-    u(t+1, x) = u(t, x+1) + u(t, x-1) - u(t-1, x) - m^2 u(t, x).
+
+def _green_retarded(lat: Lattice) -> Kernel:
+    """One column, stepped by forward leapfrog from a unit source at
+    (0, 0), gathered into every other.
+
+    u = 0 on row 0, the P u = delta relation forces u(1, 0) = -1, and then
+    u(t+1, x) = u(t, x+1) + u(t, x-1) - u(t-1, x) - m^2 u(t, x).  The step
+    does the same operations at every site, so the column of the source
+    (t', x') is u shifted by t' in time and rolled by x', bitwise:
+    G[t, x, t', x'] = u[t - t', (x - x') mod nx] for t >= t', else 0.
     """
     nt, nx, m2 = lat.nt, lat.nx, lat.mass ** 2
-    # G[t, x, tp, xp]; vectorize over the source position xp.
-    G = np.zeros((nt, nx, nt, nx))
-    for tp in range(nt):
-        u = np.zeros((nt, nx, nx))  # u[t, x, xp] for sources on row tp
-        if tp + 1 < nt:
-            u[tp + 1] = -np.eye(nx)
-            for t in range(tp + 1, nt - 1):
-                u[t + 1] = (np.roll(u[t], -1, axis=0) + np.roll(u[t], 1, axis=0)
-                            - u[t - 1] - m2 * u[t])
-        G[:, :, tp, :] = u
-    return Kernel("retarded", lat, G.reshape(lat.n_sites, lat.n_sites).astype(complex))
+    # rows nt.. stay zero: a negative t - t' indexes them
+    u = np.zeros((2 * nt - 1, nx))
+    u[1] = -np.eye(nx)[0]  # -0.0 off the source, as stepping all sources gives
+    for t in range(1, nt - 1):
+        u[t + 1] = np.roll(u[t], -1) + np.roll(u[t], 1) - u[t - 1] - m2 * u[t]
+    tgrid = np.arange(nt)
+    tau = tgrid[:, None] - tgrid[None, :]
+    return Kernel("retarded", lat, _gather(lat, u.astype(complex)[tau]))
 
 
-@functools.cache
 def _green_advanced(lat: Lattice) -> Kernel:
     """The retarded kernel under time reversal t -> nt-1-t in both
     arguments.  The leapfrog step is time-symmetric, so this is exactly the
@@ -330,13 +362,11 @@ def _green_advanced(lat: Lattice) -> Kernel:
     return Kernel("advanced", lat, R[::-1, :, ::-1, :].copy().reshape(n, n))
 
 
-@functools.cache
 def _pauli_jordan(lat: Lattice) -> Kernel:
     D = lat.green_retarded().entries - lat.green_advanced().entries
     return Kernel("pauli_jordan", lat, D)
 
 
-@functools.cache
 def _hadamard(lat: Lattice) -> Kernel:
     """Real symmetric H with W = (i/2) Delta + H a positive bisolution.
 
@@ -353,6 +383,10 @@ def _hadamard(lat: Lattice) -> Kernel:
     * s ~ 0 (zero mode, m = 0) or s ~ 4 (edge mode): excluded from the sum
       with a warning; the massless infrared divergence has no finite
       regularization on the torus.
+
+    The blocks are summed into C[t, t', xi] = sum_k H_k(t, t') cos(k xi) / nx
+    and gathered at xi = x - x': entry for entry the products and sums of
+    the sum of kron(H_k, cos(k (x - x'))) / nx, so the same bits.
     """
     nt, nx = lat.nt, lat.nx
     Delta = lat.pauli_jordan().entries.real.reshape(nt, nx, nt, nx)
@@ -384,22 +418,19 @@ def _hadamard(lat: Lattice) -> Kernel:
         Hk[j] = ((V * np.abs(mu)) @ V.conj().T).real / 2
         Hk[j] = (Hk[j] + Hk[j].T) / 2
 
-    xs = np.arange(nx)
-    xi_mat = (xs[:, None] - xs[None, :]) % nx
-    H = np.zeros((lat.n_sites, lat.n_sites))
+    C = np.zeros((nt, nt, nx))
     for j in range(nx):
         k = 2 * np.pi * j / nx
-        H += np.kron(Hk[j], np.cos(k * xi_mat)) / nx
-    H = (H + H.T) / 2
-    return Kernel("hadamard", lat, H.astype(complex))
+        C += Hk[j][:, :, None] * np.cos(k * phases) / nx
+    # (H + H^T) / 2, where H^T[t, x, t', x'] = C[t', t, (x' - x) mod nx]
+    C = (C + C.transpose(1, 0, 2)[:, :, -phases % nx]) / 2
+    return Kernel("hadamard", lat, _gather(lat, C.astype(complex)))
 
 
-@functools.cache
 def _wightman(lat: Lattice) -> Kernel:
     return wightman_from_hadamard(lat, lat.hadamard_kernel().entries)
 
 
-@functools.cache
 def _feynman(lat: Lattice) -> Kernel:
     return feynman_from_hadamard(lat, lat.hadamard_kernel().entries)
 
@@ -428,21 +459,67 @@ def wightman_from_hadamard(lat: Lattice, H: np.ndarray) -> Kernel:
     return Kernel("wightman", lat, W)
 
 
+def _translation_invariant(lat: Lattice, K: np.ndarray) -> bool:
+    """K[t, x+1, t', x'+1] == K[t, x, t', x'] for every entry, x wrapping:
+    K is exactly invariant under spatial translation."""
+    K4 = K.reshape(lat.nt, lat.nx, lat.nt, lat.nx)
+    # (slice of x + 1, slice of x): the sites below nx - 1, then the last
+    # site, whose successor is site 0; compared as views, without a copy
+    shifts = ((slice(1, None), slice(None, -1)), (slice(None, 1), slice(-1, None)))
+    return all(np.array_equal(K4[:, a, :, b], K4[:, c, :, d])
+               for a, c in shifts for b, d in shifts)
+
+
+def _source_columns(lat: Lattice, invariant: bool) -> np.ndarray:
+    """Flat indices of the source columns a residual reads.  Every column of
+    a translation-invariant kernel is its column at the same t' and x' = 0
+    rolled by x', and so is every column of P applied to it: those nt
+    columns hold every value, so maxima are the same and counts are nx
+    times theirs.  Any other kernel is read on all its columns."""
+    return np.arange(0, lat.n_sites, lat.nx if invariant else 1)
+
+
+def _bisolution_residual(lat: Lattice, K: np.ndarray, cols) -> float:
+    interior = lat.interior_mask()
+    return float(max(np.max(np.abs(lat.klein_gordon_apply(K[:, cols])[interior])),
+                     np.max(np.abs(lat.klein_gordon_apply(K[cols].T)[interior]))))
+
+
 def bisolution_residual(lat: Lattice, K: np.ndarray) -> float:
     """Interior residual of P applied to K in both arguments: the largest
     |P K| on interior rows and |K P^T| on interior columns (zero for an
     exact bisolution)."""
-    interior = lat.interior_mask()
-    return float(max(np.max(np.abs(lat.klein_gordon_apply(K)[interior])),
-                     np.max(np.abs(lat.klein_gordon_apply(K.T)[interior]))))
+    return _bisolution_residual(
+        lat, K, _source_columns(lat, _translation_invariant(lat, K)))
 
 
-def _green_identity_residual(lat: Lattice, G: np.ndarray) -> float:
+def _green_identity_residual(lat: Lattice, G: np.ndarray, cols) -> float:
     """Largest |P G - 1| on interior rows."""
-    rows = np.flatnonzero(lat.interior_mask())
-    PG = lat.klein_gordon_apply(G)[rows]
-    PG[np.arange(len(rows)), rows] -= 1
-    return float(np.max(np.abs(PG)))
+    PG = lat.klein_gordon_apply(G[:, cols])
+    PG[cols, np.arange(len(cols))] -= 1
+    return float(np.max(np.abs(PG[lat.interior_mask()])))
+
+
+def _in_future(lat: Lattice, a, b) -> np.ndarray:
+    """m[i, j]: site a[i] lies in J^+(site b[j]), i.e. lat.in_causal_future
+    for every pair at once (torus distance <= dt also forces dt >= 0)."""
+    nx = lat.nx
+    dt = a[:, None] // nx - b[None, :] // nx
+    wrap = np.abs(a[:, None] % nx - b[None, :] % nx) % nx
+    return np.minimum(wrap, nx - wrap) <= dt
+
+
+def _gram_min_eigenvalue(lat: Lattice, W: np.ndarray, invariant: bool) -> float:
+    """Least eigenvalue of the Hermitian part (W + W^H) / 2.  When W is
+    translation invariant that matrix is block circulant: the FFT over the
+    offset xi of its x' = 0 column gives nx Hermitian nt x nt blocks, one
+    per spatial mode, whose eigenvalues are its eigenvalues."""
+    if not invariant:
+        return float(np.min(np.linalg.eigvalsh((W + W.conj().T) / 2)))
+    cols = _source_columns(lat, True)
+    G = ((W[:, cols] + W[cols].conj().T) / 2).reshape(lat.nt, lat.nx, lat.nt)
+    blocks = np.fft.fft(G, axis=1).transpose(1, 0, 2)
+    return float(np.min(np.linalg.eigvalsh(blocks)))
 
 
 def kernel_residuals(lat: Lattice) -> dict:
@@ -454,28 +531,31 @@ def kernel_residuals(lat: Lattice) -> dict:
     H = lat.hadamard_kernel().entries
     W = lat.wightman().entries
     DF = lat.feynman().entries
-
-    # future[i, j]: site i lies in J^+(site j), i.e. lat.in_causal_future
-    # for every pair at once (torus distance <= dt also forces dt >= 0)
-    idx = np.arange(n)
-    t, x = idx // lat.nx, idx % lat.nx
-    dt = t[:, None] - t[None, :]
-    wrap = np.abs(x[:, None] - x[None, :]) % lat.nx
-    future = np.minimum(wrap, lat.nx - wrap) <= dt
-    cone_leaks = int(np.count_nonzero(~future & (R != 0)))
-    off_future = ~future.T  # column point not in J^+(row point)
-
-    gram_min = float(np.min(np.linalg.eigvalsh((W + W.conj().T) / 2)))
+    # one column set for every row: a kernel that is not exactly
+    # translation invariant (only a planted defect) makes all of them dense
+    invariant = all(_translation_invariant(lat, K) for K in (R, A, D, H, W, DF))
+    c = _source_columns(lat, invariant)
+    everywhere = np.arange(n)
+    # R[i, j] with site i not in J^+(site j), over the columns read
+    cone_leaks = int(np.count_nonzero(~_in_future(lat, everywhere, c)
+                                      & (R[:, c] != 0))) * (n // len(c))
+    reciprocity = float(np.max(np.abs(A[:, c] - R[c].T)))
+    antisymmetry = float(np.max(np.abs(D[:, c] + D[c].T)))
+    h1 = float(np.max(np.abs(2 * W[:, c].imag - D[:, c].real)))
+    feynman_symmetry = float(np.max(np.abs(DF[:, c] - DF[c].T)))
+    # column site not in J^+(row site)
+    off_future = ~_in_future(lat, c, everywhere).T
+    off_future_gap = float(np.max(np.abs((DF[:, c] - W[:, c])[off_future])))
     return {
-        "green_retarded_identity": _green_identity_residual(lat, R),
-        "green_advanced_identity": _green_identity_residual(lat, A),
-        "reciprocity": float(np.max(np.abs(A - R.T))),
+        "green_retarded_identity": _green_identity_residual(lat, R, c),
+        "green_advanced_identity": _green_identity_residual(lat, A, c),
+        "reciprocity": reciprocity,
         "cone_support_violations": cone_leaks,
-        "pauli_jordan_antisymmetry": float(np.max(np.abs(D + D.T))),
-        "H1_imaginary_part": float(np.max(np.abs(2 * W.imag - D.real))),
-        "H2_interior_H": bisolution_residual(lat, H),
-        "H2_interior_W": bisolution_residual(lat, W),
-        "H3_gram_min_eigenvalue": gram_min,
-        "feynman_symmetry": float(np.max(np.abs(DF - DF.T))),
-        "feynman_equals_wightman_off_future": float(np.max(np.abs((DF - W)[off_future]))),
+        "pauli_jordan_antisymmetry": antisymmetry,
+        "H1_imaginary_part": h1,
+        "H2_interior_H": _bisolution_residual(lat, H, c),
+        "H2_interior_W": _bisolution_residual(lat, W, c),
+        "H3_gram_min_eigenvalue": _gram_min_eigenvalue(lat, W, invariant),
+        "feynman_symmetry": feynman_symmetry,
+        "feynman_equals_wightman_off_future": off_future_gap,
     }

@@ -1,5 +1,8 @@
+import gc
 import json
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -8,8 +11,9 @@ from hypothesis import strategies as st
 
 from paqft.cli import main
 from paqft.lattice import (FieldConfiguration, Kernel, Lattice, LatticePoint,
-                           feynman_from_hadamard, field_values,
-                           kernel_residuals, wightman_from_hadamard)
+                           _translation_invariant, feynman_from_hadamard,
+                           field_values, kernel_residuals,
+                           wightman_from_hadamard)
 from paqft.functionals import PolyFunctional
 
 
@@ -89,15 +93,97 @@ def _backward_leapfrog(lat):
     return G.reshape(lat.n_sites, lat.n_sites).astype(complex)
 
 
-@pytest.mark.parametrize("nt, nx, mass", [
+def _per_row_leapfrog(lat):
+    """The retarded kernel stepped forward from all nx sources of each
+    time row at once (u(tp+1, xp) = -1, u = 0 for t <= tp)."""
+    nt, nx, m2 = lat.nt, lat.nx, lat.mass ** 2
+    G = np.zeros((nt, nx, nt, nx))
+    for tp in range(nt):
+        u = np.zeros((nt, nx, nx))  # u[t, x, xp] for sources on row tp
+        if tp + 1 < nt:
+            u[tp + 1] = -np.eye(nx)
+            for t in range(tp + 1, nt - 1):
+                u[t + 1] = (np.roll(u[t], -1, axis=0) + np.roll(u[t], 1, axis=0)
+                            - u[t - 1] - m2 * u[t])
+        G[:, :, tp, :] = u
+    return G.reshape(lat.n_sites, lat.n_sites).astype(complex)
+
+
+def _kron_sum_hadamard(lat):
+    """The Hadamard part as a dense sum of kron(H_k, cos(k (x - x'))) / nx
+    over the modes, with the mode blocks H_k built as the library does."""
+    nt, nx = lat.nt, lat.nx
+    Delta = lat.pauli_jordan().entries.real.reshape(nt, nx, nt, nx)
+    D = np.zeros((nt, nt, nx))
+    for xi in range(nx):
+        acc = np.zeros((nt, nt))
+        for xp in range(nx):
+            acc += Delta[:, (xp + xi) % nx, :, xp]
+        D[:, :, xi] = acc / nx
+    modes = lat.hadamard_mode_classification()
+    tgrid = np.arange(nt)
+    tau = tgrid[:, None] - tgrid[None, :]
+    phases = np.arange(nx)
+    Hk = np.zeros((nx, nt, nt))
+    for j in modes["stable"]:
+        k = 2 * np.pi * j / nx
+        s = 4 * np.sin(k / 2) ** 2 + lat.mass ** 2
+        om = 2 * np.arcsin(np.sqrt(s) / 2)
+        Hk[j] = np.cos(om * tau) / (2 * np.sin(om))
+    for j in modes["unstable"]:
+        k = 2 * np.pi * j / nx
+        Dk = np.einsum("abx,x->ab", D, np.exp(-1j * k * phases)).real
+        Dk = (Dk - Dk.T) / 2
+        mu, V = np.linalg.eigh(1j * Dk)
+        Hk[j] = ((V * np.abs(mu)) @ V.conj().T).real / 2
+        Hk[j] = (Hk[j] + Hk[j].T) / 2
+    xs = np.arange(nx)
+    xi_mat = (xs[:, None] - xs[None, :]) % nx
+    H = np.zeros((lat.n_sites, lat.n_sites))
+    for j in range(nx):
+        k = 2 * np.pi * j / nx
+        H += np.kron(Hk[j], np.cos(k * xi_mat)) / nx
+    H = (H + H.T) / 2
+    return H.astype(complex)
+
+
+BITWISE_SIZES = [
     (12, 16, 0.5), (16, 32, 0.5),
     (8, 10, 2.3),   # every mode unstable: the kernels grow
-    (6, 8, 0.0)])   # zero and edge modes
+    (6, 8, 0.0)]    # zero and edge modes
+
+
+@pytest.mark.parametrize("nt, nx, mass", BITWISE_SIZES)
 def test_green_advanced_is_the_backward_leapfrog_bitwise(nt, nx, mass):
     lat = Lattice(nt, nx, mass)
     A = lat.green_advanced().entries
     assert A.tobytes() == _backward_leapfrog(lat).tobytes()
     assert A.tobytes() == lat.green_retarded().entries.T.tobytes()
+
+
+@pytest.mark.parametrize("nt, nx, mass", BITWISE_SIZES)
+def test_one_source_kernels_are_the_dense_constructions_bitwise(nt, nx, mass):
+    # tobytes, not array_equal: the signed zeros must match as well
+    lat = Lattice(nt, nx, mass)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        H = lat.hadamard_kernel().entries
+    assert lat.green_retarded().entries.tobytes() == \
+        _per_row_leapfrog(lat).tobytes()
+    assert H.tobytes() == _kron_sum_hadamard(lat).tobytes()
+    # what lets kernel_residuals read only the x' = 0 columns
+    for name in ("green_retarded", "green_advanced", "pauli_jordan",
+                 "hadamard_kernel", "wightman", "feynman"):
+        assert _translation_invariant(lat, getattr(lat, name)().entries), name
+
+
+def test_a_dropped_lattice_frees_its_kernels():
+    lat = Lattice(8, 8, 0.5)
+    ref = weakref.ref(lat.wightman())
+    assert lat.wightman() is ref()  # built once per lattice
+    del lat
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("nt, nx", [(12, 16), (16, 32)])
@@ -125,6 +211,11 @@ def test_stencil_residuals_match_the_dense_operator(nt, nx):
             ("H2_interior_H", H, two_sided(H)),
             ("H2_interior_W", W, two_sided(W))):
         assert abs(res[key] - want) <= 1e-14 * np.max(np.abs(K)), key
+    # per-mode eigenvalues against the dense eigensolve: a different
+    # rounding route, 1.4e-14 relative at 12x16
+    gram_min = float(np.min(np.linalg.eigvalsh((W + W.conj().T) / 2)))
+    assert abs(res["H3_gram_min_eigenvalue"] - gram_min) <= \
+        1e-13 * np.max(np.abs(W))
 
 
 def _reference_cone(lat, R):
@@ -144,9 +235,10 @@ def _reference_cone(lat, R):
 
 
 def _plant(monkeypatch, lat, **planted):
-    """Serve each planted `name=entries` as lat.<name>() for this lattice
-    only.  Every true kernel is built (and cached) first, so no cache ever
-    holds a defect."""
+    """Serve each planted `name=entries` as <name>() of every lattice equal
+    to lat.  lat builds (and caches) its true kernels first, so its other
+    kernels stay true; an equal lattice built later, as the CLI builds its
+    own, derives them from the planted ones."""
     kernel_residuals(lat)
     for name, entries in planted.items():
         bad = Kernel(getattr(lat, name)().kind, lat, entries)
@@ -202,6 +294,22 @@ def test_planted_cone_leaks_counted_exactly(monkeypatch, tmp_path, capsys, k):
     capsys.readouterr()
 
 
+def test_translation_invariant_cone_leak_is_counted_in_every_column(
+        monkeypatch):
+    # the same leak at every spatial shift keeps R translation invariant,
+    # so only the x' = 0 columns are read: the count must be scaled by nx
+    lat = Lattice(8, 8, 0.5)
+    R = lat.green_retarded().entries.copy()
+    for x in range(lat.nx):
+        i = lat.site_index(LatticePoint(4, (x + 3) % lat.nx))
+        j = lat.site_index(LatticePoint(3, x))  # i spacelike to j
+        R[i, j] = 1e-30
+    leaks, _ = _reference_cone(lat, R)
+    assert leaks == lat.nx
+    _plant(monkeypatch, lat, green_retarded=R)
+    assert kernel_residuals(lat)["cone_support_violations"] == leaks
+
+
 def test_planted_feynman_defect_off_future_fails(monkeypatch):
     lat = Lattice(8, 8, 0.5)
     DF = lat.feynman().entries.copy()
@@ -212,6 +320,32 @@ def test_planted_feynman_defect_off_future_fails(monkeypatch):
     res = kernel_residuals(lat)
     assert res["feynman_symmetry"] == 0.0
     assert res["feynman_equals_wightman_off_future"] > 1e-10
+
+
+@pytest.mark.parametrize("name, key", [
+    ("green_retarded", "green_retarded_identity"),
+    ("hadamard_kernel", "H2_interior_H"),
+    ("wightman", "H2_interior_W"),
+    ("wightman", "H3_gram_min_eigenvalue")])
+def test_planted_defect_off_the_x0_columns_fails_its_gate(monkeypatch,
+                                                          name, key):
+    # a translation-invariant kernel is read on its x' = 0 columns only;
+    # a defect at x, x' != 0 breaks the invariance, so every column is read
+    lat = Lattice(8, 8, 0.5)
+    a = lat.site_index(LatticePoint(3, 5))
+    b = lat.site_index(LatticePoint(4, 6))
+    K = getattr(lat, name)().entries.copy()
+    if key == "H3_gram_min_eigenvalue":
+        K[a, a] -= 1e-3  # pushes a null direction of W below zero
+    else:
+        K[a, b] = K[b, a] = K[a, b] + 1e-6
+    assert kernel_residuals(lat)[key] == pytest.approx(0.0, abs=1e-12)
+    _plant(monkeypatch, lat, **{name: K})
+    res = kernel_residuals(lat)
+    if key == "H3_gram_min_eigenvalue":
+        assert res[key] < -1e-10
+    else:
+        assert res[key] > 1e-10
 
 
 def test_pauli_jordan_antisymmetric_and_spacelike_zero(lat):

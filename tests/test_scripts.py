@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +31,19 @@ def test_hadamard_scan_runs_and_shows_the_excluded_mode_positivity_loss():
     # positive up to rounding
     assert h3[0.0] < -1e-3 and h3[2.0] < -1e-3
     assert min(h3[m] for m in (0.25, 0.5, 1.0)) >= -1e-10
+
+
+def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
+    src = str(Path(paqft.__file__).resolve().parent.parent)
+    out = tmp_path / "BENCH_kernels.json"
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_kernels.py"), "--sizes", "8x8",
+         "--label", "smoke", "--src", src, "--out", str(out)],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    entry = json.loads(out.read_text())["labels"]["smoke"]
+    assert set(entry["machine"]) == {"cpu_model", "nproc", "python", "numpy"}
+    row = entry["sizes"]["8x8"]
+    assert len(row["runs"]) == 3
+    for key in ("build_s", "residuals_s", "peak_rss_mb"):
+        assert row[key] == sorted(r[key] for r in row["runs"])[1] > 0
