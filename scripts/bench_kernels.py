@@ -10,7 +10,8 @@ it ran on, so one file can hold a before and an after:
     python3 scripts/bench_kernels.py --label change
 
 --src is the source tree whose `paqft` is timed (default: this checkout's
-`src/`).  The mass is 0.5, the default working point.
+`src/`); each label also records `src_lines`, the line count of that
+tree's `paqft/*.py`.  The mass is 0.5, the default working point.
 """
 
 import argparse
@@ -66,6 +67,12 @@ def machine() -> dict:
             "python": platform.python_version(), "numpy": numpy.__version__}
 
 
+def src_lines(src: Path) -> int:
+    """Lines of the timed tree's `paqft/*.py`, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (src / "paqft").glob("*.py"))
+
+
 def measure(size: str, src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     samples = []
@@ -104,7 +111,8 @@ def main(argv=None) -> int:
                 "median of fresh processes per size, m = 0.5",
         "labels": {}}
     bench["labels"][args.label] = {"machine": machine(), "runs": RUNS,
-                                   "sizes": sizes}
+                                   "sizes": sizes,
+                                   "src_lines": src_lines(args.src)}
     args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     print(f"written to {args.out}")
     return 0

@@ -150,21 +150,20 @@ class MultilinearFamily:
     polarization over the diagonal one, or to the diagonal value itself
     when all arguments are equal.  Evaluations are memoized on the
     content of the arguments (see arg_key), so a repeated evaluation on
-    freshly built but equal arguments reuses its entry.  A symmetric family
-    keys the multiset of argument keys (a permuted call returns the value
-    computed for the first order seen), a non-symmetric one their sequence.
+    freshly built but equal arguments reuses its entry.  The key is the
+    multiset of argument keys: a permuted call returns the value computed
+    for the first order seen.
     Without a diagonal evaluator, diagonal(n, f) is mixed(n, [f] * n) and
     shares its entry.  The memo is not bounded; its size follows the
     distinct argument contents evaluated.
     """
 
     def __init__(self, evaluate_mixed: Callable = None,
-                 evaluate_diagonal: Callable = None, symmetric: bool = True):
+                 evaluate_diagonal: Callable = None):
         if evaluate_mixed is None and evaluate_diagonal is None:
             raise ValueError("need at least one evaluator")
         self._mixed = evaluate_mixed
         self._diagonal = evaluate_diagonal
-        self.symmetric = symmetric
         self._memo: dict = {}
 
     def _memo_get(self, key):
@@ -175,9 +174,7 @@ class MultilinearFamily:
         return value
 
     def _mixed_key(self, n: int, keys) -> tuple:
-        args = frozenset(Counter(keys).items()) if self.symmetric \
-            else tuple(keys)
-        return ("mixed", n, args)
+        return ("mixed", n, frozenset(Counter(keys).items()))
 
     def diagonal(self, n: int, f):
         """T_n(f^{tensor n})."""

@@ -38,8 +38,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .lattice import (FieldConfiguration, Lattice, LatticePoint, Region,
-                      field_values)
+from .lattice import Lattice, LatticePoint, Region, field_values
 
 MAX_DEGREE = 8
 HBAR_WINDOW = (-8, 8)
@@ -725,42 +724,51 @@ def _fattened_indicator(lattice: Lattice, sites: set[int], radius: int) -> np.nd
     return w
 
 
-def delta_L(L: GeneralizedLagrangian, psi, phi=None):
-    """delta L(psi)[phi] = L(f)[phi+psi] - L(f)[phi] for any cutoff f
-    that is 1 on a stencil neighborhood of supp psi.
+def cutoff_lagrangian(L: GeneralizedLagrangian, psi_vals: np.ndarray):
+    """(L(f), delta L(psi) = L(f)[. + psi] - L(f)) for the cutoff f that is
+    1 on the stencil-fattened support of psi; None when psi = 0.
 
-    Returns (value at phi, the functional phi -> delta L(psi)[phi]).
-    Cutoff independence is verified with two fattenings; a psi whose
-    fattened support already covers the whole lattice admits no compactly
-    supported cutoff and raises.
+    Cutoff independence is verified against the cutoff one site wider; a
+    psi whose fattened support already covers the whole lattice admits no
+    compactly supported cutoff and raises.
     """
     lat = L.lattice
-    psi_vals = field_values(lat, psi)
-    if phi is None:
-        phi = np.zeros(lat.n_sites)
     sites = set(int(i) for i in np.flatnonzero(psi_vals))
     if not sites:
-        zero = PolyFunctional.zero(lat)
-        return HbarScalar.zero(), zero
+        return None
     r = L.stencil_radius()
     f1 = _fattened_indicator(lat, sites, r)
     if np.all(f1 != 0):
         raise ValueError("psi support (stencil-fattened) covers the whole "
                          "lattice; no compactly supported cutoff exists")
     f2 = _fattened_indicator(lat, sites, r + 1)
-    results = []
-    for f in (f1, f2):
-        Lf = L(f)
-        results.append(Lf.shift_field(psi_vals) - Lf)
-    if results[0].distance(results[1]) > 1e-12:
+    L1, L2 = L(f1), L(f2)
+    variation = L1.shift_field(psi_vals) - L1
+    gap = variation.distance(L2.shift_field(psi_vals) - L2)
+    if gap > 1e-12:
         raise ValueError("delta_L depends on the cutoff choice: "
-                         f"residual {results[0].distance(results[1]):.3e}")
-    functional = results[0]
+                         f"residual {gap:.3e}")
+    return L1, variation
+
+
+def delta_L(L: GeneralizedLagrangian, psi, phi=None):
+    """delta L(psi)[phi] = L(f)[phi+psi] - L(f)[phi] for any cutoff f
+    that is 1 on a stencil neighborhood of supp psi (cutoff_lagrangian).
+    Returns (value at phi, the functional phi -> delta L(psi)[phi]).
+    """
+    lat = L.lattice
+    checked = cutoff_lagrangian(L, field_values(lat, psi))
+    if checked is None:
+        return HbarScalar.zero(), PolyFunctional.zero(lat)
+    functional = checked[1]
+    if phi is None:
+        phi = np.zeros(lat.n_sites)
     return functional.evaluate(phi), functional
 
 
-def euler_lagrange(L: GeneralizedLagrangian, phi) -> FieldConfiguration:
-    """Gradient field dL(phi): <dL(phi), psi> = d/dt L(1)[phi + t psi]|_0.
+def euler_lagrange(L: GeneralizedLagrangian, phi) -> np.ndarray:
+    """Gradient field dL(phi): <dL(phi), psi> = d/dt L(1)[phi + t psi]|_0,
+    a flat (n_sites,) array, real when every entry is.
 
     For the free density this equals the wave operator applied to phi on
     interior rows.
@@ -774,9 +782,7 @@ def euler_lagrange(L: GeneralizedLagrangian, phi) -> FieldConfiguration:
         if rng is not None and rng != (0, 0):
             raise ValueError("Lagrangian carries hbar-weighted coefficients")
         out[i] = coeff.at(0)
-    if np.max(np.abs(out.imag)) == 0.0:
-        out = out.real
-    return FieldConfiguration(lat, out)
+    return out.real if np.max(np.abs(out.imag)) == 0.0 else out
 
 
 # -- causal band decomposition (property L1) ---------------------------------------

@@ -20,20 +20,27 @@ at source y spreads toward the future of y.  The advanced kernel is the
 retarded one under time reversal t -> nt-1-t in both arguments, which is
 its transpose (reciprocity), bitwise.
 
+Causal structure: J^+(p) is the unit-speed cone on the spatial torus.
+One vectorized formula over flat site indices (_in_future) serves
+count_in_future, and through it "not later than" and spacelike, and the
+cone rows of kernel_residuals.
+
 Translation symmetry: every default kernel is exactly invariant under
 spatial translation, K(t, x; t', x') = C(t, t', (x - x') mod nx).  The
 builders compute C (the retarded one from a single leapfrog source, the
 Hadamard one as a sum of mode blocks) and gather it into the dense matrix
 with the same arithmetic as the source-by-source and kron constructions,
-so the entries are the same bits, signed zeros included.  kernel_residuals
-checks the six kernels for that invariance exactly (a shift by one site in
-both x arguments) and then reads only their nt source columns at x' = 0,
-which hold every value of a kernel: maxima are the same and the cone
-count is nx times theirs.  H3 comes from the nx Hermitian nt x nt mode
-blocks of the x' = 0 column.  If any kernel is not invariant (a planted
-defect), every residual reads all columns and H3 comes from a dense
-eigensolve.  bisolution_residual makes the same choice for the one kernel
-it is given, such as a caller's perturbed W.
+so the entries are the same bits, signed zeros included.  The Hadamard
+builder takes the time blocks of Delta from its x' = 0 column, which
+holds all of them.  kernel_residuals checks the six kernels for that
+invariance exactly (a shift by one site in both x arguments) and then
+reads only their nt source columns at x' = 0, which hold every value of a
+kernel: maxima are the same and the cone count is nx times theirs.  H3
+comes from the nx Hermitian nt x nt mode blocks of the x' = 0 column.  If
+any kernel is not invariant (a planted defect), every residual reads all
+columns and H3 comes from a dense eigensolve.  bisolution_residual makes
+the same choice for the one kernel it is given, such as a caller's
+perturbed W.
 
 Large masses: modes with 4 sin^2(k/2) + m^2 > 4 have no real frequency and
 the kernels grow like sinh(gamma * nt); residuals of the eigensolve-based
@@ -45,7 +52,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, TYPE_CHECKING
 
 import numpy as np
@@ -106,41 +113,27 @@ class Lattice:
         d = abs(x1 - x2) % self.nx
         return min(d, self.nx - d)
 
-    def interior_rows(self):
-        """Time rows where the centered operator stencil is complete."""
-        return range(1, self.nt - 1)
-
     def interior_mask(self) -> np.ndarray:
-        m = np.zeros(self.n_sites, dtype=bool)
-        for t in self.interior_rows():
-            m[t * self.nx:(t + 1) * self.nx] = True
-        return m
+        """Sites on the rows 1 <= t <= nt-2, where the centered operator
+        stencil is complete."""
+        m = np.zeros((self.nt, self.nx), dtype=bool)
+        m[1:-1] = True
+        return m.reshape(self.n_sites)
 
     # -- causal structure ---------------------------------------------------
 
-    def in_causal_future(self, q: LatticePoint, p: LatticePoint) -> bool:
-        """q in J^+(p): unit-speed cone on the spatial torus."""
-        return q.t >= p.t and self.torus_dist(q.x, p.x) <= q.t - p.t
-
-    def causal_future(self, p: LatticePoint) -> Region:
-        self.site_index(p)  # range check
-        return frozenset(q for q in self.points() if self.in_causal_future(q, p))
-
     def count_in_future(self, A, B) -> int:
-        """Number of points of A inside the causal future of B (zero iff A
-        is not later than B)."""
-        return sum(1 for a in A
-                   if any(self.in_causal_future(a, b) for b in B))
+        """Number of points of A inside the causal future J^+ of B (zero iff
+        A is not later than B)."""
+        a, b = (np.array([self.site_index(p) for p in S], dtype=int)
+                for S in (A, B))
+        return int(np.count_nonzero(_in_future(self, a, b).any(axis=1)))
 
     def not_later_than(self, A, B) -> bool:
         """A does not meet the causal future of B (A "not later than" B).
 
         Never true when A and B intersect (p is in its own future).
         """
-        A = frozenset(A)
-        B = frozenset(B)
-        for p in A | B:
-            self.site_index(p)
         return self.count_in_future(A, B) == 0
 
     def spacelike(self, A, B) -> bool:
@@ -152,12 +145,9 @@ class Lattice:
         """Apply P = -(box + m^2) row-wise, zero-padding outside the slab.
 
         Only interior rows of the result are meaningful.  Accepts a flat
-        (n_sites,) array, an (n_sites, k) stack of columns (each column
-        transformed on its own), or a FieldConfiguration, and returns the
-        same kind.
+        (n_sites,) array or an (n_sites, k) stack of columns (each column
+        transformed on its own) and returns an array of the same shape.
         """
-        if isinstance(phi, FieldConfiguration):
-            return FieldConfiguration(self, self.klein_gordon_apply(phi.values))
         phi = np.asarray(phi)
         u = phi.reshape(self.nt, self.nx, *phi.shape[1:])
         up = np.zeros_like(u)
@@ -172,8 +162,8 @@ class Lattice:
 
     def _kernel(self, build) -> "Kernel":
         """build(self), built once per lattice instance.  The kernels go
-        with the lattice, at the next cyclic garbage collection: each
-        kernel refers back to its lattice."""
+        with the lattice: each holds a cache-free copy of it, not the
+        lattice itself."""
         kernel = self._kernels.get(build)
         if kernel is None:
             kernel = self._kernels[build] = build(self)
@@ -229,56 +219,12 @@ class Lattice:
         return out
 
 
-@dataclass(frozen=True)
-class FieldConfiguration:
-    """Field values on lattice sites, flat-indexed; complex allowed for
-    test directions."""
-
-    lattice: Lattice
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.shape != (self.lattice.n_sites,):
-            raise ValueError(f"field shape {v.shape} != ({self.lattice.n_sites},)")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field has non-finite values")
-        object.__setattr__(self, "values", v)
-        v.setflags(write=False)
-
-    def __call__(self, p: LatticePoint) -> complex:
-        return self.values[self.lattice.site_index(p)]
-
-    def support(self) -> Region:
-        lat = self.lattice
-        return frozenset(lat.point(i) for i in np.flatnonzero(self.values))
-
-    def __add__(self, other: "FieldConfiguration") -> "FieldConfiguration":
-        if self.lattice != other.lattice:
-            raise ValueError("lattice mismatch")
-        return FieldConfiguration(self.lattice, self.values + other.values)
-
-    def __sub__(self, other: "FieldConfiguration") -> "FieldConfiguration":
-        if self.lattice != other.lattice:
-            raise ValueError("lattice mismatch")
-        return FieldConfiguration(self.lattice, self.values - other.values)
-
-    def __mul__(self, c) -> "FieldConfiguration":
-        return FieldConfiguration(self.lattice, self.values * c)
-
-    __rmul__ = __mul__
-
-
 def field_values(lattice: Lattice, phi) -> np.ndarray:
-    """Coerce a FieldConfiguration or array-like to a flat value vector.
+    """Coerce an array-like to a flat value vector.
 
     Accepts flat (n_sites,) vectors or (nt, nx) grids in row-major site
     order.
     """
-    if isinstance(phi, FieldConfiguration):
-        if phi.lattice != lattice:
-            raise ValueError("field lives on a different lattice")
-        return phi.values
     v = np.asarray(phi)
     if v.shape == (lattice.nt, lattice.nx):
         v = v.reshape(lattice.n_sites)
@@ -289,13 +235,19 @@ def field_values(lattice: Lattice, phi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Complex two-point function on lattice sites (flat-index matrix)."""
+    """Complex two-point function on lattice sites (flat-index matrix).
+
+    It holds an equal copy of its lattice with an empty kernel cache, so a
+    lattice and the kernels cached on it make no reference cycle: dropping
+    the lattice frees them by reference counting alone.
+    """
 
     kind: str
     lattice: Lattice
     entries: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "lattice", replace(self.lattice))
         n = self.lattice.n_sites
         if self.entries.shape != (n, n):
             raise ValueError(f"kernel shape {self.entries.shape} != ({n}, {n})")
@@ -384,20 +336,17 @@ def _hadamard(lat: Lattice) -> Kernel:
       with a warning; the massless infrared divergence has no finite
       regularization on the torus.
 
+    The unstable blocks start from the time blocks of Delta at spatial
+    offset xi, D[t, t', xi] = Re Delta[(t, xi), (t', 0)]: Delta is exactly
+    translation invariant, so its x' = 0 column holds every one of them.
+
     The blocks are summed into C[t, t', xi] = sum_k H_k(t, t') cos(k xi) / nx
     and gathered at xi = x - x': entry for entry the products and sums of
     the sum of kron(H_k, cos(k (x - x'))) / nx, so the same bits.
     """
     nt, nx = lat.nt, lat.nx
-    Delta = lat.pauli_jordan().entries.real.reshape(nt, nx, nt, nx)
-
-    # Translation-averaged time blocks D[t, t', xi] at spatial offset xi.
-    D = np.zeros((nt, nt, nx))
-    for xi in range(nx):
-        acc = np.zeros((nt, nt))
-        for xp in range(nx):
-            acc += Delta[:, (xp + xi) % nx, :, xp]
-        D[:, :, xi] = acc / nx
+    Delta = lat.pauli_jordan().entries.reshape(nt, nx, nt, nx)
+    D = Delta[:, :, :, 0].real.transpose(0, 2, 1)
 
     modes = lat.hadamard_mode_classification()
     for j, kind in modes["excluded"]:
@@ -501,8 +450,8 @@ def _green_identity_residual(lat: Lattice, G: np.ndarray, cols) -> float:
 
 
 def _in_future(lat: Lattice, a, b) -> np.ndarray:
-    """m[i, j]: site a[i] lies in J^+(site b[j]), i.e. lat.in_causal_future
-    for every pair at once (torus distance <= dt also forces dt >= 0)."""
+    """m[i, j]: site a[i] lies in J^+(site b[j]), the unit-speed cone on the
+    spatial torus: torus distance <= dt (which also forces dt >= 0)."""
     nx = lat.nx
     dt = a[:, None] // nx - b[None, :] // nx
     wrap = np.abs(a[:, None] % nx - b[None, :] % nx) % nx

@@ -28,7 +28,7 @@ from .formal_series import (LambdaSeries, MultilinearFamily, arg_key,
                             compose_SZ, series_multiply, series_invert,
                             series_add, series_scale)
 from .functionals import (GeneralizedLagrangian, HbarScalar, PolyFunctional,
-                          _fattened_indicator, delta_L, is_local_at_scale)
+                          cutoff_lagrangian, is_local_at_scale)
 from .lattice import Lattice, LatticePoint, bisolution_residual, field_values
 from .relations import hammerstein_sides
 from .star_algebra import StarAlgebraContext
@@ -621,14 +621,12 @@ def check_schwinger_dyson(S: SMatrix, L: GeneralizedLagrangian,
         raise ValueError(
             "phi0 must be supported on rows 2..nt-3, away from the time "
             "boundary (the bisolution identity only holds on interior rows)")
-    delta_L(L, phi0v)
+    # the delta_L checks, and the cutoff Lagrangian the rows expand
+    checked = cutoff_lagrangian(L, phi0v)
     zerof = PolyFunctional.zero(lat)
     b_rows = [zerof] * (cap + 1)
-    if touched:
-        sites = set(int(i) for i in np.flatnonzero(phi0v))
-        cutoff = _fattened_indicator(lat, sites, L.stencil_radius())
-        Lf = L(cutoff)
-        for k, term in enumerate(Lf.shift_field_series(phi0v)):
+    if checked is not None:
+        for k, term in enumerate(checked[0].shift_field_series(phi0v)):
             if 1 <= k <= cap:
                 b_rows[k] = term
     f_shift = F.shift_field_series(phi0v)

@@ -161,10 +161,9 @@ def test_mixed_memo_is_order_insensitive():
     assert len(calls) == 1
 
 
-def _counting_family(calls, **kw):
+def _counting_family(calls):
     return MultilinearFamily(
-        evaluate_mixed=lambda n, args: calls.append(n) or math.prod(args),
-        **kw)
+        evaluate_mixed=lambda n, args: calls.append(n) or math.prod(args))
 
 
 def test_memo_keys_scalars_by_type_and_value():
@@ -203,11 +202,6 @@ def test_diagonal_after_mixed_calls_no_evaluator():
     assert fam.mixed(3, [F(2)] * 3) == 8
     assert fam.diagonal(3, F(2)) == 8
     assert calls == [3]
-    # a non-symmetric family shares the entry too
-    ordered = _counting_family(calls, symmetric=False)
-    assert ordered.diagonal(2, F(5)) == 25
-    assert ordered.mixed(2, [F(5), F(5)]) == 25
-    assert calls == [3, 2]
 
 
 def test_memo_never_reuses_ids_of_dead_arguments():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paqft.cli import main
-from paqft.lattice import (FieldConfiguration, Kernel, Lattice, LatticePoint,
+from paqft.lattice import (Kernel, Lattice, LatticePoint,
                            _translation_invariant, feynman_from_hadamard,
                            field_values, kernel_residuals,
                            wightman_from_hadamard)
@@ -33,14 +33,39 @@ def test_site_indexing_roundtrip(lat):
         lat.site_index(LatticePoint(lat.nt, 0))
 
 
+def _in_causal_future(lat, q, p):
+    """q in J^+(p), one pair at a time: the scalar reference for the
+    library's vectorized cone."""
+    return q.t >= p.t and lat.torus_dist(q.x, p.x) <= q.t - p.t
+
+
 def test_causal_cone_geometry(lat):
     p = LatticePoint(4, 5)
-    fut = lat.causal_future(p)
-    for q in fut:
-        assert q.t >= p.t and lat.torus_dist(q.x, p.x) <= q.t - p.t
+    fut = {q for q in lat.points() if lat.count_in_future({q}, {p})}
+    assert fut == {q for q in lat.points() if _in_causal_future(lat, q, p)}
     assert p in fut  # reflexive
     assert LatticePoint(5, 5) in fut and LatticePoint(5, 6) in fut
     assert LatticePoint(5, 7) not in fut
+
+
+@pytest.mark.parametrize("nt, nx", [(8, 8), (12, 16)])
+def test_count_in_future_matches_the_scalar_reference(nt, nx):
+    lat = Lattice(nt, nx, 0.5)
+    pts = list(lat.points())
+    rng = np.random.default_rng(nt * nx)
+
+    def region():  # 0 to 7 distinct points, so empty regions come up too
+        size = rng.integers(0, 8)
+        return {pts[i] for i in rng.choice(len(pts), size, replace=False)}
+
+    for _ in range(60):
+        A, B = region(), region()
+        want = sum(1 for a in A
+                   if any(_in_causal_future(lat, a, b) for b in B))
+        got = lat.count_in_future(A, B)
+        assert type(got) is int and got == want
+    assert lat.count_in_future(set(), set(pts)) == 0
+    assert lat.count_in_future(set(pts), set()) == 0
 
 
 def test_not_later_than_and_spacelike(lat):
@@ -109,9 +134,9 @@ def _per_row_leapfrog(lat):
     return G.reshape(lat.n_sites, lat.n_sites).astype(complex)
 
 
-def _kron_sum_hadamard(lat):
-    """The Hadamard part as a dense sum of kron(H_k, cos(k (x - x'))) / nx
-    over the modes, with the mode blocks H_k built as the library does."""
+def _averaged_blocks(lat):
+    """The time blocks D[t, t', xi] of Delta at spatial offset xi, averaged
+    over the nx source positions x'."""
     nt, nx = lat.nt, lat.nx
     Delta = lat.pauli_jordan().entries.real.reshape(nt, nx, nt, nx)
     D = np.zeros((nt, nt, nx))
@@ -120,6 +145,26 @@ def _kron_sum_hadamard(lat):
         for xp in range(nx):
             acc += Delta[:, (xp + xi) % nx, :, xp]
         D[:, :, xi] = acc / nx
+    return D
+
+
+def _column_blocks(lat):
+    """D[t, t', xi] = Re Delta[(t, xi), (t', 0)], copied entry by entry."""
+    nt, nx = lat.nt, lat.nx
+    Delta = lat.pauli_jordan().entries
+    D = np.zeros((nt, nt, nx))
+    for t in range(nt):
+        for tp in range(nt):
+            for xi in range(nx):
+                D[t, tp, xi] = Delta[t * nx + xi, tp * nx].real
+    return D
+
+
+def _kron_sum_hadamard(lat, D):
+    """The Hadamard part as a dense sum of kron(H_k, cos(k (x - x'))) / nx
+    over the modes, with the mode blocks H_k built as the library does
+    from the time blocks D of Delta."""
+    nt, nx = lat.nt, lat.nx
     modes = lat.hadamard_mode_classification()
     tgrid = np.arange(nt)
     tau = tgrid[:, None] - tgrid[None, :]
@@ -170,20 +215,44 @@ def test_one_source_kernels_are_the_dense_constructions_bitwise(nt, nx, mass):
         H = lat.hadamard_kernel().entries
     assert lat.green_retarded().entries.tobytes() == \
         _per_row_leapfrog(lat).tobytes()
-    assert H.tobytes() == _kron_sum_hadamard(lat).tobytes()
+    assert H.tobytes() == _kron_sum_hadamard(lat, _column_blocks(lat)).tobytes()
     # what lets kernel_residuals read only the x' = 0 columns
     for name in ("green_retarded", "green_advanced", "pauli_jordan",
                  "hadamard_kernel", "wightman", "feynman"):
         assert _translation_invariant(lat, getattr(lat, name)().entries), name
 
 
+@pytest.mark.parametrize("nt, nx, mass, exact", [
+    (12, 16, 0.5, True), (16, 32, 0.5, True),
+    (24, 48, 0.5, False), (8, 10, 2.3, False)])
+def test_averaged_blocks_are_the_x0_column(nt, nx, mass, exact):
+    # Delta is exactly translation invariant, so averaging its time blocks
+    # over the source positions only adds rounding to the x' = 0 column
+    lat = Lattice(nt, nx, mass)
+    averaged, column = _averaged_blocks(lat), _column_blocks(lat)
+    if exact:
+        # the same numbers: the sums from +0.0 only turn the column's -0.0
+        # entries into +0.0, and the Hadamard part is the same bits
+        assert np.array_equal(averaged, column)
+        assert _kron_sum_hadamard(lat, averaged).tobytes() == \
+            _kron_sum_hadamard(lat, column).tobytes()
+    else:
+        scale = np.max(np.abs(lat.pauli_jordan().entries))
+        assert np.max(np.abs(averaged - column)) <= 2e-15 * scale
+
+
 def test_a_dropped_lattice_frees_its_kernels():
-    lat = Lattice(8, 8, 0.5)
-    ref = weakref.ref(lat.wightman())
-    assert lat.wightman() is ref()  # built once per lattice
-    del lat
-    gc.collect()
-    assert ref() is None
+    # by reference counting alone: no cycle is left for the cyclic collector
+    gc.disable()
+    try:
+        lat = Lattice(8, 8, 0.5)
+        ref = weakref.ref(lat.wightman())
+        assert lat.wightman() is ref()  # built once per lattice
+        assert ref().lattice == lat
+        del lat
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("nt, nx", [(12, 16), (16, 32)])
@@ -227,10 +296,10 @@ def _reference_cone(lat, R):
     off_future = np.zeros((n, n), dtype=bool)
     for i, p in enumerate(lat.points()):
         for j, q in enumerate(lat.points()):
-            inside = lat.in_causal_future(p, q)  # q source, p field point
+            inside = _in_causal_future(lat, p, q)  # q source, p field point
             if not inside and R[i, j] != 0:
                 cone_leaks += 1
-            off_future[i, j] = not lat.in_causal_future(q, p)
+            off_future[i, j] = not _in_causal_future(lat, q, p)
     return cone_leaks, off_future
 
 

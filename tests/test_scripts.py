@@ -43,6 +43,10 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     assert run.returncode == 0, run.stderr
     entry = json.loads(out.read_text())["labels"]["smoke"]
     assert set(entry["machine"]) == {"cpu_model", "nproc", "python", "numpy"}
+    # the line count of the timed tree, as `wc -l src/paqft/*.py` gives it
+    assert entry["src_lines"] == sum(
+        len(path.read_text().splitlines())
+        for path in (Path(src) / "paqft").glob("*.py"))
     row = entry["sizes"]["8x8"]
     assert len(row["runs"]) == 3
     for key in ("build_s", "residuals_s", "peak_rss_mb"):

@@ -359,7 +359,7 @@ def test_planted_star_ordered_S_fails_s2_and_mult_rows(lat, ctx):
             return args[0]
         return ctx.star(fam.mixed(n - 1, args[:-1]), args[-1])
 
-    fam = MultilinearFamily(evaluate_mixed=mixed, symmetric=False)
+    fam = MultilinearFamily(evaluate_mixed=mixed)
     S_bad = SMatrix(context=ctx, family=fam, label="S-star")
     cap = 3
     triples = default_s_plan(lat, seed=0, count=2, cap=cap)["causal_triples"]
