@@ -29,6 +29,7 @@ import argparse
 import copy
 import functools
 import json
+import math
 import os
 import sys
 import warnings
@@ -119,19 +120,42 @@ def load_config(path: str | None, sets) -> dict:
     return cfg
 
 
+# (section, key, least value) of the integer fields; JSON booleans are
+# not integers here, though Python counts them as such
+_INT_FIELDS = (
+    ("lattice", "nt", 4), ("lattice", "nx", 4),
+    ("caps", "lambda_order", 0), ("caps", "locality_order", 0),
+    ("caps", "sd_order", 0), ("caps", "degree", 0),
+    ("hadamard", "perturbation-seed", 0),
+    ("samples", "count", 1), ("samples", "seed", 0),
+    ("extract", "functionals", 1),
+    ("correlate", "lambda_cap", 0), ("correlate", "locality_radius", 0))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """A finite int or float that is not a boolean."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 def validate_config(cfg: dict) -> None:
-    lat = cfg["lattice"]
-    if not isinstance(lat.get("nt"), int) or lat["nt"] < 4:
-        raise UsageError(f"lattice.nt must be an integer >= 4, got {lat.get('nt')!r}")
-    if not isinstance(lat.get("nx"), int) or lat["nx"] < 4:
-        raise UsageError(f"lattice.nx must be an integer >= 4, got {lat.get('nx')!r}")
-    m = lat.get("mass")
-    if not isinstance(m, (int, float)) or m < 0:
+    for section, key, least in _INT_FIELDS:
+        v = cfg[section].get(key)
+        if not _is_int(v) or v < least:
+            raise UsageError(
+                f"{section}.{key} must be an integer >= {least}, got {v!r}")
+    m = cfg["lattice"].get("mass")
+    if not _is_number(m) or m < 0:
         raise UsageError(f"lattice.mass must be a number >= 0, got {m!r}")
-    for key in ("lambda_order", "locality_order", "sd_order", "degree"):
-        v = cfg["caps"].get(key)
-        if not isinstance(v, int) or v < 0:
-            raise UsageError(f"caps.{key} must be a nonnegative integer, got {v!r}")
+    for section, key in (("hadamard", "perturbation-scale"),
+                         ("extract", "kappa")):
+        v = cfg[section].get(key)
+        if not _is_number(v):
+            raise UsageError(f"{section}.{key} must be a number, got {v!r}")
     deg = cfg["caps"]["degree"]
     if deg > MAX_DEGREE // 2:
         raise UsageError(
@@ -145,13 +169,11 @@ def validate_config(cfg: dict) -> None:
         raise UsageError(
             "extract.mode must be 'roundtrip' or 'two-hadamard', "
             f"got {cfg['extract'].get('mode')!r}")
-    n = cfg["samples"].get("count")
-    if not isinstance(n, int) or n < 1:
-        raise UsageError(f"samples.count must be a positive integer, got {n!r}")
     for key in ("kernel", "series", "extraction"):
         v = cfg["tolerances"].get(key)
-        if not isinstance(v, (int, float)) or v <= 0:
-            raise UsageError(f"tolerances.{key} must be positive, got {v!r}")
+        if not _is_number(v) or v <= 0:
+            raise UsageError(
+                f"tolerances.{key} must be a positive number, got {v!r}")
     if not isinstance(cfg.get("suites"), list):
         raise UsageError("suites must be a list of suite names")
 
@@ -181,12 +203,22 @@ def _mid_window(lat: Lattice):
     return [LatticePoint(t, x) for t in rows for x in range(lat.nx)]
 
 
+def _write_new(path: Path, write) -> None:
+    """Unlink `path`, then let `write(path)` create it as a new file.  ext4
+    (auto_da_alloc) flushes a file that is truncated and rewritten in
+    place, or renamed over an old one, when it is closed, and the write
+    waits for the disk; a new file is not flushed."""
+    path.unlink(missing_ok=True)
+    write(path)
+
+
 def _write_report(cfg: dict, name: str, report: dict) -> Path:
     out = Path(cfg["output"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2,
-                               default=_json_default) + "\n")
+    text = json.dumps(report, sort_keys=True, indent=2,
+                      default=_json_default) + "\n"
+    _write_new(path, lambda p: p.write_text(text))
     return path
 
 
@@ -241,10 +273,7 @@ def cmd_propagators(cfg: dict) -> int:
               "residuals": residuals, "checks": checks,
               "warnings": sorted(str(w.message) for w in caught), "pass": ok}
     path = _write_report(cfg, "propagators", report)
-    # a new file, not the old one truncated: ext4 (auto_da_alloc) flushes a
-    # file rewritten in place when it is closed, about 1 s for 25 MB
-    (path.parent / KERNELS_FILE).unlink(missing_ok=True)
-    np.savez(path.parent / KERNELS_FILE, **kernels)
+    _write_new(path.parent / KERNELS_FILE, lambda p: np.savez(p, **kernels))
     for key in sorted(residuals):
         print(f"propagators {key}: {residuals[key]:.3e} -> "
               f"{'PASS' if checks[key] else 'FAIL'}")

@@ -68,6 +68,14 @@ class HbarScalar:
                     f"hbar exponent {k} outside window {list(HBAR_WINDOW)}")
         self.coeffs = c
 
+    @classmethod
+    def _canonical(cls, coeffs: dict[int, complex]) -> "HbarScalar":
+        """Store {int exponent: non-zero complex inside the window} as it
+        is; nothing is checked or copied."""
+        c = object.__new__(cls)
+        c.coeffs = coeffs
+        return c
+
     @staticmethod
     def zero() -> "HbarScalar":
         return HbarScalar()

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -67,10 +68,13 @@ class SMatrix:
             # memo entry of the shorter product, so each order folds once
             if n == 1:
                 return args[0]
-            return context.time_ordered(fam.mixed(n - 1, args[:-1]),
+            return context.time_ordered(family().mixed(n - 1, args[:-1]),
                                         args[-1])
 
         fam = MultilinearFamily(evaluate_mixed=mixed)
+        # a weak reference, so no cycle keeps a dropped SMatrix, its memo
+        # and its context's selection cache alive
+        family = weakref.ref(fam)
         return cls(context=context, family=fam, label=label)
 
     @property

@@ -14,15 +14,37 @@ Polynomial degree means r <= 8 throughout.
 
 The contraction accumulates flat: the kernel rows of F's sites are read
 once per call as Python lists, and each output monomial collects one plain
-complex per hbar exponent.  Terms are formed and added in the order, and
-with the exact complex operations, of the HbarScalar arithmetic
-``acc[key] += (c_F * c_G) * (per * HbarScalar({r: 1}))``; zero terms and
-zero sums are dropped the way HbarScalar drops them.  For finite
-coefficients the result is bitwise that of the HbarScalar loop, with one
-HbarScalar per output monomial built at the end and stored by
-_poly_from_flat without a second validation (the keys are sorted merges
-of canonical keys).  The r = 0 term is the same loop with the empty
-selection, whose permanent is 1.
+complex per hbar exponent.  Terms come out bitwise as the HbarScalar
+arithmetic ``acc[key] += (c_F * c_G) * (per * HbarScalar({r: 1}))``
+forms them: its steps that can only flip the sign of a zero part (the
+``0j +`` and ``(1 + 0j) *`` of the weight and the term) are left out
+where the ``0j +`` of a new exponent, or the sum with a stored value,
+sets that sign as they would; the r = 2 permanent and the product of two
+single-exponent coefficients are formed inline with the operations of
+_permanent and HbarScalar.  Zero terms and zero sums are dropped the way
+HbarScalar drops them, and each output HbarScalar is stored without a
+second validation (its coefficients are non-zero and inside the window,
+its key a sorted merge of canonical keys).  The r = 0 term of a pair is
+c_F * c_G itself, under the sorted merge of the two keys.
+
+Selections run over distinct site multisets.  A key that repeats a site,
+such as (a, a, b), has index selections that pick the same (selected,
+remaining) multisets; each distinct pair is enumerated once, at its first
+index selection, with its multiplicity, and a term of the pair of
+selections with multiplicities ma and mb is the HbarScalar-formed term
+times ma * mb.  The selections of a key are cached on the context
+(``StarAlgebraContext._selection_cache``, shared by both kernels and freed
+with the context); they depend on the key alone, so the cache never
+changes a result.  An operand with only degree 0 has only the r = 0 term:
+the result is the pointwise product, formed as that term.
+
+For finite coefficients, a product with a constant operand, and a product
+whose keys repeat no site, is bitwise what the per-term HbarScalar loop
+over every index selection gives: every multiplicity is 1 and the terms
+come in that loop's order.  Where a key repeats a site, one weighted term
+replaces ma * mb equal terms that the loop meets at different points, so
+coefficients differ by rounding, within 1e-14 of the sum of the
+magnitudes of their terms.
 """
 
 from __future__ import annotations
@@ -51,11 +73,18 @@ def _selections(degree: int, r: int):
     return tuple(out)
 
 
-def _site_selections(key: tuple, r: int):
-    """_selections(len(key), r) mapped to the sites of a monomial key."""
+def _site_selections(key: tuple, r: int) -> list:
+    """The distinct (selected, remaining) site multisets of the sorted key
+    `key` with r sites selected, each with its multiplicity: the number of
+    index selections of _selections(len(key), r) that give it.  Ordered by
+    first occurrence, so a key without a repeated site gives every index
+    selection once, in _selections order."""
     get = key.__getitem__
-    return [(tuple(map(get, sel)), tuple(map(get, rem)))
-            for sel, rem in _selections(len(key), r)]
+    counts: dict = {}
+    for sel, rem in _selections(len(key), r):
+        pair = (tuple(map(get, sel)), tuple(map(get, rem)))
+        counts[pair] = counts.get(pair, 0) + 1
+    return [(sel, rem, m) for (sel, rem), m in counts.items()]
 
 
 def _poly_from_flat(lattice: Lattice, flat: dict) -> PolyFunctional:
@@ -88,6 +117,26 @@ def _permanent(mat) -> complex:
     return total
 
 
+def _product(ca: HbarScalar, cb: HbarScalar) -> list:
+    """The (exponent, value) items of ca * cb, with HbarScalar's window
+    check; a product of two single exponents is formed inline with
+    HbarScalar's operations.  Each value is non-zero and, as a sum started
+    at 0j, has no -0.0 part, so the r = 0 term 0j + v * (1 + 0j) is v."""
+    a, b = ca.coeffs, cb.coeffs
+    if len(a) != 1 or len(b) != 1:
+        return list((ca * cb).coeffs.items())
+    (ea, va), = a.items()
+    (eb, vb), = b.items()
+    z = 0j + va * vb
+    if z == 0:
+        return []
+    e = ea + eb
+    if not HBAR_WINDOW[0] <= e <= HBAR_WINDOW[1]:
+        raise ValueError(
+            f"hbar exponent {e} outside window {list(HBAR_WINDOW)}")
+    return [(e, z)]
+
+
 @dataclass(frozen=True)
 class StarAlgebraContext:
     """Kernels and conventions for one lattice's quantum algebra.
@@ -102,6 +151,8 @@ class StarAlgebraContext:
     feynman: Kernel
     pauli_jordan: Kernel
     max_contraction_order: int | None = None
+    _selection_cache: dict = field(default_factory=dict, init=False,
+                                   compare=False, repr=False)
 
     def __post_init__(self):
         for k in (self.wightman, self.feynman, self.pauli_jordan):
@@ -130,52 +181,111 @@ class StarAlgebraContext:
 
     def _contract(self, F: PolyFunctional, G: PolyFunctional,
                   entries: np.ndarray) -> PolyFunctional:
-        """Exponentiated-contraction product of F and G along `entries`."""
+        """Exponentiated-contraction product of F and G along `entries`.
+
+        Each monomial pair sums over the distinct site-multiset selections
+        of its keys, each term times the multiplicities of its two
+        selections, which are read from and stored in this context's
+        _selection_cache.  An operand with only degree 0 gives the
+        pointwise product.  The result is bitwise that of the per-term
+        loop over every index selection when an operand is constant or no
+        key repeats a site, and within rounding otherwise (module
+        docstring)."""
         if F.lattice != self.lattice or G.lattice != self.lattice:
             raise ValueError("functionals must live on the context lattice")
         f_monos = list(F.monomials())
         g_monos = list(G.monomials())
+        lo, hi = HBAR_WINDOW
+        acc: dict = {}
+        if not (F.terms.keys() - {0} and G.terms.keys() - {0}):
+            # only r = 0 contributes: one output key per monomial pair, and
+            # its term 0j + v * (1 + 0j) is v (see _product)
+            for _da, ka, ca in f_monos:
+                for _db, kb, cb in g_monos:
+                    acc[ka + kb] = dict(_product(ca, cb))
+            return _poly_from_flat(self.lattice, {
+                key: HbarScalar._canonical(coeffs)
+                for key, coeffs in acc.items()})
         kernel = {s: entries[s].tolist()
                   for s in {s for _d, ka, _c in f_monos for s in ka}}
-        lo, hi = HBAR_WINDOW
-        picks: dict = {}
-        acc: dict = {}
+        # {key: [None or _site_selections(key, r) for r in 0..len(key)]},
+        # shared by both kernels
+        cache = self._selection_cache
+        g_sels = []
+        for _db, kb, _cb in g_monos:
+            sels = cache.get(kb)
+            if sels is None:
+                sels = cache[kb] = [None] * (len(kb) + 1)
+            g_sels.append(sels)
         cap = self.max_contraction_order
         for da, ka, ca in f_monos:
-            for db, kb, cb in g_monos:
+            a_sels = cache.get(ka)
+            if a_sels is None:
+                a_sels = cache[ka] = [None] * (da + 1)
+            for (db, kb, cb), b_sels in zip(g_monos, g_sels):
                 rmax = min(da, db)
                 if cap is not None:
                     rmax = min(rmax, cap)
-                cc = list((ca * cb).coeffs.items())
-                for r in range(rmax + 1):
+                cc = _product(ca, cb)
+                # r = 0: the one empty selection, permanent 1, and the
+                # term 0j + v * (1 + 0j) is v
+                key = tuple(sorted(ka + kb))
+                coeffs = acc.get(key)
+                if coeffs is None:
+                    coeffs = acc[key] = {}
+                for e, z in cc:
+                    prev = coeffs.get(e)
+                    if prev is None:
+                        coeffs[e] = z
+                        continue
+                    z = prev + z
+                    if z == 0:
+                        del coeffs[e]
+                    else:
+                        coeffs[e] = z
+                for r in range(1, rmax + 1):
                     shifted = [(e + r, v) for e, v in cc]
-                    sels_a = picks.get((ka, r))
+                    sels_a = a_sels[r]
                     if sels_a is None:
-                        sels_a = picks[ka, r] = _site_selections(ka, r)
-                    sels_b = picks.get((kb, r))
+                        sels_a = a_sels[r] = _site_selections(ka, r)
+                    sels_b = b_sels[r]
                     if sels_b is None:
-                        sels_b = picks[kb, r] = _site_selections(kb, r)
-                    for sa, rest in sels_a:
+                        sels_b = b_sels[r] = _site_selections(kb, r)
+                    for sa, rest, ma in sels_a:
                         krows = [kernel[s] for s in sa]
-                        for sb, rb in sels_b:
+                        for sb, rb, mb in sels_b:
                             if r == 1:
                                 per = krows[0][sb[0]]
-                            elif r:
+                            elif r == 2:
+                                # _permanent's two permutations, inlined
+                                k0, k1 = krows
+                                b0, b1 = sb
+                                p = (1 + 0j) * k0[b0]
+                                if p != 0:
+                                    p *= k1[b1]
+                                q = (1 + 0j) * k0[b1]
+                                if q != 0:
+                                    q *= k1[b0]
+                                per = 0j + p + q
+                            else:
                                 per = _permanent([[row[s] for s in sb]
                                                   for row in krows])
-                            else:
-                                per = 1 + 0j
                             if per == 0:
                                 continue
-                            # the weight HbarScalar({r: 1}) * per, then
-                            # cc * weight, each term as HbarScalar forms it
-                            w = 0j + (1 + 0j) * per
+                            m = ma * mb
                             key = tuple(sorted(rest + rb))
                             coeffs = acc.get(key)
                             if coeffs is None:
                                 coeffs = acc[key] = {}
+                            # the term 0j + v * (0j + (1 + 0j) * per) of
+                            # HbarScalar arithmetic, times m; the two 0j +
+                            # and the 1 + 0j change only the signs of zero
+                            # parts, which the sum with prev, or 0j + z for
+                            # a new exponent, sets to +0.0 as they would
                             for e, v in shifted:
-                                z = 0j + v * w
+                                z = v * per
+                                if m != 1:
+                                    z *= m
                                 if z == 0:
                                     continue
                                 prev = coeffs.get(e)
@@ -184,7 +294,7 @@ class StarAlgebraContext:
                                         raise ValueError(
                                             f"hbar exponent {e} outside "
                                             f"window {[lo, hi]}")
-                                    coeffs[e] = z
+                                    coeffs[e] = 0j + z
                                     continue
                                 # HbarScalar addition drops a zero sum; a
                                 # later term re-enters it at the end
@@ -193,10 +303,12 @@ class StarAlgebraContext:
                                     del coeffs[e]
                                 else:
                                     coeffs[e] = z
-        # one HbarScalar per output monomial; the keys are sorted merges of
-        # canonical keys, so the result is stored without re-validation
+        # one HbarScalar per output monomial; its coefficients are non-zero
+        # and inside the window, and the keys are sorted merges of canonical
+        # keys, so nothing is validated again
         return _poly_from_flat(self.lattice, {
-            key: HbarScalar(coeffs) for key, coeffs in acc.items()})
+            key: HbarScalar._canonical(coeffs)
+            for key, coeffs in acc.items()})
 
     def star(self, F: PolyFunctional, G: PolyFunctional) -> PolyFunctional:
         """Star product along the Wightman kernel (associative,

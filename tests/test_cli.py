@@ -44,10 +44,36 @@ def test_load_config_overrides_and_defaults():
     ("extract.mode=weird", "extract.mode"),
     ("samples.count=0", "samples.count"),
     ("tolerances.series=0", "tolerances.series"),
+    # JSON booleans are not numbers
+    ("tolerances.kernel=true", "tolerances.kernel"),
+    ("samples.count=true", "samples.count"),
+    ("lattice.mass=false", "lattice.mass"),
+    ("caps.degree=true", "caps.degree"),
+    # fields that used to escape validation
+    ("samples.seed=abc", "samples.seed"),
+    ("samples.seed=1.7", "samples.seed"),
+    ("samples.seed=-1", "samples.seed"),
+    ("samples.seed=true", "samples.seed"),
+    ("extract.functionals=0", "extract.functionals"),
+    ("extract.functionals=2.5", "extract.functionals"),
+    ("extract.kappa=abc", "extract.kappa"),
+    ("extract.kappa=NaN", "extract.kappa"),
+    ("extract.kappa=true", "extract.kappa"),
+    ("hadamard.perturbation-seed=x", "hadamard.perturbation-seed"),
+    ("hadamard.perturbation-scale=null", "hadamard.perturbation-scale"),
+    ("correlate.lambda_cap=1.5", "correlate.lambda_cap"),
 ])
 def test_config_validation_names_field(override, field):
     with pytest.raises(UsageError, match=field.replace(".", r"\.")):
         load_config(None, [override])
+
+
+def test_unvalidated_field_errors_exit_2(tmp_path, capsys):
+    # a bad seed used to escape as a ValueError traceback with exit 1
+    assert main(["axioms", "--set", "samples.seed=abc",
+                 "--set", f"output={tmp_path}"]) == 2
+    assert "samples.seed" in capsys.readouterr().err
+    assert not (tmp_path / "axioms.json").exists()
 
 
 def test_missing_config_file():
@@ -122,6 +148,23 @@ def test_propagators_outputs_byte_identical(tmp_path):
         assert main(args) == 0
         runs.append([(tmp_path / f).read_bytes() for f in files])
     assert runs[0] == runs[1]
+
+
+def test_rerun_writes_new_files_not_the_old_ones_in_place(tmp_path):
+    # each output is unlinked and created anew (ext4 flushes a file rewritten
+    # in place when it is closed), so a hard link keeps the old bytes
+    args = ["propagators", "--set", f"output={tmp_path}",
+            "--set", "lattice.nt=8", "--set", "lattice.nx=8"]
+    files = ("propagators.json", "propagators_kernels.npz")
+    assert main(args) == 0
+    for f in files:
+        os.link(tmp_path / f, tmp_path / f"{f}.old")
+        (tmp_path / f"{f}.old").write_bytes(b"old")
+    assert main(args) == 0
+    for f in files:
+        assert (tmp_path / f"{f}.old").read_bytes() == b"old"
+        assert not os.path.samefile(tmp_path / f, tmp_path / f"{f}.old")
+        assert (tmp_path / f).stat().st_size > 3
 
 
 def test_propagators_report_size_does_not_scale(tmp_path):

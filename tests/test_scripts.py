@@ -37,7 +37,8 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     src = str(Path(paqft.__file__).resolve().parent.parent)
     out = tmp_path / "BENCH_kernels.json"
     run = subprocess.run(
-        [sys.executable, str(SCRIPTS / "bench_kernels.py"), "--sizes", "8x8",
+        [sys.executable, str(SCRIPTS / "bench_kernels.py"),
+         "--sizes", "8x8,contract",
          "--label", "smoke", "--src", src, "--out", str(out)],
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
@@ -51,3 +52,13 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     assert len(row["runs"]) == 3
     for key in ("build_s", "residuals_s", "peak_rss_mb"):
         assert row[key] == sorted(r[key] for r in row["runs"])[1] > 0
+    # the contract entry: _contract wrapped in the serial 12x16 units
+    row = entry["contract"]
+    assert len(row["runs"]) == 3
+    for key in ("contract_s", "units_s", "peak_rss_mb"):
+        assert row[key] == sorted(r[key] for r in row["runs"])[1] > 0
+    assert row["contract_s"] < row["units_s"]
+    # the same units every run, so the same number of calls
+    assert {r["contract_calls"] for r in row["runs"]} == {
+        row["contract_calls"]}
+    assert row["contract_calls"] > 0

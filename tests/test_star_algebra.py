@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from paqft.functionals import HbarScalar, PolyFunctional
 from paqft.lattice import Kernel, Lattice, LatticePoint
-from paqft.star_algebra import StarAlgebraContext, beta
+from paqft.smatrix_renorm import build_smatrix
+from paqft.star_algebra import StarAlgebraContext, _site_selections, beta
 
 
 def _phi(lat, t, x):
@@ -149,18 +152,25 @@ def _reference_selections(degree, r):
             for sel in itertools.combinations(range(degree), r)]
 
 
-def _reference_contract(lat, F, G, entries):
+def _reference_contract(lat, F, G, entries, mags=None):
     """The contraction as it was written before flat accumulation: numpy
-    submatrices and one HbarScalar per term."""
+    submatrices, every index selection and one HbarScalar per term.  With
+    `mags`, {(key, exponent): sum of |term|} is added up in it."""
     acc: dict = {}
+
+    def add(key, term):
+        prev = acc.get(key)
+        acc[key] = term if prev is None else prev + term
+        if mags is not None:
+            for e, v in term.coeffs.items():
+                mags[key, e] = mags.get((key, e), 0.0) + abs(v)
+
     for da, ka, ca in F.monomials():
         for db, kb, cb in G.monomials():
             cc = ca * cb
             for r in range(min(da, db) + 1):
                 if r == 0:
-                    key = tuple(sorted(ka + kb))
-                    prev = acc.get(key)
-                    acc[key] = cc if prev is None else prev + cc
+                    add(tuple(sorted(ka + kb)), cc)
                     continue
                 weight = HbarScalar({r: 1.0})
                 for sa, ra in _reference_selections(da, r):
@@ -170,11 +180,9 @@ def _reference_contract(lat, F, G, entries):
                         per = _reference_permanent(entries[np.ix_(rows, cols)])
                         if per == 0:
                             continue
-                        key = tuple(sorted(
-                            [ka[i] for i in ra] + [kb[j] for j in rb]))
-                        term = cc * (per * weight)
-                        prev = acc.get(key)
-                        acc[key] = term if prev is None else prev + term
+                        add(tuple(sorted(
+                            [ka[i] for i in ra] + [kb[j] for j in rb])),
+                            cc * (per * weight))
     nested: dict = {}
     for key, coeff in acc.items():
         nested.setdefault(len(key), {})[key] = coeff
@@ -189,7 +197,7 @@ def _bits(F):
             for deg, t in F.terms.items() for key, c in t.items()]
 
 
-# a few neighbouring sites, so keys repeat sites as in (a, a, b)
+# a few neighbouring sites, so keys share sites and may repeat them
 _SITES = [5 * 16 + 3, 5 * 16 + 4, 6 * 16 + 3, 6 * 16 + 4, 7 * 16 + 9]
 _parts = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 _hbar = st.dictionaries(st.integers(-2, 2),
@@ -197,6 +205,11 @@ _hbar = st.dictionaries(st.integers(-2, 2),
                         min_size=1, max_size=3)
 _monomial = st.tuples(st.lists(st.sampled_from(_SITES), max_size=4), _hbar)
 _poly_terms = st.lists(_monomial, min_size=1, max_size=4)
+# keys with no repeated site: every site multiset is one index selection
+_distinct_terms = st.lists(
+    st.tuples(st.lists(st.sampled_from(_SITES), max_size=4, unique=True),
+              _hbar), min_size=1, max_size=4)
+_constant_terms = _hbar.map(lambda c: [([], c)])
 
 
 def _poly(lat, monos):
@@ -207,14 +220,61 @@ def _poly(lat, monos):
     return PolyFunctional(lat, terms)
 
 
+def _products(ctx):
+    return ((ctx.star, ctx.wightman), (ctx.time_ordered, ctx.feynman))
+
+
 @settings(max_examples=60, deadline=None)
-@given(_poly_terms, _poly_terms)
+@given(_distinct_terms, _distinct_terms)
 def test_contract_bitwise_matches_per_term_hbar_loop(lat, ctx, fm, gm):
     F, G = _poly(lat, fm), _poly(lat, gm)
-    for product, kernel in ((ctx.star, ctx.wightman),
-                            (ctx.time_ordered, ctx.feynman)):
+    for product, kernel in _products(ctx):
         want = _reference_contract(lat, F, G, kernel.entries)
         assert _bits(product(F, G)) == _bits(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_constant_terms, st.one_of(_constant_terms, _poly_terms))
+def test_contract_bitwise_with_a_constant_operand(lat, ctx, cm, gm):
+    # the pointwise-product branch: F constant, G constant, or both, with
+    # one or several hbar exponents each
+    C, G = _poly(lat, cm), _poly(lat, gm)
+    for product, kernel in _products(ctx):
+        for F, H in ((C, G), (G, C)):
+            want = _reference_contract(lat, F, H, kernel.entries)
+            assert _bits(product(F, H)) == _bits(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_poly_terms, _poly_terms)
+def test_contract_multisets_match_the_per_selection_loop(lat, ctx, fm, gm):
+    # keys that repeat a site sum each distinct site multiset once, times
+    # its multiplicity: a different summation order, so every coefficient
+    # is compared within 1e-14 of the sum of |terms| added into it
+    F, G = _poly(lat, fm), _poly(lat, gm)
+    for product, kernel in _products(ctx):
+        mags: dict = {}
+        want = _reference_contract(lat, F, G, kernel.entries, mags)
+        got = product(F, G)
+        pairs = {(key, e) for P in (got, want)
+                 for _d, key, c in P.monomials() for e in c.coeffs}
+        for key, e in pairs:
+            g, w = (P.terms.get(len(key), {}).get(key, HbarScalar())
+                    .at(e) for P in (got, want))
+            assert abs(g - w) <= 1e-14 * mags.get((key, e), 0.0), (key, e)
+
+
+def test_site_selections_are_multisets_with_multiplicities():
+    a, b = 3, 7
+    assert _site_selections((a, a, b), 1) == [((a,), (a, b), 2),
+                                              ((b,), (a, a), 1)]
+    assert _site_selections((a, a, b), 2) == [((a, a), (b,), 1),
+                                              ((a, b), (a,), 2)]
+    assert _site_selections((a, a, a, a), 2) == [((a, a), (a, a), 6)]
+    # without a repeated site, the index selections in their order
+    assert _site_selections((1, 2, 3), 2) == [((1, 2), (3,), 1),
+                                              ((1, 3), (2,), 1),
+                                              ((2, 3), (1,), 1)]
 
 
 def test_contract_keeps_hbar_window(lat, ctx):
@@ -223,6 +283,62 @@ def test_contract_keeps_hbar_window(lat, ctx):
         lat, [(HbarScalar({4: 1.0}), [a, a, a, a])])
     with pytest.raises(ValueError, match="outside window"):
         ctx.star(F, F)
+
+
+@pytest.mark.parametrize("c_const", [{5: 1.0}, {5: 1.0, -1: 2.0}])
+def test_contract_keeps_hbar_window_with_a_constant_operand(lat, ctx,
+                                                           c_const):
+    # the product of the coefficients leaves the window: a single exponent
+    # pair (formed inline) and a multi-exponent one (HbarScalar product)
+    const = PolyFunctional.constant(lat, HbarScalar(c_const))
+    F = PolyFunctional.from_monomials(
+        lat, [(HbarScalar({4: 1.0}), [LatticePoint(5, 3)])])
+    for G, H in ((const, F), (F, const), (const, PolyFunctional.constant(
+            lat, HbarScalar({4: 1.0})))):
+        with pytest.raises(ValueError, match="outside window"):
+            ctx.star(G, H)
+        with pytest.raises(ValueError, match="outside window"):
+            ctx.time_ordered(G, H)
+
+
+# -- the selection cache -----------------------------------------------------
+
+
+def test_selection_cache_does_not_change_products(lat, ctx, rng):
+    F = _random_poly(lat, rng, degree=4, n_terms=5, t_lo=5, t_hi=6)
+    G = _random_poly(lat, rng, degree=4, n_terms=5, t_lo=5, t_hi=6)
+    warm = StarAlgebraContext.default(lat)
+    for _ in range(2):
+        warm.star(G, F)
+        warm.time_ordered(F, G)
+    assert warm._selection_cache
+    fresh = StarAlgebraContext.default(lat)
+    assert not fresh._selection_cache
+    assert fresh == warm  # the cache takes no part in equality
+    for one, other in ((fresh.star, warm.star),
+                       (fresh.time_ordered, warm.time_ordered)):
+        assert _bits(one(F, G)) == _bits(other(F, G))
+
+
+def test_a_dropped_smatrix_frees_its_selection_cache():
+    # the cache lives on the context alone, so reference counting frees it
+    # with the SMatrix that holds the context: no cyclic collection needed
+    lat = Lattice(8, 8, 0.5)
+    F = _phi(lat, 3, 2) * _phi(lat, 3, 2) + _phi(lat, 4, 5)
+    gc.disable()
+    try:
+        S = build_smatrix(lat)
+        S.context.time_ordered(F, F)
+        cache = S.context._selection_cache
+        assert cache
+        # held by the context (or its instance dict) and nothing else
+        holder, = gc.get_referrers(cache)
+        assert holder is S.context or holder == vars(S.context)
+        ref = weakref.ref(S.context)
+        del S, cache, holder
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- context validation ----------------------------------------------------
