@@ -12,7 +12,8 @@ which a wrapper in the parent cannot see).
 Each entry runs in RUNS fresh processes, one after another; the figures
 are the medians over those processes.  The result is stored in --out
 under --label, next to the labels already there, with the machine it ran
-on, so one file can hold a before and an after:
+on, so one file can hold a before and an after; a label run again on other
+entries keeps the ones it had:
 
     python3 scripts/bench_kernels.py --label parent --src /path/to/old/src
     python3 scripts/bench_kernels.py --label change
@@ -154,8 +155,12 @@ def main(argv=None) -> int:
         child(args.child)
         return 0
 
-    label = {"machine": machine(), "runs": RUNS, "sizes": {},
-             "src_lines": src_lines(args.src)}
+    bench = json.loads(args.out.read_text()) if args.out.exists() else {
+        "labels": {}}
+    # a label run again keeps the entries it does not re-measure
+    label = bench["labels"].setdefault(args.label, {})
+    label.update(machine=machine(), runs=RUNS, src_lines=src_lines(args.src))
+    label.setdefault("sizes", {})
     for size in args.sizes.split(","):
         if size == "contract":
             row = label["contract"] = measure(size, args.src.resolve())
@@ -167,10 +172,7 @@ def main(argv=None) -> int:
         print(f"{args.label} {size}: build {row['build_s']:.3f} s, "
               f"kernel_residuals {row['residuals_s']:.3f} s, "
               f"peak RSS {row['peak_rss_mb']:.0f} MB")
-    bench = json.loads(args.out.read_text()) if args.out.exists() else {
-        "labels": {}}
     bench["what"] = WHAT
-    bench["labels"][args.label] = label
     args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     print(f"written to {args.out}")
     return 0

@@ -101,6 +101,9 @@ def _parse_set(items) -> dict:
         parts = key.split(".")
         for p in parts[:-1]:
             node = node.setdefault(p, {})
+            if not isinstance(node, dict):
+                raise UsageError(f"--set {key}: {p} was set to a value, "
+                                 "not a section")
         node[parts[-1]] = val
     return tree
 
@@ -110,11 +113,15 @@ def load_config(path: str | None, sets) -> dict:
     if path is not None:
         try:
             with open(path) as fh:
-                cfg = _merge(cfg, json.load(fh))
+                loaded = json.load(fh)
         except FileNotFoundError:
             raise UsageError(f"config file not found: {path}")
         except json.JSONDecodeError as e:
             raise UsageError(f"config is not valid JSON: {e}")
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config file {path}: the top level must be a "
+                             f"JSON object, got {type(loaded).__name__}")
+        cfg = _merge(cfg, loaded)
     cfg = _merge(cfg, _parse_set(sets))
     validate_config(cfg)
     return cfg
@@ -143,6 +150,14 @@ def _is_number(v) -> bool:
 
 
 def validate_config(cfg: dict) -> None:
+    for section, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict) and not isinstance(cfg.get(section), dict):
+            raise UsageError(
+                f"{section} must be an object of settings, "
+                f"got {cfg.get(section)!r}")
+    if not isinstance(cfg.get("output"), str):
+        raise UsageError(
+            f"output must be a directory path, got {cfg.get('output')!r}")
     for section, key, least in _INT_FIELDS:
         v = cfg[section].get(key)
         if not _is_int(v) or v < least:
@@ -174,8 +189,10 @@ def validate_config(cfg: dict) -> None:
         if not _is_number(v) or v <= 0:
             raise UsageError(
                 f"tolerances.{key} must be a positive number, got {v!r}")
-    if not isinstance(cfg.get("suites"), list):
-        raise UsageError("suites must be a list of suite names")
+    suites = cfg.get("suites")
+    if not (isinstance(suites, list)
+            and all(isinstance(name, str) for name in suites)):
+        raise UsageError(f"suites must be a list of suite names, got {suites!r}")
 
 
 def _build(cfg: dict):
@@ -264,7 +281,9 @@ def cmd_propagators(cfg: dict) -> int:
         lat = Lattice(cfg["lattice"]["nt"], cfg["lattice"]["nx"],
                       float(cfg["lattice"]["mass"]))
         residuals = kernel_residuals(lat)
-        kernels = {name: getattr(lat, name)().entries for name in KERNELS}
+        # Kernels, not their entries: np.savez gathers one dense matrix at
+        # a time from each and keeps none
+        kernels = {name: getattr(lat, name)() for name in KERNELS}
     tol = float(cfg["tolerances"]["kernel"])
     checks = {key: _kernel_check(key, value, tol)
               for key, value in residuals.items()}
@@ -540,7 +559,7 @@ def cmd_correlate(cfg: dict) -> int:
     try:
         V = poly_from_json_dict(lat, cc["interaction"])
         obs = [poly_from_json_dict(lat, o) for o in cc["observables"]]
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, AttributeError) as e:
         raise UsageError(f"correlate: bad functional spec: {e}")
     if not obs:
         raise UsageError("correlate.observables: need at least one observable")

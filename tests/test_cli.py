@@ -62,6 +62,11 @@ def test_load_config_overrides_and_defaults():
     ("hadamard.perturbation-seed=x", "hadamard.perturbation-seed"),
     ("hadamard.perturbation-scale=null", "hadamard.perturbation-scale"),
     ("correlate.lambda_cap=1.5", "correlate.lambda_cap"),
+    # fields whose wrong type used to escape as a traceback with exit 1
+    ("lattice=5", "lattice"),
+    ("caps=null", "caps"),
+    ("output=5", "output"),
+    ('suites=[["S"]]', "suites"),
 ])
 def test_config_validation_names_field(override, field):
     with pytest.raises(UsageError, match=field.replace(".", r"\.")):
@@ -74,6 +79,22 @@ def test_unvalidated_field_errors_exit_2(tmp_path, capsys):
                  "--set", f"output={tmp_path}"]) == 2
     assert "samples.seed" in capsys.readouterr().err
     assert not (tmp_path / "axioms.json").exists()
+    # wrong types that used to escape as tracebacks with exit 1
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for args, field in (
+            (["--set", "lattice=5"], "lattice"),
+            (["--set", "caps=null"], "caps"),
+            (["--set", "output=5"], "output"),
+            (["--config", str(listed)], "top level"),
+            (["--set", 'suites=[["S"]]'], "suites"),
+            (["--set", "lattice=5", "--set", "lattice.nt=4"], "lattice"),
+            (["--set", "correlate.interaction=5"], "correlate")):
+        command = "correlate" if "correlate" in args[-1] else "axioms"
+        out = [] if field == "output" else ["--set", f"output={tmp_path}"]
+        assert main([command, *args, *out]) == 2, args
+        assert field in capsys.readouterr().err, args
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["list.json"]
 
 
 def test_missing_config_file():

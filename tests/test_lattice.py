@@ -1,14 +1,20 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paqft
+from paqft import cli
 from paqft.cli import main
 from paqft.lattice import (Kernel, Lattice, LatticePoint,
                            _translation_invariant, feynman_from_hadamard,
@@ -317,6 +323,120 @@ def _plant(monkeypatch, lat, **planted):
             lambda self, bad=bad, orig=orig: bad if self == lat else orig(self))
 
 
+KERNELS = ("green_retarded", "green_advanced", "pauli_jordan",
+           "hadamard_kernel", "wightman", "feynman")
+
+
+@pytest.mark.parametrize("nt, nx, mass", [
+    (12, 16, 0.5), (16, 32, 0.5), (24, 48, 0.5),
+    (8, 10, 2.3),             # every mode unstable
+    (7, 8, math.sqrt(2.0))])  # edge modes excluded
+def test_dense_copies_give_the_block_route_residuals(monkeypatch, nt, nx,
+                                                     mass):
+    # the same kernels held dense go through the invariance check and the
+    # dense slices: every residual must be the same number
+    lat = Lattice(nt, nx, mass)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        blocks = kernel_residuals(lat)
+        assert all(getattr(lat, name)().blocks is not None
+                   for name in KERNELS)
+        _plant(monkeypatch, lat, **{name: getattr(lat, name)().entries.copy()
+                                    for name in KERNELS})
+        assert all(getattr(lat, name)().blocks is None for name in KERNELS)
+        dense = kernel_residuals(lat)
+    assert list(dense) == list(blocks)
+    for key in blocks:
+        assert type(dense[key]) is type(blocks[key]), key
+        assert dense[key] == blocks[key], key
+
+
+def test_the_block_route_materializes_no_dense_kernel(monkeypatch, tmp_path,
+                                                      capsys):
+    lat = Lattice(12, 16, 0.5)
+    kernel_residuals(lat)
+    kernels = [getattr(lat, name)() for name in KERNELS]
+    assert all(K.blocks is not None and K._entries is None for K in kernels)
+    built = []
+    monkeypatch.setattr(cli, "Lattice",
+                        lambda *args: built.append(Lattice(*args)) or built[-1])
+    assert main(["propagators", "--set", f"output={tmp_path}"]) == 0
+    capsys.readouterr()
+    (lat,) = built
+    assert sorted(b.__name__ for b in lat._kernels) == sorted(
+        f"_{name.removesuffix('_kernel')}" for name in KERNELS)
+    assert all(K.blocks is not None and K._entries is None
+               for K in lat._kernels.values())
+    with np.load(tmp_path / cli.KERNELS_FILE) as z:
+        for name, K in zip(KERNELS, kernels):
+            assert z[name].tobytes() == K.entries.tobytes(), name
+
+
+def test_block_kernel_accessors_are_the_dense_slices():
+    lat = Lattice(8, 10, 2.3)
+    sites = np.random.default_rng(3).integers(0, lat.n_sites, 12)
+    for name in KERNELS:
+        K = getattr(lat, name)()
+        dense = np.asarray(K)
+        assert K._entries is None  # a gather that is not kept
+        assert K.entries is K.entries  # gathered once, the same array
+        assert K.entries.tobytes() == dense.tobytes()
+        assert not K.entries.flags.writeable and not K.blocks.flags.writeable
+        assert K.columns(sites).tobytes() == dense[:, sites].tobytes()
+        assert K.rows(sites).tobytes() == dense[sites].tobytes()
+        p, q = LatticePoint(5, 1), LatticePoint(2, 7)
+        assert K.entry(p, q) == complex(dense[lat.site_index(p),
+                                              lat.site_index(q)])
+
+
+def test_block_kernel_is_its_definition():
+    # random blocks, unlike every built kernel, differ under x -> -x, so a
+    # gather or a transpose with the offset's sign flipped shows here
+    lat = Lattice(4, 5, 0.5)
+    rng = np.random.default_rng(8)
+    C = rng.standard_normal((4, 4, 5)) + 1j * rng.standard_normal((4, 4, 5))
+    K = Kernel("planted", lat, blocks=C)
+    want = np.zeros((lat.n_sites, lat.n_sites), dtype=complex)
+    for i, p in enumerate(lat.points()):
+        for j, q in enumerate(lat.points()):
+            want[i, j] = C[p.t, q.t, (p.x - q.x) % lat.nx]
+    assert np.asarray(K).tobytes() == want.tobytes()
+    assert K.entries.tobytes() == want.tobytes()
+    sites = [0, 7, 19, 3]
+    assert K.columns(sites).tobytes() == want[:, sites].tobytes()
+    assert K.rows(sites).tobytes() == want[sites].tobytes()
+    assert K.entry(LatticePoint(1, 4), LatticePoint(3, 0)) == C[1, 3, 4]
+    dense = Kernel("planted", lat, want.copy())
+    assert np.asarray(dense).tobytes() == want.tobytes()
+    assert dense.columns(sites).tobytes() == want[:, sites].tobytes()
+    assert dense.rows(sites).tobytes() == want[sites].tobytes()
+
+
+def test_kernel_residuals_at_32x64_stay_small():
+    # six dense 32x64 kernels alone would be 6 x 67 MB.  The peak is the
+    # child's VmHWM: its ru_maxrss would start from the RSS of this test
+    # process, which Linux carries across the fork and exec
+    code = ("import json, re, warnings\n"
+            "from pathlib import Path\n"
+            "from paqft.lattice import Lattice, kernel_residuals\n"
+            "warnings.simplefilter('ignore')\n"
+            "res = kernel_residuals(Lattice(32, 64, 0.5))\n"
+            "status = Path('/proc/self/status').read_text()\n"
+            "kb = int(re.search(r'VmHWM:\\s+(\\d+) kB', status)[1])\n"
+            "print(json.dumps([res, kb / 1024]))\n")
+    src = str(Path(paqft.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    res, peak_mb = json.loads(out.stdout)
+    assert peak_mb < 150
+    assert res["cone_support_violations"] == 0
+    assert res["reciprocity"] == res["pauli_jordan_antisymmetry"] == 0.0
+    assert res["H1_imaginary_part"] == res["feynman_symmetry"] == 0.0
+    assert res["feynman_equals_wightman_off_future"] == 0.0
+
+
 @pytest.mark.parametrize("nt, nx", [(8, 8), (12, 16)])
 def test_vectorized_cone_check_matches_reference_loop(monkeypatch, nt, nx):
     lat = Lattice(nt, nx, 0.5)
@@ -496,6 +616,16 @@ def test_hadamard_part_must_be_real_and_symmetric(lat):
         asym[0, 1] += 1e-3
         with pytest.raises(ValueError, match="symmetric"):
             build(lat, asym)
+    # the lattice's own Hadamard part is checked on its blocks
+    C = lat.hadamard_kernel().blocks
+    for build in (feynman_from_hadamard, wightman_from_hadamard):
+        assert build(lat, lat.hadamard_kernel()).blocks is not None
+        with pytest.raises(ValueError, match="real"):
+            build(lat, Kernel("hadamard", lat, blocks=C + 1e-3j))
+        asym = C.copy()
+        asym[2, 1, 3] += 1e-3  # its transpose entry C[1, 2, -3] stays
+        with pytest.raises(ValueError, match="symmetric"):
+            build(lat, Kernel("hadamard", lat, blocks=asym))
 
 
 def test_kernel_validation(lat):
@@ -504,6 +634,20 @@ def test_kernel_validation(lat):
     bad = np.full((lat.n_sites, lat.n_sites), np.nan)
     with pytest.raises(ValueError, match="non-finite"):
         Kernel("bad", lat, bad)
+    # the block form: C[t, t', xi] of shape (nt, nt, nx)
+    with pytest.raises(ValueError, match="kernel shape"):
+        Kernel("bad", lat, blocks=np.zeros((lat.nt, lat.nt, lat.nx + 1)))
+    with pytest.raises(ValueError, match="kernel shape"):
+        Kernel("bad", lat, blocks=np.zeros((lat.n_sites, lat.n_sites)))
+    bad = np.zeros((lat.nt, lat.nt, lat.nx), dtype=complex)
+    bad[2, 1, 3] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match="non-finite"):
+        Kernel("bad", lat, blocks=bad)
+    with pytest.raises(ValueError, match="either"):
+        Kernel("bad", lat)
+    with pytest.raises(ValueError, match="either"):
+        Kernel("bad", lat, np.zeros((lat.n_sites, lat.n_sites)),
+               blocks=np.zeros((lat.nt, lat.nt, lat.nx)))
 
 
 def test_poisson_bracket_is_pauli_jordan(lat):

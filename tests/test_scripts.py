@@ -62,3 +62,13 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     assert {r["contract_calls"] for r in row["runs"]} == {
         row["contract_calls"]}
     assert row["contract_calls"] > 0
+    # the label run again on another size keeps what it had
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_kernels.py"), "--sizes", "6x6",
+         "--label", "smoke", "--src", src, "--out", str(out)],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    again = json.loads(out.read_text())["labels"]["smoke"]
+    assert sorted(again["sizes"]) == ["6x6", "8x8"]
+    assert again["sizes"]["8x8"] == entry["sizes"]["8x8"]
+    assert again["contract"] == entry["contract"]
