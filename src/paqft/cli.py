@@ -37,8 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .functionals import (MAX_DEGREE, PolyFunctional, free_scalar_lagrangian,
-                          is_local_at_scale, poly_from_json_dict)
+from .functionals import (MAX_DEGREE, HbarWindowError, PolyFunctional,
+                          free_scalar_lagrangian, is_local_at_scale,
+                          poly_from_json_dict)
 from .lattice import Lattice, LatticePoint, kernel_residuals
 from .relations import BinaryRelation, CausalityStructure, check_hammerstein
 from .smatrix_renorm import (RenormalizationMap, build_smatrix,
@@ -195,24 +196,40 @@ def validate_config(cfg: dict) -> None:
         raise UsageError(f"suites must be a list of suite names, got {suites!r}")
 
 
+def _lattice(cfg: dict) -> Lattice:
+    """The configured lattice with its six kernels built (W and Delta_F
+    build the others); kernels grow like m^(2 nt), and overflow at a
+    large mass."""
+    nt, nx, mass = (cfg["lattice"][k] for k in ("nt", "nx", "mass"))
+    lat = Lattice(nt, nx, float(mass))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lat.wightman(), lat.feynman()
+    except (OverflowError, ValueError) as e:
+        raise UsageError(f"lattice.mass={mass!r}: the kernels of the "
+                         f"{nt}x{nx} lattice overflow ({e})")
+    return lat
+
+
 def _build(cfg: dict):
-    lat = Lattice(cfg["lattice"]["nt"], cfg["lattice"]["nx"],
-                  float(cfg["lattice"]["mass"]))
-    had = cfg["hadamard"]
-    if had["mode"] == "perturbed":
-        H = _perturbed_hadamard(lat, int(had["perturbation-seed"]),
-                                float(had["perturbation-scale"]))
-        return lat, build_smatrix(lat, hadamard=H)
+    lat = _lattice(cfg)
+    if cfg["hadamard"]["mode"] == "perturbed":
+        d = _perturbed_hadamard(cfg, lat)
+        return lat, build_smatrix(lat, site_shift=d)
     return lat, build_smatrix(lat)
 
 
-def _perturbed_hadamard(lat: Lattice, seed: int, scale: float) -> np.ndarray:
-    """Site-diagonal symmetric perturbation: keeps the extracted
-    renormalization map local so the Z suite can pass on the result."""
-    rng = np.random.default_rng(seed)
-    H = lat.hadamard_kernel().entries.real.copy()
-    H[np.diag_indices_from(H)] += scale * rng.standard_normal(lat.n_sites)
-    return H
+def _perturbed_hadamard(cfg: dict, lat: Lattice) -> np.ndarray:
+    """The site shift of the perturbed Hadamard part: a diagonal keeps the
+    extracted renormalization map local, so the Z suite can pass on it."""
+    seed = int(cfg["hadamard"]["perturbation-seed"])
+    scale = float(cfg["hadamard"]["perturbation-scale"])
+    with np.errstate(over="ignore"):
+        d = scale * np.random.default_rng(seed).standard_normal(lat.n_sites)
+    if not np.all(np.isfinite(d)):
+        raise UsageError(f"hadamard.perturbation-scale={scale!r} makes the "
+                         "site shift overflow")
+    return d
 
 
 def _mid_window(lat: Lattice):
@@ -278,8 +295,7 @@ def _kernel_check(key: str, value, tol: float) -> bool:
 def cmd_propagators(cfg: dict) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        lat = Lattice(cfg["lattice"]["nt"], cfg["lattice"]["nx"],
-                      float(cfg["lattice"]["mass"]))
+        lat = _lattice(cfg)
         residuals = kernel_residuals(lat)
         # Kernels, not their entries: np.savez gathers one dense matrix at
         # a time from each and keeps none
@@ -447,6 +463,8 @@ def cmd_axioms(cfg: dict) -> int:
         raise UsageError(
             f"suite(s) {sorted(needy)} sample causal triples and need "
             f"lattice.nt >= 11, got {nt}")
+    if "SD" in suites and cfg["caps"]["sd_order"] < 1:
+        raise UsageError("the SD suite needs caps.sd_order >= 1, got 0")
     lat, S = _build(cfg)
     suite_units = [(name, SUITES[name](cfg, lat, S)) for name in suites]
     unit_rows = iter(_run_units([u for _, us in suite_units for u in us]))
@@ -484,9 +502,8 @@ def _extract_z_units(cfg: dict, lat: Lattice, S):
                                _mid_window(lat))
         St = compose(S, Z)
     else:
-        H = _perturbed_hadamard(lat, int(cfg["hadamard"]["perturbation-seed"]),
-                                float(cfg["hadamard"]["perturbation-scale"]))
-        St = build_smatrix(lat, hadamard=H, label="S-tilde")
+        St = build_smatrix(lat, site_shift=_perturbed_hadamard(cfg, lat),
+                           label="S-tilde")
         Z = None
 
     def one(i, f):
@@ -533,6 +550,8 @@ def cmd_extract_z(cfg: dict) -> int:
         raise UsageError(
             f"the extracted-locality suite samples causal triples and "
             f"needs lattice.nt >= 11, got {nt}")
+    if cfg["caps"]["lambda_order"] < 1:
+        raise UsageError("extract-z needs caps.lambda_order >= 1, got 0")
     lat, S = _build(cfg)
     mode = cfg["extract"]["mode"]
     f_units, z_units = _extract_z_units(cfg, lat, S)
@@ -582,6 +601,12 @@ def cmd_correlate(cfg: dict) -> int:
     return 0
 
 
+# the config fields that set the orders each command reaches
+ORDER_CAPS = {
+    "axioms": "caps.lambda_order, caps.locality_order, caps.sd_order",
+    "extract-z": "caps.lambda_order", "correlate": "correlate.lambda_cap"}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="paqft",
@@ -605,6 +630,10 @@ def main(argv=None) -> int:
         return dispatch[args.command](cfg)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
+        return 2
+    except HbarWindowError as e:  # a cap's orders have no static bound
+        print(f"usage error: {e}: lower the order caps "
+              f"({ORDER_CAPS[args.command]})", file=sys.stderr)
         return 2
 
 

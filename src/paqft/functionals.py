@@ -44,6 +44,10 @@ MAX_DEGREE = 8
 HBAR_WINDOW = (-8, 8)
 
 
+class HbarWindowError(ValueError):
+    """An hbar exponent outside HBAR_WINDOW."""
+
+
 class HbarScalar:
     """Finite Laurent polynomial in hbar with complex coefficients.
 
@@ -64,7 +68,7 @@ class HbarScalar:
                 c[int(k)] = v
         for k in c:
             if not (HBAR_WINDOW[0] <= k <= HBAR_WINDOW[1]):
-                raise ValueError(
+                raise HbarWindowError(
                     f"hbar exponent {k} outside window {list(HBAR_WINDOW)}")
         self.coeffs = c
 

@@ -25,25 +25,23 @@ One vectorized formula over flat site indices (_in_future) serves
 count_in_future, and through it "not later than" and spacelike, and the
 cone rows of kernel_residuals.
 
-Translation symmetry: every default kernel is exactly invariant under
-spatial translation, K(t, x; t', x') = C(t, t', (x - x') mod nx), and is
-held as its blocks C, its x' = 0 column: nt * nt * nx entries where the
-dense matrix has (nt * nx)^2.  The retarded blocks come from a single
-leapfrog source; the advanced ones are their time reversal; Delta, W and
-Delta_F are formed entry by entry on the blocks, which commutes with the
-gather, and the Hadamard blocks are a sum of mode blocks built from the
-blocks of Delta.  So every dense matrix, gathered only when asked for
+Translation symmetry: a kernel is held as blocks C[t, t', xi], its x' = 0
+column, plus an optional real site diagonal d (Kernel): nt * nt * nx +
+n_sites numbers where the dense matrix has (nt * nx)^2.  The lattice's
+kernels have no diagonal.  The retarded blocks come from a single leapfrog
+source; the advanced ones are their time reversal; Delta, W and Delta_F
+are formed entry by entry on the blocks, which commutes with the gather,
+and the Hadamard blocks are a sum of mode blocks built from the blocks of
+Delta.  So every dense matrix, gathered only when asked for
 (Kernel.entries), is the same bits as the source-by-source and kron
-constructions, signed zeros included.  kernel_residuals reads each kernel
-on its nt source columns at x' = 0 (Kernel.columns and Kernel.rows),
-which hold every value of it: maxima are the same and the cone count is nx
-times theirs.  H3 comes from the nx Hermitian nt x nt mode blocks of the
-x' = 0 column.  A kernel held dense (W and Delta_F from a caller's
-Hadamard part, a planted test kernel, or one derived from it) is checked
-for that invariance exactly (a shift by one site in both x arguments);
-if one is not invariant, every residual reads all columns and H3 comes
-from a dense eigensolve.  bisolution_residual makes the same choice for the one dense
-matrix it is given, such as a caller's perturbed W.
+constructions, signed zeros included.  Without a diagonal, every column
+of a kernel, and of P applied to it, is its column at the same t' and
+x' = 0 rolled by x'.  So kernel_residuals reads the nt columns at x' = 0
+(Kernel.columns and Kernel.rows): maxima are the same and the cone count
+is nx times theirs; H3 comes from the nx Hermitian nt x nt mode blocks.
+Those columns miss most of a diagonal, such as the perturbed Hadamard part
+of a caller's W and Delta_F: kernel_residuals rejects one, and
+bisolution_residual reads such a kernel on all its columns.
 
 Large masses: modes with 4 sin^2(k/2) + m^2 > 4 have no real frequency and
 the kernels grow like sinh(gamma * nt); residuals of the eigensolve-based
@@ -237,65 +235,59 @@ def field_values(lattice: Lattice, phi) -> np.ndarray:
 
 
 class Kernel:
-    """Complex two-point function on lattice sites, held either as blocks
-    C[t, t', xi] = K[(t, xi), (t', 0)] of shape (nt, nt, nx), when it is
-    invariant under spatial translation, or as dense (n_sites, n_sites)
-    entries.
+    """Complex two-point function on lattice sites: blocks C of shape
+    (nt, nt, nx) and an optional real site diagonal d of shape (n_sites,),
+    K[(t, x), (t', x')] = C[t, t', (x - x') mod nx] + d[(t, x)] [same site].
 
-    `entries` is the dense matrix either way; from blocks it is gathered on
-    first access and kept, so it is the same array every time.  `columns`
-    and `rows` read K[:, sites] and K[sites] without it, and
-    np.asarray(kernel), which is what np.savez takes, gathers a dense copy
-    that is not kept.  The stored array is write-protected.
+    `entries` is the dense matrix, gathered on first access and kept, so it
+    is the same array every time.  `columns` and `rows` read K[:, sites]
+    and K[sites] without it, and np.asarray(kernel), which is what np.savez
+    takes, gathers a dense copy that is not kept.  The stored arrays are
+    write-protected.
 
     It holds an equal copy of its lattice with an empty kernel cache, so a
     lattice and the kernels cached on it make no reference cycle: dropping
     the lattice frees them by reference counting alone.
     """
 
-    def __init__(self, kind: str, lattice: Lattice,
-                 entries: np.ndarray | None = None, *,
-                 blocks: np.ndarray | None = None):
-        if (entries is None) == (blocks is None):
-            raise ValueError("a kernel holds either entries or blocks")
+    def __init__(self, kind: str, lattice: Lattice, blocks: np.ndarray,
+                 diagonal: np.ndarray | None = None):
         self.kind = kind
         self.lattice = replace(lattice)
-        held = entries if blocks is None else blocks
-        n, nt, nx = lattice.n_sites, lattice.nt, lattice.nx
-        shape = (n, n) if blocks is None else (nt, nt, nx)
-        if held.shape != shape:
-            raise ValueError(f"kernel shape {held.shape} != {shape}")
-        if not np.all(np.isfinite(held)):
+        shape, n = (lattice.nt, lattice.nt, lattice.nx), lattice.n_sites
+        if blocks.shape != shape:
+            raise ValueError(f"kernel shape {blocks.shape} != {shape}")
+        held = (blocks,) if diagonal is None else (blocks, diagonal)
+        if diagonal is not None and (diagonal.shape != (n,)
+                                     or np.iscomplexobj(diagonal)):
+            raise ValueError(f"kernel diagonal must be a real ({n},) array, "
+                             f"got {diagonal.dtype} {diagonal.shape}")
+        if not all(np.all(np.isfinite(a)) for a in held):
             raise ValueError("kernel has non-finite entries")
-        held.setflags(write=False)
-        self.blocks = blocks
-        self._entries = entries
+        for a in held:
+            a.setflags(write=False)
+        self.blocks, self.diagonal = blocks, diagonal
+        self._entries = None
 
     @property
     def entries(self) -> np.ndarray:
         if self._entries is None:
-            self._entries = _gather(self.lattice, self.blocks)
+            self._entries = self.columns(None)
             self._entries.setflags(write=False)
         return self._entries
 
     def __array__(self, dtype=None, copy=None):
-        if self._entries is None:
-            K = _gather(self.lattice, self.blocks)
-        else:
-            K = self._entries.copy() if copy else self._entries
+        K = self.columns(None)
         return K if dtype is None else K.astype(dtype, copy=False)
 
     def columns(self, sites) -> np.ndarray:
-        """K[:, sites]."""
-        if self.blocks is None:
-            return self._entries[:, sites]
-        return _gather(self.lattice, self.blocks, sites)
+        """K[:, sites] (every column for None)."""
+        return _gather(self.lattice, self.blocks, self.diagonal, sites)
 
     def rows(self, sites) -> np.ndarray:
         """K[sites]: the columns of K^T, transposed."""
-        if self.blocks is None:
-            return self._entries[sites]
-        return _gather(self.lattice, _transposed(self.blocks), sites).T
+        return _gather(self.lattice, _transposed(self.blocks), self.diagonal,
+                       sites).T
 
     def entry(self, p: LatticePoint, q: LatticePoint) -> complex:
         i, j = self.lattice.site_index(p), self.lattice.site_index(q)
@@ -318,32 +310,22 @@ def _dispersion(lat: Lattice, j: int) -> float:
     return 4 * np.sin(k / 2) ** 2 + lat.mass ** 2
 
 
-def _gather(lat: Lattice, C: np.ndarray, sites=None) -> np.ndarray:
-    """K[:, sites] (every column by default) of the kernel with blocks C,
-    K[(t, x), (t', x')] = C[t, t', (x - x') mod nx]."""
+def _gather(lat: Lattice, C: np.ndarray, d, sites=None) -> np.ndarray:
+    """K[:, sites] (every column by default) of the kernel with blocks C
+    and site diagonal d (or None)."""
     s = np.arange(lat.n_sites) if sites is None else np.asarray(sites)
     ts, xs = np.arange(lat.nt), np.arange(lat.nx)
     K = C[ts[:, None, None], (s // lat.nx)[None, None, :],
-          (xs[:, None] - s % lat.nx) % lat.nx]
-    return K.reshape(lat.n_sites, len(s))
+          (xs[:, None] - s % lat.nx) % lat.nx].reshape(lat.n_sites, len(s))
+    if d is not None:
+        K[s, np.arange(len(s))] += d[s]
+    return K
 
 
 def _transposed(C: np.ndarray) -> np.ndarray:
     """The blocks of K^T: K^T[(t, x), (t', x')] = C[t', t, (x' - x) mod nx]."""
     nx = C.shape[2]
     return C.transpose(1, 0, 2)[:, :, -np.arange(nx) % nx]
-
-
-def _elementwise(kind: str, lat: Lattice, op, *kernels) -> Kernel:
-    """op applied entry by entry to the kernels: to their blocks when every
-    one is a Kernel held as blocks (an elementwise op commutes with the
-    gather, so the entries are the same bits), else to the dense matrices
-    (an ndarray argument is one)."""
-    blocks = [getattr(K, "blocks", None) for K in kernels]
-    if all(b is not None for b in blocks):
-        return Kernel(kind, lat, blocks=op(*blocks))
-    return Kernel(kind, lat, op(*(K.entries if isinstance(K, Kernel) else K
-                                  for K in kernels)))
 
 
 def _green_retarded(lat: Lattice) -> Kernel:
@@ -362,9 +344,8 @@ def _green_retarded(lat: Lattice) -> Kernel:
     u[1] = -np.eye(nx)[0]  # -0.0 off the source, as stepping all sources gives
     for t in range(1, nt - 1):
         u[t + 1] = np.roll(u[t], -1) + np.roll(u[t], 1) - u[t - 1] - m2 * u[t]
-    tgrid = np.arange(nt)
-    tau = tgrid[:, None] - tgrid[None, :]
-    return Kernel("retarded", lat, blocks=u.astype(complex)[tau])
+    tau = np.subtract.outer(np.arange(nt), np.arange(nt))
+    return Kernel("retarded", lat, u.astype(complex)[tau])
 
 
 def _green_advanced(lat: Lattice) -> Kernel:
@@ -372,17 +353,12 @@ def _green_advanced(lat: Lattice) -> Kernel:
     arguments, C_A[t, t'] = C_R[nt-1-t, nt-1-t'].  The leapfrog step is
     time-symmetric, so this is exactly the backward-stepping construction,
     and A = R^T bitwise."""
-    R = lat.green_retarded()
-    if R.blocks is not None:
-        return Kernel("advanced", lat, blocks=R.blocks[::-1, ::-1])
-    nt, nx, n = lat.nt, lat.nx, lat.n_sites
-    R4 = R.entries.reshape(nt, nx, nt, nx)
-    return Kernel("advanced", lat, R4[::-1, :, ::-1, :].copy().reshape(n, n))
+    return Kernel("advanced", lat, lat.green_retarded().blocks[::-1, ::-1])
 
 
 def _pauli_jordan(lat: Lattice) -> Kernel:
-    return _elementwise("pauli_jordan", lat, np.subtract,
-                        lat.green_retarded(), lat.green_advanced())
+    return Kernel("pauli_jordan", lat,
+                  lat.green_retarded().blocks - lat.green_advanced().blocks)
 
 
 def _hadamard(lat: Lattice) -> Kernel:
@@ -402,9 +378,8 @@ def _hadamard(lat: Lattice) -> Kernel:
       with a warning; the massless infrared divergence has no finite
       regularization on the torus.
 
-    The unstable blocks start from the time blocks of Delta at spatial
-    offset xi, D[t, t', xi] = Re Delta[(t, xi), (t', 0)]: Delta is exactly
-    translation invariant, so its x' = 0 column holds every one of them.
+    The unstable blocks start from the blocks of Delta,
+    D[t, t', xi] = Re Delta[(t, xi), (t', 0)].
 
     The mode blocks are summed into the kernel's blocks
     C[t, t', xi] = sum_k H_k(t, t') cos(k xi) / nx: gathered at
@@ -412,16 +387,12 @@ def _hadamard(lat: Lattice) -> Kernel:
     kron(H_k, cos(k (x - x'))) / nx, so the same bits.
     """
     nt, nx = lat.nt, lat.nx
-    x0 = _source_columns(lat, True)
-    D = lat.pauli_jordan().columns(x0).real.reshape(nt, nx, nt)
-    D = D.transpose(0, 2, 1)
-
+    D = lat.pauli_jordan().blocks.real
     modes = lat.hadamard_mode_classification()
     for j, kind in modes["excluded"]:
         warnings.warn(f"mode j={j}: {_EXCLUDED_MODE_WARNINGS[kind]}",
                       RuntimeWarning, stacklevel=2)
-    tgrid = np.arange(nt)
-    tau = tgrid[:, None] - tgrid[None, :]
+    tau = np.subtract.outer(np.arange(nt), np.arange(nt))
     phases = np.arange(nx)
     Hk = np.zeros((nx, nt, nt))
     for j in modes["stable"]:
@@ -440,82 +411,44 @@ def _hadamard(lat: Lattice) -> Kernel:
         k = 2 * np.pi * j / nx
         C += Hk[j][:, :, None] * np.cos(k * phases) / nx
     C = (C + _transposed(C)) / 2  # (H + H^T) / 2
-    return Kernel("hadamard", lat, blocks=C.astype(complex))
+    return Kernel("hadamard", lat, C.astype(complex))
+
+
+def _hadamard_blocks(lat: Lattice) -> np.ndarray:
+    """The blocks of the lattice's Hadamard part, which must be real and
+    exactly symmetric."""
+    C = lat.hadamard_kernel().blocks
+    if not np.array_equal(C, _transposed(C)):
+        raise ValueError("Hadamard part must be exactly symmetric")
+    if np.max(np.abs(C.imag)) > 0:
+        raise ValueError("Hadamard part must be real")
+    return C
 
 
 def _wightman(lat: Lattice) -> Kernel:
-    return wightman_from_hadamard(lat, lat.hadamard_kernel())
+    """(i/2) Delta + H."""
+    return Kernel("wightman", lat,
+                  0.5j * lat.pauli_jordan().blocks + _hadamard_blocks(lat))
 
 
 def _feynman(lat: Lattice) -> Kernel:
-    return feynman_from_hadamard(lat, lat.hadamard_kernel())
+    """(i/2)(A + R) + H."""
+    return Kernel("feynman", lat,
+                  0.5j * (lat.green_advanced().blocks
+                          + lat.green_retarded().blocks)
+                  + _hadamard_blocks(lat))
 
 
-def _check_hadamard(H):
-    """A Hadamard part, the lattice's Kernel or a caller's (n, n) array,
-    must be real and exactly symmetric."""
-    if getattr(H, "blocks", None) is not None:
-        K, KT = H.blocks, _transposed(H.blocks)
-    else:
-        K = np.asarray(H.entries if isinstance(H, Kernel) else H)
-        KT = K.T
-    if not np.array_equal(K, KT):
-        raise ValueError("Hadamard part must be exactly symmetric")
-    if np.max(np.abs(K.imag)) > 0:
-        raise ValueError("Hadamard part must be real")
-    return H
-
-
-def feynman_from_hadamard(lat: Lattice, H) -> Kernel:
-    """Feynman kernel (i/2)(A + R) + H for a symmetric part H: the
-    lattice's Hadamard Kernel or a caller's (n, n) array."""
-    return _elementwise("feynman", lat, lambda A, R, H: 0.5j * (A + R) + H,
-                        lat.green_advanced(), lat.green_retarded(),
-                        _check_hadamard(H))
-
-
-def wightman_from_hadamard(lat: Lattice, H) -> Kernel:
-    """Wightman kernel (i/2) Delta + H for a symmetric part H: the
-    lattice's Hadamard Kernel or a caller's (n, n) array."""
-    return _elementwise("wightman", lat, lambda D, H: 0.5j * D + H,
-                        lat.pauli_jordan(), _check_hadamard(H))
-
-
-def _translation_invariant(lat: Lattice, K: np.ndarray) -> bool:
-    """K[t, x+1, t', x'+1] == K[t, x, t', x'] for every entry, x wrapping:
-    K is exactly invariant under spatial translation."""
-    K4 = K.reshape(lat.nt, lat.nx, lat.nt, lat.nx)
-    # (slice of x + 1, slice of x): the sites below nx - 1, then the last
-    # site, whose successor is site 0; compared as views, without a copy
-    shifts = ((slice(1, None), slice(None, -1)), (slice(None, 1), slice(-1, None)))
-    return all(np.array_equal(K4[:, a, :, b], K4[:, c, :, d])
-               for a, c in shifts for b, d in shifts)
-
-
-def _source_columns(lat: Lattice, invariant: bool) -> np.ndarray:
-    """Flat indices of the source columns a residual reads.  Every column of
-    a translation-invariant kernel is its column at the same t' and x' = 0
-    rolled by x', and so is every column of P applied to it: those nt
-    columns hold every value, so maxima are the same and counts are nx
-    times theirs.  Any other kernel is read on all its columns."""
-    return np.arange(0, lat.n_sites, lat.nx if invariant else 1)
-
-
-def _bisolution_residual(lat: Lattice, Kc: np.ndarray,
-                         Kr: np.ndarray) -> float:
-    """The residual of K from its columns Kc = K[:, c] and the transposed
-    rows Kr = K[c]^T on the source columns c."""
-    interior = lat.interior_mask()
-    return float(max(np.max(np.abs(lat.klein_gordon_apply(Kc)[interior])),
-                     np.max(np.abs(lat.klein_gordon_apply(Kr)[interior]))))
-
-
-def bisolution_residual(lat: Lattice, K: np.ndarray) -> float:
+def bisolution_residual(lat: Lattice, K: Kernel) -> float:
     """Interior residual of P applied to K in both arguments: the largest
     |P K| on interior rows and |K P^T| on interior columns (zero for an
-    exact bisolution)."""
-    c = _source_columns(lat, _translation_invariant(lat, K))
-    return _bisolution_residual(lat, K[:, c], K[c].T)
+    exact bisolution).  Read on the x' = 0 columns, or on all columns
+    when K carries a site diagonal."""
+    c = np.arange(0, lat.n_sites, lat.nx) if K.diagonal is None else None
+    interior = lat.interior_mask()
+    return float(max(
+        np.max(np.abs(lat.klein_gordon_apply(K.columns(c))[interior])),
+        np.max(np.abs(lat.klein_gordon_apply(K.rows(c).T)[interior]))))
 
 
 def _green_identity_residual(lat: Lattice, Gc: np.ndarray, cols) -> float:
@@ -534,36 +467,23 @@ def _in_future(lat: Lattice, a, b) -> np.ndarray:
     return np.minimum(wrap, nx - wrap) <= dt
 
 
-def _gram_min_eigenvalue(lat: Lattice, G: np.ndarray, invariant: bool) -> float:
-    """Least eigenvalue of the Hermitian part (W + W^H) / 2, given its
-    columns G on the source columns.  When W is translation invariant that
-    matrix is block circulant: the FFT over the offset xi of its x' = 0
-    column gives nx Hermitian nt x nt blocks, one per spatial mode, whose
-    eigenvalues are its eigenvalues.  Otherwise G is the whole matrix."""
-    if not invariant:
-        return float(np.min(np.linalg.eigvalsh(G)))
-    blocks = np.fft.fft(G.reshape(lat.nt, lat.nx, lat.nt), axis=1)
-    return float(np.min(np.linalg.eigvalsh(blocks.transpose(1, 0, 2))))
-
-
 def kernel_residuals(lat: Lattice) -> dict:
-    """Identity/support/symmetry residual summary for all kernels."""
+    """Identity/support/symmetry residual summary for all kernels, read on
+    their x' = 0 columns.  The lattice's kernels carry no site diagonal;
+    one that does is rejected, as those columns would miss it."""
     n = lat.n_sites
     kernels = R, A, D, H, W, DF = (
         lat.green_retarded(), lat.green_advanced(), lat.pauli_jordan(),
         lat.hadamard_kernel(), lat.wightman(), lat.feynman())
-    # one column set for every row: a kernel held as blocks is invariant by
-    # construction, and a dense one that is not exactly translation
-    # invariant (only a planted defect) makes all of them dense
-    invariant = all(K.blocks is not None
-                    or _translation_invariant(lat, K.entries) for K in kernels)
-    c = _source_columns(lat, invariant)
+    if any(K.diagonal is not None for K in kernels):
+        raise ValueError("kernel_residuals reads no site diagonal")
+    c = np.arange(0, n, lat.nx)  # the x' = 0 columns
     Rc, Ac, Dc, Wc, DFc = (K.columns(c) for K in (R, A, D, W, DF))
     Wr = W.rows(c).T
     everywhere = np.arange(n)
     # R[i, j] with site i not in J^+(site j), over the columns read
     cone_leaks = int(np.count_nonzero(~_in_future(lat, everywhere, c)
-                                      & (Rc != 0))) * (n // len(c))
+                                      & (Rc != 0))) * lat.nx
     reciprocity = float(np.max(np.abs(Ac - R.rows(c).T)))
     antisymmetry = float(np.max(np.abs(Dc + D.rows(c).T)))
     h1 = float(np.max(np.abs(2 * Wc.imag - Dc.real)))
@@ -571,6 +491,10 @@ def kernel_residuals(lat: Lattice) -> dict:
     # column site not in J^+(row site)
     off_future = ~_in_future(lat, c, everywhere).T
     off_future_gap = float(np.max(np.abs((DFc - Wc)[off_future])))
+    # (W + W^H) / 2 is block circulant: the FFT over the offset xi of its
+    # x' = 0 columns gives its nx Hermitian nt x nt mode blocks
+    G = np.fft.fft(((Wc + Wr.conj()) / 2).reshape(lat.nt, lat.nx, lat.nt),
+                   axis=1)
     return {
         "green_retarded_identity": _green_identity_residual(lat, Rc, c),
         "green_advanced_identity": _green_identity_residual(lat, Ac, c),
@@ -578,11 +502,10 @@ def kernel_residuals(lat: Lattice) -> dict:
         "cone_support_violations": cone_leaks,
         "pauli_jordan_antisymmetry": antisymmetry,
         "H1_imaginary_part": h1,
-        "H2_interior_H": _bisolution_residual(lat, H.columns(c),
-                                              H.rows(c).T),
-        "H2_interior_W": _bisolution_residual(lat, Wc, Wr),
-        "H3_gram_min_eigenvalue": _gram_min_eigenvalue(
-            lat, (Wc + Wr.conj()) / 2, invariant),
+        "H2_interior_H": bisolution_residual(lat, H),
+        "H2_interior_W": bisolution_residual(lat, W),
+        "H3_gram_min_eigenvalue": float(
+            np.min(np.linalg.eigvalsh(G.transpose(1, 0, 2)))),
         "feynman_symmetry": feynman_symmetry,
         "feynman_equals_wightman_off_future": off_future_gap,
     }

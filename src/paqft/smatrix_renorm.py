@@ -108,14 +108,14 @@ class SMatrix:
                              unit=PolyFunctional.unit(self.lattice))
 
 
-def build_smatrix(lattice: Lattice, hadamard: np.ndarray = None,
+def build_smatrix(lattice: Lattice, site_shift: np.ndarray = None,
                   label: str = "S") -> SMatrix:
-    """Standard S-matrix for a lattice, optionally over a custom Hadamard
-    function (must be real symmetric, else construction fails)."""
-    if hadamard is None:
+    """Standard S-matrix for a lattice, optionally over a Hadamard part
+    shifted by a real site vector on its diagonal."""
+    if site_shift is None:
         ctx = StarAlgebraContext.default(lattice)
     else:
-        ctx = StarAlgebraContext.from_hadamard(lattice, hadamard)
+        ctx = StarAlgebraContext.from_site_shift(lattice, site_shift)
     return SMatrix.standard(ctx, label=label)
 
 
@@ -641,7 +641,7 @@ def check_schwinger_dyson(S: SMatrix, L: GeneralizedLagrangian,
     A = S.series(F, cap)
     B = S.series_on(LambdaSeries(cap, tuple(b_rows)))
     M = S.series_on(LambdaSeries(cap, tuple(g_rows)))
-    h2 = bisolution_residual(lat, S.context.wightman.entries)
+    h2 = bisolution_residual(lat, S.context.wightman)
     bound = tol if h2 <= 1e-10 else max(tol, 10.0 * h2)
     rows = []
     left = S.multiply(A, B)

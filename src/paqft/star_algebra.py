@@ -57,8 +57,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .functionals import HBAR_WINDOW, HbarScalar, PolyFunctional
-from .lattice import Kernel, Lattice, Region
+from .functionals import (HBAR_WINDOW, HbarScalar, HbarWindowError,
+                          PolyFunctional)
+from .lattice import Kernel, Lattice, Region, _transposed
 
 
 @functools.cache
@@ -132,7 +133,7 @@ def _product(ca: HbarScalar, cb: HbarScalar) -> list:
         return []
     e = ea + eb
     if not HBAR_WINDOW[0] <= e <= HBAR_WINDOW[1]:
-        raise ValueError(
+        raise HbarWindowError(
             f"hbar exponent {e} outside window {list(HBAR_WINDOW)}")
     return [(e, z)]
 
@@ -150,16 +151,22 @@ class StarAlgebraContext:
     wightman: Kernel
     feynman: Kernel
     pauli_jordan: Kernel
-    max_contraction_order: int | None = None
     _selection_cache: dict = field(default_factory=dict, init=False,
                                    compare=False, repr=False)
+    # contractions run to the full order min(deg F, deg G); tracing tools
+    # read this attribute
+    max_contraction_order = None
 
     def __post_init__(self):
         for k in (self.wightman, self.feynman, self.pauli_jordan):
             if k.lattice != self.lattice:
                 raise ValueError("kernels must live on the context lattice")
-        h = self.wightman.entries - 0.5j * self.pauli_jordan.entries
-        if np.max(np.abs(h.imag)) > 1e-12 or np.max(np.abs(h - h.T)) > 1e-12:
+        # h = W - (i/2) Delta on the blocks: a site diagonal of W is real
+        # and symmetric, one of Delta would make h complex
+        h = self.wightman.blocks - 0.5j * self.pauli_jordan.blocks
+        if (self.pauli_jordan.diagonal is not None
+                or np.max(np.abs(h.imag)) > 1e-12
+                or np.max(np.abs(h - _transposed(h))) > 1e-12):
             raise ValueError(
                 "wightman minus (i/2) pauli_jordan must be real symmetric")
 
@@ -171,13 +178,13 @@ class StarAlgebraContext:
                    pauli_jordan=lattice.pauli_jordan())
 
     @classmethod
-    def from_hadamard(cls, lattice: Lattice, hadamard: np.ndarray
-                      ) -> "StarAlgebraContext":
-        from .lattice import feynman_from_hadamard, wightman_from_hadamard
-        return cls(lattice=lattice,
-                   wightman=wightman_from_hadamard(lattice, hadamard),
-                   feynman=feynman_from_hadamard(lattice, hadamard),
-                   pauli_jordan=lattice.pauli_jordan())
+    def from_site_shift(cls, lattice: Lattice, site_shift: np.ndarray
+                        ) -> "StarAlgebraContext":
+        """The lattice's W and Delta_F with the real site vector
+        `site_shift` added to their Hadamard part as a diagonal."""
+        W, DF = (Kernel(K.kind, lattice, K.blocks, site_shift)
+                 for K in (lattice.wightman(), lattice.feynman()))
+        return cls(lattice, W, DF, lattice.pauli_jordan())
 
     def _contract(self, F: PolyFunctional, G: PolyFunctional,
                   entries: np.ndarray) -> PolyFunctional:
@@ -217,15 +224,12 @@ class StarAlgebraContext:
             if sels is None:
                 sels = cache[kb] = [None] * (len(kb) + 1)
             g_sels.append(sels)
-        cap = self.max_contraction_order
         for da, ka, ca in f_monos:
             a_sels = cache.get(ka)
             if a_sels is None:
                 a_sels = cache[ka] = [None] * (da + 1)
             for (db, kb, cb), b_sels in zip(g_monos, g_sels):
                 rmax = min(da, db)
-                if cap is not None:
-                    rmax = min(rmax, cap)
                 cc = _product(ca, cb)
                 # r = 0: the one empty selection, permanent 1, and the
                 # term 0j + v * (1 + 0j) is v
@@ -291,7 +295,7 @@ class StarAlgebraContext:
                                 prev = coeffs.get(e)
                                 if prev is None:
                                     if not lo <= e <= hi:
-                                        raise ValueError(
+                                        raise HbarWindowError(
                                             f"hbar exponent {e} outside "
                                             f"window {[lo, hi]}")
                                     coeffs[e] = 0j + z

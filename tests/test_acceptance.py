@@ -68,11 +68,8 @@ def _mid_window(lat):
     return [LatticePoint(t, x) for t in rows for x in range(lat.nx)]
 
 
-def _site_diagonal_hadamard(lat, seed, scale):
-    rng = np.random.default_rng(seed)
-    H = lat.hadamard_kernel().entries.real.copy()
-    H[np.diag_indices_from(H)] += scale * rng.standard_normal(lat.n_sites)
-    return H
+def _site_shift(lat, seed, scale):
+    return scale * np.random.default_rng(seed).standard_normal(lat.n_sites)
 
 
 # -- kernels ----------------------------------------------------------------
@@ -208,7 +205,7 @@ def test_causal_triple_factorization_to_order_three(lat, S, rng):
 
 def test_schwinger_dyson_exact_and_perturbed_kernel(lat, S, rng):
     L = free_scalar_lagrangian(lat)
-    assert bisolution_residual(lat, S.context.wightman.entries) <= 1e-10
+    assert bisolution_residual(lat, S.context.wightman) <= 1e-10
     mid = lat.nt // 2
 
     def sample(i):
@@ -230,9 +227,9 @@ def test_schwinger_dyson_exact_and_perturbed_kernel(lat, S, rng):
         worst = max(worst, max(r["residual"] for r in rows))
     assert worst < 1e-8
 
-    Sp = build_smatrix(lat, hadamard=_site_diagonal_hadamard(lat, 7, 1e-3),
+    Sp = build_smatrix(lat, site_shift=_site_shift(lat, 7, 1e-3),
                        label="S-pert")
-    h2 = bisolution_residual(lat, Sp.context.wightman.entries)
+    h2 = bisolution_residual(lat, Sp.context.wightman)
     assert h2 > 1e-10  # the perturbation must actually break the bisolution
     F, phi0 = sample(3)
     prows = check_schwinger_dyson(Sp, L, F, phi0, cap=2, tol=1e-8)
@@ -299,7 +296,7 @@ def _pairing_t2(lat, entries, F, G):
 
 def test_two_hadamard_extraction_matches_kernel_difference(lat, S, rng):
     cap = 2
-    St = build_smatrix(lat, hadamard=_site_diagonal_hadamard(lat, 11, 5e-3),
+    St = build_smatrix(lat, site_shift=_site_shift(lat, 11, 5e-3),
                        label="S-tilde")
     FK = S.context.feynman.entries
     FKt = St.context.feynman.entries

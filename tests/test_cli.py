@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import paqft
 from paqft import cli
 from paqft.cli import DEFAULT_CONFIG, UsageError, load_config, main
 from paqft.formal_series import MultilinearFamily
-from paqft.functionals import PolyFunctional
+from paqft.functionals import HbarWindowError, PolyFunctional
 from paqft.lattice import Lattice, LatticePoint
 from paqft.smatrix_renorm import RenormalizationMap, default_s_plan
 
@@ -113,6 +114,64 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["axioms", "--set", "nonsense", "--set", out]) == 2
     assert "--set expects" in capsys.readouterr().err
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("command, sets, caps", [
+    ("correlate", ["correlate.lambda_cap=7"], "correlate.lambda_cap"),
+    ("correlate", ["correlate.lambda_cap=8"], "correlate.lambda_cap"),
+    ("correlate", ["correlate.lambda_cap=9"], "correlate.lambda_cap"),
+    # the axioms rows come from fork-pool workers, which raise
+    ("axioms", ["caps.locality_order=9", 'suites=["S"]'],
+     "caps.locality_order"),
+    ("axioms", ["caps.lambda_order=9", 'suites=["hammerstein"]',
+                "caps.degree=1", "lattice.nt=11", "lattice.nx=4"],
+     "caps.lambda_order"),
+    ("axioms", ["caps.sd_order=9", 'suites=["SD"]'], "caps.sd_order"),
+])
+def test_order_caps_past_the_hbar_window_exit_2(tmp_path, capsys, command,
+                                                sets, caps):
+    # these used to escape as a ValueError traceback with exit 1
+    args = [command, "--set", f"output={tmp_path}",
+            "--set", "samples.count=1"]
+    for item in sets:
+        args += ["--set", item]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "outside window [-8, 8]" in err and caps in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_hbar_window_error_pickles_as_itself():
+    # what carries it from a fork-pool worker back to the parent
+    err = pickle.loads(pickle.dumps(HbarWindowError("hbar exponent 9")))
+    assert type(err) is HbarWindowError and str(err) == "hbar exponent 9"
+    assert isinstance(err, ValueError)
+
+
+@pytest.mark.parametrize("command, sets, field", [
+    # IndexError
+    ("extract-z", ["caps.lambda_order=0"], "caps.lambda_order"),
+    ("axioms", ["caps.sd_order=0", 'suites=["SD"]'], "caps.sd_order"),
+    # OverflowError in m^2
+    ("propagators", ["lattice.mass=1e200"], "lattice.mass"),
+    # "kernel has non-finite entries"
+    ("propagators", ["lattice.mass=1e150"], "lattice.mass"),
+    ("correlate", ["lattice.mass=1e150"], "lattice.mass"),
+    ("axioms", ["hadamard.mode=perturbed",
+                "hadamard.perturbation-scale=1e308"],
+     "hadamard.perturbation-scale"),
+])
+def test_config_values_that_break_the_run_exit_2(tmp_path, capsys, command,
+                                                 sets, field):
+    # these used to escape as tracebacks with exit 1
+    args = [command, "--set", f"output={tmp_path}"]
+    for item in sets:
+        args += ["--set", item]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and field in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_undersized_lattice_for_sampled_suites_exit_2(tmp_path, capsys):

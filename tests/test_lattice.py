@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 import paqft
 from paqft import cli
 from paqft.cli import main
-from paqft.lattice import (Kernel, Lattice, LatticePoint,
-                           _translation_invariant, feynman_from_hadamard,
-                           field_values, kernel_residuals,
-                           wightman_from_hadamard)
+from paqft.lattice import (Kernel, Lattice, LatticePoint, _feynman,
+                           _transposed, _wightman, bisolution_residual,
+                           field_values, kernel_residuals)
 from paqft.functionals import PolyFunctional
 
 
@@ -198,6 +197,13 @@ def _kron_sum_hadamard(lat, D):
     return H.astype(complex)
 
 
+def _translation_invariant(lat, K):
+    """K[t, x+1, t', x'+1] == K[t, x, t', x'] for every entry, x wrapping:
+    the dense K is exactly invariant under spatial translation."""
+    K4 = K.reshape(lat.nt, lat.nx, lat.nt, lat.nx)
+    return np.array_equal(K4, np.roll(K4, (1, 1), axis=(1, 3)))
+
+
 BITWISE_SIZES = [
     (12, 16, 0.5), (16, 32, 0.5),
     (8, 10, 2.3),   # every mode unstable: the kernels grow
@@ -310,13 +316,15 @@ def _reference_cone(lat, R):
 
 
 def _plant(monkeypatch, lat, **planted):
-    """Serve each planted `name=entries` as <name>() of every lattice equal
-    to lat.  lat builds (and caches) its true kernels first, so its other
-    kernels stay true; an equal lattice built later, as the CLI builds its
-    own, derives them from the planted ones."""
+    """Serve each planted `name=blocks` (or `name=(blocks, diagonal)`) as
+    <name>() of every lattice equal to lat.  lat builds (and caches) its
+    true kernels first, so its other kernels stay true; an equal lattice
+    built later, as the CLI builds its own, derives them from the planted
+    ones."""
     kernel_residuals(lat)
-    for name, entries in planted.items():
-        bad = Kernel(getattr(lat, name)().kind, lat, entries)
+    for name, held in planted.items():
+        blocks, diagonal = held if isinstance(held, tuple) else (held, None)
+        bad = Kernel(getattr(lat, name)().kind, lat, blocks, diagonal)
         orig = getattr(Lattice, name)
         monkeypatch.setattr(
             Lattice, name,
@@ -333,22 +341,54 @@ KERNELS = ("green_retarded", "green_advanced", "pauli_jordan",
     (7, 8, math.sqrt(2.0))])  # edge modes excluded
 def test_dense_copies_give_the_block_route_residuals(monkeypatch, nt, nx,
                                                      mass):
-    # the same kernels held dense go through the invariance check and the
-    # dense slices: every residual must be the same number
+    # the kernels with a zero site diagonal are read on all their columns,
+    # as a dense matrix is: bisolution_residual must give the x' = 0 value,
+    # and kernel_residuals, which reads only the x' = 0 columns, must
+    # refuse them
     lat = Lattice(nt, nx, mass)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         blocks = kernel_residuals(lat)
-        assert all(getattr(lat, name)().blocks is not None
-                   for name in KERNELS)
-        _plant(monkeypatch, lat, **{name: getattr(lat, name)().entries.copy()
+        zero = np.zeros(lat.n_sites)
+        _plant(monkeypatch, lat, **{name: (getattr(lat, name)().blocks, zero)
                                     for name in KERNELS})
-        assert all(getattr(lat, name)().blocks is None for name in KERNELS)
-        dense = kernel_residuals(lat)
-    assert list(dense) == list(blocks)
-    for key in blocks:
-        assert type(dense[key]) is type(blocks[key]), key
-        assert dense[key] == blocks[key], key
+        with pytest.raises(ValueError, match="site diagonal"):
+            kernel_residuals(Lattice(nt, nx, mass))
+    H, W = (getattr(Lattice(nt, nx, mass), name)()
+            for name in ("hadamard_kernel", "wightman"))
+    assert H.diagonal is W.diagonal is zero
+    assert bisolution_residual(lat, H) == blocks["H2_interior_H"]
+    assert bisolution_residual(lat, W) == blocks["H2_interior_W"]
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_kernel_residuals_rejects_a_kernel_with_a_site_diagonal(monkeypatch,
+                                                                name):
+    # the x' = 0 columns hold every block value but only nt of the n_sites
+    # diagonal entries, so a diagonal could slip past every row
+    lat = Lattice(8, 8, 0.5)
+    d = np.zeros(lat.n_sites)
+    d[lat.site_index(LatticePoint(4, 5))] = 1e-3
+    _plant(monkeypatch, lat, **{name: (getattr(lat, name)().blocks, d)})
+    with pytest.raises(ValueError, match="site diagonal"):
+        kernel_residuals(Lattice(8, 8, 0.5))
+
+
+def test_bisolution_residual_of_a_zero_diagonal_reads_every_column(
+        monkeypatch):
+    lat = Lattice(12, 16, 0.5)
+    W = lat.wightman()
+    W0 = Kernel("wightman", lat, W.blocks, np.zeros(lat.n_sites))
+    read = []
+    columns = Kernel.columns
+    monkeypatch.setattr(Kernel, "columns", lambda self, sites: (
+        read.append(lat.n_sites if sites is None else len(sites))
+        or columns(self, sites)))
+    want = bisolution_residual(lat, W)
+    assert read == [lat.nt]
+    got = bisolution_residual(lat, W0)
+    assert read == [lat.nt, lat.n_sites]
+    assert got == want == kernel_residuals(lat)["H2_interior_W"]
 
 
 def test_the_block_route_materializes_no_dense_kernel(monkeypatch, tmp_path,
@@ -356,7 +396,7 @@ def test_the_block_route_materializes_no_dense_kernel(monkeypatch, tmp_path,
     lat = Lattice(12, 16, 0.5)
     kernel_residuals(lat)
     kernels = [getattr(lat, name)() for name in KERNELS]
-    assert all(K.blocks is not None and K._entries is None for K in kernels)
+    assert all(K._entries is None for K in kernels)
     built = []
     monkeypatch.setattr(cli, "Lattice",
                         lambda *args: built.append(Lattice(*args)) or built[-1])
@@ -365,7 +405,7 @@ def test_the_block_route_materializes_no_dense_kernel(monkeypatch, tmp_path,
     (lat,) = built
     assert sorted(b.__name__ for b in lat._kernels) == sorted(
         f"_{name.removesuffix('_kernel')}" for name in KERNELS)
-    assert all(K.blocks is not None and K._entries is None
+    assert all(K.diagonal is None and K._entries is None
                for K in lat._kernels.values())
     with np.load(tmp_path / cli.KERNELS_FILE) as z:
         for name, K in zip(KERNELS, kernels):
@@ -395,7 +435,7 @@ def test_block_kernel_is_its_definition():
     lat = Lattice(4, 5, 0.5)
     rng = np.random.default_rng(8)
     C = rng.standard_normal((4, 4, 5)) + 1j * rng.standard_normal((4, 4, 5))
-    K = Kernel("planted", lat, blocks=C)
+    K = Kernel("planted", lat, C)
     want = np.zeros((lat.n_sites, lat.n_sites), dtype=complex)
     for i, p in enumerate(lat.points()):
         for j, q in enumerate(lat.points()):
@@ -406,10 +446,18 @@ def test_block_kernel_is_its_definition():
     assert K.columns(sites).tobytes() == want[:, sites].tobytes()
     assert K.rows(sites).tobytes() == want[sites].tobytes()
     assert K.entry(LatticePoint(1, 4), LatticePoint(3, 0)) == C[1, 3, 4]
-    dense = Kernel("planted", lat, want.copy())
-    assert np.asarray(dense).tobytes() == want.tobytes()
-    assert dense.columns(sites).tobytes() == want[:, sites].tobytes()
-    assert dense.rows(sites).tobytes() == want[sites].tobytes()
+    # a site diagonal adds where the row site is the column site, repeated
+    # sites included
+    d = rng.standard_normal(lat.n_sites)
+    Kd = Kernel("planted", lat, C, d)
+    want[np.diag_indices_from(want)] += d
+    sites = [0, 7, 19, 3, 7]
+    assert np.asarray(Kd).tobytes() == want.tobytes()
+    assert Kd.entries.tobytes() == want.tobytes()
+    assert Kd.columns(sites).tobytes() == want[:, sites].tobytes()
+    assert Kd.rows(sites).tobytes() == want[sites].tobytes()
+    assert Kd.entry(LatticePoint(3, 4), LatticePoint(3, 4)) == \
+        C[3, 3, 0] + d[19]
 
 
 def test_kernel_residuals_at_32x64_stay_small():
@@ -437,47 +485,65 @@ def test_kernel_residuals_at_32x64_stay_small():
     assert res["feynman_equals_wightman_off_future"] == 0.0
 
 
+def _gathered(lat, C):
+    return Kernel("planted", lat, C).entries
+
+
+def _outside_cone_blocks(lat):
+    """The block positions (t, t', xi) of the retarded kernel whose field
+    point (t, xi) lies outside J^+ of the source (t', 0)."""
+    return [(t, tp, xi) for t in range(lat.nt) for tp in range(lat.nt)
+            for xi in range(lat.nx)
+            if not _in_causal_future(lat, LatticePoint(t, xi),
+                                     LatticePoint(tp, 0))]
+
+
 @pytest.mark.parametrize("nt, nx", [(8, 8), (12, 16)])
 def test_vectorized_cone_check_matches_reference_loop(monkeypatch, nt, nx):
     lat = Lattice(nt, nx, 0.5)
-    n = lat.n_sites
     rng = np.random.default_rng(nt * nx)
-    R = lat.green_retarded().entries.copy()
-    DF = lat.feynman().entries.copy()
-    # random entries anywhere, inside the cone and outside it
-    for i, j in rng.integers(0, n, size=(40, 2)):
-        R[i, j] = rng.normal()
-    # symmetric defects keep the Feynman kernel symmetric
-    for i, j in rng.integers(0, n, size=(10, 2)):
-        DF[i, j] = DF[j, i] = DF[i, j] + rng.normal()
-    leaks, off_future = _reference_cone(lat, R)
-    assert leaks > 0
+    R = lat.green_retarded().blocks.copy()
+    # random block entries anywhere, inside the cone and outside it
+    for t, tp, xi in zip(rng.integers(0, nt, 40), rng.integers(0, nt, 40),
+                         rng.integers(0, nx, 40)):
+        R[t, tp, xi] = rng.normal()
+    # symmetric defects keep the Feynman kernel exactly symmetric
+    delta = np.zeros((nt, nt, nx), dtype=complex)
+    for t, tp, xi in zip(rng.integers(0, nt, 10), rng.integers(0, nt, 10),
+                         rng.integers(0, nx, 10)):
+        delta[t, tp, xi] += rng.normal()
+    DF = lat.feynman().blocks + (delta + _transposed(delta)) / 2
+    leaks, off_future = _reference_cone(lat, _gathered(lat, R))
+    assert leaks > 0 and leaks % nx == 0  # each block entry in nx columns
     _plant(monkeypatch, lat, green_retarded=R, feynman=DF)
     res = kernel_residuals(lat)
     assert type(res["cone_support_violations"]) is int
     assert res["cone_support_violations"] == leaks
+    assert res["feynman_symmetry"] == 0.0
     W = lat.wightman().entries
-    want = float(np.max(np.abs((DF - W)[off_future])))
+    want = float(np.max(np.abs((_gathered(lat, DF) - W)[off_future])))
     assert want > 0
     assert res["feynman_equals_wightman_off_future"] == want
 
 
 @pytest.mark.parametrize("k", [1, 5])
 def test_planted_cone_leaks_counted_exactly(monkeypatch, tmp_path, capsys, k):
+    # each planted block entry leaks in all nx columns of its source row
     lat = Lattice(8, 8, 0.5)
-    R = lat.green_retarded().entries.copy()
-    _, off_future = _reference_cone(lat, R)
-    outside = np.argwhere(off_future.T)  # R[i, j] with i not in J^+(j)
+    R = lat.green_retarded().blocks.copy()
+    outside = _outside_cone_blocks(lat)
     picks = np.random.default_rng(k).choice(len(outside), k, replace=False)
-    for i, j in outside[picks]:
-        R[i, j] = 1e-30  # far below every float gate: only the count sees it
+    for i in picks:
+        R[outside[i]] = 1e-30  # far below every float gate: only the count sees it
+    leaks, _ = _reference_cone(lat, _gathered(lat, R))
+    assert leaks == k * lat.nx
     _plant(monkeypatch, lat, green_retarded=R)
-    assert kernel_residuals(lat)["cone_support_violations"] == k
+    assert kernel_residuals(lat)["cone_support_violations"] == leaks
     code = main(["propagators", "--set", f"output={tmp_path}",
                  "--set", "lattice.nt=8", "--set", "lattice.nx=8"])
     assert code == 1
     rep = json.loads((tmp_path / "propagators.json").read_text())
-    assert rep["residuals"]["cone_support_violations"] == k
+    assert rep["residuals"]["cone_support_violations"] == leaks
     assert [c for c, ok in rep["checks"].items() if not ok] == \
         ["cone_support_violations"]
     capsys.readouterr()
@@ -485,15 +551,12 @@ def test_planted_cone_leaks_counted_exactly(monkeypatch, tmp_path, capsys, k):
 
 def test_translation_invariant_cone_leak_is_counted_in_every_column(
         monkeypatch):
-    # the same leak at every spatial shift keeps R translation invariant,
-    # so only the x' = 0 columns are read: the count must be scaled by nx
+    # one block entry is the same leak at every spatial shift: only the
+    # x' = 0 columns are read, so the count must be scaled by nx
     lat = Lattice(8, 8, 0.5)
-    R = lat.green_retarded().entries.copy()
-    for x in range(lat.nx):
-        i = lat.site_index(LatticePoint(4, (x + 3) % lat.nx))
-        j = lat.site_index(LatticePoint(3, x))  # i spacelike to j
-        R[i, j] = 1e-30
-    leaks, _ = _reference_cone(lat, R)
+    R = lat.green_retarded().blocks.copy()
+    R[4, 3, 3] = 1e-30  # (4, x + 3) is spacelike to (3, x)
+    leaks, _ = _reference_cone(lat, _gathered(lat, R))
     assert leaks == lat.nx
     _plant(monkeypatch, lat, green_retarded=R)
     assert kernel_residuals(lat)["cone_support_violations"] == leaks
@@ -501,14 +564,25 @@ def test_translation_invariant_cone_leak_is_counted_in_every_column(
 
 def test_planted_feynman_defect_off_future_fails(monkeypatch):
     lat = Lattice(8, 8, 0.5)
-    DF = lat.feynman().entries.copy()
-    a = lat.site_index(LatticePoint(3, 0))
-    b = lat.site_index(LatticePoint(3, 4))  # spacelike to a
-    DF[a, b] = DF[b, a] = DF[a, b] + 1e-6
+    DF = lat.feynman().blocks.copy()
+    # (3, x) and (3, x + 4) are spacelike; offset 4 is its own negative at
+    # nx = 8, so the plant keeps the kernel symmetric
+    DF[3, 3, 4] += 1e-6
     _plant(monkeypatch, lat, feynman=DF)
     res = kernel_residuals(lat)
     assert res["feynman_symmetry"] == 0.0
     assert res["feynman_equals_wightman_off_future"] > 1e-10
+
+
+def _symmetric_plant(C, a, b, delta):
+    """C with K[a, b] and K[b, a] both moved by delta, for sites a = (t, x)
+    and b = (t', x') of an 8-site ring: the block entries C[t, t', x - x']
+    and C[t', t, x' - x]."""
+    C = C.copy()
+    (t, x), (tp, xp) = a, b
+    C[t, tp, (x - xp) % 8] += delta
+    C[tp, t, (xp - x) % 8] += delta
+    return C
 
 
 @pytest.mark.parametrize("name, key", [
@@ -518,23 +592,53 @@ def test_planted_feynman_defect_off_future_fails(monkeypatch):
     ("wightman", "H3_gram_min_eigenvalue")])
 def test_planted_defect_off_the_x0_columns_fails_its_gate(monkeypatch,
                                                           name, key):
-    # a translation-invariant kernel is read on its x' = 0 columns only;
-    # a defect at x, x' != 0 breaks the invariance, so every column is read
+    # a block entry is the kernel at every spatial shift, so the defect
+    # sits in the columns off x' = 0 as much as in the ones that are read
     lat = Lattice(8, 8, 0.5)
-    a = lat.site_index(LatticePoint(3, 5))
-    b = lat.site_index(LatticePoint(4, 6))
-    K = getattr(lat, name)().entries.copy()
+    C = getattr(lat, name)().blocks
     if key == "H3_gram_min_eigenvalue":
-        K[a, a] -= 1e-3  # pushes a null direction of W below zero
+        C = C.copy()
+        C[3, 3, 0] -= 1e-3  # pushes a null direction of W below zero
+    elif key == "green_retarded_identity":
+        C = C.copy()
+        C[4, 3, 1] += 1e-6
     else:
-        K[a, b] = K[b, a] = K[a, b] + 1e-6
+        C = _symmetric_plant(C, (3, 5), (4, 6), 1e-6)
     assert kernel_residuals(lat)[key] == pytest.approx(0.0, abs=1e-12)
-    _plant(monkeypatch, lat, **{name: K})
+    _plant(monkeypatch, lat, **{name: C})
     res = kernel_residuals(lat)
     if key == "H3_gram_min_eigenvalue":
         assert res[key] < -1e-10
     else:
         assert res[key] > 1e-10
+
+
+# (kernel, block entry, change) that breaks each gate of kernel_residuals
+GATE_PLANTS = {
+    "green_retarded_identity": ("green_retarded", (4, 3, 1), 1e-6),
+    "green_advanced_identity": ("green_advanced", (3, 4, 1), 1e-6),
+    "reciprocity": ("green_advanced", (3, 4, 1), 1e-6),
+    "cone_support_violations": ("green_retarded", (4, 3, 3), 1e-30),
+    "pauli_jordan_antisymmetry": ("pauli_jordan", (4, 3, 1), 1e-6),
+    "H1_imaginary_part": ("wightman", (4, 3, 1), 1e-6j),
+    "H2_interior_H": ("hadamard_kernel", (4, 3, 1), 1e-6),
+    "H2_interior_W": ("wightman", (4, 3, 1), 1e-6),
+    "H3_gram_min_eigenvalue": ("wightman", (3, 3, 0), -1e-3),
+    "feynman_symmetry": ("feynman", (4, 3, 1), 1e-6),
+    "feynman_equals_wightman_off_future": ("feynman", (3, 3, 4), 1e-6),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GATE_PLANTS))
+def test_every_kernel_gate_fails_on_a_block_plant(monkeypatch, key):
+    lat = Lattice(8, 8, 0.5)
+    assert sorted(GATE_PLANTS) == sorted(kernel_residuals(lat))
+    assert cli._kernel_check(key, kernel_residuals(lat)[key], 1e-10)
+    name, index, change = GATE_PLANTS[key]
+    C = getattr(lat, name)().blocks.copy()
+    C[index] += change
+    _plant(monkeypatch, lat, **{name: C})
+    assert not cli._kernel_check(key, kernel_residuals(lat)[key], 1e-10)
 
 
 def test_pauli_jordan_antisymmetric_and_spacelike_zero(lat):
@@ -599,55 +703,53 @@ def test_field_values_shapes(lat):
 def test_kernel_npz_roundtrip(tmp_path):
     lat = Lattice(4, 4, 1.0)
     K = lat.wightman()
-    np.savez(tmp_path / "k.npz", wightman=K.entries)
+    np.savez(tmp_path / "k.npz", wightman=K, blocks=K.blocks)
     with np.load(tmp_path / "k.npz") as z:
-        K2 = Kernel("wightman", lat, z["wightman"])
-    assert K2.entries.dtype == np.complex128
+        dense, K2 = z["wightman"], Kernel("wightman", lat, z["blocks"])
+    assert dense.dtype == K2.entries.dtype == np.complex128
+    assert dense.tobytes() == K.entries.tobytes()
     assert K2.entries.tobytes() == K.entries.tobytes()
 
 
-def test_hadamard_part_must_be_real_and_symmetric(lat):
-    H = lat.hadamard_kernel().entries.real
-    for build in (feynman_from_hadamard, wightman_from_hadamard):
-        assert build(lat, H).kind in ("feynman", "wightman")
-        with pytest.raises(ValueError, match="real"):
-            build(lat, H + 1e-3j * np.eye(lat.n_sites))
-        asym = H.copy()
-        asym[0, 1] += 1e-3
-        with pytest.raises(ValueError, match="symmetric"):
-            build(lat, asym)
+def test_hadamard_part_must_be_real_and_symmetric(monkeypatch, lat):
     # the lattice's own Hadamard part is checked on its blocks
+    for build in (_feynman, _wightman):
+        assert build(lat).blocks.tobytes() == \
+            getattr(lat, build.__name__[1:])().blocks.tobytes()
     C = lat.hadamard_kernel().blocks
-    for build in (feynman_from_hadamard, wightman_from_hadamard):
-        assert build(lat, lat.hadamard_kernel()).blocks is not None
-        with pytest.raises(ValueError, match="real"):
-            build(lat, Kernel("hadamard", lat, blocks=C + 1e-3j))
-        asym = C.copy()
-        asym[2, 1, 3] += 1e-3  # its transpose entry C[1, 2, -3] stays
-        with pytest.raises(ValueError, match="symmetric"):
-            build(lat, Kernel("hadamard", lat, blocks=asym))
+    asym = C.copy()
+    asym[2, 1, 3] += 1e-3  # its transpose entry C[1, 2, -3] stays
+    for bad, match in ((C + 1e-3j, "real"), (asym, "symmetric")):
+        H = Kernel("hadamard", lat, bad)
+        monkeypatch.setattr(Lattice, "hadamard_kernel", lambda self: H)
+        for build in (_feynman, _wightman):
+            with pytest.raises(ValueError, match=match):
+                build(lat)
 
 
 def test_kernel_validation(lat):
+    nt, nx, n = lat.nt, lat.nx, lat.n_sites
+    blocks = np.zeros((nt, nt, nx), dtype=complex)
+    # the blocks: C[t, t', xi] of shape (nt, nt, nx), finite
     with pytest.raises(ValueError, match="kernel shape"):
-        Kernel("bad", lat, np.zeros((3, 3)))
-    bad = np.full((lat.n_sites, lat.n_sites), np.nan)
-    with pytest.raises(ValueError, match="non-finite"):
-        Kernel("bad", lat, bad)
-    # the block form: C[t, t', xi] of shape (nt, nt, nx)
+        Kernel("bad", lat, np.zeros((nt, nt, nx + 1)))
     with pytest.raises(ValueError, match="kernel shape"):
-        Kernel("bad", lat, blocks=np.zeros((lat.nt, lat.nt, lat.nx + 1)))
-    with pytest.raises(ValueError, match="kernel shape"):
-        Kernel("bad", lat, blocks=np.zeros((lat.n_sites, lat.n_sites)))
-    bad = np.zeros((lat.nt, lat.nt, lat.nx), dtype=complex)
+        Kernel("bad", lat, np.zeros((n, n)))
+    bad = blocks.copy()
     bad[2, 1, 3] = complex(0.0, np.inf)
     with pytest.raises(ValueError, match="non-finite"):
-        Kernel("bad", lat, blocks=bad)
-    with pytest.raises(ValueError, match="either"):
-        Kernel("bad", lat)
-    with pytest.raises(ValueError, match="either"):
-        Kernel("bad", lat, np.zeros((lat.n_sites, lat.n_sites)),
-               blocks=np.zeros((lat.nt, lat.nt, lat.nx)))
+        Kernel("bad", lat, bad)
+    # the site diagonal: real, finite, of shape (n_sites,)
+    for shape in ((n + 1,), (nt, nx), (n, n)):
+        with pytest.raises(ValueError, match="diagonal must be a real"):
+            Kernel("bad", lat, blocks, np.zeros(shape))
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            Kernel("bad", lat, blocks, np.full(n, value))
+    with pytest.raises(ValueError, match="diagonal must be a real"):
+        Kernel("bad", lat, blocks, np.zeros(n, dtype=complex))
+    K = Kernel("good", lat, blocks, np.ones(n))
+    assert not K.blocks.flags.writeable and not K.diagonal.flags.writeable
 
 
 def test_poisson_bracket_is_pauli_jordan(lat):

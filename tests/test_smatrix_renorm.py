@@ -467,8 +467,7 @@ def test_z_suite_rows_are_the_rows_of_its_units(lat):
 
 def test_extracted_locality_rows_are_the_rows_of_its_units(lat, S):
     rng = np.random.default_rng(5)
-    St = build_smatrix(lat, hadamard=lat.hadamard_kernel().entries.real
-                       + np.diag(rng.normal(size=lat.n_sites) * 5e-3),
+    St = build_smatrix(lat, site_shift=rng.normal(size=lat.n_sites) * 5e-3,
                        label="S-tilde")
     fs = [random_local_functional(lat, rng, (5, 6)) for _ in range(3)]
     plan = default_z_plan(lat, seed=6, count=1, cap=3)
@@ -481,9 +480,8 @@ def test_extracted_locality_rows_are_the_rows_of_its_units(lat, S):
 
 def test_two_hadamard_extraction_is_local(lat, S):
     rng = np.random.default_rng(23)
-    H = lat.hadamard_kernel().entries.real.copy()
-    H2 = H + np.diag(rng.normal(size=lat.n_sites) * 5e-3)
-    St = build_smatrix(lat, hadamard=H2, label="S-tilde")
+    St = build_smatrix(lat, site_shift=rng.normal(size=lat.n_sites) * 5e-3,
+                       label="S-tilde")
     f = random_local_functional(lat, rng, (4, 6))
     vals = extract_Z(S, St, f, 2)
     z2 = vals[2]
@@ -492,8 +490,8 @@ def test_two_hadamard_extraction_is_local(lat, S):
     assert {lat.site_index(p) for p in z2.support()} <= supp_f
     ok, _rep = is_local_at_scale(z2, radius=2)
     assert ok
-    # the unperturbed Hadamard extracts the zero correction
-    St0 = build_smatrix(lat, hadamard=H)
+    # the unperturbed Hadamard part extracts the zero correction
+    St0 = build_smatrix(lat, site_shift=np.zeros(lat.n_sites))
     vals0 = extract_Z(S, St0, f, 2)
     assert vals0[2].max_norm() < 1e-10
 
@@ -502,15 +500,14 @@ def test_two_hadamard_extraction_is_local(lat, S):
 
 
 def test_bisolution_residual_vanishes(lat, ctx):
-    assert bisolution_residual(lat, ctx.wightman.entries) < 1e-10
+    assert bisolution_residual(lat, ctx.wightman) < 1e-10
 
 
 def test_bisolution_residual_equals_the_per_column_form(lat):
     # a perturbed Hadamard part, so the residual is not rounding noise
     rng = np.random.default_rng(5)
-    H = lat.hadamard_kernel().entries.real.copy()
-    H[np.diag_indices_from(H)] += 0.05 * rng.standard_normal(lat.n_sites)
-    ctx = StarAlgebraContext.from_hadamard(lat, H)
+    ctx = StarAlgebraContext.from_site_shift(
+        lat, 0.05 * rng.standard_normal(lat.n_sites))
     W = ctx.wightman.entries
     mask = lat.interior_mask()
     left = np.stack([lat.klein_gordon_apply(W[:, j])
@@ -518,7 +515,7 @@ def test_bisolution_residual_equals_the_per_column_form(lat):
     right = np.stack([lat.klein_gordon_apply(W[i, :])
                       for i in range(W.shape[0])], axis=0)
     want = max(np.max(np.abs(left[mask, :])), np.max(np.abs(right[:, mask])))
-    assert bisolution_residual(lat, W) == want > 1e-3
+    assert bisolution_residual(lat, ctx.wightman) == want > 1e-3
 
 
 def test_series_on_matches_composition_sum(lat, S):

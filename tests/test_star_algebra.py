@@ -345,12 +345,25 @@ def test_a_dropped_smatrix_frees_its_selection_cache():
 
 
 def test_context_rejects_non_hadamard_wightman(lat):
-    entries = lat.wightman().entries.copy()
-    entries[0, 1] += 0.25  # breaks the symmetric real part
-    bad = Kernel("wightman", lat, entries)
+    def context(**kernels):
+        return StarAlgebraContext(**dict(
+            lattice=lat, wightman=lat.wightman(), feynman=lat.feynman(),
+            pauli_jordan=lat.pauli_jordan()) | kernels)
+
+    blocks = lat.wightman().blocks.copy()
+    blocks[0, 1, 3] += 0.25  # breaks the symmetric real part
+    imag = lat.wightman().blocks + 1e-6j  # W - (i/2) Delta not real
+    for bad in (blocks, imag):
+        with pytest.raises(ValueError, match="real symmetric"):
+            context(wightman=Kernel("wightman", lat, bad))
+    # a site diagonal of Delta is imaginary in W - (i/2) Delta; one of W
+    # is real and symmetric
+    d = np.zeros(lat.n_sites)
+    d[5] = 1e-6
     with pytest.raises(ValueError, match="real symmetric"):
-        StarAlgebraContext(lattice=lat, wightman=bad, feynman=lat.feynman(),
-                           pauli_jordan=lat.pauli_jordan())
+        context(pauli_jordan=Kernel("pauli_jordan", lat,
+                                    lat.pauli_jordan().blocks, d))
+    context(wightman=Kernel("wightman", lat, lat.wightman().blocks, d))
 
 
 def test_context_rejects_foreign_lattice(lat):
