@@ -78,10 +78,10 @@ def contract_child() -> None:
     inner = StarAlgebraContext._contract
     spent = {"contract_s": 0.0, "contract_calls": 0}
 
-    def timed(self, F, G, entries):
+    def timed(self, F, G, kernel):
         t0 = time.perf_counter()
         try:
-            return inner(self, F, G, entries)
+            return inner(self, F, G, kernel)
         finally:
             spent["contract_s"] += time.perf_counter() - t0
             spent["contract_calls"] += 1

@@ -6,9 +6,10 @@ Single JSON config with dotted-key overrides; reports are written as JSON
 with sorted keys (byte-identical for identical configs), a one-line
 summary per block (for `axioms`, per suite and per (suite, axiom) pair)
 goes to standard output.  `propagators` writes the six kernels next to its
-report as `propagators_kernels.npz` (one complex128 (n_sites, n_sites)
-array per kernel name, read back with `np.load`); the report names that
-file under `kernels_file`.
+report as `propagators_kernels.npz`: one complex128 (nt, nt, nx) array of
+blocks per kernel name, C[t, t', xi] = K[(t, xi), (t', 0)].  A reader
+rebuilds a kernel with `Kernel(name, Lattice(nt, nx, mass), z[name])`;
+the report names that file under `kernels_file`.
 
 `axioms` and `extract-z` split their work into independent units and run
 them in forked worker processes, one per usable CPU
@@ -42,8 +43,8 @@ from .functionals import (MAX_DEGREE, HbarWindowError, PolyFunctional,
                           poly_from_json_dict)
 from .lattice import Lattice, LatticePoint, kernel_residuals
 from .relations import BinaryRelation, CausalityStructure, check_hammerstein
-from .smatrix_renorm import (RenormalizationMap, build_smatrix,
-                             check_S_axioms, check_Z_axioms,
+from .smatrix_renorm import (RenormalizationMap, SamplingError,
+                             build_smatrix, check_S_axioms, check_Z_axioms,
                              check_schwinger_dyson, compose, default_s_plan,
                              default_z_plan, extract_Z,
                              extracted_locality_units, make_handcrafted_Z,
@@ -297,9 +298,7 @@ def cmd_propagators(cfg: dict) -> int:
         warnings.simplefilter("always")
         lat = _lattice(cfg)
         residuals = kernel_residuals(lat)
-        # Kernels, not their entries: np.savez gathers one dense matrix at
-        # a time from each and keeps none
-        kernels = {name: getattr(lat, name)() for name in KERNELS}
+        kernels = {name: getattr(lat, name)().blocks for name in KERNELS}
     tol = float(cfg["tolerances"]["kernel"])
     checks = {key: _kernel_check(key, value, tol)
               for key, value in residuals.items()}
@@ -319,24 +318,23 @@ def cmd_propagators(cfg: dict) -> int:
 
 
 def _suite_S(cfg, lat, S):
-    plan = default_s_plan(
-        lat, seed=int(cfg["samples"]["seed"]),
-        count=int(cfg["samples"]["count"]),
-        cap=int(cfg["caps"]["lambda_order"]),
-        locality_cap=int(cfg["caps"]["locality_order"]),
-        degree=int(cfg["caps"]["degree"]),
-        series_tol=float(cfg["tolerances"]["series"]),
-        kernel_tol=float(cfg["tolerances"]["kernel"]))
+    try:
+        plan = default_s_plan(
+            lat, seed=int(cfg["samples"]["seed"]),
+            count=int(cfg["samples"]["count"]),
+            cap=int(cfg["caps"]["lambda_order"]),
+            locality_cap=int(cfg["caps"]["locality_order"]),
+            degree=int(cfg["caps"]["degree"]),
+            series_tol=float(cfg["tolerances"]["series"]),
+            kernel_tol=float(cfg["tolerances"]["kernel"]))
+    except SamplingError as e:
+        raise UsageError(f"lattice.nx={lat.nx}: {e}; raise lattice.nx")
     shared = {k: plan[k] for k in ("cap", "locality_cap", "series_tol",
                                    "kernel_tol")}
-    units = []
-    units.append(dict(shared, singles=plan["singles"]))
-    for t in plan["causal_triples"]:
-        units.append(dict(shared, causal_triples=[t]))
-    for p in plan["spacelike_pairs"]:
-        units.append(dict(shared, spacelike_pairs=[p]))
-    for c in plan["t1_chains"]:
-        units.append(dict(shared, t1_chains=[c]))
+    units = [dict(shared, singles=plan["singles"])] + [
+        dict(shared, **{kind: [sample]})
+        for kind in ("causal_triples", "spacelike_pairs", "t1_chains")
+        for sample in plan[kind]]
     return [functools.partial(check_S_axioms, S, u) for u in units]
 
 
@@ -377,6 +375,7 @@ def _suite_SD(cfg, lat, S):
         # phi0) has orders above 0 and series_on weighs them; the others
         # miss phi0
         F = random_local_functional(lat, rng, (mid - 1, mid),
+                                    degree=int(cfg["caps"]["degree"]),
                                     column=3 if i == 0 else None)
         phi0 = np.zeros(lat.n_sites)
         for t in (mid - 1, mid):
@@ -390,7 +389,8 @@ def _suite_SD(cfg, lat, S):
 def _suite_hammerstein(cfg, lat, S):
     cap = int(cfg["caps"]["lambda_order"])
     plan = default_z_plan(lat, seed=int(cfg["samples"]["seed"]) + 3,
-                          count=int(cfg["samples"]["count"]), cap=cap)
+                          count=int(cfg["samples"]["count"]), cap=cap,
+                          degree=int(cfg["caps"]["degree"]))
     triples = plan["causal_triples"]
     # check_hammerstein reads only the predicate, so the universe is empty
     structure = CausalityStructure(BinaryRelation((), holds=lambda a, b: (
@@ -491,11 +491,12 @@ def _extract_z_units(cfg: dict, lat: Lattice, S):
     entries, then the extracted_locality_units, returning rows."""
     mode = cfg["extract"]["mode"]
     cap = int(cfg["caps"]["lambda_order"])
+    degree = int(cfg["caps"]["degree"])
     tol = float(cfg["tolerances"]["extraction"])
     rng = np.random.default_rng(int(cfg["samples"]["seed"]) + 4)
     mid = lat.nt // 2
     n_f = max(int(cfg["extract"].get("functionals", 3)), cap)
-    fs = [random_local_functional(lat, rng, (mid - 1, mid))
+    fs = [random_local_functional(lat, rng, (mid - 1, mid), degree=degree)
           for _ in range(n_f)]
     if mode == "roundtrip":
         Z = make_handcrafted_Z(lat, float(cfg["extract"]["kappa"]),
@@ -539,7 +540,7 @@ def _extract_z_units(cfg: dict, lat: Lattice, S):
     z_units = extracted_locality_units(
         S, St, fs, cap,
         plan=default_z_plan(lat, seed=int(cfg["samples"]["seed"]) + 5,
-                            count=4, cap=cap,
+                            count=4, cap=cap, degree=degree,
                             tol=float(cfg["tolerances"]["series"])))
     return f_units, z_units
 

@@ -27,21 +27,22 @@ cone rows of kernel_residuals.
 
 Translation symmetry: a kernel is held as blocks C[t, t', xi], its x' = 0
 column, plus an optional real site diagonal d (Kernel): nt * nt * nx +
-n_sites numbers where the dense matrix has (nt * nx)^2.  The lattice's
-kernels have no diagonal.  The retarded blocks come from a single leapfrog
-source; the advanced ones are their time reversal; Delta, W and Delta_F
-are formed entry by entry on the blocks, which commutes with the gather,
-and the Hadamard blocks are a sum of mode blocks built from the blocks of
-Delta.  So every dense matrix, gathered only when asked for
-(Kernel.entries), is the same bits as the source-by-source and kron
-constructions, signed zeros included.  Without a diagonal, every column
-of a kernel, and of P applied to it, is its column at the same t' and
-x' = 0 rolled by x'.  So kernel_residuals reads the nt columns at x' = 0
-(Kernel.columns and Kernel.rows): maxima are the same and the cone count
-is nx times theirs; H3 comes from the nx Hermitian nt x nt mode blocks.
-Those columns miss most of a diagonal, such as the perturbed Hadamard part
-of a caller's W and Delta_F: kernel_residuals rejects one, and
-bisolution_residual reads such a kernel on all its columns.
+n_sites numbers where the dense matrix has (nt * nx)^2.  Callers read the
+blocks, or the few columns or rows they need (Kernel.columns, Kernel.rows);
+the dense layout is known only inside Kernel.  The lattice's kernels have
+no diagonal.  The retarded blocks come from a single leapfrog source; the
+advanced ones are their time reversal; Delta, W and Delta_F are formed
+entry by entry on the blocks, which commutes with the gather, and the
+Hadamard blocks are a sum of mode blocks built from the blocks of Delta.
+So every gathered entry is the same bits as the source-by-source and kron
+constructions, signed zeros included.  Without a diagonal, every column of
+a kernel, and of P applied to it, is its column at the same t' and x' = 0
+rolled by x'.  So kernel_residuals reads the nt columns at x' = 0: maxima
+are the same and the cone count is nx times theirs; H3 comes from the nx
+Hermitian nt x nt mode blocks.  Those columns miss most of a diagonal,
+such as the perturbed Hadamard part of a caller's W and Delta_F:
+kernel_residuals rejects one, and bisolution_residual reads such a kernel
+on all its columns, nx at a time.
 
 Large masses: modes with 4 sin^2(k/2) + m^2 > 4 have no real frequency and
 the kernels grow like sinh(gamma * nt); residuals of the eigensolve-based
@@ -210,13 +211,13 @@ class Lattice:
 
         if F.lattice != self or G.lattice != self:
             raise ValueError("functionals live on a different lattice")
-        D = self.pauli_jordan().entries
         dF = F.derivative(1, phi)
         dG = G.derivative(1, phi)
+        D = self.pauli_jordan().rows([i for (i,) in dF])
         out = HbarScalar.zero()
-        for (i,), ci in dF.items():
+        for ((i,), ci), Di in zip(dF.items(), D):
             for (j,), cj in dG.items():
-                out = out + ci * cj * complex(D[i, j])
+                out = out + ci * cj * complex(Di[j])
         return out
 
 
@@ -239,11 +240,12 @@ class Kernel:
     (nt, nt, nx) and an optional real site diagonal d of shape (n_sites,),
     K[(t, x), (t', x')] = C[t, t', (x - x') mod nx] + d[(t, x)] [same site].
 
+    `columns` and `rows` read K[:, sites] and K[sites] from the blocks;
+    `Kernel(kind, lattice, blocks)` rebuilds a kernel from saved blocks.
     `entries` is the dense matrix, gathered on first access and kept, so it
-    is the same array every time.  `columns` and `rows` read K[:, sites]
-    and K[sites] without it, and np.asarray(kernel), which is what np.savez
-    takes, gathers a dense copy that is not kept.  The stored arrays are
-    write-protected.
+    is the same array every time.  No package code reads it: it stays for
+    the tests' dense oracles and for tracing tools that key a kernel by the
+    id of that array.  The stored arrays are write-protected.
 
     It holds an equal copy of its lattice with an empty kernel cache, so a
     lattice and the kernels cached on it make no reference cycle: dropping
@@ -275,10 +277,6 @@ class Kernel:
             self._entries = self.columns(None)
             self._entries.setflags(write=False)
         return self._entries
-
-    def __array__(self, dtype=None, copy=None):
-        K = self.columns(None)
-        return K if dtype is None else K.astype(dtype, copy=False)
 
     def columns(self, sites) -> np.ndarray:
         """K[:, sites] (every column for None)."""
@@ -313,7 +311,7 @@ def _dispersion(lat: Lattice, j: int) -> float:
 def _gather(lat: Lattice, C: np.ndarray, d, sites=None) -> np.ndarray:
     """K[:, sites] (every column by default) of the kernel with blocks C
     and site diagonal d (or None)."""
-    s = np.arange(lat.n_sites) if sites is None else np.asarray(sites)
+    s = np.arange(lat.n_sites) if sites is None else np.asarray(sites, int)
     ts, xs = np.arange(lat.nt), np.arange(lat.nx)
     K = C[ts[:, None, None], (s // lat.nx)[None, None, :],
           (xs[:, None] - s % lat.nx) % lat.nx].reshape(lat.n_sites, len(s))
@@ -442,13 +440,16 @@ def _feynman(lat: Lattice) -> Kernel:
 def bisolution_residual(lat: Lattice, K: Kernel) -> float:
     """Interior residual of P applied to K in both arguments: the largest
     |P K| on interior rows and |K P^T| on interior columns (zero for an
-    exact bisolution).  Read on the x' = 0 columns, or on all columns
-    when K carries a site diagonal."""
-    c = np.arange(0, lat.n_sites, lat.nx) if K.diagonal is None else None
+    exact bisolution).  Read on the x' = 0 columns, or, when K carries a
+    site diagonal, on all columns, one source row of nx at a time."""
+    chunks = np.arange(lat.n_sites).reshape(lat.nt, lat.nx)
+    if K.diagonal is None:
+        chunks = [chunks[:, 0]]
     interior = lat.interior_mask()
     return float(max(
-        np.max(np.abs(lat.klein_gordon_apply(K.columns(c))[interior])),
-        np.max(np.abs(lat.klein_gordon_apply(K.rows(c).T)[interior]))))
+        max(np.max(np.abs(lat.klein_gordon_apply(K.columns(c))[interior])),
+            np.max(np.abs(lat.klein_gordon_apply(K.rows(c).T)[interior])))
+        for c in chunks))
 
 
 def _green_identity_residual(lat: Lattice, Gc: np.ndarray, cols) -> float:

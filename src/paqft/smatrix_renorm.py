@@ -273,6 +273,10 @@ def random_local_functional(lattice: Lattice, rng, t_range: tuple,
                               n_terms=n_terms, scale=scale)
 
 
+class SamplingError(RuntimeError):
+    """A sampler found no sample of the asked kind on its lattice."""
+
+
 def _spacelike_pair(lattice: Lattice, rng, **kw):
     for _ in range(200):
         ta = int(rng.integers(1, lattice.nt - 2))
@@ -283,7 +287,8 @@ def _spacelike_pair(lattice: Lattice, rng, **kw):
         f2 = _window_functional(lattice, rng, tb, xb, **kw)
         if lattice.spacelike(f1.support(), f2.support()):
             return f1, f2
-    raise RuntimeError("could not sample a spacelike pair")
+    raise SamplingError("could not sample a spacelike pair of windows "
+                        f"on {lattice.nx} columns in 200 draws")
 
 
 def _window_functional(lattice: Lattice, rng, t0: int, x0: int,
@@ -322,16 +327,12 @@ def _causal_triple(lattice: Lattice, rng, **kw):
 
 
 def _causal_chain(lattice: Lattice, rng, n: int, **kw):
-    """n factors listed latest-first, pairwise strictly row-separated."""
-    starts = [10, 7, 4, 1]
-    if lattice.nt < 12:
-        starts = [lattice.nt - 2, lattice.nt // 2, 1, 0]
-    chain = []
-    for t0 in starts[:n]:
-        f = _window_functional(lattice, rng, t0, int(rng.integers(0, lattice.nx)),
-                               **kw)
-        chain.append(f)
-    return chain
+    """n factors listed latest-first, pairwise strictly row-separated
+    (nt >= 11)."""
+    starts = [10, 7, 4, 1] if lattice.nt >= 12 else [9, 6, 3, 0]
+    return [_window_functional(lattice, rng, t0,
+                               int(rng.integers(0, lattice.nx)), **kw)
+            for t0 in starts[:n]]
 
 
 def default_s_plan(lattice: Lattice, seed: int = 0, count: int = 10,

@@ -13,8 +13,9 @@ unordered selections and matrix permanents with no factorial division.
 Polynomial degree means r <= 8 throughout.
 
 The contraction accumulates flat: the kernel rows of F's sites are read
-once per call as Python lists, and each output monomial collects one plain
-complex per hbar exponent.  Terms come out bitwise as the HbarScalar
+once per context (Kernel.rows, kept as lists in its _row_cache), and each
+output monomial collects one plain complex per hbar exponent.  Terms come
+out bitwise as the HbarScalar
 arithmetic ``acc[key] += (c_F * c_G) * (per * HbarScalar({r: 1}))``
 forms them: its steps that can only flip the sign of a zero part (the
 ``0j +`` and ``(1 + 0j) *`` of the weight and the term) are left out
@@ -65,13 +66,9 @@ from .lattice import Kernel, Lattice, Region, _transposed
 @functools.cache
 def _selections(degree: int, r: int):
     """All (selected, remaining) index-tuple pairs choosing r of `degree` slots."""
-    idx = tuple(range(degree))
-    out = []
-    for sel in itertools.combinations(idx, r):
-        sel_set = set(sel)
-        rem = tuple(i for i in idx if i not in sel_set)
-        out.append((sel, rem))
-    return tuple(out)
+    idx = range(degree)
+    return tuple((sel, tuple(i for i in idx if i not in sel))
+                 for sel in itertools.combinations(idx, r))
 
 
 def _site_selections(key: tuple, r: int) -> list:
@@ -107,8 +104,7 @@ def _permanent(mat) -> complex:
     if r == 1:
         return complex(mat[0][0])
     total = 0.0 + 0.0j
-    rows = range(r)
-    for perm in itertools.permutations(rows):
+    for perm in itertools.permutations(range(r)):
         p = 1.0 + 0.0j
         for i, j in enumerate(perm):
             p *= mat[i][j]
@@ -153,6 +149,8 @@ class StarAlgebraContext:
     pauli_jordan: Kernel
     _selection_cache: dict = field(default_factory=dict, init=False,
                                    compare=False, repr=False)
+    _row_cache: dict = field(default_factory=dict, init=False,
+                             compare=False, repr=False)
     # contractions run to the full order min(deg F, deg G); tracing tools
     # read this attribute
     max_contraction_order = None
@@ -187,13 +185,14 @@ class StarAlgebraContext:
         return cls(lattice, W, DF, lattice.pauli_jordan())
 
     def _contract(self, F: PolyFunctional, G: PolyFunctional,
-                  entries: np.ndarray) -> PolyFunctional:
-        """Exponentiated-contraction product of F and G along `entries`.
+                  kernel: Kernel) -> PolyFunctional:
+        """Exponentiated-contraction product of F and G along `kernel`.
 
         Each monomial pair sums over the distinct site-multiset selections
         of its keys, each term times the multiplicities of its two
         selections, which are read from and stored in this context's
-        _selection_cache.  An operand with only degree 0 gives the
+        _selection_cache; the kernel rows of F's sites are read from and
+        stored in its _row_cache.  An operand with only degree 0 gives the
         pointwise product.  The result is bitwise that of the per-term
         loop over every index selection when an operand is constant or no
         key repeats a site, and within rounding otherwise (module
@@ -213,8 +212,10 @@ class StarAlgebraContext:
             return _poly_from_flat(self.lattice, {
                 key: HbarScalar._canonical(coeffs)
                 for key, coeffs in acc.items()})
-        kernel = {s: entries[s].tolist()
-                  for s in {s for _d, ka, _c in f_monos for s in ka}}
+        rows = self._row_cache.setdefault(kernel, {})
+        new = list({s for _d, ka, _c in f_monos for s in ka} - rows.keys())
+        if new:
+            rows.update(zip(new, kernel.rows(new).tolist()))
         # {key: [None or _site_selections(key, r) for r in 0..len(key)]},
         # shared by both kernels
         cache = self._selection_cache
@@ -256,7 +257,7 @@ class StarAlgebraContext:
                     if sels_b is None:
                         sels_b = b_sels[r] = _site_selections(kb, r)
                     for sa, rest, ma in sels_a:
-                        krows = [kernel[s] for s in sa]
+                        krows = [rows[s] for s in sa]
                         for sb, rb, mb in sels_b:
                             if r == 1:
                                 per = krows[0][sb[0]]
@@ -318,13 +319,13 @@ class StarAlgebraContext:
         """Star product along the Wightman kernel (associative,
         noncommutative; hbar^1 commutator part is i times the Poisson
         bracket)."""
-        return self._contract(F, G, self.wightman.entries)
+        return self._contract(F, G, self.wightman)
 
     def time_ordered(self, F: PolyFunctional, G: PolyFunctional
                      ) -> PolyFunctional:
         """Binary time-ordered product along the Feynman kernel
         (commutative and associative since the kernel is symmetric)."""
-        return self._contract(F, G, self.feynman.entries)
+        return self._contract(F, G, self.feynman)
 
     def commutator(self, F: PolyFunctional, G: PolyFunctional
                    ) -> PolyFunctional:
@@ -343,14 +344,10 @@ def beta(F: PolyFunctional, regions: Sequence[Iterable]) -> list:
     if not regions:
         raise ValueError("need at least one region")
     lat = F.lattice
-    region_sets = []
-    for reg in regions:
-        rs = frozenset(lat.site_index(p) for p in reg)
-        region_sets.append(rs)
-    for i in range(len(region_sets)):
-        for j in range(i + 1, len(region_sets)):
-            if region_sets[i] & region_sets[j]:
-                raise ValueError(f"regions {i} and {j} overlap")
+    region_sets = [frozenset(map(lat.site_index, reg)) for reg in regions]
+    for (i, a), (j, b) in itertools.combinations(enumerate(region_sets), 2):
+        if a & b:
+            raise ValueError(f"regions {i} and {j} overlap")
     m = len(region_sets)
     table: dict[tuple, HbarScalar] = {}
     parts_seen: list[set] = [set() for _ in range(m)]

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import paqft
-from paqft import cli
+from paqft import cli, smatrix_renorm
 from paqft.cli import DEFAULT_CONFIG, UsageError, load_config, main
 from paqft.formal_series import MultilinearFamily
 from paqft.functionals import HbarWindowError, PolyFunctional
-from paqft.lattice import Lattice, LatticePoint
+from paqft.lattice import Kernel, Lattice, LatticePoint
 from paqft.smatrix_renorm import RenormalizationMap, default_s_plan
 
 SMALL = ["--set", "samples.count=2", "--set", "caps.lambda_order=2",
@@ -161,6 +161,9 @@ def test_hbar_window_error_pickles_as_itself():
     ("axioms", ["hadamard.mode=perturbed",
                 "hadamard.perturbation-scale=1e308"],
      "hadamard.perturbation-scale"),
+    # RuntimeError: no two degree-4 windows are spacelike on 4 columns
+    ("axioms", ["lattice.nx=4", "caps.degree=4", "samples.count=1",
+                'suites=["S"]'], "lattice.nx"),
 ])
 def test_config_values_that_break_the_run_exit_2(tmp_path, capsys, command,
                                                  sets, field):
@@ -172,6 +175,45 @@ def test_config_values_that_break_the_run_exit_2(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("usage error") and field in err
     assert not any(tmp_path.iterdir())
+
+
+def test_every_sampler_takes_caps_degree(monkeypatch):
+    # every window functional that the axioms suites and the extract-z
+    # units sample is built with caps.degree
+    degrees = []
+    window = smatrix_renorm._window_functional
+    monkeypatch.setattr(smatrix_renorm, "_window_functional",
+                        lambda *args, degree=2, **kw: degrees.append(degree)
+                        or window(*args, degree=degree, **kw))
+    cfg = load_config(None, ["caps.degree=1", "samples.count=2"])
+    lat, S = cli._build(cfg)
+    for build in cli.SUITES.values():
+        build(cfg, lat, S)
+    n_axioms = len(degrees)
+    cli._extract_z_units(cfg, lat, S)
+    assert 0 < n_axioms < len(degrees) and set(degrees) == {1}
+
+
+def test_no_command_gathers_a_dense_kernel(monkeypatch, tmp_path, capsys):
+    # the blocks are the only kernel form a command reads: no kernel built
+    # while the commands run, in process, gathers its dense matrix
+    kernels = []
+    build = Kernel.__init__
+
+    def init(self, *args):
+        build(self, *args)
+        kernels.append(self)
+
+    monkeypatch.setattr(Kernel, "__init__", init)
+    monkeypatch.setattr(cli, "_run_units", lambda units: [u() for u in units])
+    for args in (["axioms"], ["axioms", "hadamard.mode=perturbed"],
+                 ["extract-z"], ["extract-z", "extract.mode=two-hadamard"],
+                 ["correlate"], ["propagators"]):
+        sets = [f"output={tmp_path}", "samples.count=2"] + args[1:]
+        assert main([args[0]] + [a for s in sets for a in ("--set", s)]) == 0
+    capsys.readouterr()
+    assert len(kernels) > 6
+    assert all(K._entries is None for K in kernels)
 
 
 def test_undersized_lattice_for_sampled_suites_exit_2(tmp_path, capsys):
@@ -210,13 +252,16 @@ def test_propagators_kernels_sidecar(tmp_path):
     lat = Lattice(8, 8, 0.5)
     names = ("green_retarded", "green_advanced", "pauli_jordan",
              "hadamard_kernel", "wightman", "feynman")
+    # one complex128 (nt, nt, nx) array of blocks per kernel name, from
+    # which Kernel rebuilds the lattice's kernel bitwise
     with np.load(tmp_path / "propagators_kernels.npz") as z:
         assert sorted(z.files) == sorted(names)
         for name in names:
             arr = z[name]
             assert arr.dtype == np.complex128
-            assert arr.shape == (lat.n_sites, lat.n_sites)
-            assert arr.tobytes() == getattr(lat, name)().entries.tobytes()
+            assert arr.shape == (lat.nt, lat.nt, lat.nx)
+            assert Kernel(name, lat, arr).entries.tobytes() == \
+                getattr(lat, name)().entries.tobytes()
 
 
 def test_propagators_outputs_byte_identical(tmp_path):

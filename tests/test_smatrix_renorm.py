@@ -9,7 +9,8 @@ from paqft.functionals import (HbarScalar, PolyFunctional,
                                free_scalar_lagrangian, is_local_at_scale)
 from paqft.lattice import Lattice, LatticePoint, bisolution_residual
 from paqft.smatrix_renorm import (RenormalizationMap, SMatrix,
-                                  _causal_triple, _partial, _spacelike_pair,
+                                  _causal_chain, _causal_triple, _partial,
+                                  _spacelike_pair,
                                   _window_functional,
                                   build_smatrix, check_S_axioms,
                                   check_Z_axioms, check_schwinger_dyson,
@@ -158,6 +159,16 @@ def test_malformed_plans_rejected(lat, S):
             "causal_triples": [(f_late, f_mid, f_early)]}
     with pytest.raises(ValueError, match="not causally ordered"):
         check_Z_axioms(RenormalizationMap.identity(), lat, zbad)
+
+
+def test_t1_chains_are_causally_ordered_at_nt_11():
+    # the four 2-row windows start at rows 9, 6, 3 and 0; starts at rows
+    # 9, 5, 1 and 0 made the last two overlap
+    lat = Lattice(11, 16, 0.5)
+    for seed in range(50):
+        chain = _causal_chain(lat, np.random.default_rng(seed), 4)
+        for later, earlier in itertools.combinations(chain, 2):
+            assert lat.not_later_than(earlier.support(), later.support())
 
 
 def test_spacelike_coefficients_commute(lat, ctx, S):
