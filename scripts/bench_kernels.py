@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the kernel layer and the contraction layer.
+"""Time the kernel layer, the contraction layer and start-up.
 
 Kernel layer: the six-kernel build and `kernel_residuals`, per lattice
 size.  Contraction layer (the `contract` entry): at the default 12x16
@@ -7,17 +7,31 @@ working point, the units of `paqft axioms --set samples.count=5` and of
 `paqft extract-z`, run serially in one process, with
 `StarAlgebraContext._contract` wrapped from outside to add up its seconds
 and calls (the commands themselves run their units in forked workers,
-which a wrapper in the parent cannot see).
+which a wrapper in the parent cannot see).  Start-up (the `startup`
+entry): the spawn-to-exit wall of `python -m paqft.cli propagators` at
+16x32, and of `python -c "import numpy"` as its floor, both timed from
+this process; the entry records whether the children write bytecode
+(PYTHONDONTWRITEBYTECODE unset), since a child that cannot cache it
+compiles every module it loads.
 
-Each entry runs in RUNS fresh processes, one after another; the figures
-are the medians over those processes.  The result is stored in --out
-under --label, next to the labels already there, with the machine it ran
-on, so one file can hold a before and an after; a label run again on other
-entries keeps the ones it had:
+Each entry runs in --runs fresh processes (default 3), one after another;
+the figures are the medians over those processes.  The result is stored in
+--out under --label, next to the labels already there, with the machine it
+ran on, so one file can hold a before and an after; a label run again on
+other entries keeps the ones it had:
 
     python3 scripts/bench_kernels.py --label parent --src /path/to/old/src
     python3 scripts/bench_kernels.py --label change
     python3 scripts/bench_kernels.py --label change --sizes contract
+
+Labels measured one after the other also differ by the machine's drift
+between the two runs.  --against times a second tree in the same run,
+alternating the trees run by run (its first run goes first in every other
+pair), and stores it under --against-label; the --label entry then counts
+the pairs in which it was lower:
+
+    python3 scripts/bench_kernels.py --sizes startup --runs 16 \
+        --label change --against /path/to/old/src --against-label parent
 
 --src is the source tree whose `paqft` is timed (default: this checkout's
 `src/`); the wrapper uses only names the trees share (`cli.SUITES`,
@@ -34,18 +48,21 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MASS = 0.5
-RUNS = 3
 SAMPLES = 5  # samples.count of the axioms units in the contract entry
-WHAT = ("seconds in process, median of fresh processes per entry, m = 0.5; "
-        "sizes: six-kernel build and kernel_residuals; contract: "
+STARTUP = ["propagators", "--set", "lattice.nt=16", "--set", "lattice.nx=32"]
+WHAT = ("seconds, median of fresh processes per entry, m = 0.5; "
+        "sizes: six-kernel build and kernel_residuals, in process; contract: "
         "StarAlgebraContext._contract in the serial axioms and extract-z "
-        "units at 12x16")
+        "units at 12x16, in process; startup: spawn-to-exit wall of "
+        "`python -m paqft.cli propagators` at 16x32 and of "
+        "`python -c 'import numpy'`")
 KERNELS = ("green_retarded", "green_advanced", "pauli_jordan",
            "hadamard_kernel", "wightman", "feynman")
 
@@ -124,18 +141,57 @@ def src_lines(src: Path) -> int:
                for path in (src / "paqft").glob("*.py"))
 
 
-def measure(entry: str, src: Path) -> dict:
+def startup(env: dict) -> dict:
+    """One spawn-to-exit wall of each start-up command."""
+    walls = {}
+    with tempfile.TemporaryDirectory() as out:
+        for key, args in (
+                ("numpy_s", ["-c", "import numpy"]),
+                ("startup_s", ["-m", "paqft.cli", *STARTUP,
+                               "--set", f"output={out}"])):
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, *args], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+            walls[key] = time.perf_counter() - t0
+    return walls
+
+
+def run_once(entry: str, src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    samples = []
-    for _ in range(RUNS):
-        out = subprocess.run(
-            [sys.executable, __file__, "--child", entry], env=env,
-            capture_output=True, text=True, check=True)
-        samples.append(json.loads(out.stdout))
-    row = {key: statistics.median(s[key] for s in samples)
-           for key in samples[0]}
-    row["runs"] = samples
-    return row
+    if entry == "startup":
+        return startup(env)
+    out = subprocess.run(
+        [sys.executable, __file__, "--child", entry], env=env,
+        capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def measure(entry: str, trees: dict, runs: int) -> dict:
+    """{label: row} for each {label: src} tree, the trees alternating run
+    by run; each row holds the medians and its runs."""
+    samples = {label: [] for label in trees}
+    for i in range(runs):
+        for label in list(trees)[::-1 if i % 2 else 1]:
+            samples[label].append(run_once(entry, trees[label]))
+    rows = {}
+    for label, runs_of in samples.items():
+        rows[label] = {key: statistics.median(s[key] for s in runs_of)
+                       for key in runs_of[0]}
+        rows[label]["runs"] = runs_of
+    return rows
+
+
+def report(label: str, entry: str, row: dict) -> str:
+    if entry == "contract":
+        return (f"{label} contract: _contract {row['contract_s']:.3f} s over "
+                f"{row['contract_calls']:.0f} calls, units "
+                f"{row['units_s']:.3f} s")
+    if entry == "startup":
+        return (f"{label} startup: propagators 16x32 {row['startup_s']:.3f} s"
+                f", import numpy {row['numpy_s']:.3f} s")
+    return (f"{label} {entry}: build {row['build_s']:.3f} s, "
+            f"kernel_residuals {row['residuals_s']:.3f} s, "
+            f"peak RSS {row['peak_rss_mb']:.0f} MB")
 
 
 def main(argv=None) -> int:
@@ -145,9 +201,19 @@ def main(argv=None) -> int:
     ap.add_argument("--src", type=Path, default=ROOT / "src")
     ap.add_argument("--sizes", default="16x32,24x48,32x64,contract",
                     help="comma-separated NTxNX lattice sizes for the kernel "
-                         "layer, and `contract` for the contraction layer")
+                         "layer, `contract` for the contraction layer and "
+                         "`startup` for start-up")
+    ap.add_argument("--runs", type=int, default=3,
+                    help="fresh processes per entry and tree")
+    ap.add_argument("--against", type=Path,
+                    help="a second source tree, timed alternately with --src")
+    ap.add_argument("--against-label", default="parent")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_kernels.json")
     args = ap.parse_args(argv)
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
+    if args.against is not None and args.against_label == args.label:
+        ap.error("--against-label must differ from --label")
     if args.child == "contract":
         contract_child()
         return 0
@@ -157,21 +223,36 @@ def main(argv=None) -> int:
 
     bench = json.loads(args.out.read_text()) if args.out.exists() else {
         "labels": {}}
+    trees = {args.label: args.src.resolve()}
+    if args.against is not None:
+        trees[args.against_label] = args.against.resolve()
     # a label run again keeps the entries it does not re-measure
-    label = bench["labels"].setdefault(args.label, {})
-    label.update(machine=machine(), runs=RUNS, src_lines=src_lines(args.src))
-    label.setdefault("sizes", {})
-    for size in args.sizes.split(","):
-        if size == "contract":
-            row = label["contract"] = measure(size, args.src.resolve())
-            print(f"{args.label} contract: _contract {row['contract_s']:.3f} s"
-                  f" over {row['contract_calls']} calls, units "
-                  f"{row['units_s']:.3f} s")
-            continue
-        row = label["sizes"][size] = measure(size, args.src.resolve())
-        print(f"{args.label} {size}: build {row['build_s']:.3f} s, "
-              f"kernel_residuals {row['residuals_s']:.3f} s, "
-              f"peak RSS {row['peak_rss_mb']:.0f} MB")
+    labels = {name: bench["labels"].setdefault(name, {}) for name in trees}
+    for name, label in labels.items():
+        label.update(machine=machine(), runs=args.runs,
+                     src_lines=src_lines(trees[name]))
+        label.setdefault("sizes", {})
+    for entry in args.sizes.split(","):
+        rows = measure(entry, trees, args.runs)
+        for name, row in rows.items():
+            if entry == "startup":
+                row["writes_bytecode"] = not os.environ.get(
+                    "PYTHONDONTWRITEBYTECODE")
+            if entry in ("contract", "startup"):
+                labels[name][entry] = row
+            else:
+                labels[name]["sizes"][entry] = row
+            print(report(name, entry, row))
+        if args.against is not None:
+            mine, theirs = (rows[name]["runs"] for name in trees)
+            lower = {key: sum(a[key] < b[key] for a, b in zip(mine, theirs))
+                     for key in mine[0]}
+            rows[args.label]["against"] = {
+                "label": args.against_label, "pairs": args.runs,
+                "lower_in": lower}
+            print(f"{args.label} lower than {args.against_label} in "
+                  + ", ".join(f"{key} {n}/{args.runs}"
+                              for key, n in lower.items()) + " pairs")
     bench["what"] = WHAT
     args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
     print(f"written to {args.out}")

@@ -20,6 +20,13 @@ per sampled functional, then the units of the extracted map's Z suite
 multilinearity order.  Rows come back in unit order, so reports and
 standard output do not depend on the CPU count.
 
+Each command loads only the layers it runs.  `propagators` imports
+`paqft.lattice` alone, so its wall time is mostly interpreter and numpy
+start-up; `axioms`, `extract-z` and `correlate` import the S-matrix layer,
+and through it the functional, star-algebra, series and relation layers,
+inside the functions that use them, and only the pooled commands import
+multiprocessing.
+
 Exit status: 0 iff every checked residual is within tolerance, 2 for
 usage and config errors.
 """
@@ -38,17 +45,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .functionals import (MAX_DEGREE, HbarWindowError, PolyFunctional,
-                          free_scalar_lagrangian, is_local_at_scale,
-                          poly_from_json_dict)
-from .lattice import Lattice, LatticePoint, kernel_residuals
-from .relations import BinaryRelation, CausalityStructure, check_hammerstein
-from .smatrix_renorm import (RenormalizationMap, SamplingError,
-                             build_smatrix, check_S_axioms, check_Z_axioms,
-                             check_schwinger_dyson, compose, default_s_plan,
-                             default_z_plan, extract_Z,
-                             extracted_locality_units, make_handcrafted_Z,
-                             random_local_functional, correlation)
+# the other layers are imported where they run (module docstring)
+from .lattice import (MAX_DEGREE, HbarWindowError, Lattice, LatticePoint,
+                      kernel_residuals)
 
 
 class UsageError(Exception):
@@ -213,6 +212,8 @@ def _lattice(cfg: dict) -> Lattice:
 
 
 def _build(cfg: dict):
+    from .smatrix_renorm import build_smatrix
+
     lat = _lattice(cfg)
     if cfg["hadamard"]["mode"] == "perturbed":
         d = _perturbed_hadamard(cfg, lat)
@@ -318,6 +319,8 @@ def cmd_propagators(cfg: dict) -> int:
 
 
 def _suite_S(cfg, lat, S):
+    from .smatrix_renorm import SamplingError, check_S_axioms, default_s_plan
+
     try:
         plan = default_s_plan(
             lat, seed=int(cfg["samples"]["seed"]),
@@ -339,6 +342,9 @@ def _suite_S(cfg, lat, S):
 
 
 def _suite_Z(cfg, lat, S):
+    from .smatrix_renorm import (check_Z_axioms, default_z_plan,
+                                 make_handcrafted_Z)
+
     Z = make_handcrafted_Z(lat, float(cfg["extract"]["kappa"]),
                            _mid_window(lat))
     plan = default_z_plan(
@@ -355,6 +361,9 @@ def _suite_Z(cfg, lat, S):
 
 
 def _suite_SD(cfg, lat, S):
+    from .functionals import free_scalar_lagrangian
+    from .smatrix_renorm import check_schwinger_dyson, random_local_functional
+
     rng = np.random.default_rng(int(cfg["samples"]["seed"]) + 2)
     L = free_scalar_lagrangian(lat)
     cap = int(cfg["caps"]["sd_order"])
@@ -387,6 +396,11 @@ def _suite_SD(cfg, lat, S):
 
 
 def _suite_hammerstein(cfg, lat, S):
+    from .functionals import PolyFunctional
+    from .relations import (BinaryRelation, CausalityStructure,
+                            check_hammerstein)
+    from .smatrix_renorm import default_z_plan
+
     cap = int(cfg["caps"]["lambda_order"])
     plan = default_z_plan(lat, seed=int(cfg["samples"]["seed"]) + 3,
                           count=int(cfg["samples"]["count"]), cap=cap,
@@ -489,6 +503,12 @@ def _extract_z_units(cfg: dict, lat: Lattice, S):
     """The independent units of `extract-z`, in row order: one per sampled
     functional, returning its rows and its `z_values` and `hbar_grading`
     entries, then the extracted_locality_units, returning rows."""
+    from .functionals import is_local_at_scale
+    from .smatrix_renorm import (RenormalizationMap, build_smatrix, compose,
+                                 default_z_plan, extract_Z,
+                                 extracted_locality_units, make_handcrafted_Z,
+                                 random_local_functional)
+
     mode = cfg["extract"]["mode"]
     cap = int(cfg["caps"]["lambda_order"])
     degree = int(cfg["caps"]["degree"])
@@ -574,6 +594,9 @@ def cmd_extract_z(cfg: dict) -> int:
 
 
 def cmd_correlate(cfg: dict) -> int:
+    from .functionals import is_local_at_scale, poly_from_json_dict
+    from .smatrix_renorm import correlation
+
     lat, S = _build(cfg)
     cc = cfg["correlate"]
     try:

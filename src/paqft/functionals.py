@@ -38,14 +38,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .lattice import Lattice, LatticePoint, Region, field_values
-
-MAX_DEGREE = 8
-HBAR_WINDOW = (-8, 8)
-
-
-class HbarWindowError(ValueError):
-    """An hbar exponent outside HBAR_WINDOW."""
+from .lattice import (HBAR_WINDOW, MAX_DEGREE, HbarWindowError, Lattice,
+                      LatticePoint, Region, field_values)
 
 
 class HbarScalar:
@@ -422,9 +416,11 @@ class PolyFunctional:
                     z = 0j + v * s
                     if z != 0:
                         acc[e] = acc.get(e, 0j) + z
-                total = HbarScalar(acc)
-                if total.coeffs:
-                    bucket[key] = total
+                # the exponents of both operands are inside the window;
+                # only a sum can be zero
+                total = {e: v for e, v in acc.items() if v != 0}
+                if total:
+                    bucket[key] = HbarScalar._canonical(total)
                 elif prev is not None:
                     del bucket[key]
         return PolyFunctional._canonical(
@@ -447,6 +443,8 @@ class PolyFunctional:
         # v * c with the HbarScalar operations; HbarScalar(out) drops the
         # zero sums and keeps the window check
         cs = list(HbarScalar.coerce(c).coeffs.items())
+        if len(cs) == 1:
+            return self._scaled_monomial(*cs[0])
         terms: dict[int, dict[tuple, HbarScalar]] = {}
         for deg, t in self.terms.items():
             bucket = {}
@@ -459,6 +457,30 @@ class PolyFunctional:
                 prod = HbarScalar(out)
                 if prod.coeffs:
                     bucket[key] = prod
+            if bucket:
+                terms[deg] = bucket
+        return PolyFunctional._canonical(self.lattice, terms)
+
+    def _scaled_monomial(self, k2: int, v2: complex) -> "PolyFunctional":
+        """scaled(c) for c = v2 hbar^k2: one product term 0j + v1 * v2 per
+        exponent, zeros dropped, each exponent checked against the
+        window, as HbarScalar multiplication gives them."""
+        lo, hi = HBAR_WINDOW
+        terms: dict[int, dict[tuple, HbarScalar]] = {}
+        for deg, t in self.terms.items():
+            bucket = {}
+            for key, v in t.items():
+                out: dict[int, complex] = {}
+                for k1, v1 in v.coeffs.items():
+                    z = 0j + v1 * v2
+                    if z != 0:
+                        k = k1 + k2
+                        if not lo <= k <= hi:
+                            raise HbarWindowError(
+                                f"hbar exponent {k} outside window {[lo, hi]}")
+                        out[k] = z
+                if out:
+                    bucket[key] = HbarScalar._canonical(out)
             if bucket:
                 terms[deg] = bucket
         return PolyFunctional._canonical(self.lattice, terms)

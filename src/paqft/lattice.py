@@ -63,6 +63,17 @@ if TYPE_CHECKING:
     from .functionals import HbarScalar, PolyFunctional
 
 
+# the caps of the functional layer, which re-exports them: they live here
+# so that the command line checks a config and reports a window breach
+# without loading that layer
+MAX_DEGREE = 8
+HBAR_WINDOW = (-8, 8)
+
+
+class HbarWindowError(ValueError):
+    """An hbar exponent outside HBAR_WINDOW."""
+
+
 class LatticePoint(NamedTuple):
     t: int
     x: int
@@ -283,9 +294,17 @@ class Kernel:
         return _gather(self.lattice, self.blocks, self.diagonal, sites)
 
     def rows(self, sites) -> np.ndarray:
-        """K[sites]: the columns of K^T, transposed."""
-        return _gather(self.lattice, _transposed(self.blocks), self.diagonal,
-                       sites).T
+        """K[sites], read from the blocks as
+        K[(t, x), (t', x')] = C[t, t', (x - x') mod nx]."""
+        lat = self.lattice
+        s = np.asarray(sites, int)
+        K = self.blocks[(s // lat.nx)[:, None, None],
+                        np.arange(lat.nt)[:, None],
+                        ((s % lat.nx)[:, None] - np.arange(lat.nx))[:, None]
+                        % lat.nx].reshape(len(s), lat.n_sites)
+        if self.diagonal is not None:
+            K[np.arange(len(s)), s] += self.diagonal[s]
+        return K
 
     def entry(self, p: LatticePoint, q: LatticePoint) -> complex:
         i, j = self.lattice.site_index(p), self.lattice.site_index(q)

@@ -482,7 +482,7 @@ def _plant_non_spacelike_pair(monkeypatch):
         plan["spacelike_pairs"][0] = (f1, f2)   # causal, not spacelike
         return plan
 
-    monkeypatch.setattr(cli, "default_s_plan", malformed_plan)
+    monkeypatch.setattr(smatrix_renorm, "default_s_plan", malformed_plan)
     return (["axioms", "--set", 'suites=["S"]'], "axioms",
             "malformed plan: pair #0 is not spacelike")
 
@@ -495,7 +495,7 @@ def _plant_z4_violation(monkeypatch):
                 PolyFunctional.zero(lat)
         return RenormalizationMap(MultilinearFamily(evaluate_mixed=mixed))
 
-    monkeypatch.setattr(cli, "make_handcrafted_Z", doubling_Z)
+    monkeypatch.setattr(smatrix_renorm, "make_handcrafted_Z", doubling_Z)
     return ["extract-z"], "extract_z", "Z violates Z4"
 
 
@@ -527,6 +527,46 @@ def test_propagators_and_correlate_do_not_load_multiprocessing(tmp_path):
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_propagators_loads_only_the_kernel_layer(tmp_path):
+    # `python -m paqft.cli propagators` imports neither the S-matrix
+    # layers nor multiprocessing
+    src = str(Path(paqft.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "\n".join([
+        "import runpy, sys",
+        "sys.argv = ['paqft', 'propagators', '--set', sys.argv[1],"
+        " '--set', 'lattice.nt=8', '--set', 'lattice.nx=8']",
+        "try:",
+        "    runpy.run_module('paqft.cli', run_name='__main__')",
+        "except SystemExit as e:",
+        "    assert e.code == 0, e.code",
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith('paqft') or 'multiprocessing' in m))"])
+    out = subprocess.run([sys.executable, "-c", code, f"output={tmp_path}"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "['paqft', 'paqft.lattice']"
+    assert (tmp_path / "propagators.json").exists()
+
+
+def test_every_package_name_is_its_modules_own_object():
+    import importlib
+
+    homes = {"Lattice": "lattice", "LatticePoint": "lattice",
+             "Region": "lattice", "Kernel": "lattice",
+             "HbarScalar": "functionals", "PolyFunctional": "functionals",
+             "StarAlgebraContext": "star_algebra",
+             "SMatrix": "smatrix_renorm",
+             "RenormalizationMap": "smatrix_renorm",
+             "build_smatrix": "smatrix_renorm"}
+    assert sorted(paqft.__all__) == sorted(homes)
+    for name, module in homes.items():
+        own = getattr(importlib.import_module(f"paqft.{module}"), name)
+        assert getattr(paqft, name) is own, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        paqft.no_such_name
 
 
 def test_python_m_paqft_runs_the_cli():

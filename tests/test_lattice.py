@@ -461,6 +461,16 @@ def test_block_kernel_is_its_definition():
         C[3, 3, 0] + d[19]
 
 
+def test_rows_with_a_diagonal_are_the_dense_rows_at_32x64():
+    # rows reads the blocks in place; at nx = 64 an offset taken with the
+    # wrong sign or the wrong modulus lands on another entry
+    lat = Lattice(32, 64, 0.5)
+    d = np.random.default_rng(4).standard_normal(lat.n_sites)
+    K = Kernel("wightman", lat, lat.wightman().blocks, d)
+    sites = [0, 63, 64, 1000, 2047, 1000]
+    assert K.rows(sites).tobytes() == K.entries[sites].tobytes()
+
+
 def test_kernel_residuals_at_32x64_stay_small():
     # six dense 32x64 kernels alone would be 6 x 67 MB.  The peak is the
     # child's VmHWM: its ru_maxrss would start from the RSS of this test

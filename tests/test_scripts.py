@@ -72,3 +72,22 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     assert sorted(again["sizes"]) == ["6x6", "8x8"]
     assert again["sizes"]["8x8"] == entry["sizes"]["8x8"]
     assert again["contract"] == entry["contract"]
+    # the startup entry, with the tree alternated against itself under a
+    # second label
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_kernels.py"), "--sizes",
+         "startup", "--label", "smoke", "--src", src, "--against", src,
+         "--against-label", "smoke-against", "--out", str(out)],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    labels = json.loads(out.read_text())["labels"]
+    assert labels["smoke"]["contract"] == entry["contract"]
+    for name in ("smoke", "smoke-against"):
+        row = labels[name]["startup"]
+        assert len(row["runs"]) == 3
+        for key in ("startup_s", "numpy_s"):
+            assert row[key] == sorted(r[key] for r in row["runs"])[1] > 0
+    against = labels["smoke"]["startup"]["against"]
+    assert against["label"] == "smoke-against" and against["pairs"] == 3
+    assert set(against["lower_in"]) == {"startup_s", "numpy_s"}
+    assert all(0 <= n <= 3 for n in against["lower_in"].values())
