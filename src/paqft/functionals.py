@@ -418,9 +418,10 @@ class PolyFunctional:
                         acc[e] = acc.get(e, 0j) + z
                 # the exponents of both operands are inside the window;
                 # only a sum can be zero
-                total = {e: v for e, v in acc.items() if v != 0}
-                if total:
-                    bucket[key] = HbarScalar._canonical(total)
+                if 0 in acc.values():
+                    acc = {e: v for e, v in acc.items() if v != 0}
+                if acc:
+                    bucket[key] = HbarScalar._canonical(acc)
                 elif prev is not None:
                     del bucket[key]
         return PolyFunctional._canonical(
@@ -440,11 +441,10 @@ class PolyFunctional:
         return self.scaled(-1.0)
 
     def scaled(self, c) -> "PolyFunctional":
-        # v * c with the HbarScalar operations; HbarScalar(out) drops the
-        # zero sums and keeps the window check
+        # v * c with the HbarScalar operations: the product sums, the zero
+        # sums dropped, each exponent checked against the window
         cs = list(HbarScalar.coerce(c).coeffs.items())
-        if len(cs) == 1:
-            return self._scaled_monomial(*cs[0])
+        lo, hi = HBAR_WINDOW
         terms: dict[int, dict[tuple, HbarScalar]] = {}
         for deg, t in self.terms.items():
             bucket = {}
@@ -454,31 +454,12 @@ class PolyFunctional:
                     for k2, v2 in cs:
                         k = k1 + k2
                         out[k] = out.get(k, 0j) + v1 * v2
-                prod = HbarScalar(out)
-                if prod.coeffs:
-                    bucket[key] = prod
-            if bucket:
-                terms[deg] = bucket
-        return PolyFunctional._canonical(self.lattice, terms)
-
-    def _scaled_monomial(self, k2: int, v2: complex) -> "PolyFunctional":
-        """scaled(c) for c = v2 hbar^k2: one product term 0j + v1 * v2 per
-        exponent, zeros dropped, each exponent checked against the
-        window, as HbarScalar multiplication gives them."""
-        lo, hi = HBAR_WINDOW
-        terms: dict[int, dict[tuple, HbarScalar]] = {}
-        for deg, t in self.terms.items():
-            bucket = {}
-            for key, v in t.items():
-                out: dict[int, complex] = {}
-                for k1, v1 in v.coeffs.items():
-                    z = 0j + v1 * v2
-                    if z != 0:
-                        k = k1 + k2
-                        if not lo <= k <= hi:
-                            raise HbarWindowError(
-                                f"hbar exponent {k} outside window {[lo, hi]}")
-                        out[k] = z
+                if 0 in out.values():
+                    out = {k: z for k, z in out.items() if z != 0}
+                for k in out:
+                    if not lo <= k <= hi:
+                        raise HbarWindowError(
+                            f"hbar exponent {k} outside window {[lo, hi]}")
                 if out:
                     bucket[key] = HbarScalar._canonical(out)
             if bucket:
