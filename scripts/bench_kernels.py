@@ -7,9 +7,11 @@ working point, the units of `paqft axioms --set samples.count=5` and of
 `paqft extract-z`, run serially in one process, with
 `StarAlgebraContext._contract` wrapped from outside to add up its seconds
 and calls (the commands themselves run their units in forked workers,
-which a wrapper in the parent cannot see).  Start-up (the `startup`
-entry): the spawn-to-exit wall of `python -m paqft.cli propagators` at
-16x32, and of `python -c "import numpy"` as its floor, both timed from
+which a wrapper in the parent cannot see); `axioms_units_s` and
+`extract_units_s` time each command's units, and `units_s` is their
+sum.  Start-up (the `startup` entry): the spawn-to-exit wall of
+`python -m paqft.cli propagators` at 16x32, and of
+`python -c "import numpy"` as its floor, both timed from
 this process; the entry records whether the children write bytecode
 (PYTHONDONTWRITEBYTECODE unset), since a child that cannot cache it
 compiles every module it loads.
@@ -60,7 +62,8 @@ STARTUP = ["propagators", "--set", "lattice.nt=16", "--set", "lattice.nx=32"]
 WHAT = ("seconds, median of fresh processes per entry, m = 0.5; "
         "sizes: six-kernel build and kernel_residuals, in process; contract: "
         "StarAlgebraContext._contract in the serial axioms and extract-z "
-        "units at 12x16, in process; startup: spawn-to-exit wall of "
+        "units at 12x16, in process, and the units of each command; "
+        "startup: spawn-to-exit wall of "
         "`python -m paqft.cli propagators` at 16x32 and of "
         "`python -c 'import numpy'`")
 KERNELS = ("green_retarded", "green_advanced", "pauli_jordan",
@@ -106,15 +109,17 @@ def contract_child() -> None:
     StarAlgebraContext._contract = timed
     cfg = cli.load_config(None, [f"samples.count={SAMPLES}"])
     lat, S = cli._build(cfg)
-    units = [u for name in cfg["suites"]
-             for u in cli.SUITES[name](cfg, lat, S)]
+    axioms = [u for name in cfg["suites"]
+              for u in cli.SUITES[name](cfg, lat, S)]
     lat, S = cli._build(cfg)
     f_units, z_units = cli._extract_z_units(cfg, lat, S)
-    units += f_units + z_units
-    t0 = time.perf_counter()
-    for unit in units:
-        unit()
-    spent["units_s"] = time.perf_counter() - t0
+    for key, units in (("axioms_units_s", axioms),
+                       ("extract_units_s", f_units + z_units)):
+        t0 = time.perf_counter()
+        for unit in units:
+            unit()
+        spent[key] = time.perf_counter() - t0
+    spent["units_s"] = spent["axioms_units_s"] + spent["extract_units_s"]
     spent["peak_rss_mb"] = \
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps(spent))
@@ -185,7 +190,9 @@ def report(label: str, entry: str, row: dict) -> str:
     if entry == "contract":
         return (f"{label} contract: _contract {row['contract_s']:.3f} s over "
                 f"{row['contract_calls']:.0f} calls, units "
-                f"{row['units_s']:.3f} s")
+                f"{row['units_s']:.3f} s (axioms "
+                f"{row['axioms_units_s']:.3f} s, extract-z "
+                f"{row['extract_units_s']:.3f} s)")
     if entry == "startup":
         return (f"{label} startup: propagators 16x32 {row['startup_s']:.3f} s"
                 f", import numpy {row['numpy_s']:.3f} s")

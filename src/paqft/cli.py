@@ -17,8 +17,11 @@ them in forked worker processes, one per usable CPU
 sample, or per causal triple, spacelike pair or T1 chain; `extract-z` one
 per sampled functional, then the units of the extracted map's Z suite
 (its Z1/Z4 head, one per causal triple, its additivity tail) and one per
-multilinearity order.  Rows come back in unit order, so reports and
-standard output do not depend on the CPU count.
+multilinearity order; every `extract-z` unit reads one extraction cache
+per worker, and the pool takes them last first, so the multilinearity
+units go first, highest order first.  Rows come back in unit order, so
+reports and standard output do not depend on the CPU count or the
+dispatch order.
 
 Each command loads only the layers it runs.  `propagators` imports
 `paqft.lattice` alone, so its wall time is mostly interpreter and numpy
@@ -46,8 +49,8 @@ from pathlib import Path
 import numpy as np
 
 # the other layers are imported where they run (module docstring)
-from .lattice import (MAX_DEGREE, HbarWindowError, Lattice, LatticePoint,
-                      kernel_residuals)
+from .lattice import (HBAR_WINDOW, MAX_DEGREE, HbarWindowError, Lattice,
+                      LatticePoint, kernel_residuals)
 
 
 class UsageError(Exception):
@@ -140,6 +143,12 @@ _INT_FIELDS = (
     ("correlate", "lambda_cap", 0), ("correlate", "locality_radius", 0))
 
 
+# the order caps each axioms suite reads
+_SUITE_CAPS = {"S": ("caps.lambda_order", "caps.locality_order"),
+               "Z": ("caps.lambda_order",), "SD": ("caps.sd_order",),
+               "hammerstein": ("caps.lambda_order",)}
+
+
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -148,6 +157,21 @@ def _is_number(v) -> bool:
     """A finite int or float that is not a boolean."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
             and math.isfinite(v))
+
+
+def _check_order_caps(cfg: dict, fields, extra: int = 0) -> None:
+    """Refuse, before any work, an order cap whose series leaves the hbar
+    window from below: a series through lambda^cap carries (i/hbar)^cap,
+    and `extra` more orders reach (i/hbar)^-(cap + extra).  Only the
+    command that reads a cap checks it."""
+    for field in fields:
+        section, key = field.split(".")
+        lowest = -(cfg[section][key] + extra)
+        if lowest < HBAR_WINDOW[0]:
+            raise UsageError(
+                f"{field}={cfg[section][key]} reaches hbar exponent "
+                f"{lowest}, outside window {list(HBAR_WINDOW)}: lower "
+                f"{field}")
 
 
 def validate_config(cfg: dict) -> None:
@@ -449,18 +473,24 @@ def _run_unit(i: int) -> list:
     return _UNITS[i]()
 
 
-def _run_units(units: list) -> list:
+def _run_units(units: list, order=None) -> list:
     """The rows of each unit, in unit order, from a fork pool of one
-    worker per usable CPU (at most one per unit)."""
+    worker per usable CPU (at most one per unit).  The pool takes the
+    units in `order`, a permutation of their indices (default: unit
+    order), one at a time."""
     import multiprocessing  # here, so the other commands never load it
 
+    if order is None:
+        order = range(len(units))
     workers = min(len(os.sched_getaffinity(0)), len(units))
     _UNITS[:] = units
     try:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            return pool.map(_run_unit, range(len(units)), chunksize=1)
+            by_unit = dict(zip(order, pool.map(_run_unit, order,
+                                               chunksize=1)))
     finally:
         _UNITS.clear()
+    return [by_unit[i] for i in range(len(units))]
 
 
 def cmd_axioms(cfg: dict) -> int:
@@ -471,6 +501,8 @@ def cmd_axioms(cfg: dict) -> int:
     if unknown:
         raise UsageError(
             f"unknown suite name(s) {unknown}; known: {sorted(SUITES)}")
+    _check_order_caps(cfg, dict.fromkeys(
+        field for name in suites for field in _SUITE_CAPS[name]))
     nt = cfg["lattice"]["nt"]
     needy = {"S", "Z", "hammerstein"} & set(suites)
     if nt < 11 and needy:
@@ -505,8 +537,8 @@ def _extract_z_units(cfg: dict, lat: Lattice, S):
     entries, then the extracted_locality_units, returning rows."""
     from .functionals import is_local_at_scale
     from .smatrix_renorm import (RenormalizationMap, build_smatrix, compose,
-                                 default_z_plan, extract_Z,
-                                 extracted_locality_units, make_handcrafted_Z,
+                                 default_z_plan, extracted_locality_units,
+                                 extracted_map, make_handcrafted_Z,
                                  random_local_functional)
 
     mode = cfg["extract"]["mode"]
@@ -526,9 +558,12 @@ def _extract_z_units(cfg: dict, lat: Lattice, S):
         St = build_smatrix(lat, site_shift=_perturbed_hadamard(cfg, lat),
                            label="S-tilde")
         Z = None
+    # one extraction cache per process, read by every unit
+    extracted = extracted_map(S, St, cap)
 
     def one(i, f):
-        vals = extract_Z(S, St, f, cap)
+        vals = {n: extracted.family.diagonal(n, f)
+                for n in range(1, cap + 1)}
         sid = f"f-{i:02d}"
         back = compose(S, RenormalizationMap.from_values(lat, vals)
                        ).series(f, cap)
@@ -558,7 +593,7 @@ def _extract_z_units(cfg: dict, lat: Lattice, S):
 
     f_units = [functools.partial(one, i, f) for i, f in enumerate(fs)]
     z_units = extracted_locality_units(
-        S, St, fs, cap,
+        extracted, lat, fs, cap,
         plan=default_z_plan(lat, seed=int(cfg["samples"]["seed"]) + 5,
                             count=4, cap=cap, degree=degree,
                             tol=float(cfg["tolerances"]["series"])))
@@ -573,10 +608,16 @@ def cmd_extract_z(cfg: dict) -> int:
             f"needs lattice.nt >= 11, got {nt}")
     if cfg["caps"]["lambda_order"] < 1:
         raise UsageError("extract-z needs caps.lambda_order >= 1, got 0")
+    _check_order_caps(cfg, ["caps.lambda_order"])
     lat, S = _build(cfg)
     mode = cfg["extract"]["mode"]
     f_units, z_units = _extract_z_units(cfg, lat, S)
-    results = _run_units(f_units + z_units)
+    units = f_units + z_units
+    # the pool takes the units last first: the multilinearity units, at
+    # the end, polarize orders cap down to 2, and the order-n one
+    # extracts about 3 (2^n - 1) sums, so the costliest go first and the
+    # pool does not end on one of them
+    results = _run_units(units, range(len(units))[::-1])
     rows, z_values, grading = [], {}, {}
     for i, (out, vals, grades) in enumerate(results[:len(f_units)]):
         rows.extend(out)
@@ -597,6 +638,8 @@ def cmd_correlate(cfg: dict) -> int:
     from .functionals import is_local_at_scale, poly_from_json_dict
     from .smatrix_renorm import correlation
 
+    # the relative S-matrix is one mu order past the lambda cap
+    _check_order_caps(cfg, ["correlate.lambda_cap"], extra=1)
     lat, S = _build(cfg)
     cc = cfg["correlate"]
     try:

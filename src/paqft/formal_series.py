@@ -11,6 +11,7 @@ stay exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -247,25 +248,55 @@ def set_partitions(n: int):
         yield part + [[n - 1]]
 
 
-def compose_SZ(family: MultilinearFamily, prefactor: Callable[[int], object],
+@functools.cache
+def _partition_classes(ids: tuple) -> tuple:
+    """The set partitions of range(len(ids)) grouped by the multisets of
+    argument ids their blocks carry: (first partition, class size) pairs,
+    in the set_partitions order of those first partitions."""
+    classes: dict = {}
+    for blocks in set_partitions(len(ids)):
+        sig = tuple(sorted(tuple(sorted(ids[i] for i in b)) for b in blocks))
+        if sig in classes:
+            classes[sig][1] += 1
+        else:
+            classes[sig] = [blocks, 1]
+    return tuple((blocks, count) for blocks, count in classes.values())
+
+
+def compose_SZ(family: MultilinearFamily, weight: Callable[[int], object],
                z_family: MultilinearFamily, args: Sequence):
-    """prefactor(n) (S compose Z)_n(f_1..f_n) for n = len(args), by the
-    set-partition (Faa di Bruno) sum
+    """The set-partition (Faa di Bruno) sum
 
-        sum_{pi partition of [n]} prefactor(|pi|) T_{|pi|}(Z_{|B|}(f_B))_{B in pi}
+        sum_{pi partition of [n]} weight(|pi|) T_{|pi|}(Z_{|B|}(f_B))_{B in pi}
 
-    where S(F) = 1 + sum_k prefactor(k)/k! T_k(F^{tensor k}) with T_k =
-    family, and Z(F) = sum_m 1/m! Z_m(F^{tensor m}) with Z_m = z_family,
-    whose order-1 member must be the identity (axiom Z4).  The coefficient
-    of lambda^n in (S compose Z)(lambda f) is compose_SZ(.., [f] * n)/n!.
+    for n = len(args), with T_k = family and Z_m = z_family, whose order-1
+    member must be the identity (axiom Z4, checked once per distinct
+    argument); a weight of None leaves its terms unscaled.  With S(F) =
+    1 + sum_k prefactor(k)/k! T_k(F^{tensor k}) and Z(F) = sum_m 1/m!
+    Z_m(F^{tensor m}), weight = prefactor gives prefactor(n) (S compose
+    Z)_n(f_1..f_n), so the coefficient of lambda^n in (S compose
+    Z)(lambda f) is compose_SZ(.., [f] * n)/n!; the relative weights
+    prefactor(k)/prefactor(n) give the T_n of S compose Z.
+
+    Partitions whose blocks carry the same multisets of arguments (by
+    arg_key) have equal terms: each such class is evaluated once, on its
+    first partition, times its size, where that partition stands.  On
+    [f] * n this is the sum over the integer partitions of n.
     """
-    for a in args:
-        if not _is_zero(z_family.mixed(1, [a]) - a):
+    keys = [arg_key(a) for a in args]
+    ids = tuple(keys.index(k) for k in keys)
+    for i in sorted(set(ids)):
+        if not _is_zero(z_family.mixed(1, [args[i]]) - args[i]):
             raise ValueError(
                 "Z violates Z4: order-1 coefficient is not the identity")
     acc = None
-    for blocks in set_partitions(len(args)):
+    for blocks, count in _partition_classes(ids):
         zvals = [z_family.mixed(len(b), [args[i] for i in b]) for b in blocks]
-        term = family.mixed(len(blocks), zvals) * prefactor(len(blocks))
+        term = family.mixed(len(blocks), zvals)
+        w = weight(len(blocks))
+        if w is not None:
+            term = term * w
+        if count > 1:
+            term = term * count
         acc = term if acc is None else acc + term
     return acc

@@ -180,6 +180,20 @@ def _bounded_compositions(total: int, bounds: Sequence[int]):
             yield (m,) + tail
 
 
+class ContentKey(tuple):
+    """The (lattice, terms) tuple of PolyFunctional.content_key with its
+    hash computed once (a tuple rehashes every item on each call); it
+    equals and hashes like the plain tuple."""
+
+    def __new__(cls, items):
+        key = super().__new__(cls, items)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self):
+        return self._hash
+
+
 class PolyFunctional:
     """Polynomial functional F(phi) with HbarScalar coefficients.
 
@@ -187,7 +201,8 @@ class PolyFunctional:
     canonical form (see the module docstring); the constructor validates,
     ``_canonical`` trusts its caller.  Degrees ascend; the order of the
     keys within a degree is part of the value: ``content_key`` and every
-    later summation follow it.
+    later summation follow it.  A functional is not changed after it is
+    built, so its content key is built once and kept.
 
     >>> lat = Lattice(4, 4, 0.5)
     >>> F = PolyFunctional.from_monomials(lat, [(2.0, [LatticePoint(1, 1)])])
@@ -196,11 +211,12 @@ class PolyFunctional:
     (6+0j)
     """
 
-    __slots__ = ("lattice", "terms")
+    __slots__ = ("lattice", "terms", "_key")
 
     def __init__(self, lattice: Lattice,
                  terms: Mapping[int, Mapping[tuple, HbarScalar]] | None = None):
         self.lattice = lattice
+        self._key = None
         clean: dict[int, dict[tuple, HbarScalar]] = {}
         for deg, tensor in (terms or {}).items():
             for key, coeff in tensor.items():
@@ -234,6 +250,7 @@ class PolyFunctional:
         F = object.__new__(cls)
         F.lattice = lattice
         F.terms = terms
+        F._key = None
         return F
 
     @staticmethod
@@ -301,15 +318,18 @@ class PolyFunctional:
                 hi = r[1] if hi is None else max(hi, r[1])
         return None if lo is None else (lo, hi)
 
-    def content_key(self) -> tuple:
-        """Hashable key of the lattice and the terms in iteration order.
+    def content_key(self) -> ContentKey:
+        """Hashable key of the lattice and the terms in iteration order,
+        built on the first call and returned by every later one.
 
         Equal keys mean equal coefficients met in the same order, so any
         computation over the terms sums them in the same order."""
-        return (self.lattice, tuple(
-            (deg, tuple((key, tuple(c.coeffs.items()))
-                        for key, c in t.items()))
-            for deg, t in self.terms.items()))
+        if self._key is None:
+            self._key = ContentKey((self.lattice, tuple(
+                (deg, tuple((key, tuple(c.coeffs.items()))
+                            for key, c in t.items()))
+                for deg, t in self.terms.items())))
+        return self._key
 
     def monomials(self):
         for deg in sorted(self.terms):

@@ -82,11 +82,12 @@ class SMatrix:
         return self.context.lattice
 
     def series(self, f: PolyFunctional, cap: int) -> LambdaSeries:
-        """Coefficients of S(lambda f) through lambda^cap."""
+        """Coefficients of S(lambda f) through lambda^cap: T_n(f^{tensor n})
+        scaled once, by prefactor(n)/n!."""
         rows = [PolyFunctional.unit(self.lattice)]
         for n in range(1, cap + 1):
             val = self.family.diagonal(n, f)
-            rows.append((val * prefactor(n)) * Fraction(1, math.factorial(n)))
+            rows.append(val * (prefactor(n) * Fraction(1, math.factorial(n))))
         return LambdaSeries(cap, tuple(rows))
 
     def series_on(self, g: LambdaSeries) -> LambdaSeries:
@@ -212,13 +213,14 @@ def make_handcrafted_Z(lattice: Lattice, kappa, window) -> RenormalizationMap:
 
 def compose(S: SMatrix, Z: RenormalizationMap) -> SMatrix:
     """S-matrix (S compose Z).  Its T_n(f_1..f_n) is the set-partition sum
-    compose_SZ with the (i/hbar)^n weight taken off, so mixed values come
-    directly and diagonal ones are mixed values at equal arguments.
-    Requires Z_1 = id (Z4)."""
+    compose_SZ with the relative weights prefactor(k)/prefactor(n) =
+    (hbar/i)^(n-k) on the k-block terms, so the n-block term T_n(f_1..f_n)
+    goes in unscaled; mixed values come directly and diagonal ones are
+    mixed values at equal arguments.  Requires Z_1 = id (Z4)."""
 
     def mixed(n, args):
-        return compose_SZ(S.family, prefactor, Z.family, args) \
-            * inverse_prefactor(n)
+        return compose_SZ(S.family, lambda k: inverse_prefactor(n - k)
+                          if k < n else None, Z.family, args)
 
     fam = MultilinearFamily(evaluate_mixed=mixed)
     return SMatrix(context=S.context, family=fam,
@@ -250,7 +252,7 @@ def extract_Z(S: SMatrix, S_tilde: SMatrix, f: PolyFunctional, cap: int,
         composed = compose_SZ(S.family, prefactor, zfam, [f] * N) \
             * Fraction(1, math.factorial(N))
         diff = ser_t.coeff(N) - composed
-        vals[N] = (diff * HbarScalar({1: -1j})) * math.factorial(N)
+        vals[N] = diff * HbarScalar({1: -1j * math.factorial(N)})
     return vals
 
 
@@ -549,19 +551,13 @@ def check_Z_axioms(Z: RenormalizationMap, lattice: Lattice,
             for row in unit()]
 
 
-def extracted_locality_units(S: SMatrix, S_tilde: SMatrix,
-                             fs: Sequence[PolyFunctional], cap: int,
-                             plan: dict = None, seed: int = 101) -> list:
-    """The independent units of verify_extracted_locality, in row order:
-    the z_axiom_units of the extracted map, then one multilinearity unit
-    per order n = 2..cap.  All units share one extraction cache, so a
-    unit that runs after others in the same process reuses their
-    extractions; its rows do not depend on that."""
-    if len(fs) < cap:
-        raise ValueError(
-            f"need at least {cap} functionals to polarize order {cap}; "
-            f"got {len(fs)}")
-    lat = S.lattice
+def extracted_map(S: SMatrix, S_tilde: SMatrix, cap: int
+                  ) -> RenormalizationMap:
+    """The map Z with S_tilde = S compose Z, known by its diagonal values:
+    Z_n(g^{tensor n}) is extract_Z(S, S_tilde, g, cap)[n] for n = 1..cap.
+    Each argument is extracted once, all orders at a time, and kept in one
+    cache on the map, which every caller of its family in a process
+    shares; mixed values come by polarization."""
     cache: dict = {}
 
     def diag(n, g):
@@ -570,10 +566,25 @@ def extracted_locality_units(S: SMatrix, S_tilde: SMatrix,
             cache[key] = extract_Z(S, S_tilde, g, cap)
         return cache[key][n]
 
-    fam = MultilinearFamily(evaluate_diagonal=diag)
-    Z = RenormalizationMap(family=fam, label="extracted")
+    return RenormalizationMap(MultilinearFamily(evaluate_diagonal=diag),
+                              label="extracted")
+
+
+def extracted_locality_units(Z: RenormalizationMap, lattice: Lattice,
+                             fs: Sequence[PolyFunctional], cap: int,
+                             plan: dict = None, seed: int = 101) -> list:
+    """The independent units of verify_extracted_locality for the
+    extracted map Z (extracted_map), in row order: the z_axiom_units of
+    Z, then one multilinearity unit per order n = 2..cap, which polarizes
+    over sums of fs.  A unit that runs after others in the same process
+    reuses the extractions in Z's cache; its rows do not depend on that."""
+    if len(fs) < cap:
+        raise ValueError(
+            f"need at least {cap} functionals to polarize order {cap}; "
+            f"got {len(fs)}")
+    fam = Z.family
     if plan is None:
-        plan = default_z_plan(lat, seed=seed, cap=cap)
+        plan = default_z_plan(lattice, seed=seed, cap=cap)
     tol = float(plan.get("tol", 1e-9))
     scale = max(1.0, max(f.max_norm() for f in fs))
 
@@ -584,7 +595,7 @@ def extracted_locality_units(S: SMatrix, S_tilde: SMatrix,
         res = (lin_lhs - lin_rhs).max_norm() / scale
         return [_row("Z", "multilinearity", n, f"polar-{n}", res, tol)]
 
-    return (z_axiom_units(Z, lat, plan)
+    return (z_axiom_units(Z, lattice, plan)
             + [functools.partial(multilinearity, n)
                for n in range(2, cap + 1)])
 
@@ -595,12 +606,13 @@ def verify_extracted_locality(S: SMatrix, S_tilde: SMatrix,
     """Reconstruct the multilinear Z from diagonal extractions (by
     polarization over sums of the given family) and run the Z suite on
     it, plus explicit multilinearity rows.  The rows are those of
-    extracted_locality_units, run one after another.
+    extracted_locality_units of extracted_map(S, S_tilde, cap), run one
+    after another.
 
     Needs at least cap functionals to polarize order cap."""
-    return [row for unit in extracted_locality_units(S, S_tilde, fs, cap,
-                                                     plan=plan, seed=seed)
-            for row in unit()]
+    units = extracted_locality_units(extracted_map(S, S_tilde, cap),
+                                     S.lattice, fs, cap, plan=plan, seed=seed)
+    return [row for unit in units for row in unit()]
 
 
 # -- Schwinger-Dyson -----------------------------------------------------

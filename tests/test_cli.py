@@ -1,9 +1,11 @@
+import functools
 import json
 import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import paqft
 from paqft import cli, smatrix_renorm
 from paqft.cli import DEFAULT_CONFIG, UsageError, load_config, main
 from paqft.formal_series import MultilinearFamily
-from paqft.functionals import HbarWindowError, PolyFunctional
+from paqft.functionals import HbarScalar, HbarWindowError, PolyFunctional
 from paqft.lattice import Kernel, Lattice, LatticePoint
 from paqft.smatrix_renorm import RenormalizationMap, default_s_plan
 
@@ -120,11 +122,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ("correlate", ["correlate.lambda_cap=7"], "correlate.lambda_cap"),
     ("correlate", ["correlate.lambda_cap=8"], "correlate.lambda_cap"),
     ("correlate", ["correlate.lambda_cap=9"], "correlate.lambda_cap"),
-    # the axioms rows come from fork-pool workers, which raise
     ("axioms", ["caps.locality_order=9", 'suites=["S"]'],
      "caps.locality_order"),
-    ("axioms", ["caps.lambda_order=9", 'suites=["hammerstein"]',
-                "caps.degree=1", "lattice.nt=11", "lattice.nx=4"],
+    ("axioms", ["caps.lambda_order=9", 'suites=["hammerstein"]'],
      "caps.lambda_order"),
     ("axioms", ["caps.sd_order=9", 'suites=["SD"]'], "caps.sd_order"),
 ])
@@ -139,6 +139,69 @@ def test_order_caps_past_the_hbar_window_exit_2(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "outside window [-8, 8]" in err and caps in err
     assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_order_caps_below_the_hbar_window_are_refused_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    def no_build(cfg):
+        raise AssertionError("built the lattice")
+
+    monkeypatch.setattr(cli, "_build", no_build)
+    for command, sets, setting, lowest in [
+            ("correlate", ["correlate.lambda_cap=8"],
+             "correlate.lambda_cap=8", -9),
+            ("axioms", ["caps.locality_order=9", 'suites=["S"]'],
+             "caps.locality_order=9", -9),
+            ("axioms", ["caps.lambda_order=9", 'suites=["S"]'],
+             "caps.lambda_order=9", -9),
+            ("axioms", ["caps.lambda_order=10", 'suites=["SD", "Z"]'],
+             "caps.lambda_order=10", -10),
+            ("axioms", ["caps.lambda_order=9", 'suites=["hammerstein"]'],
+             "caps.lambda_order=9", -9),
+            ("axioms", ["caps.sd_order=9", 'suites=["SD"]'],
+             "caps.sd_order=9", -9),
+            ("extract-z", ["caps.lambda_order=9"], "caps.lambda_order=9",
+             -9)]:
+        args = [command, "--set", f"output={tmp_path}"]
+        for item in sets:
+            args += ["--set", item]
+        assert main(args) == 2
+        field = setting.split("=")[0]
+        assert (f"{setting} reaches hbar exponent {lowest}, outside window "
+                f"[-8, 8]: lower {field}") in capsys.readouterr().err
+
+
+def test_order_caps_are_checked_only_by_the_commands_that_read_them(
+        tmp_path):
+    out = ["--set", f"output={tmp_path}"]
+    unread = ["--set", "caps.lambda_order=9", "--set", "caps.locality_order=9",
+              "--set", "caps.sd_order=9"]
+    assert main(["propagators", "--set", "lattice.nt=8",
+                 "--set", "lattice.nx=8", "--set", "correlate.lambda_cap=9"]
+                + unread + out) == 0
+    assert main(["correlate"] + unread + out) == 0
+
+
+def test_hbar_window_breach_in_a_pool_worker_exits_2(tmp_path, capsys,
+                                                     monkeypatch):
+    # the upper side of the window (contractions adding hbar^r) has no
+    # static check: a worker that breaches it raises, and the error
+    # crosses the pool to main, which exits 2 naming the command's caps
+    parent = os.getpid()
+
+    def breach():
+        if os.getpid() == parent:
+            return []
+        return HbarScalar({9: 1.0})
+
+    monkeypatch.setitem(cli.SUITES, "S", lambda cfg, lat, S: [list, breach])
+    assert main(["axioms", "--set", 'suites=["S"]',
+                 "--set", f"output={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert "hbar exponent 9 outside window [-8, 8]" in err
+    assert cli.ORDER_CAPS["axioms"] in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
     assert not any(tmp_path.iterdir())
 
 
@@ -205,7 +268,8 @@ def test_no_command_gathers_a_dense_kernel(monkeypatch, tmp_path, capsys):
         kernels.append(self)
 
     monkeypatch.setattr(Kernel, "__init__", init)
-    monkeypatch.setattr(cli, "_run_units", lambda units: [u() for u in units])
+    monkeypatch.setattr(cli, "_run_units",
+                        lambda units, order=None: [u() for u in units])
     for args in (["axioms"], ["axioms", "hadamard.mode=perturbed"],
                  ["extract-z"], ["extract-z", "extract.mode=two-hadamard"],
                  ["correlate"], ["propagators"]):
@@ -473,6 +537,20 @@ def test_axioms_report_does_not_depend_on_worker_count(tmp_path, capsys,
                      (tmp_path / f"{report}.json").read_bytes()))
     assert sizes == [1, 2, 3]
     assert len(outputs) == 1
+
+
+def test_run_units_returns_unit_order_for_any_dispatch_order(monkeypatch):
+    # each unit returns its index and the time it ran; one worker takes
+    # the units one at a time in the dispatch order
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    units = [functools.partial(lambda i: (i, time.monotonic_ns()), i)
+             for i in range(6)]
+    order = [5, 2, 0, 4, 1, 3]
+    out = cli._run_units(units, order)
+    assert [i for i, _ in out] == list(range(6))
+    assert sorted(order, key=lambda i: out[i][1]) == order
+    assert [i for i, _ in cli._run_units(units)] == list(range(6))
+    assert multiprocessing.active_children() == []
 
 
 def _plant_non_spacelike_pair(monkeypatch):

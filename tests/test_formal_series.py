@@ -11,7 +11,7 @@ from paqft.formal_series import (LambdaSeries, MultilinearFamily, compose_SZ,
 from paqft.functionals import PolyFunctional
 from paqft.lattice import LatticePoint
 from paqft.smatrix_renorm import (RenormalizationMap, build_smatrix, compose,
-                                  make_handcrafted_Z)
+                                  make_handcrafted_Z, prefactor)
 
 F = Fraction
 
@@ -291,6 +291,73 @@ def test_compose_SZ_rejects_non_identity_order_one():
     bad = MultilinearFamily(evaluate_diagonal=lambda n, f: 2 * f)
     with pytest.raises(ValueError, match="Z4"):
         compose_SZ(fam, lambda k: F(1), bad, [F(1)] * 3)
+
+
+def _per_partition_sum(family, weight, z_family, args):
+    """compose_SZ as one term per set partition, added in set_partitions
+    order: the reference for its grouped sum."""
+    acc = None
+    for blocks in set_partitions(len(args)):
+        zvals = [z_family.mixed(len(b), [args[i] for i in b]) for b in blocks]
+        term = family.mixed(len(blocks), zvals) * weight(len(blocks))
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _bits(F):
+    """Every coefficient as float.hex pairs, in term order."""
+    return [(deg, [(key, [(e, v.real.hex(), v.imag.hex())
+                          for e, v in c.coeffs.items()])
+                   for key, c in t.items()])
+            for deg, t in F.terms.items()]
+
+
+def _pointwise_Z(lat, z3):
+    """Z_1 = id, Z_2(a, b) = a b / 2, Z_3(a, b, c) = z3 a b c (pointwise
+    products) and Z_m = 0 above."""
+    def mixed(n, args):
+        if n == 1:
+            return args[0]
+        if n == 2:
+            return (args[0] * args[1]) * 0.5
+        if n == 3:
+            return (args[0] * args[1] * args[2]) * z3
+        return PolyFunctional.zero(lat)
+    return MultilinearFamily(evaluate_mixed=mixed)
+
+
+@pytest.mark.parametrize("case", ["distinct-3", "distinct-4", "equal-3",
+                                  "equal-4", "equal-5", "two-kinds-5"])
+def test_compose_SZ_grouped_sum_matches_per_partition_sum(lat, case):
+    S = build_smatrix(lat)
+    kind, n = case.rsplit("-", 1)
+    n = int(n)
+    rng = np.random.default_rng(7)
+    fs = [PolyFunctional.from_monomials(lat, [
+        (complex(rng.normal(), rng.normal()),
+         [LatticePoint(5 + i % 2, 3 + i)])]) for i in range(n)]
+    args = {"distinct": fs, "equal": [fs[0]] * n,
+            "two-kinds": [fs[0], fs[1], fs[0], fs[1], fs[0]]}[kind]
+    # Z_3 = 0 where the sum is bitwise: the one-block term of [f] * 3 is
+    # then 0, and as x + x is exact, (x + x) + x rounds like 3 x
+    z3 = 0.0 if case == "equal-3" else 0.7
+    zfam = _pointwise_Z(lat, z3)
+    want = _per_partition_sum(S.family, prefactor, zfam, args)
+    got = compose_SZ(S.family, prefactor, zfam, args)
+    if kind == "distinct" or case == "equal-3":
+        assert _bits(got) == _bits(want)
+        return
+    # grouping reorders the sum of the terms; each of the two sums is
+    # within (B_n - 1) u sum_pi |term_pi| of the exact one per component
+    # (u = 2^-53, B_n partitions), and a complex modulus at most sqrt(2)
+    # times its largest component
+    terms = [S.family.mixed(len(b), [zfam.mixed(len(x), [args[i] for i in x])
+                                     for x in b]) * prefactor(len(b))
+             for b in set_partitions(n)]
+    bound = 2 * math.sqrt(2) * len(terms) * 2.0 ** -53 * sum(
+        t.max_norm() for t in terms)
+    assert (got - want).max_norm() <= bound
+    assert want.max_norm() > 1e3 * bound
 
 
 def test_diagonal_only_family_equal_arguments_are_diagonal(lat):

@@ -343,6 +343,24 @@ def _assert_canonical(R):
     assert PolyFunctional(R.lattice, R.terms).content_key() == R.content_key()
 
 
+def test_content_key_is_built_once_and_keeps_its_value(lat):
+    F = PolyFunctional.from_monomials(lat, [
+        (2.0, [LatticePoint(1, 1)]), (0.5j, [LatticePoint(2, 3)] * 2)])
+    key = F.content_key()
+    assert F.content_key() is key
+    # the value, hash and unpacking of the plain (lattice, terms) tuple
+    plain = (lat, tuple(
+        (deg, tuple((k, tuple(c.coeffs.items())) for k, c in t.items()))
+        for deg, t in F.terms.items()))
+    assert key == plain and hash(key) == hash(plain)
+    lattice, terms = key
+    assert lattice is lat and terms == plain[1]
+    # an equal functional built apart keys equal, not identical
+    G = PolyFunctional(lat, F.terms)
+    assert G.content_key() == key and G.content_key() is not key
+    assert {key: 1}[G.content_key()] == 1
+
+
 # few sites, so keys overlap and repeat sites; parts that cancel exactly
 _SITES = [0, 1, 7, 35]
 _part = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5])

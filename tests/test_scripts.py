@@ -1,5 +1,6 @@
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +39,7 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     out = tmp_path / "BENCH_kernels.json"
     run = subprocess.run(
         [sys.executable, str(SCRIPTS / "bench_kernels.py"),
-         "--sizes", "8x8,contract",
+         "--sizes", "8x8,contract", "--runs", "2",
          "--label", "smoke", "--src", src, "--out", str(out)],
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
@@ -49,45 +50,44 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
         len(path.read_text().splitlines())
         for path in (Path(src) / "paqft").glob("*.py"))
     row = entry["sizes"]["8x8"]
-    assert len(row["runs"]) == 3
+    assert len(row["runs"]) == 2
     for key in ("build_s", "residuals_s", "peak_rss_mb"):
-        assert row[key] == sorted(r[key] for r in row["runs"])[1] > 0
-    # the contract entry: _contract wrapped in the serial 12x16 units
+        assert row[key] == statistics.median(r[key] for r in row["runs"]) > 0
+    # the contract entry: _contract wrapped in the serial 12x16 units, and
+    # the units of each command timed on their own
     row = entry["contract"]
-    assert len(row["runs"]) == 3
-    for key in ("contract_s", "units_s", "peak_rss_mb"):
-        assert row[key] == sorted(r[key] for r in row["runs"])[1] > 0
+    assert len(row["runs"]) == 2
+    for key in ("contract_s", "units_s", "axioms_units_s", "extract_units_s",
+                "peak_rss_mb"):
+        assert row[key] == statistics.median(r[key] for r in row["runs"]) > 0
+    for r in row["runs"]:
+        assert r["units_s"] == r["axioms_units_s"] + r["extract_units_s"]
     assert row["contract_s"] < row["units_s"]
     # the same units every run, so the same number of calls
     assert {r["contract_calls"] for r in row["runs"]} == {
         row["contract_calls"]}
     assert row["contract_calls"] > 0
-    # the label run again on another size keeps what it had
-    run = subprocess.run(
-        [sys.executable, str(SCRIPTS / "bench_kernels.py"), "--sizes", "6x6",
-         "--label", "smoke", "--src", src, "--out", str(out)],
-        capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    again = json.loads(out.read_text())["labels"]["smoke"]
-    assert sorted(again["sizes"]) == ["6x6", "8x8"]
-    assert again["sizes"]["8x8"] == entry["sizes"]["8x8"]
-    assert again["contract"] == entry["contract"]
-    # the startup entry, with the tree alternated against itself under a
-    # second label
+    # the label run again on another size keeps what it had; the startup
+    # entry, with the tree alternated against itself under a second label
     run = subprocess.run(
         [sys.executable, str(SCRIPTS / "bench_kernels.py"), "--sizes",
-         "startup", "--label", "smoke", "--src", src, "--against", src,
-         "--against-label", "smoke-against", "--out", str(out)],
+         "6x6,startup", "--runs", "1", "--label", "smoke", "--src", src,
+         "--against", src, "--against-label", "smoke-against",
+         "--out", str(out)],
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     labels = json.loads(out.read_text())["labels"]
-    assert labels["smoke"]["contract"] == entry["contract"]
+    again = labels["smoke"]
+    assert sorted(again["sizes"]) == ["6x6", "8x8"]
+    assert again["sizes"]["8x8"] == entry["sizes"]["8x8"]
+    assert len(again["sizes"]["6x6"]["runs"]) == 1
+    assert again["contract"] == entry["contract"]
     for name in ("smoke", "smoke-against"):
         row = labels[name]["startup"]
-        assert len(row["runs"]) == 3
+        assert len(row["runs"]) == 1
         for key in ("startup_s", "numpy_s"):
-            assert row[key] == sorted(r[key] for r in row["runs"])[1] > 0
+            assert row[key] == row["runs"][0][key] > 0
     against = labels["smoke"]["startup"]["against"]
-    assert against["label"] == "smoke-against" and against["pairs"] == 3
+    assert against["label"] == "smoke-against" and against["pairs"] == 1
     assert set(against["lower_in"]) == {"startup_s", "numpy_s"}
-    assert all(0 <= n <= 3 for n in against["lower_in"].values())
+    assert all(0 <= n <= 1 for n in against["lower_in"].values())

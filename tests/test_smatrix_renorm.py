@@ -16,7 +16,7 @@ from paqft.smatrix_renorm import (RenormalizationMap, SMatrix,
                                   check_Z_axioms, check_schwinger_dyson,
                                   compose, correlation, default_s_plan,
                                   default_z_plan, extract_Z,
-                                  extracted_locality_units,
+                                  extracted_locality_units, extracted_map,
                                   interacting_observable, inverse_prefactor,
                                   make_handcrafted_Z, prefactor,
                                   random_local_functional, relative_smatrix,
@@ -486,7 +486,7 @@ def test_extracted_locality_rows_are_the_rows_of_its_units(lat, S):
     rows = verify_extracted_locality(S, St, fs, 3, plan=plan)
     assert [r["sample-id"] for r in rows[-2:]] == ["polar-2", "polar-3"]
     assert _rows_unit_by_unit(lambda: extracted_locality_units(
-        S, St, fs, 3, plan=plan)) == rows
+        extracted_map(S, St, 3), lat, fs, 3, plan=plan)) == rows
 
 
 def test_two_hadamard_extraction_is_local(lat, S):
