@@ -11,8 +11,10 @@ which a wrapper in the parent cannot see); `axioms_units_s` and
 `extract_units_s` time each command's units, and `units_s` is their
 sum.  Start-up (the `startup` entry): the spawn-to-exit wall of
 `python -m paqft.cli propagators` at 16x32, and of
-`python -c "import numpy"` as its floor, both timed from
-this process; the entry records whether the children write bytecode
+`python -c "import numpy, os; os._exit(0)"` as its floor, both timed from
+this process (the floor skips interpreter teardown, as `paqft.cli.run`
+does with `os._exit`; a floor that paid for teardown could read above
+the CLI); the entry records whether the children write bytecode
 (PYTHONDONTWRITEBYTECODE unset), since a child that cannot cache it
 compiles every module it loads.
 
@@ -65,7 +67,8 @@ WHAT = ("seconds, median of fresh processes per entry, m = 0.5; "
         "units at 12x16, in process, and the units of each command; "
         "startup: spawn-to-exit wall of "
         "`python -m paqft.cli propagators` at 16x32 and of "
-        "`python -c 'import numpy'`")
+        "`python -c 'import numpy, os; os._exit(0)'` (no teardown, as "
+        "the CLI)")
 KERNELS = ("green_retarded", "green_advanced", "pauli_jordan",
            "hadamard_kernel", "wightman", "feynman")
 
@@ -151,7 +154,7 @@ def startup(env: dict) -> dict:
     walls = {}
     with tempfile.TemporaryDirectory() as out:
         for key, args in (
-                ("numpy_s", ["-c", "import numpy"]),
+                ("numpy_s", ["-c", "import numpy, os; os._exit(0)"]),
                 ("startup_s", ["-m", "paqft.cli", *STARTUP,
                                "--set", f"output={out}"])):
             t0 = time.perf_counter()

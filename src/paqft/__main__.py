@@ -1,7 +1,5 @@
 """``python -m paqft <subcommand> ...``: the same driver as ``paqft``."""
 
-import sys
+from .cli import run
 
-from .cli import main
-
-sys.exit(main())
+run()

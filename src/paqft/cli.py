@@ -21,7 +21,9 @@ multilinearity order; every `extract-z` unit reads one extraction cache
 per worker, and the pool takes them last first, so the multilinearity
 units go first, highest order first.  Rows come back in unit order, so
 reports and standard output do not depend on the CPU count or the
-dispatch order.
+dispatch order.  The workers run without the cyclic garbage collector:
+the units make no reference cycles, so a collection there finds nothing,
+and it would copy the pages a worker shares with its parent.
 
 Each command loads only the layers it runs.  `propagators` imports
 `paqft.lattice` alone, so its wall time is mostly interpreter and numpy
@@ -31,7 +33,10 @@ inside the functions that use them, and only the pooled commands import
 multiprocessing.
 
 Exit status: 0 iff every checked residual is within tolerance, 2 for
-usage and config errors.
+usage and config errors.  The program entry, `run()` (the `paqft` script,
+`python -m paqft` and `python -m paqft.cli`), flushes standard output and
+error after `main()` and ends with `os._exit`, skipping interpreter
+teardown; a failed flush exits 120.  In-process callers use `main()`.
 """
 
 from __future__ import annotations
@@ -39,12 +44,14 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
+import gc
 import json
 import math
 import os
 import sys
 import warnings
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -477,7 +484,9 @@ def _run_units(units: list, order=None) -> list:
     """The rows of each unit, in unit order, from a fork pool of one
     worker per usable CPU (at most one per unit).  The pool takes the
     units in `order`, a permutation of their indices (default: unit
-    order), one at a time."""
+    order), one at a time.  The workers run without the cyclic garbage
+    collector (module docstring): a full collection in a forked worker
+    writes the header of every object it inherited."""
     import multiprocessing  # here, so the other commands never load it
 
     if order is None:
@@ -485,7 +494,8 @@ def _run_units(units: list, order=None) -> list:
     workers = min(len(os.sched_getaffinity(0)), len(units))
     _UNITS[:] = units
     try:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
+        with multiprocessing.get_context("fork").Pool(
+                workers, initializer=gc.disable) as pool:
             by_unit = dict(zip(order, pool.map(_run_unit, order,
                                                chunksize=1)))
     finally:
@@ -704,5 +714,22 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Program entry: main(), then exit without interpreter teardown.
+
+    By the time main() returns, the report and any sidecar are closed and
+    the pool is gone, so only the standard streams hold data; they are
+    flushed, and a flush that fails exits 120, as Python's own shutdown
+    does.  An exception that escapes main() takes the normal path (a
+    traceback, exit 1).  In-process callers use main()."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

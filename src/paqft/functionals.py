@@ -33,7 +33,7 @@ import itertools
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -673,6 +673,9 @@ class GeneralizedLagrangian:
 
     lattice: Lattice
     density: tuple[DensityTerm, ...]
+    # density_at(p) by site, each built on first use
+    _densities: dict = field(default_factory=dict, init=False,
+                             compare=False, repr=False)
 
     def __post_init__(self):
         for term in self.density:
@@ -690,6 +693,13 @@ class GeneralizedLagrangian:
         return range(self.lattice.nt)
 
     def density_at(self, p: LatticePoint) -> PolyFunctional:
+        """The density at site p, built once per Lagrangian."""
+        density = self._densities.get(p)
+        if density is None:
+            density = self._densities[p] = self._build_density(p)
+        return density
+
+    def _build_density(self, p: LatticePoint) -> PolyFunctional:
         lat = self.lattice
         up_t = LatticePoint(p.t + 1, p.x)
         up_x = LatticePoint(p.t, (p.x + 1) % lat.nx)

@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import multiprocessing
 import os
@@ -553,6 +554,33 @@ def test_run_units_returns_unit_order_for_any_dispatch_order(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_pool_workers_run_without_the_cyclic_collector():
+    # each worker turns the collector off; the caller keeps it on
+    assert gc.isenabled()
+    assert cli._run_units([gc.isenabled] * 3) == [False] * 3
+    assert gc.isenabled()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command, sets", [
+    ("axioms", ["samples.count=2", "caps.lambda_order=2",
+                "caps.locality_order=2", "caps.sd_order=1"]),
+    ("extract-z", ["caps.lambda_order=2"]),
+    ("extract-z", ["extract.mode=two-hadamard", "caps.lambda_order=2"]),
+], ids=["axioms", "extract-z", "extract-z-two-hadamard"])
+def test_units_leave_no_cyclic_garbage(command, sets):
+    # what makes running the pool workers without the collector safe
+    units = _units(command, load_config(None, sets))
+    gc.collect()
+    gc.disable()
+    try:
+        for unit in units:
+            unit()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _plant_non_spacelike_pair(monkeypatch):
     def malformed_plan(lat, **kw):
         plan = default_s_plan(lat, **kw)
@@ -637,6 +665,31 @@ def test_python_m_paqft_runs_the_cli():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert "axioms" in out.stdout and "extract-z" in out.stdout
+
+
+def test_piped_output_survives_the_fast_exit(tmp_path):
+    # the entry flushes the block-buffered pipe before os._exit; the
+    # pipe is block-buffered only without PYTHONUNBUFFERED
+    src = str(Path(paqft.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    cmd = [sys.executable, "-m", "paqft.cli", "propagators",
+           "--set", "lattice.nt=8", "--set", "lattice.nx=8",
+           "--set", f"output={tmp_path}"]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1].startswith("report written to")
+    out = subprocess.run(cmd + ["--set", "lattice.nt=2"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert out.stderr.startswith("usage error:")
+    # a pipe closed before the flush: exit 120, no traceback
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 120 and b"Traceback" not in err
 
 
 # -- extract-z ---------------------------------------------------------------
