@@ -9,7 +9,12 @@ working point, the units of `paqft axioms --set samples.count=5` and of
 and calls (the commands themselves run their units in forked workers,
 which a wrapper in the parent cannot see); `axioms_units_s` and
 `extract_units_s` time each command's units, and `units_s` is their
-sum.  Start-up (the `startup` entry): the spawn-to-exit wall of
+sum; the units run with the cyclic garbage collector off, as in the
+commands' workers.  The unit runner (the `pool` entry): in a fresh
+process that has imported `paqft.cli`, the wall of
+`cli._run_units([list] * POOL_UNITS)`, units that do no work, so it times
+what the runner itself costs: its imports, forks, dispatch and reaping.
+Start-up (the `startup` entry): the spawn-to-exit wall of
 `python -m paqft.cli propagators` at 16x32, and of
 `python -c "import numpy, os; os._exit(0)"` as its floor, both timed from
 this process (the floor skips interpreter teardown, as `paqft.cli.run`
@@ -26,7 +31,7 @@ other entries keeps the ones it had:
 
     python3 scripts/bench_kernels.py --label parent --src /path/to/old/src
     python3 scripts/bench_kernels.py --label change
-    python3 scripts/bench_kernels.py --label change --sizes contract
+    python3 scripts/bench_kernels.py --label change --sizes contract,pool
 
 Labels measured one after the other also differ by the machine's drift
 between the two runs.  --against times a second tree in the same run,
@@ -39,12 +44,14 @@ the pairs in which it was lower:
 
 --src is the source tree whose `paqft` is timed (default: this checkout's
 `src/`); the wrapper uses only names the trees share (`cli.SUITES`,
-`cli._build`, `cli._extract_z_units`, `StarAlgebraContext._contract`).
+`cli._build`, `cli._extract_z_units`, `cli._run_units`,
+`StarAlgebraContext._contract`).
 Each label also records `src_lines`, the line count of that tree's
 `paqft/*.py`.  The mass is 0.5, the default working point.
 """
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -60,12 +67,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MASS = 0.5
 SAMPLES = 5  # samples.count of the axioms units in the contract entry
+POOL_UNITS = 29  # units of the pool entry, each `list`
 STARTUP = ["propagators", "--set", "lattice.nt=16", "--set", "lattice.nx=32"]
 WHAT = ("seconds, median of fresh processes per entry, m = 0.5; "
         "sizes: six-kernel build and kernel_residuals, in process; contract: "
         "StarAlgebraContext._contract in the serial axioms and extract-z "
-        "units at 12x16, in process, and the units of each command; "
-        "startup: spawn-to-exit wall of "
+        "units at 12x16, in process, collector off, and the units of each "
+        f"command; pool: cli._run_units of {POOL_UNITS} units that do no "
+        "work, in a fresh process; startup: spawn-to-exit wall of "
         "`python -m paqft.cli propagators` at 16x32 and of "
         "`python -c 'import numpy, os; os._exit(0)'` (no teardown, as "
         "the CLI)")
@@ -116,6 +125,7 @@ def contract_child() -> None:
               for u in cli.SUITES[name](cfg, lat, S)]
     lat, S = cli._build(cfg)
     f_units, z_units = cli._extract_z_units(cfg, lat, S)
+    gc.disable()  # as in the commands' workers
     for key, units in (("axioms_units_s", axioms),
                        ("extract_units_s", f_units + z_units)):
         t0 = time.perf_counter()
@@ -126,6 +136,15 @@ def contract_child() -> None:
     spent["peak_rss_mb"] = \
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps(spent))
+
+
+def pool_child() -> None:
+    """One timed process: the unit runner on units that do no work."""
+    from paqft import cli
+
+    t0 = time.perf_counter()
+    cli._run_units([list] * POOL_UNITS)
+    print(json.dumps({"pool_s": time.perf_counter() - t0}))
 
 
 def machine() -> dict:
@@ -196,6 +215,9 @@ def report(label: str, entry: str, row: dict) -> str:
                 f"{row['units_s']:.3f} s (axioms "
                 f"{row['axioms_units_s']:.3f} s, extract-z "
                 f"{row['extract_units_s']:.3f} s)")
+    if entry == "pool":
+        return (f"{label} pool: _run_units of {POOL_UNITS} units "
+                f"{row['pool_s'] * 1e3:.1f} ms")
     if entry == "startup":
         return (f"{label} startup: propagators 16x32 {row['startup_s']:.3f} s"
                 f", import numpy {row['numpy_s']:.3f} s")
@@ -211,8 +233,9 @@ def main(argv=None) -> int:
     ap.add_argument("--src", type=Path, default=ROOT / "src")
     ap.add_argument("--sizes", default="16x32,24x48,32x64,contract",
                     help="comma-separated NTxNX lattice sizes for the kernel "
-                         "layer, `contract` for the contraction layer and "
-                         "`startup` for start-up")
+                         "layer, `contract` for the contraction layer, "
+                         "`pool` for the unit runner and `startup` for "
+                         "start-up")
     ap.add_argument("--runs", type=int, default=3,
                     help="fresh processes per entry and tree")
     ap.add_argument("--against", type=Path,
@@ -226,6 +249,9 @@ def main(argv=None) -> int:
         ap.error("--against-label must differ from --label")
     if args.child == "contract":
         contract_child()
+        return 0
+    if args.child == "pool":
+        pool_child()
         return 0
     if args.child:
         child(args.child)
@@ -248,7 +274,7 @@ def main(argv=None) -> int:
             if entry == "startup":
                 row["writes_bytecode"] = not os.environ.get(
                     "PYTHONDONTWRITEBYTECODE")
-            if entry in ("contract", "startup"):
+            if entry in ("contract", "pool", "startup"):
                 labels[name][entry] = row
             else:
                 labels[name]["sizes"][entry] = row

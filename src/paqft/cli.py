@@ -18,19 +18,24 @@ sample, or per causal triple, spacelike pair or T1 chain; `extract-z` one
 per sampled functional, then the units of the extracted map's Z suite
 (its Z1/Z4 head, one per causal triple, its additivity tail) and one per
 multilinearity order; every `extract-z` unit reads one extraction cache
-per worker, and the pool takes them last first, so the multilinearity
-units go first, highest order first.  Rows come back in unit order, so
-reports and standard output do not depend on the CPU count or the
-dispatch order.  The workers run without the cyclic garbage collector:
-the units make no reference cycles, so a collection there finds nothing,
-and it would copy the pages a worker shares with its parent.
+per worker, and the workers take them last first, so the multilinearity
+units go first, highest order first.  The workers are plain forks
+(`_run_units`, no process pool): they read unit indices one at a time
+from one shared pipe and send their rows back through a pipe each.
+Rows come back in unit order, so reports and standard output do not
+depend on the CPU count or the dispatch order.  A worker that dies
+without reporting (killed, out of memory) makes the command raise a
+RuntimeError naming the units it lost, and an interrupted command kills
+and reaps its workers, so no run hangs or leaves a child behind.  The
+workers run without the cyclic garbage collector: the units make no
+reference cycles, so a collection there finds nothing, and it would copy
+the pages a worker shares with its parent.
 
 Each command loads only the layers it runs.  `propagators` imports
 `paqft.lattice` alone, so its wall time is mostly interpreter and numpy
 start-up; `axioms`, `extract-z` and `correlate` import the S-matrix layer,
 and through it the functional, star-algebra, series and relation layers,
-inside the functions that use them, and only the pooled commands import
-multiprocessing.
+inside the functions that use them.
 
 Exit status: 0 iff every checked residual is within tolerance, 2 for
 usage and config errors.  The program entry, `run()` (the `paqft` script,
@@ -48,6 +53,7 @@ import gc
 import json
 import math
 import os
+import pickle
 import sys
 import warnings
 from pathlib import Path
@@ -471,36 +477,110 @@ def _suite_hammerstein(cfg, lat, S):
 SUITES = {"S": _suite_S, "Z": _suite_Z, "SD": _suite_SD,
           "hammerstein": _suite_hammerstein}
 
-# the units of the running `axioms` or `extract-z` command: forked workers
-# inherit the list and take units by index, since closures do not pickle
-_UNITS: list = []
 
+def _work(units: list, tasks: int, out: int, inherited) -> NoReturn:
+    """A forked worker: close the parent's pipe ends in `inherited`, run
+    the units whose indices it reads from `tasks`, pickle
+    [(index, ok, rows or (exception, traceback))] to `out` and exit."""
+    code = 1
+    try:
+        gc.disable()
+        for fh in inherited:
+            fh.close()
+        done = []
+        # one 4-byte read takes one whole index: a pipe read is atomic on
+        # Linux, and the pipe holds whole indices only
+        while index := os.read(tasks, 4):
+            i = int.from_bytes(index, "little")
+            try:
+                done.append((i, True, units[i]()))
+            except Exception as e:
+                try:
+                    pickle.loads(pickle.dumps(e))
+                except Exception:
+                    e = RuntimeError(f"unit {i} raised {e!r}, which does "
+                                     "not pickle")
+                import traceback
 
-def _run_unit(i: int) -> list:
-    return _UNITS[i]()
+                done.append((i, False, (e, traceback.format_exc())))
+        with open(out, "wb") as fh:
+            pickle.dump(done, fh, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _run_units(units: list, order=None) -> list:
-    """The rows of each unit, in unit order, from a fork pool of one
-    worker per usable CPU (at most one per unit).  The pool takes the
-    units in `order`, a permutation of their indices (default: unit
-    order), one at a time.  The workers run without the cyclic garbage
-    collector (module docstring): a full collection in a forked worker
-    writes the header of every object it inherited."""
-    import multiprocessing  # here, so the other commands never load it
+    """The rows of each unit, in unit order, from forked workers, one per
+    usable CPU (at most one per unit).  The workers take the units in
+    `order`, a permutation of their indices (default: unit order), one
+    index at a time from a shared pipe, and each sends its rows back
+    through a pipe of its own when the indices run out.  The workers run
+    without the cyclic garbage collector (module docstring): a full
+    collection in a forked worker writes the header of every object it
+    inherited.
 
+    A unit's exception is raised here as itself, the first in unit order,
+    with the worker's traceback as its cause; one that does not pickle
+    becomes a RuntimeError carrying its repr.  A worker that dies without
+    reporting (killed, out of memory) raises a RuntimeError naming the
+    units nobody reported.  Every worker is reaped before this returns or
+    raises: an interrupt or any other error here kills them first."""
     if order is None:
         order = range(len(units))
-    workers = min(len(os.sched_getaffinity(0)), len(units))
-    _UNITS[:] = units
+    tasks, feed = os.pipe()
+    # the pipe ends this process holds: the tasks' two, then one read end
+    # per worker; a worker closes all but the first
+    pipes = [open(tasks, "rb"), open(feed, "wb")]
+    workers: dict = {}  # pid: the read end of the worker's pipe
     try:
-        with multiprocessing.get_context("fork").Pool(
-                workers, initializer=gc.disable) as pool:
-            by_unit = dict(zip(order, pool.map(_run_unit, order,
-                                               chunksize=1)))
+        for _ in range(min(len(os.sched_getaffinity(0)), len(units))):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(units, tasks, w, pipes[1:])
+            finally:
+                os.close(w)
+            workers[pid] = pipes[-1]
+        # written only now: a write past the 64 KiB pipe buffer blocks
+        # until the workers read
+        pipes[0].close()
+        pipes[1].write(b"".join(i.to_bytes(4, "little") for i in order))
+        pipes[1].close()
+        reported, died = {}, []
+        for pid, fh in list(workers.items()):
+            data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            if status == 0:
+                reported.update((i, (ok, value))
+                                for i, ok, value in pickle.loads(data))
+            else:
+                died.append(os.waitstatus_to_exitcode(status))
+    except BaseException:
+        import signal
+
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
     finally:
-        _UNITS.clear()
-    return [by_unit[i] for i in range(len(units))]
+        for fh in pipes:
+            fh.close()
+    missing = [i for i in range(len(units)) if i not in reported]
+    if missing:
+        raise RuntimeError(f"worker(s) exited with status {died} without "
+                           f"reporting unit(s) {missing}")
+    rows = []
+    for i in range(len(units)):
+        ok, value = reported[i]
+        if not ok:
+            exc, tb = value
+            raise exc from RuntimeError(f"unit {i}, in its worker:\n{tb}")
+        rows.append(value)
+    return rows
 
 
 def cmd_axioms(cfg: dict) -> int:
@@ -623,10 +703,10 @@ def cmd_extract_z(cfg: dict) -> int:
     mode = cfg["extract"]["mode"]
     f_units, z_units = _extract_z_units(cfg, lat, S)
     units = f_units + z_units
-    # the pool takes the units last first: the multilinearity units, at
+    # the workers take the units last first: the multilinearity units, at
     # the end, polarize orders cap down to 2, and the order-n one
     # extracts about 3 (2^n - 1) sums, so the costliest go first and the
-    # pool does not end on one of them
+    # run does not end on one of them
     results = _run_units(units, range(len(units))[::-1])
     rows, z_values, grading = [], {}, {}
     for i, (out, vals, grades) in enumerate(results[:len(f_units)]):
@@ -718,9 +798,9 @@ def run() -> NoReturn:
     """Program entry: main(), then exit without interpreter teardown.
 
     By the time main() returns, the report and any sidecar are closed and
-    the pool is gone, so only the standard streams hold data; they are
-    flushed, and a flush that fails exits 120, as Python's own shutdown
-    does.  An exception that escapes main() takes the normal path (a
+    the workers are reaped, so only the standard streams hold data; they
+    are flushed, and a flush that fails exits 120, as Python's own
+    shutdown does.  An exception that escapes main() takes the normal path (a
     traceback, exit 1).  In-process callers use main()."""
     code = main()
     for stream in (sys.stdout, sys.stderr):

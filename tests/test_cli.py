@@ -1,11 +1,12 @@
 import functools
 import gc
 import json
-import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -26,6 +27,12 @@ SMALL = ["--set", "samples.count=2", "--set", "caps.lambda_order=2",
 
 def _read(tmp_path, name):
     return json.loads((tmp_path / f"{name}.json").read_text())
+
+
+def _assert_no_child():
+    # every child this process forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -- config handling -------------------------------------------------------
@@ -202,7 +209,7 @@ def test_hbar_window_breach_in_a_pool_worker_exits_2(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "hbar exponent 9 outside window [-8, 8]" in err
     assert cli.ORDER_CAPS["axioms"] in err and "Traceback" not in err
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     assert not any(tmp_path.iterdir())
 
 
@@ -501,8 +508,9 @@ def test_axioms_unit_rows_do_not_depend_on_schedule(command, sets):
         assert _hex(_units(command, cfg)[i]()) == rows, f"unit {i}"
 
 
-# the commands that run on the fork pool, as (test id prefix, arguments,
-# report name); the axioms runs are identified by their seed alone
+# the commands that run their units on forked workers, as (test id
+# prefix, arguments, report name); the axioms runs are identified by
+# their seed alone
 POOLED = [("", ["axioms"], "axioms"),
           ("extract-z-", ["extract-z", "--set", "extract.functionals=2"],
            "extract_z"),
@@ -517,23 +525,23 @@ POOLED = [("", ["axioms"], "axioms"),
 def test_axioms_report_does_not_depend_on_worker_count(tmp_path, capsys,
                                                        monkeypatch, command,
                                                        report, seed):
-    fork = type(multiprocessing.get_context("fork"))
-    pool = fork.Pool
-    sizes = []
+    sizes = []  # the runner's forks in each run
+    fork = os.fork
 
-    def counting_pool(self, processes=None, *args, **kwargs):
-        sizes.append(processes)
-        return pool(self, processes, *args, **kwargs)
+    def counting_fork():
+        sizes[-1] += 1
+        return fork()
 
-    monkeypatch.setattr(fork, "Pool", counting_pool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     args = command + ["--set", f"output={tmp_path}",
                       "--set", f"samples.seed={seed}"] + SMALL
     outputs = set()
     for cpus in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid, n=cpus: set(range(n)))
+        sizes.append(0)
         assert main(args) == 0
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
         outputs.add((capsys.readouterr().out,
                      (tmp_path / f"{report}.json").read_bytes()))
     assert sizes == [1, 2, 3]
@@ -551,7 +559,7 @@ def test_run_units_returns_unit_order_for_any_dispatch_order(monkeypatch):
     assert [i for i, _ in out] == list(range(6))
     assert sorted(order, key=lambda i: out[i][1]) == order
     assert [i for i, _ in cli._run_units(units)] == list(range(6))
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_pool_workers_run_without_the_cyclic_collector():
@@ -559,7 +567,7 @@ def test_pool_workers_run_without_the_cyclic_collector():
     assert gc.isenabled()
     assert cli._run_units([gc.isenabled] * 3) == [False] * 3
     assert gc.isenabled()
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 @pytest.mark.parametrize("command, sets", [
@@ -569,7 +577,7 @@ def test_pool_workers_run_without_the_cyclic_collector():
     ("extract-z", ["extract.mode=two-hadamard", "caps.lambda_order=2"]),
 ], ids=["axioms", "extract-z", "extract-z-two-hadamard"])
 def test_units_leave_no_cyclic_garbage(command, sets):
-    # what makes running the pool workers without the collector safe
+    # what makes running the workers without the collector safe
     units = _units(command, load_config(None, sets))
     gc.collect()
     gc.disable()
@@ -613,13 +621,98 @@ def test_axioms_worker_exception_reaches_parent(tmp_path, monkeypatch,
     args, report, message = plant(monkeypatch)
     with pytest.raises(ValueError, match=message):
         main(args + ["--set", f"output={tmp_path}"] + SMALL)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     assert not (tmp_path / f"{report}.json").exists()
 
 
-def test_propagators_and_correlate_do_not_load_multiprocessing(tmp_path):
-    # only the pooled commands import it, inside cli._run_units;
-    # propagators loads no layer but the kernel layer either
+class _TwoArgError(Exception):
+    # pickles, but does not unpickle: its __init__ takes two arguments
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_run_units_raises_the_first_unit_error_in_unit_order():
+    # whatever order the workers take the units in; an error that does
+    # not pickle arrives as a RuntimeError carrying its repr
+    units = [list, functools.partial(_raise, _TwoArgError("x", "y")),
+             functools.partial(_raise, KeyError("k"))]
+    with pytest.raises(RuntimeError, match=r"unit 1 raised "
+                       r"_TwoArgError\('x'\), which does not pickle"):
+        cli._run_units(units, [2, 1, 0])
+    with pytest.raises(KeyError) as info:
+        cli._run_units([list, units[2]])
+    # the worker's traceback is the cause
+    assert "in its worker" in str(info.value.__cause__)
+    assert "_raise" in str(info.value.__cause__)
+    _assert_no_child()
+
+
+def test_a_killed_worker_fails_the_command_instead_of_hanging(tmp_path):
+    # one unit SIGKILLs its own worker: main raises a RuntimeError naming
+    # the lost unit, and no child is left; in a subprocess, since a
+    # runner that waits for the lost unit never returns
+    src = str(Path(paqft.__file__).resolve().parent.parent)
+    code = textwrap.dedent(f"""
+        import os, signal
+        from paqft import cli
+
+        parent = os.getpid()
+        os.sched_getaffinity = lambda pid: {{0, 1, 2}}
+
+        def die():
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return []
+
+        cli.SUITES["S"] = lambda cfg, lat, S: [list, die, list]
+        try:
+            cli.main(["axioms", "--set", 'suites=["S"]',
+                      "--set", "output={tmp_path}"])
+        except RuntimeError as e:
+            print(e)
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            print("no child")
+        """)
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    error, rest = out.stdout.splitlines()
+    head, _, lost = error.partition(" without reporting unit(s) ")
+    assert head == "worker(s) exited with status [-9]"
+    assert 1 in json.loads(lost) and 2 not in json.loads(lost)
+    assert rest == "no child"
+    assert not any(tmp_path.iterdir())
+
+
+def test_an_interrupted_run_kills_and_reaps_its_workers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    old = signal.signal(signal.SIGALRM, interrupt)
+    t0 = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.3)
+        with pytest.raises(KeyboardInterrupt):
+            cli._run_units([functools.partial(time.sleep, 60)] * 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert time.monotonic() - t0 < 30
+    _assert_no_child()
+
+
+def test_no_command_loads_multiprocessing(tmp_path):
+    # the workers are plain forks; propagators loads no layer but the
+    # kernel layer either
     src = str(Path(paqft.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = "\n".join([
@@ -631,9 +724,12 @@ def test_propagators_and_correlate_do_not_load_multiprocessing(tmp_path):
         "print(sorted(m for m in sys.modules"
         " if m.startswith('paqft') or 'multiprocessing' in m))",
         "assert main(['correlate', '--set', out]) == 0",
+        f"assert main(['axioms', '--set', out] + {SMALL!r}) == 0",
+        "assert main(['extract-z', '--set', out,"
+        " '--set', 'caps.lambda_order=2']) == 0",
         "print(sorted(m for m in sys.modules if 'multiprocessing' in m))"])
     out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
+                         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[-1] == "[]"

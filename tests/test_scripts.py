@@ -68,10 +68,11 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
         row["contract_calls"]}
     assert row["contract_calls"] > 0
     # the label run again on another size keeps what it had; the startup
-    # entry, with the tree alternated against itself under a second label
+    # and pool entries, with the tree alternated against itself under a
+    # second label
     run = subprocess.run(
         [sys.executable, str(SCRIPTS / "bench_kernels.py"), "--sizes",
-         "6x6,startup", "--runs", "1", "--label", "smoke", "--src", src,
+         "6x6,startup,pool", "--runs", "1", "--label", "smoke", "--src", src,
          "--against", src, "--against-label", "smoke-against",
          "--out", str(out)],
         capture_output=True, text=True, timeout=120)
@@ -87,7 +88,12 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
         assert len(row["runs"]) == 1
         for key in ("startup_s", "numpy_s"):
             assert row[key] == row["runs"][0][key] > 0
-    against = labels["smoke"]["startup"]["against"]
-    assert against["label"] == "smoke-against" and against["pairs"] == 1
-    assert set(against["lower_in"]) == {"startup_s", "numpy_s"}
-    assert all(0 <= n <= 1 for n in against["lower_in"].values())
+        row = labels[name]["pool"]
+        assert len(row["runs"]) == 1
+        assert row["pool_s"] == row["runs"][0]["pool_s"] > 0
+    for entry, keys in (("startup", {"startup_s", "numpy_s"}),
+                        ("pool", {"pool_s"})):
+        against = labels["smoke"][entry]["against"]
+        assert against["label"] == "smoke-against" and against["pairs"] == 1
+        assert set(against["lower_in"]) == keys
+        assert all(0 <= n <= 1 for n in against["lower_in"].values())
