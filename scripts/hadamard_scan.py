@@ -5,10 +5,11 @@ Two sweeps on a small lattice:
 
   1. mass sweep: interior wave-equation residual (H2) and least Gram
      eigenvalue (H3) of the two-point function.  The zero-mass row shows the
-     known loss of positivity when the spatial zero mode is dropped from the
-     mode sum while the commutator keeps it; the same happens whenever a
-     mode lands exactly on the band edge 4 sin^2(k/2) + m^2 = 4 (the m = 2
-     row: its k = 0 mode sits at w = pi and is excluded the same way).
+     known loss of positivity when the spatial zero mode (and, for even nx,
+     the edge mode at w = pi) is dropped from the mode sum while the
+     commutator keeps it.  Every m > 0 has a real frequency for each mode
+     (the split mass term of paqft.lattice), so every other row, m = 2
+     included, is positive up to rounding.
 
   2. perturbation sweep: site-diagonal perturbations of the Hadamard
      function with growing scale; for each scale the order-2 value of the

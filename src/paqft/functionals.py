@@ -39,7 +39,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .lattice import (HBAR_WINDOW, MAX_DEGREE, HbarWindowError, Lattice,
-                      LatticePoint, Region, field_values)
+                      LatticePoint, Region, THETA, field_values)
 
 
 class HbarScalar:
@@ -747,12 +747,15 @@ def local_functional_from_density(lattice: Lattice,
 
 
 def free_scalar_lagrangian(lattice: Lattice) -> GeneralizedLagrangian:
-    """Density (1/2)[(dt phi)^2 - (dx phi)^2 - m^2 phi^2]."""
+    """Density (1/2)[(dt phi)^2 - (dx phi)^2] - (m^2/2)[THETA phi^2 +
+    (1-THETA) phi phi(t+1)], Lattice.klein_gordon_apply's action: the last
+    term, phi dt phi = phi phi(t+1) - phi^2, takes 1-THETA of m^2 back off."""
     m2 = lattice.mass ** 2
     return GeneralizedLagrangian(lattice, (
         DensityTerm(0.5, 0, 2, 0),
         DensityTerm(-0.5, 0, 0, 2),
         DensityTerm(-0.5 * m2, 2, 0, 0),
+        DensityTerm(-(1 - THETA) * m2 / 2, 1, 1, 0),
     ))
 
 

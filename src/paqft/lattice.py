@@ -33,7 +33,7 @@ the dense layout is known only inside Kernel.  The lattice's kernels have
 no diagonal.  The retarded blocks come from a single leapfrog source; the
 advanced ones are their time reversal; Delta, W and Delta_F are formed
 entry by entry on the blocks, which commutes with the gather, and the
-Hadamard blocks are a sum of mode blocks built from the blocks of Delta.
+Hadamard blocks are a sum of closed-form mode blocks.
 So every gathered entry is the same bits as the source-by-source and kron
 constructions, signed zeros included.  Without a diagonal, every column of
 a kernel, and of P applied to it, is its column at the same t' and x' = 0
@@ -44,10 +44,9 @@ such as the perturbed Hadamard part of a caller's W and Delta_F:
 kernel_residuals rejects one, and bisolution_residual reads such a kernel
 on all its columns, nx at a time.
 
-Large masses: modes with 4 sin^2(k/2) + m^2 > 4 have no real frequency and
-the kernels grow like sinh(gamma * nt); residuals of the eigensolve-based
-Hadamard part are backward-stable relative to the kernel norm, so absolute
-residuals grow with mass.  At the default m = 0.5 they sit near 1e-14.
+Mass term: -(m^2/2)[THETA phi(t)^2 + (1-THETA) phi(t) phi(t+1)], split
+between the site and the forward time link.  For THETA < 1/2 every mode with
+m > 0 has a real frequency (the CFL condition), so no kernel grows with nt.
 """
 
 from __future__ import annotations
@@ -68,6 +67,9 @@ if TYPE_CHECKING:
 # without loading that layer
 MAX_DEGREE = 8
 HBAR_WINDOW = (-8, 8)
+
+# the site share of the mass term; below 1/2 every massive mode is stable
+THETA = 0.25
 
 
 class HbarWindowError(ValueError):
@@ -155,12 +157,14 @@ class Lattice:
     # -- operator and kernels -----------------------------------------------
 
     def klein_gordon_apply(self, phi):
-        """Apply P = -(box + m^2) row-wise, zero-padding outside the slab.
+        """Apply P = -(a (u(t+1) + u(t-1)) - u(x+1) - u(x-1) + c u)
+        row-wise (_mass_split), zero-padding outside the slab.
 
         Only interior rows of the result are meaningful.  Accepts a flat
         (n_sites,) array or an (n_sites, k) stack of columns (each column
         transformed on its own) and returns an array of the same shape.
         """
+        a, c = _mass_split(self)
         phi = np.asarray(phi)
         u = phi.reshape(self.nt, self.nx, *phi.shape[1:])
         up = np.zeros_like(u)
@@ -170,8 +174,8 @@ class Lattice:
         # the -2u of the time and space second differences cancel; leaving
         # them out saves rounding, and up + dn keeps the stencil exactly
         # symmetric under time reversal
-        return (-(up + dn - np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)
-                  + self.mass ** 2 * u)).reshape(phi.shape)
+        return (-(a * (up + dn) - np.roll(u, -1, axis=1)
+                  - np.roll(u, 1, axis=1) + c * u)).reshape(phi.shape)
 
     def _kernel(self, build) -> "Kernel":
         """build(self), built once per lattice instance.  The kernels go
@@ -201,18 +205,16 @@ class Lattice:
         return self._kernel(_feynman)
 
     def hadamard_mode_classification(self) -> dict:
-        """Per-mode dispersion bookkeeping: stable / unstable / excluded."""
-        report = {"stable": [], "unstable": [], "excluded": []}
+        """Per-mode dispersion bookkeeping: stable / excluded (m = 0 only)."""
+        report = {"stable": [], "excluded": []}
         for j in range(self.nx):
             s = _dispersion(self, j)
             if abs(s) < _MODE_EPS:
                 report["excluded"].append((j, "zero-mode"))
             elif abs(s - 4.0) < _MODE_EPS:
                 report["excluded"].append((j, "edge-mode"))
-            elif s < 4.0:
-                report["stable"].append(j)
             else:
-                report["unstable"].append(j)
+                report["stable"].append(j)
         return report
 
     def poisson_bracket(self, F: "PolyFunctional", G: "PolyFunctional",
@@ -321,10 +323,18 @@ _EXCLUDED_MODE_WARNINGS = {
 }
 
 
+def _mass_split(lat: Lattice) -> tuple[float, float]:
+    """(a, c) = (1 + (1-THETA) m^2 / 2, THETA m^2): the weight of the time
+    neighbours and of the site in the stencil of the split mass term."""
+    m2 = lat.mass ** 2
+    return 1 + (1 - THETA) * m2 / 2, THETA * m2
+
+
 def _dispersion(lat: Lattice, j: int) -> float:
-    """s = 4 sin^2(k/2) + m^2 of spatial mode j (k = 2 pi j / nx)."""
+    """s = 4 sin^2(w/2) = (4 sin^2(k/2) + m^2) / a of spatial mode j
+    (k = 2 pi j / nx); s < 4 for every mode when m > 0."""
     k = 2 * np.pi * j / lat.nx
-    return 4 * np.sin(k / 2) ** 2 + lat.mass ** 2
+    return (4 * np.sin(k / 2) ** 2 + lat.mass ** 2) / _mass_split(lat)[0]
 
 
 def _gather(lat: Lattice, C: np.ndarray, d, sites=None) -> np.ndarray:
@@ -349,18 +359,21 @@ def _green_retarded(lat: Lattice) -> Kernel:
     """One column, stepped by forward leapfrog from a unit source at
     (0, 0), gathered into every other.
 
-    u = 0 on row 0, the P u = delta relation forces u(1, 0) = -1, and then
-    u(t+1, x) = u(t, x+1) + u(t, x-1) - u(t-1, x) - m^2 u(t, x).  The step
-    does the same operations at every site, so the column of the source
-    (t', x') is u shifted by t' in time and rolled by x', bitwise:
-    G[t, x, t', x'] = u[t - t', (x - x') mod nx] for t >= t', else 0.
+    u = 0 on row 0, the P u = delta relation forces u(1, 0) = -1/a, and
+    then u(t+1, x) = (u(t, x+1) + u(t, x-1) - c u(t, x)) / a - u(t-1, x)
+    (_mass_split).  The step does the same operations at every site, so
+    the column of the source (t', x') is u shifted by t' in time and rolled
+    by x', bitwise: G[t, x, t', x'] = u[t - t', (x - x') mod nx] for
+    t >= t', else 0.
     """
-    nt, nx, m2 = lat.nt, lat.nx, lat.mass ** 2
+    nt, nx = lat.nt, lat.nx
+    a, c = _mass_split(lat)
     # rows nt.. stay zero: a negative t - t' indexes them
     u = np.zeros((2 * nt - 1, nx))
-    u[1] = -np.eye(nx)[0]  # -0.0 off the source, as stepping all sources gives
+    u[1] = -np.eye(nx)[0] / a  # -0.0 off the source, as all sources give
     for t in range(1, nt - 1):
-        u[t + 1] = np.roll(u[t], -1) + np.roll(u[t], 1) - u[t - 1] - m2 * u[t]
+        u[t + 1] = ((np.roll(u[t], -1) + np.roll(u[t], 1) - c * u[t]) / a
+                    - u[t - 1])
     tau = np.subtract.outer(np.arange(nt), np.arange(nt))
     return Kernel("retarded", lat, u.astype(complex)[tau])
 
@@ -381,22 +394,12 @@ def _pauli_jordan(lat: Lattice) -> Kernel:
 def _hadamard(lat: Lattice) -> Kernel:
     """Real symmetric H with W = (i/2) Delta + H a positive bisolution.
 
-    Per spatial mode k the dispersion 4 sin^2(w/2) = 4 sin^2(k/2) + m^2 =: s
-    splits three ways (Lattice.hadamard_mode_classification):
-
-    * s < 4 (stable): real frequency w, vacuum block
-      H_k(t, t') = cos(w (t - t')) / (2 sin w).
-    * s > 4 (unstable): no real frequency; the block is the spectral
-      positive part, H_k = |i Delta_k| / 2, computed from the Hermitian
-      eigendecomposition of i Delta_k (never from its square, which would
-      double the condition number).  This keeps H_k an exact interior
-      bisolution and W_k = pos(i Delta_k) positive semidefinite.
-    * s ~ 0 (zero mode, m = 0) or s ~ 4 (edge mode): excluded from the sum
-      with a warning; the massless infrared divergence has no finite
-      regularization on the torus.
-
-    The unstable blocks start from the blocks of Delta,
-    D[t, t', xi] = Re Delta[(t, xi), (t', 0)].
+    Per spatial mode k the frequency w of s = 4 sin^2(w/2) (_dispersion) is
+    real, and H_k(t, t') = cos(w (t - t')) / (2 a sin w) is the real part
+    of W_k = exp(-i w (t - t')) / (2 a sin w), whose imaginary part is
+    Delta_k / 2.  At m = 0 the zero mode (s = 0) and, for even nx, the edge
+    mode (s = 4) are excluded with a warning (hadamard_mode_classification):
+    the massless infrared divergence has no finite regularization.
 
     The mode blocks are summed into the kernel's blocks
     C[t, t', xi] = sum_k H_k(t, t') cos(k xi) / nx: gathered at
@@ -404,7 +407,7 @@ def _hadamard(lat: Lattice) -> Kernel:
     kron(H_k, cos(k (x - x'))) / nx, so the same bits.
     """
     nt, nx = lat.nt, lat.nx
-    D = lat.pauli_jordan().blocks.real
+    a = _mass_split(lat)[0]
     modes = lat.hadamard_mode_classification()
     for j, kind in modes["excluded"]:
         warnings.warn(f"mode j={j}: {_EXCLUDED_MODE_WARNINGS[kind]}",
@@ -414,14 +417,7 @@ def _hadamard(lat: Lattice) -> Kernel:
     Hk = np.zeros((nx, nt, nt))
     for j in modes["stable"]:
         om = 2 * np.arcsin(np.sqrt(_dispersion(lat, j)) / 2)
-        Hk[j] = np.cos(om * tau) / (2 * np.sin(om))
-    for j in modes["unstable"]:
-        k = 2 * np.pi * j / nx
-        Dk = np.einsum("abx,x->ab", D, np.exp(-1j * k * phases)).real
-        Dk = (Dk - Dk.T) / 2
-        mu, V = np.linalg.eigh(1j * Dk)
-        Hk[j] = ((V * np.abs(mu)) @ V.conj().T).real / 2
-        Hk[j] = (Hk[j] + Hk[j].T) / 2
+        Hk[j] = np.cos(om * tau) / (2 * a * np.sin(om))
 
     C = np.zeros((nt, nt, nx))
     for j in range(nx):

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 import paqft
-from paqft import cli, smatrix_renorm
+from paqft import cli, functionals, lattice, smatrix_renorm
 from paqft.cli import DEFAULT_CONFIG, UsageError, load_config, main
 from paqft.formal_series import MultilinearFamily
-from paqft.functionals import HbarScalar, HbarWindowError, PolyFunctional
+from paqft.functionals import (DensityTerm, GeneralizedLagrangian,
+                               HbarScalar, HbarWindowError, PolyFunctional)
 from paqft.lattice import Kernel, Lattice, LatticePoint
 from paqft.smatrix_renorm import RenormalizationMap, default_s_plan
 
@@ -226,7 +227,7 @@ def test_hbar_window_error_pickles_as_itself():
     ("axioms", ["caps.sd_order=0", 'suites=["SD"]'], "caps.sd_order"),
     # OverflowError in m^2
     ("propagators", ["lattice.mass=1e200"], "lattice.mass"),
-    # "kernel has non-finite entries"
+    # OverflowError in m^4, which the order-2 SD coefficients carry
     ("propagators", ["lattice.mass=1e150"], "lattice.mass"),
     ("correlate", ["lattice.mass=1e150"], "lattice.mass"),
     ("axioms", ["hadamard.mode=perturbed",
@@ -235,6 +236,8 @@ def test_hbar_window_error_pickles_as_itself():
     # RuntimeError: no two degree-4 windows are spacelike on 4 columns
     ("axioms", ["lattice.nx=4", "caps.degree=4", "samples.count=1",
                 'suites=["S"]'], "lattice.nx"),
+    # the m^4 refusal again, where the SD rows would otherwise turn NaN
+    ("axioms", ["lattice.mass=1e150", 'suites=["SD"]'], "lattice.mass"),
 ])
 def test_config_values_that_break_the_run_exit_2(tmp_path, capsys, command,
                                                  sets, field):
@@ -302,6 +305,35 @@ def test_undersized_lattice_for_sampled_suites_exit_2(tmp_path, capsys):
 
 
 # -- propagators ------------------------------------------------------------
+
+
+def test_larger_lattices_pass_the_absolute_gates(tmp_path, capsys):
+    # the kernels stay bounded as nt grows, so the gates that hold at the
+    # default 12x16 hold at 32x64 (propagators) and 24x48 (axioms)
+    out = f"output={tmp_path}"
+    assert main(["propagators", "--set", out, "--set", "lattice.nt=32",
+                 "--set", "lattice.nx=64"]) == 0
+    assert main(["axioms", "--set", out, "--set", "lattice.nt=24",
+                 "--set", "lattice.nx=48"]) == 0
+    capsys.readouterr()
+    _assert_no_child()
+
+
+def test_largest_accepted_mass_builds_bounded_kernels_and_finite_sd(
+        tmp_path, capsys):
+    # up to the largest float mass whose fourth power is finite (about
+    # 1.158e77; 1e150 is refused above) every kernel gate passes, and the
+    # SD residuals stay finite numbers in a strict-JSON report
+    out = ["--set", f"output={tmp_path}", "--set", "lattice.mass=1.15e77"]
+    assert main(["propagators", "--set", "lattice.nt=8",
+                 "--set", "lattice.nx=8"] + out) == 0
+    rep = _read(tmp_path, "propagators")
+    assert all(rep["checks"].values()) and rep["warnings"] == []
+    main(["axioms", "--set", 'suites=["SD"]'] + out)
+    text = (tmp_path / "axioms.json").read_text()
+    rows = json.loads(text, parse_constant=lambda c: pytest.fail(c))["rows"]
+    assert rows and all(np.isfinite(r["residual"]) for r in rows)
+    capsys.readouterr()
 
 
 def test_propagators_report(tmp_path, capsys):
@@ -455,6 +487,36 @@ def test_axioms_prints_one_line_per_suite_and_axiom(tmp_path, capsys):
         assert want in lines
         flagged += bool(fails)
     assert 0 < flagged < len(pairs)
+
+
+def _site_mass_lagrangian(lat):
+    """The free density with the whole mass term on the site,
+    (1/2)[(dt phi)^2 - (dx phi)^2 - m^2 phi^2]: not the action that the
+    lattice's kernels solve."""
+    return GeneralizedLagrangian(lat, (
+        DensityTerm(0.5, 0, 2, 0), DensityTerm(-0.5, 0, 0, 2),
+        DensityTerm(-0.5 * lat.mass ** 2, 2, 0, 0)))
+
+
+@pytest.mark.parametrize("plant", ["site-mass lagrangian", "link-mass kernels"])
+def test_sd_fails_when_the_lagrangian_is_not_the_kernels_action(
+        monkeypatch, tmp_path, capsys, plant):
+    # the SD rows check the field equation of free_scalar_lagrangian with
+    # the kernels of the lattice's stencil: the two must be one action
+    args = ["axioms", "--set", f"output={tmp_path}", "--set", 'suites=["SD"]']
+    assert main(args) == 0
+    if plant == "site-mass lagrangian":
+        monkeypatch.setattr(functionals, "free_scalar_lagrangian",
+                            _site_mass_lagrangian)
+    else:
+        # kernels and stencil with the whole mass term on the time link
+        # (stable too), against the Lagrangian's split term
+        monkeypatch.setattr(lattice, "THETA", 0.0)
+    assert main(args) == 1
+    failed = [r for r in _read(tmp_path, "axioms")["rows"] if not r["pass"]]
+    assert failed and all(r["suite"] == "SD" and r["residual"] > 1e-6
+                          for r in failed)
+    capsys.readouterr()
 
 
 def test_axioms_perturbed_hadamard_flags_sd(tmp_path):

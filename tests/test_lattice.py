@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import paqft
 from paqft import cli
 from paqft.cli import main
-from paqft.lattice import (Kernel, Lattice, LatticePoint, _feynman,
+from paqft.lattice import (THETA, Kernel, Lattice, LatticePoint, _feynman,
                            _transposed, _wightman, bisolution_residual,
                            field_values, kernel_residuals)
 from paqft.functionals import PolyFunctional
@@ -106,87 +106,65 @@ def test_green_identities_and_cone_support():
     assert res["green_advanced_identity"] == res["green_retarded_identity"]
 
 
+def _split_mass(lat):
+    """(a, c): the split mass term's weights of the time neighbours and of
+    the site, a = 1 + (1 - THETA) m^2 / 2 and c = THETA m^2."""
+    m2 = lat.mass ** 2
+    return 1 + (1 - THETA) * m2 / 2, THETA * m2
+
+
 def _backward_leapfrog(lat):
     """The advanced kernel stepped backward in time from a unit source: the
-    mirror of the retarded construction (u(tp-1, xp) = -1, u = 0 for
+    mirror of the retarded construction (u(tp-1, xp) = -1/a, u = 0 for
     t >= tp)."""
-    nt, nx, m2 = lat.nt, lat.nx, lat.mass ** 2
+    nt, nx = lat.nt, lat.nx
+    a, c = _split_mass(lat)
     G = np.zeros((nt, nx, nt, nx))
     for tp in range(nt - 1, -1, -1):
         u = np.zeros((nt, nx, nx))
         if tp - 1 >= 0:
-            u[tp - 1] = -np.eye(nx)
+            u[tp - 1] = -np.eye(nx) / a
             for t in range(tp - 1, 0, -1):
-                u[t - 1] = (np.roll(u[t], -1, axis=0) + np.roll(u[t], 1, axis=0)
-                            - u[t + 1] - m2 * u[t])
+                u[t - 1] = ((np.roll(u[t], -1, axis=0)
+                             + np.roll(u[t], 1, axis=0) - c * u[t]) / a
+                            - u[t + 1])
         G[:, :, tp, :] = u
     return G.reshape(lat.n_sites, lat.n_sites).astype(complex)
 
 
 def _per_row_leapfrog(lat):
     """The retarded kernel stepped forward from all nx sources of each
-    time row at once (u(tp+1, xp) = -1, u = 0 for t <= tp)."""
-    nt, nx, m2 = lat.nt, lat.nx, lat.mass ** 2
+    time row at once (u(tp+1, xp) = -1/a, u = 0 for t <= tp)."""
+    nt, nx = lat.nt, lat.nx
+    a, c = _split_mass(lat)
     G = np.zeros((nt, nx, nt, nx))
     for tp in range(nt):
         u = np.zeros((nt, nx, nx))  # u[t, x, xp] for sources on row tp
         if tp + 1 < nt:
-            u[tp + 1] = -np.eye(nx)
+            u[tp + 1] = -np.eye(nx) / a
             for t in range(tp + 1, nt - 1):
-                u[t + 1] = (np.roll(u[t], -1, axis=0) + np.roll(u[t], 1, axis=0)
-                            - u[t - 1] - m2 * u[t])
+                u[t + 1] = ((np.roll(u[t], -1, axis=0)
+                             + np.roll(u[t], 1, axis=0) - c * u[t]) / a
+                            - u[t - 1])
         G[:, :, tp, :] = u
     return G.reshape(lat.n_sites, lat.n_sites).astype(complex)
 
 
-def _averaged_blocks(lat):
-    """The time blocks D[t, t', xi] of Delta at spatial offset xi, averaged
-    over the nx source positions x'."""
-    nt, nx = lat.nt, lat.nx
-    Delta = lat.pauli_jordan().entries.real.reshape(nt, nx, nt, nx)
-    D = np.zeros((nt, nt, nx))
-    for xi in range(nx):
-        acc = np.zeros((nt, nt))
-        for xp in range(nx):
-            acc += Delta[:, (xp + xi) % nx, :, xp]
-        D[:, :, xi] = acc / nx
-    return D
-
-
-def _column_blocks(lat):
-    """D[t, t', xi] = Re Delta[(t, xi), (t', 0)], copied entry by entry."""
-    nt, nx = lat.nt, lat.nx
-    Delta = lat.pauli_jordan().entries
-    D = np.zeros((nt, nt, nx))
-    for t in range(nt):
-        for tp in range(nt):
-            for xi in range(nx):
-                D[t, tp, xi] = Delta[t * nx + xi, tp * nx].real
-    return D
-
-
-def _kron_sum_hadamard(lat, D):
+def _kron_sum_hadamard(lat):
     """The Hadamard part as a dense sum of kron(H_k, cos(k (x - x'))) / nx
-    over the modes, with the mode blocks H_k built as the library does
-    from the time blocks D of Delta."""
+    over the modes, with the vacuum blocks H_k = cos(w (t - t')) /
+    (2 a sin w) at the frequency 4 sin^2(w/2) = (4 sin^2(k/2) + m^2) / a."""
     nt, nx = lat.nt, lat.nx
+    a = _split_mass(lat)[0]
     modes = lat.hadamard_mode_classification()
     tgrid = np.arange(nt)
     tau = tgrid[:, None] - tgrid[None, :]
-    phases = np.arange(nx)
     Hk = np.zeros((nx, nt, nt))
     for j in modes["stable"]:
         k = 2 * np.pi * j / nx
-        s = 4 * np.sin(k / 2) ** 2 + lat.mass ** 2
+        s = (4 * np.sin(k / 2) ** 2 + lat.mass ** 2) / a
         om = 2 * np.arcsin(np.sqrt(s) / 2)
-        Hk[j] = np.cos(om * tau) / (2 * np.sin(om))
-    for j in modes["unstable"]:
-        k = 2 * np.pi * j / nx
-        Dk = np.einsum("abx,x->ab", D, np.exp(-1j * k * phases)).real
-        Dk = (Dk - Dk.T) / 2
-        mu, V = np.linalg.eigh(1j * Dk)
-        Hk[j] = ((V * np.abs(mu)) @ V.conj().T).real / 2
-        Hk[j] = (Hk[j] + Hk[j].T) / 2
+        Hk[j] = np.cos(om * tau) / (2 * a * np.sin(om))
     xs = np.arange(nx)
     xi_mat = (xs[:, None] - xs[None, :]) % nx
     H = np.zeros((lat.n_sites, lat.n_sites))
@@ -206,7 +184,7 @@ def _translation_invariant(lat, K):
 
 BITWISE_SIZES = [
     (12, 16, 0.5), (16, 32, 0.5),
-    (8, 10, 2.3),   # every mode unstable: the kernels grow
+    (8, 10, 2.3),   # m > 2, where a site mass term leaves no mode stable
     (6, 8, 0.0)]    # zero and edge modes
 
 
@@ -227,30 +205,22 @@ def test_one_source_kernels_are_the_dense_constructions_bitwise(nt, nx, mass):
         H = lat.hadamard_kernel().entries
     assert lat.green_retarded().entries.tobytes() == \
         _per_row_leapfrog(lat).tobytes()
-    assert H.tobytes() == _kron_sum_hadamard(lat, _column_blocks(lat)).tobytes()
+    assert H.tobytes() == _kron_sum_hadamard(lat).tobytes()
     # what lets kernel_residuals read only the x' = 0 columns
     for name in ("green_retarded", "green_advanced", "pauli_jordan",
                  "hadamard_kernel", "wightman", "feynman"):
         assert _translation_invariant(lat, getattr(lat, name)().entries), name
 
 
-@pytest.mark.parametrize("nt, nx, mass, exact", [
-    (12, 16, 0.5, True), (16, 32, 0.5, True),
-    (24, 48, 0.5, False), (8, 10, 2.3, False)])
-def test_averaged_blocks_are_the_x0_column(nt, nx, mass, exact):
-    # Delta is exactly translation invariant, so averaging its time blocks
-    # over the source positions only adds rounding to the x' = 0 column
-    lat = Lattice(nt, nx, mass)
-    averaged, column = _averaged_blocks(lat), _column_blocks(lat)
-    if exact:
-        # the same numbers: the sums from +0.0 only turn the column's -0.0
-        # entries into +0.0, and the Hadamard part is the same bits
-        assert np.array_equal(averaged, column)
-        assert _kron_sum_hadamard(lat, averaged).tobytes() == \
-            _kron_sum_hadamard(lat, column).tobytes()
-    else:
-        scale = np.max(np.abs(lat.pauli_jordan().entries))
-        assert np.max(np.abs(averaged - column)) <= 2e-15 * scale
+def test_massless_step_is_the_site_mass_leapfrog():
+    # at m = 0 the mass term is gone (a = 1, c = 0): the retarded column is
+    # the plain five-point leapfrog u(t+1) = u(x+1) + u(x-1) - u(t-1)
+    lat = Lattice(9, 8, 0.0)
+    u = np.zeros((lat.nt, lat.nx))
+    u[1, 0] = -1.0
+    for t in range(1, lat.nt - 1):
+        u[t + 1] = np.roll(u[t], -1) + np.roll(u[t], 1) - u[t - 1]
+    assert np.array_equal(lat.green_retarded().blocks[:, 0], u)
 
 
 def test_a_dropped_lattice_frees_its_kernels():
@@ -337,8 +307,9 @@ KERNELS = ("green_retarded", "green_advanced", "pauli_jordan",
 
 @pytest.mark.parametrize("nt, nx, mass", [
     (12, 16, 0.5), (16, 32, 0.5), (24, 48, 0.5),
-    (8, 10, 2.3),             # every mode unstable
-    (7, 8, math.sqrt(2.0))])  # edge modes excluded
+    (8, 10, 2.3),   # m > 2, where a site mass term leaves no mode stable
+    (7, 8, math.sqrt(2.0)),  # on a site mass term's band edge at nx = 8
+    (7, 8, 0.0)])   # zero and edge modes excluded
 def test_dense_copies_give_the_block_route_residuals(monkeypatch, nt, nx,
                                                      mass):
     # the kernels with a zero site diagonal are read on all their columns,
@@ -674,10 +645,35 @@ def test_feynman_equals_wightman_off_future(lat):
     assert res["feynman_equals_wightman_off_future"] == 0.0
 
 
+@pytest.mark.parametrize("mass", [0.5, math.sqrt(2.0), 2.3, 5.0, 1e3])
+def test_every_massive_mode_is_stable(mass):
+    # 4 sin^2(w/2) = (4 sin^2(k/2) + m^2) / a < 4 for THETA < 1/2, also
+    # at m = sqrt(2) (which a site mass term puts on the band edge at
+    # nx = 8) and beyond m = 2
+    for nx in (8, 10):
+        lat = Lattice(7, nx, mass)
+        assert lat.hadamard_mode_classification() == {
+            "stable": list(range(nx)), "excluded": []}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kernel_residuals(lat)
+        assert res["H2_interior_W"] < 1e-10
+        assert res["H3_gram_min_eigenvalue"] > -1e-10
+
+
+def test_wightman_stays_bounded_as_the_lattice_grows():
+    # the kernels oscillate rather than grow: max|W| does not rise with nt
+    size = {(nt, nx): float(np.max(np.abs(Lattice(nt, nx, 0.5)
+                                          .wightman().blocks)))
+            for nt, nx in ((12, 16), (32, 64), (64, 64))}
+    for key in ((32, 64), (64, 64)):
+        assert size[key] <= 10 * size[12, 16], size
+
+
 def test_mode_classification(lat):
     rep = lat.hadamard_mode_classification()
     assert not rep["excluded"]
-    assert sorted(rep["stable"] + rep["unstable"]) == list(range(lat.nx))
+    assert rep["stable"] == list(range(lat.nx))
     rep0 = Lattice(6, 8, 0.0).hadamard_mode_classification()
     kinds = dict(rep0["excluded"])
     assert kinds[0] == "zero-mode"
@@ -691,15 +687,19 @@ def test_zero_mass_warns():
 
 
 def test_edge_mode_warns_and_is_left_out():
-    # 4 sin^2(k/2) + m^2 = 4 at k = pi/2: modes j = 2 and 6 sit at w = pi
-    lat = Lattice(7, 8, math.sqrt(2.0))
+    # at m = 0, 4 sin^2(k/2) = 4 at k = pi: mode j = nx/2 sits at w = pi,
+    # beside the zero mode j = 0; an odd nx has no such mode
+    lat = Lattice(7, 8, 0.0)
     assert lat.hadamard_mode_classification()["excluded"] == \
-        [(2, "edge-mode"), (6, "edge-mode")]
+        [(0, "zero-mode"), (4, "edge-mode")]
     with pytest.warns(RuntimeWarning) as rec:
         lat.hadamard_kernel()
     assert sorted(str(w.message) for w in rec) == [
-        f"mode j={j}: edge mode (w = pi) excluded from the Hadamard sum"
-        for j in (2, 6)]
+        "mode j=0: zero mode excluded from the Hadamard sum "
+        "(infrared regularization)",
+        "mode j=4: edge mode (w = pi) excluded from the Hadamard sum"]
+    assert Lattice(7, 9, 0.0).hadamard_mode_classification()["excluded"] == \
+        [(0, "zero-mode")]
 
 
 def test_field_values_shapes(lat):

@@ -27,11 +27,11 @@ def test_hadamard_scan_runs_and_shows_the_excluded_mode_positivity_loss():
         mass, _h2, gram_min = line.split()
         h3[float(mass)] = float(gram_min)
     assert sorted(h3) == [0.0, 0.25, 0.5, 1.0, 2.0]
-    # the zero mode (m = 0) and the band-edge mode (m = 2) are dropped from
-    # the Hadamard sum while the commutator keeps them; every other row is
-    # positive up to rounding
-    assert h3[0.0] < -1e-3 and h3[2.0] < -1e-3
-    assert min(h3[m] for m in (0.25, 0.5, 1.0)) >= -1e-10
+    # the zero and edge modes of m = 0 are dropped from the Hadamard sum
+    # while the commutator keeps them; every m > 0 has no excluded mode
+    # and is positive up to rounding
+    assert h3[0.0] < -1e-3
+    assert min(h3[m] for m in (0.25, 0.5, 1.0, 2.0)) >= -1e-10
 
 
 def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
