@@ -10,7 +10,9 @@ and calls (the commands themselves run their units in forked workers,
 which a wrapper in the parent cannot see); `axioms_units_s` and
 `extract_units_s` time each command's units, and `units_s` is their
 sum; the units run with the cyclic garbage collector off, as in the
-commands' workers.  The unit runner (the `pool` entry): in a fresh
+commands' workers.  The `contract-l4` entry runs the same units at
+`caps.lambda_order=4`, where the contraction's share of the units is
+larger.  The unit runner (the `pool` entry): in a fresh
 process that has imported `paqft.cli`, the wall of
 `cli._run_units([list] * POOL_UNITS)`, units that do no work, so it times
 what the runner itself costs: its imports, forks, dispatch and reaping.
@@ -73,11 +75,15 @@ WHAT = ("seconds, median of fresh processes per entry, m = 0.5; "
         "sizes: six-kernel build and kernel_residuals, in process; contract: "
         "StarAlgebraContext._contract in the serial axioms and extract-z "
         "units at 12x16, in process, collector off, and the units of each "
-        f"command; pool: cli._run_units of {POOL_UNITS} units that do no "
-        "work, in a fresh process; startup: spawn-to-exit wall of "
+        "command; contract-l4: the same at caps.lambda_order=4; pool: "
+        f"cli._run_units of {POOL_UNITS} units that do no work, in a fresh "
+        "process; startup: spawn-to-exit wall of "
         "`python -m paqft.cli propagators` at 16x32 and of "
         "`python -c 'import numpy, os; os._exit(0)'` (no teardown, as "
         "the CLI)")
+# the contraction entries and the caps.lambda_order each sets (None: the
+# default)
+CONTRACT = {"contract": None, "contract-l4": 4}
 KERNELS = ("green_retarded", "green_advanced", "pauli_jordan",
            "hadamard_kernel", "wightman", "feynman")
 
@@ -101,9 +107,10 @@ def child(size: str) -> None:
                       "peak_rss_mb": peak_kb / 1024}))
 
 
-def contract_child() -> None:
+def contract_child(lambda_order: int | None = None) -> None:
     """One timed process: the axioms (samples.count=SAMPLES) and extract-z
-    units at 12x16, serially, each command on its own S-matrix."""
+    units at 12x16, serially, each command on its own S-matrix; at the
+    default caps.lambda_order, or at `lambda_order`."""
     from paqft import cli
     from paqft.star_algebra import StarAlgebraContext
 
@@ -119,7 +126,10 @@ def contract_child() -> None:
             spent["contract_calls"] += 1
 
     StarAlgebraContext._contract = timed
-    cfg = cli.load_config(None, [f"samples.count={SAMPLES}"])
+    sets = [f"samples.count={SAMPLES}"]
+    if lambda_order is not None:
+        sets.append(f"caps.lambda_order={lambda_order}")
+    cfg = cli.load_config(None, sets)
     lat, S = cli._build(cfg)
     axioms = [u for name in cfg["suites"]
               for u in cli.SUITES[name](cfg, lat, S)]
@@ -209,8 +219,8 @@ def measure(entry: str, trees: dict, runs: int) -> dict:
 
 
 def report(label: str, entry: str, row: dict) -> str:
-    if entry == "contract":
-        return (f"{label} contract: _contract {row['contract_s']:.3f} s over "
+    if entry in CONTRACT:
+        return (f"{label} {entry}: _contract {row['contract_s']:.3f} s over "
                 f"{row['contract_calls']:.0f} calls, units "
                 f"{row['units_s']:.3f} s (axioms "
                 f"{row['axioms_units_s']:.3f} s, extract-z "
@@ -233,7 +243,8 @@ def main(argv=None) -> int:
     ap.add_argument("--src", type=Path, default=ROOT / "src")
     ap.add_argument("--sizes", default="16x32,24x48,32x64,contract",
                     help="comma-separated NTxNX lattice sizes for the kernel "
-                         "layer, `contract` for the contraction layer, "
+                         "layer, `contract` and `contract-l4` for the "
+                         "contraction layer at lambda order 3 and 4, "
                          "`pool` for the unit runner and `startup` for "
                          "start-up")
     ap.add_argument("--runs", type=int, default=3,
@@ -247,8 +258,8 @@ def main(argv=None) -> int:
         ap.error("--runs must be at least 1")
     if args.against is not None and args.against_label == args.label:
         ap.error("--against-label must differ from --label")
-    if args.child == "contract":
-        contract_child()
+    if args.child in CONTRACT:
+        contract_child(CONTRACT[args.child])
         return 0
     if args.child == "pool":
         pool_child()
@@ -274,7 +285,7 @@ def main(argv=None) -> int:
             if entry == "startup":
                 row["writes_bytecode"] = not os.environ.get(
                     "PYTHONDONTWRITEBYTECODE")
-            if entry in ("contract", "pool", "startup"):
+            if entry in CONTRACT or entry in ("pool", "startup"):
                 labels[name][entry] = row
             else:
                 labels[name]["sizes"][entry] = row

@@ -621,10 +621,29 @@ def cmd_axioms(cfg: dict) -> int:
     return 0 if ok else 1
 
 
+# z_values and hbar_grading leave out every coefficient with |c| at most
+# this factor times the largest stored |c| of its sampled functional: such
+# coefficients are rounding, and whether one is non-zero depends on the
+# order in which the contraction sums
+Z_VALUES_CUT = 2.0 ** -40
+
+
+def _above(F, floor: float):
+    """F without its coefficients of |c| <= floor."""
+    from .functionals import HbarScalar, PolyFunctional
+
+    return PolyFunctional(F.lattice, {
+        d: {key: HbarScalar({e: v for e, v in c.coeffs.items()
+                             if abs(v) > floor})
+            for key, c in t.items()}
+        for d, t in F.terms.items()})
+
+
 def _extract_z_units(cfg: dict, lat: Lattice, S):
     """The independent units of `extract-z`, in row order: one per sampled
     functional, returning its rows and its `z_values` and `hbar_grading`
-    entries, then the extracted_locality_units, returning rows."""
+    entries (without the coefficients under Z_VALUES_CUT), then the
+    extracted_locality_units, returning rows."""
     from .functionals import is_local_at_scale
     from .smatrix_renorm import (RenormalizationMap, build_smatrix, compose,
                                  default_z_plan, extracted_locality_units,
@@ -676,9 +695,12 @@ def _extract_z_units(cfg: dict, lat: Lattice, S):
                          "order": n, "sample-id": sid,
                          "residual": float(rep["worst_eq11"]),
                          "pass": bool(ok)})
-        z_values = {str(n): vals[n].to_json_dict() for n in range(2, cap + 1)}
-        grading = {str(n): list(vals[n].hbar_exponent_range() or ())
-                   for n in range(2, cap + 1)}
+        floor = Z_VALUES_CUT * max(
+            (vals[n].max_norm() for n in range(2, cap + 1)), default=0.0)
+        kept = {n: _above(vals[n], floor) for n in range(2, cap + 1)}
+        z_values = {str(n): kept[n].to_json_dict() for n in kept}
+        grading = {str(n): list(kept[n].hbar_exponent_range() or ())
+                   for n in kept}
         return rows, z_values, grading
 
     f_units = [functools.partial(one, i, f) for i, f in enumerate(fs)]
@@ -717,7 +739,8 @@ def cmd_extract_z(cfg: dict) -> int:
         rows.extend(out)
     ok = all(r["pass"] for r in rows)
     report = {"config": cfg, "mode": mode, "z_values": z_values,
-              "hbar_grading": grading, "rows": rows, "pass": ok}
+              "z_values_cut": Z_VALUES_CUT, "hbar_grading": grading,
+              "rows": rows, "pass": ok}
     path = _write_report(cfg, "extract_z", report)
     print(_summary_line(f"extract-z[{mode}]", rows))
     print(f"report written to {path}")

@@ -21,10 +21,11 @@ JSON, shift_field_series, decompose_L1, star_algebra.beta, poly x poly
 products, external callers).  Sums,
 differences, scalings and contraction results are canonical by
 construction and are stored through ``PolyFunctional._canonical`` without
-a second pass; their coefficients are summed as plain complex numbers with
-the exact operations and order of the HbarScalar arithmetic, one
-HbarScalar per output monomial, so they are bitwise what the validating
-route gives.
+a second pass.  The coefficients of sums, differences and scalings are
+summed as plain complex numbers with the exact operations and order of
+the HbarScalar arithmetic, one HbarScalar per output monomial, so they are
+bitwise what the validating route gives; contraction results are within
+a stated rounding bound of it (star_algebra).
 """
 
 from __future__ import annotations

@@ -12,40 +12,36 @@ cancels against ordered slot selection, so the implementation sums over
 unordered selections and matrix permanents with no factorial division.
 Polynomial degree means r <= 8 throughout.
 
-The contraction accumulates flat: the kernel rows of F's sites are read
-once per context (Kernel.rows, kept as lists in its _row_cache), and each
-output monomial collects one plain complex per hbar exponent.  Terms come
-out bitwise as the HbarScalar
-arithmetic ``acc[key] += (c_F * c_G) * (per * HbarScalar({r: 1}))``
-forms them: its steps that can only flip the sign of a zero part (the
-``0j +`` and ``(1 + 0j) *`` of the weight and the term) are left out
-where the ``0j +`` of a new exponent, or the sum with a stored value,
-sets that sign as they would; the r = 2 permanent and the product of two
-single-exponent coefficients are formed inline with the operations of
-_permanent and HbarScalar.  Zero terms and zero sums are dropped the way
-HbarScalar drops them, and each output HbarScalar is stored without a
-second validation (its coefficients are non-zero and inside the window,
-its key a sorted merge of canonical keys).  The r = 0 term of a pair is
-c_F * c_G itself, under the sorted merge of the two keys.
-
 Selections run over distinct site multisets.  A key that repeats a site,
 such as (a, a, b), has index selections that pick the same (selected,
-remaining) multisets; each distinct pair is enumerated once, at its first
-index selection, with its multiplicity, and a term of the pair of
-selections with multiplicities ma and mb is the HbarScalar-formed term
-times ma * mb.  The selections of a key are cached on the context
-(``StarAlgebraContext._selection_cache``, shared by both kernels and freed
-with the context); they depend on the key alone, so the cache never
-changes a result.  An operand with only degree 0 has only the r = 0 term:
-the result is the pointwise product, formed as that term.
+remaining) multisets; each distinct pair is enumerated once, with its
+multiplicity (_site_selections).  The selections of a key are cached on
+the context (``StarAlgebraContext._selection_cache``, shared by both
+kernels and freed with the context).
 
-For finite coefficients, a product with a constant operand, and a product
-whose keys repeat no site, is bitwise what the per-term HbarScalar loop
-over every index selection gives: every multiplicity is 1 and the terms
-come in that loop's order.  Where a key repeats a site, one weighted term
-replaces ma * mb equal terms that the loop meets at different points, so
-coefficients differ by rounding, within 1e-14 of the sum of the
-magnitudes of their terms.
+The contraction is factorized on the sites selected from F: a term reads
+only the kernel rows of the r sites sa that it selects from F's key, so
+G's side is summed once per distinct sa,
+
+    D[sa] = {rest_b: sum over G's monomials and selections sb of
+             perm(K[sa, sb]) * m_b * c_b * hbar^r},
+
+and every F monomial that selects sa, with multiplicity m_a and remainder
+rest_a, adds m_a * c_a * D[sa][rest_b] under the sorted merge of rest_a
+and rest_b.  The r = 0 terms are the pointwise products c_a * c_b, so a
+constant operand needs no branch of its own.  The kernel rows of F's
+sites are read once per context (Kernel.rows, kept as lists in its
+_row_cache).  Each exponent that a term of the result reaches is checked
+against the hbar window (an exponent of D past it is no error unless a
+term of the result lands there), and zero sums are dropped.
+
+Each coefficient sums the terms of the per-term loop over every index
+selection, grouped and ordered differently, so the two differ by rounding
+only.  tests/test_star_algebra.py checks every coefficient against the
+same contraction in exact Gaussian-rational arithmetic on the same float
+kernel entries and coefficients: |float - exact| <= 32 * 2^-53 * sum|terms|
++ 2^-1064, where |term| = |c_a| |c_b| perm(|K[sa, sb]|) and the floor
+covers sums in the subnormal range.
 """
 
 from __future__ import annotations
@@ -97,41 +93,33 @@ def _poly_from_flat(lattice: Lattice, flat: dict) -> PolyFunctional:
         lattice, {d: nested[d] for d in sorted(nested)})
 
 
-def _permanent(mat) -> complex:
-    """Permanent of a small square matrix, given as rows indexable by
-    column, by direct permutation sum (r <= 8)."""
-    r = len(mat)
-    if r == 1:
-        return complex(mat[0][0])
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(r)):
-        p = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            p *= mat[i][j]
-            if p == 0:
-                break
-        total += p
-    return total
+def _permanent(rows: list, cols: tuple) -> complex:
+    """Permanent of the r x r matrix rows[i][cols[j]] (r <= 8): its one
+    entry, the two products, or the sum over every permutation."""
+    if len(cols) == 1:
+        return rows[0][cols[0]]
+    if len(cols) == 2:
+        (a, b), (i, j) = rows, cols
+        return a[i] * b[j] + a[j] * b[i]
+    return sum(math.prod(row[c] for row, c in zip(rows, perm))
+               for perm in itertools.permutations(cols))
 
 
-def _product(ca: HbarScalar, cb: HbarScalar) -> list:
-    """The (exponent, value) items of ca * cb, with HbarScalar's window
-    check; a product of two single exponents is formed inline with
-    HbarScalar's operations.  Each value is non-zero and, as a sum started
-    at 0j, has no -0.0 part, so the r = 0 term 0j + v * (1 + 0j) is v."""
-    a, b = ca.coeffs, cb.coeffs
-    if len(a) != 1 or len(b) != 1:
-        return list((ca * cb).coeffs.items())
-    (ea, va), = a.items()
-    (eb, vb), = b.items()
-    z = 0j + va * vb
-    if z == 0:
-        return []
-    e = ea + eb
-    if not HBAR_WINDOW[0] <= e <= HBAR_WINDOW[1]:
-        raise HbarWindowError(
-            f"hbar exponent {e} outside window {list(HBAR_WINDOW)}")
-    return [(e, z)]
+def _g_contraction(krows: list, g_sel: dict) -> list:
+    """G's contraction with the kernel rows `krows` of one r-site multiset
+    sa selected from F: [(rest_b, exponent, value)], the sums of
+    perm(K[sa, sb]) * m_b * c_b * hbar^r over the {sb: [(rest_b,
+    [(e_b + r, m_b * c_b)])]} selections `g_sel` of G's monomials, zero
+    sums dropped."""
+    d: dict = {}
+    for sb, entries in g_sel.items():
+        per = _permanent(krows, sb)
+        if per == 0:
+            continue
+        for rb, cb in entries:
+            for e, v in cb:
+                d[rb, e] = d.get((rb, e), 0) + per * v
+    return [(rb, e, v) for (rb, e), v in d.items() if v != 0]
 
 
 @dataclass(frozen=True)
@@ -188,132 +176,91 @@ class StarAlgebraContext:
                   kernel: Kernel) -> PolyFunctional:
         """Exponentiated-contraction product of F and G along `kernel`.
 
-        Each monomial pair sums over the distinct site-multiset selections
-        of its keys, each term times the multiplicities of its two
-        selections, which are read from and stored in this context's
-        _selection_cache; the kernel rows of F's sites are read from and
-        stored in its _row_cache.  An operand with only degree 0 gives the
-        pointwise product.  The result is bitwise that of the per-term
-        loop over every index selection when an operand is constant or no
-        key repeats a site, and within rounding otherwise (module
-        docstring)."""
+        The r = 0 terms are the pointwise products of every monomial pair.
+        For r >= 1, G's contraction D[sa] with each distinct r-site
+        multiset sa that F's keys select is formed once, and every F
+        monomial that selects sa adds its coefficient, times the
+        multiplicity, times D[sa] (module docstring).  Selections are read
+        from and stored in this context's _selection_cache, the kernel rows
+        of F's sites in its _row_cache.  Zero coefficients are dropped and
+        each exponent of the result is checked against the hbar window."""
         if F.lattice != self.lattice or G.lattice != self.lattice:
             raise ValueError("functionals must live on the context lattice")
-        f_monos = list(F.monomials())
-        g_monos = list(G.monomials())
-        lo, hi = HBAR_WINDOW
+        f_monos = [(da, ka, list(ca.coeffs.items()))
+                   for da, ka, ca in F.monomials()]
+        g_monos = [(db, kb, list(cb.coeffs.items()))
+                   for db, kb, cb in G.monomials()]
         acc: dict = {}
-        if not (F.terms.keys() - {0} and G.terms.keys() - {0}):
-            # only r = 0 contributes: one output key per monomial pair, and
-            # its term 0j + v * (1 + 0j) is v (see _product)
-            for _da, ka, ca in f_monos:
-                for _db, kb, cb in g_monos:
-                    acc[ka + kb] = dict(_product(ca, cb))
-            return _poly_from_flat(self.lattice, {
-                key: HbarScalar._canonical(coeffs)
-                for key, coeffs in acc.items()})
-        rows = self._row_cache.setdefault(kernel, {})
-        new = list({s for _d, ka, _c in f_monos for s in ka} - rows.keys())
-        if new:
-            rows.update(zip(new, kernel.rows(new).tolist()))
-        # {key: [None or _site_selections(key, r) for r in 0..len(key)]},
-        # shared by both kernels
-        cache = self._selection_cache
-        g_sels = []
-        for _db, kb, _cb in g_monos:
-            sels = cache.get(kb)
-            if sels is None:
-                sels = cache[kb] = [None] * (len(kb) + 1)
-            g_sels.append(sels)
-        for da, ka, ca in f_monos:
-            a_sels = cache.get(ka)
-            if a_sels is None:
-                a_sels = cache[ka] = [None] * (da + 1)
-            for (db, kb, cb), b_sels in zip(g_monos, g_sels):
-                rmax = min(da, db)
-                cc = _product(ca, cb)
-                # r = 0: the one empty selection, permanent 1, and the
-                # term 0j + v * (1 + 0j) is v
-                key = tuple(sorted(ka + kb))
+        for _da, ka, ca in f_monos:
+            for _db, kb, cb in g_monos:
+                key = tuple(sorted(ka + kb)) if ka and kb else ka or kb
                 coeffs = acc.get(key)
                 if coeffs is None:
                     coeffs = acc[key] = {}
-                for e, z in cc:
-                    prev = coeffs.get(e)
-                    if prev is None:
-                        coeffs[e] = z
-                        continue
-                    z = prev + z
-                    if z == 0:
-                        del coeffs[e]
-                    else:
-                        coeffs[e] = z
-                for r in range(1, rmax + 1):
-                    shifted = [(e + r, v) for e, v in cc]
-                    sels_a = a_sels[r]
-                    if sels_a is None:
-                        sels_a = a_sels[r] = _site_selections(ka, r)
-                    sels_b = b_sels[r]
-                    if sels_b is None:
-                        sels_b = b_sels[r] = _site_selections(kb, r)
-                    for sa, rest, ma in sels_a:
-                        krows = [rows[s] for s in sa]
-                        for sb, rb, mb in sels_b:
-                            if r == 1:
-                                per = krows[0][sb[0]]
-                            elif r == 2:
-                                # _permanent's two permutations, inlined
-                                k0, k1 = krows
-                                b0, b1 = sb
-                                p = (1 + 0j) * k0[b0]
-                                if p != 0:
-                                    p *= k1[b1]
-                                q = (1 + 0j) * k0[b1]
-                                if q != 0:
-                                    q *= k1[b0]
-                                per = 0j + p + q
-                            else:
-                                per = _permanent([[row[s] for s in sb]
-                                                  for row in krows])
-                            if per == 0:
-                                continue
-                            m = ma * mb
-                            key = tuple(sorted(rest + rb))
+                for ea, va in ca:
+                    for eb, vb in cb:
+                        e = ea + eb
+                        coeffs[e] = coeffs.get(e, 0) + va * vb
+        g_max = max(G.terms, default=0)
+        if g_max and max(F.terms, default=0):
+            cache = self._selection_cache
+            rows = self._row_cache.setdefault(kernel, {})
+            new = list({s for _d, ka, _c in f_monos for s in ka}
+                       - rows.keys())
+            if new:
+                rows.update(zip(new, kernel.rows(new).tolist()))
+
+            def selections(key, r):
+                # {key: [None or _site_selections(key, r) for r in
+                # 0..len(key)]}, shared by both kernels
+                sels = cache.get(key)
+                if sels is None:
+                    sels = cache[key] = [None] * (len(key) + 1)
+                if sels[r] is None:
+                    sels[r] = _site_selections(key, r)
+                return sels[r]
+
+            # g_sel[r]: {sb: [(rest_b, [(e_b + r, m_b * c_b)])]} over G's
+            # monomials of degree >= r
+            g_sel = [None]
+            for r in range(1, g_max + 1):
+                by_sb: dict = {}
+                for db, kb, cb in g_monos:
+                    if db >= r:
+                        for sb, rb, mb in selections(kb, r):
+                            by_sb.setdefault(sb, []).append(
+                                (rb, [(e + r, mb * v) for e, v in cb]))
+                g_sel.append(by_sb)
+            D: dict = {}
+            for da, ka, ca in f_monos:
+                for r in range(1, min(da, g_max) + 1):
+                    for sa, rest_a, ma in selections(ka, r):
+                        d = D.get(sa)
+                        if d is None:
+                            d = D[sa] = _g_contraction(
+                                [rows[s] for s in sa], g_sel[r])
+                        mca = ca if ma == 1 else [(e, ma * v) for e, v in ca]
+                        for rb, ed, vd in d:
+                            key = (tuple(sorted(rest_a + rb)) if rest_a and rb
+                                   else rest_a or rb)
                             coeffs = acc.get(key)
                             if coeffs is None:
                                 coeffs = acc[key] = {}
-                            # the term 0j + v * (0j + (1 + 0j) * per) of
-                            # HbarScalar arithmetic, times m; the two 0j +
-                            # and the 1 + 0j change only the signs of zero
-                            # parts, which the sum with prev, or 0j + z for
-                            # a new exponent, sets to +0.0 as they would
-                            for e, v in shifted:
-                                z = v * per
-                                if m != 1:
-                                    z *= m
-                                if z == 0:
-                                    continue
-                                prev = coeffs.get(e)
-                                if prev is None:
-                                    if not lo <= e <= hi:
-                                        raise HbarWindowError(
-                                            f"hbar exponent {e} outside "
-                                            f"window {[lo, hi]}")
-                                    coeffs[e] = 0j + z
-                                    continue
-                                # HbarScalar addition drops a zero sum; a
-                                # later term re-enters it at the end
-                                z = prev + z
-                                if z == 0:
-                                    del coeffs[e]
-                                else:
-                                    coeffs[e] = z
-        # one HbarScalar per output monomial; its coefficients are non-zero
-        # and inside the window, and the keys are sorted merges of canonical
-        # keys, so nothing is validated again
-        return _poly_from_flat(self.lattice, {
-            key: HbarScalar._canonical(coeffs)
-            for key, coeffs in acc.items()})
+                            for ea, va in mca:
+                                e = ea + ed
+                                coeffs[e] = coeffs.get(e, 0) + va * vd
+        lo, hi = HBAR_WINDOW
+        flat = {}
+        for key, coeffs in acc.items():
+            for e in coeffs:
+                if not lo <= e <= hi:
+                    raise HbarWindowError(
+                        f"hbar exponent {e} outside window {[lo, hi]}")
+            if 0 in coeffs.values():
+                coeffs = {e: v for e, v in coeffs.items() if v != 0}
+            if coeffs:
+                flat[key] = HbarScalar._canonical(coeffs)
+        return _poly_from_flat(self.lattice, flat)
 
     def star(self, F: PolyFunctional, G: PolyFunctional) -> PolyFunctional:
         """Star product along the Wightman kernel (associative,

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import statistics
@@ -97,3 +98,59 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
         assert against["label"] == "smoke-against" and against["pairs"] == 1
         assert set(against["lower_in"]) == keys
         assert all(0 <= n <= 1 for n in against["lower_in"].values())
+
+
+def _identity_module():
+    spec = importlib.util.spec_from_file_location(
+        "identity", SCRIPTS / "identity.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_identity_reads_a_tree_against_itself_as_identical():
+    src = str(Path(paqft.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "identity.py"), "--src", src,
+         "--against", src, "--cases", "correlate,usage-error"],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    assert lines == ["correlate: identical (exit 0, files correlate.json)",
+                     "usage-error: identical (exit 2, files none)",
+                     "2 of 2 cases identical"]
+
+
+def test_identity_lists_what_moved_between_two_reports():
+    identity = _identity_module()
+
+    def row(sid, residual, ok=True):
+        return {"suite": "S", "axiom": "S2", "order": 2, "sample-id": sid,
+                "residual": residual, "pass": ok}
+
+    def z(*coeffs):
+        return {"f-00": {"2": {"1": [
+            {"points": [[5, i]], "coeff": [[1, c, 0.0]]}
+            for i, c in enumerate(coeffs)]}}}
+
+    # a repeated key is matched by its order of appearance
+    before = {"rows": [row("a", 1e-16), row("a", 2e-16), row("b", 0.0)],
+              "z_values": z(0.5, 1e-14, 1e-20), "orders": [1.0, 2.0]}
+    after = {"rows": [row("a", 1e-16), row("a", 5e-16, False),
+                      row("c", 0.0)],
+             "z_values": z(0.5, 1e-14), "z_values_cut": 2.0 ** -40,
+             "orders": [1.0, 2.5]}
+    diff = identity.compare_reports(before, after)
+    key = ("S", "S2", 2, "a", 1)
+    assert diff["moved"] == [(key, 2e-16, 5e-16, 5e-16 - 2e-16)]
+    assert diff["pass_flips"] == [(key, True, False)]
+    assert diff["only_before"] == [("S", "S2", 2, "b", 0)]
+    assert diff["only_after"] == [("S", "S2", 2, "c", 0)]
+    # both sides are cut at 2^-40 of the sample's largest |c|: the 1e-20
+    # coefficient counts on neither side, the 1e-14 one on both
+    assert diff["z_only_before"] == diff["z_only_after"] == []
+    assert diff["other_fields"] == [("orders", 0.5), ("z_values_cut", None)]
+    # and with no cut stated, every stored coefficient counts
+    del after["z_values_cut"]
+    diff = identity.compare_reports(before, after)
+    assert diff["z_only_before"] == [("f-00", "2", ((5, 2),), 1)]
