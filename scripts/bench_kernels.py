@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
-"""Time the kernel layer, the contraction layer and start-up.
+"""Time the kernel layer, the contraction and series layers and start-up.
 
 Kernel layer: the six-kernel build and `kernel_residuals`, per lattice
 size.  Contraction layer (the `contract` entry): at the default 12x16
 working point, the units of `paqft axioms --set samples.count=5` and of
-`paqft extract-z`, run serially in one process, with
-`StarAlgebraContext._contract` wrapped from outside to add up its seconds
-and calls (the commands themselves run their units in forked workers,
-which a wrapper in the parent cannot see); `axioms_units_s` and
+`paqft extract-z`, run serially in one process, with the contraction
+entry wrapped from outside to add up its seconds and calls (the commands
+themselves run their units in forked workers, which a wrapper in the
+parent cannot see): `StarAlgebraContext.contract_sum`, or `_contract` in
+a tree that has no `contract_sum`; `axioms_units_s` and
 `extract_units_s` time each command's units, and `units_s` is their
 sum; the units run with the cyclic garbage collector off, as in the
 commands' workers.  The `contract-l4` entry runs the same units at
 `caps.lambda_order=4`, where the contraction's share of the units is
-larger.  The unit runner (the `pool` entry): in a fresh
+larger.  The series layer (the `series` entry): the same axioms units,
+serially, with `SMatrix.series`, `multiply` and `invert` wrapped to add
+up their seconds and calls.  The unit runner (the `pool` entry): in a fresh
 process that has imported `paqft.cli`, the wall of
 `cli._run_units([list] * POOL_UNITS)`, units that do no work, so it times
 what the runner itself costs: its imports, forks, dispatch and reaping.
@@ -46,8 +49,9 @@ the pairs in which it was lower:
 
 --src is the source tree whose `paqft` is timed (default: this checkout's
 `src/`); the wrapper uses only names the trees share (`cli.SUITES`,
-`cli._build`, `cli._extract_z_units`, `cli._run_units`,
-`StarAlgebraContext._contract`).
+`cli._build`, `cli._extract_z_units`, `cli._run_units`, `SMatrix.series`,
+`multiply`, `invert`, and `StarAlgebraContext.contract_sum` or
+`_contract`).
 Each label also records `src_lines`, the line count of that tree's
 `paqft/*.py`.  The mass is 0.5, the default working point.
 """
@@ -73,9 +77,11 @@ POOL_UNITS = 29  # units of the pool entry, each `list`
 STARTUP = ["propagators", "--set", "lattice.nt=16", "--set", "lattice.nx=32"]
 WHAT = ("seconds, median of fresh processes per entry, m = 0.5; "
         "sizes: six-kernel build and kernel_residuals, in process; contract: "
-        "StarAlgebraContext._contract in the serial axioms and extract-z "
-        "units at 12x16, in process, collector off, and the units of each "
-        "command; contract-l4: the same at caps.lambda_order=4; pool: "
+        "StarAlgebraContext.contract_sum (or _contract) in the serial "
+        "axioms and extract-z units at 12x16, in process, collector off, "
+        "and the units of each command; contract-l4: the same at "
+        "caps.lambda_order=4; series: SMatrix.series, multiply and invert "
+        "in the serial axioms units, outermost calls; pool: "
         f"cli._run_units of {POOL_UNITS} units that do no work, in a fresh "
         "process; startup: spawn-to-exit wall of "
         "`python -m paqft.cli propagators` at 16x32 and of "
@@ -107,44 +113,86 @@ def child(size: str) -> None:
                       "peak_rss_mb": peak_kb / 1024}))
 
 
+def _timed(cls, name: str, spent: dict, key: str) -> None:
+    """Wrap the method `name` of `cls` to add its seconds to
+    spent[key + "_s"] and its calls to spent[key + "_calls"], counting
+    only the outermost of nested calls."""
+    inner = getattr(cls, name)
+    spent[key + "_s"] = 0.0
+    spent[key + "_calls"] = 0
+    depth = [0]
+
+    def timed(*args, **kwargs):
+        if depth[0]:
+            return inner(*args, **kwargs)
+        depth[0] += 1
+        t0 = time.perf_counter()
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            spent[key + "_s"] += time.perf_counter() - t0
+            spent[key + "_calls"] += 1
+            depth[0] -= 1
+
+    setattr(cls, name, timed)
+
+
+def _axioms_units(sets: list) -> list:
+    from paqft import cli
+
+    cfg = cli.load_config(None, sets)
+    lat, S = cli._build(cfg)
+    return [u for name in cfg["suites"] for u in cli.SUITES[name](cfg, lat, S)]
+
+
+def _run_serially(spent: dict, key: str, units: list) -> None:
+    t0 = time.perf_counter()
+    for unit in units:
+        unit()
+    spent[key] = time.perf_counter() - t0
+
+
 def contract_child(lambda_order: int | None = None) -> None:
     """One timed process: the axioms (samples.count=SAMPLES) and extract-z
     units at 12x16, serially, each command on its own S-matrix; at the
-    default caps.lambda_order, or at `lambda_order`."""
+    default caps.lambda_order, or at `lambda_order`.  The contraction entry
+    timed is whichever the tree has: `contract_sum` (pairs of operands into
+    one sum), or the older `_contract` (one pair)."""
     from paqft import cli
     from paqft.star_algebra import StarAlgebraContext
 
-    inner = StarAlgebraContext._contract
-    spent = {"contract_s": 0.0, "contract_calls": 0}
-
-    def timed(self, F, G, kernel):
-        t0 = time.perf_counter()
-        try:
-            return inner(self, F, G, kernel)
-        finally:
-            spent["contract_s"] += time.perf_counter() - t0
-            spent["contract_calls"] += 1
-
-    StarAlgebraContext._contract = timed
+    spent: dict = {}
+    entry = ("contract_sum" if hasattr(StarAlgebraContext, "contract_sum")
+             else "_contract")
+    _timed(StarAlgebraContext, entry, spent, "contract")
     sets = [f"samples.count={SAMPLES}"]
     if lambda_order is not None:
         sets.append(f"caps.lambda_order={lambda_order}")
+    axioms = _axioms_units(sets)
     cfg = cli.load_config(None, sets)
-    lat, S = cli._build(cfg)
-    axioms = [u for name in cfg["suites"]
-              for u in cli.SUITES[name](cfg, lat, S)]
     lat, S = cli._build(cfg)
     f_units, z_units = cli._extract_z_units(cfg, lat, S)
     gc.disable()  # as in the commands' workers
-    for key, units in (("axioms_units_s", axioms),
-                       ("extract_units_s", f_units + z_units)):
-        t0 = time.perf_counter()
-        for unit in units:
-            unit()
-        spent[key] = time.perf_counter() - t0
+    _run_serially(spent, "axioms_units_s", axioms)
+    _run_serially(spent, "extract_units_s", f_units + z_units)
     spent["units_s"] = spent["axioms_units_s"] + spent["extract_units_s"]
     spent["peak_rss_mb"] = \
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps(spent))
+
+
+def series_child() -> None:
+    """One timed process: the axioms units (samples.count=SAMPLES) at
+    12x16, serially, with `SMatrix.series`, `multiply` and `invert` each
+    wrapped to add up its seconds and calls (outermost calls only)."""
+    from paqft.smatrix_renorm import SMatrix
+
+    spent: dict = {}
+    for name in ("series", "multiply", "invert"):
+        _timed(SMatrix, name, spent, name)
+    units = _axioms_units([f"samples.count={SAMPLES}"])
+    gc.disable()  # as in the commands' workers
+    _run_serially(spent, "axioms_units_s", units)
     print(json.dumps(spent))
 
 
@@ -220,11 +268,16 @@ def measure(entry: str, trees: dict, runs: int) -> dict:
 
 def report(label: str, entry: str, row: dict) -> str:
     if entry in CONTRACT:
-        return (f"{label} {entry}: _contract {row['contract_s']:.3f} s over "
+        return (f"{label} {entry}: contraction {row['contract_s']:.3f} s over "
                 f"{row['contract_calls']:.0f} calls, units "
                 f"{row['units_s']:.3f} s (axioms "
                 f"{row['axioms_units_s']:.3f} s, extract-z "
                 f"{row['extract_units_s']:.3f} s)")
+    if entry == "series":
+        return (f"{label} series: SMatrix.series {row['series_s']:.3f} s, "
+                f"multiply {row['multiply_s']:.3f} s, invert "
+                f"{row['invert_s']:.3f} s, axioms units "
+                f"{row['axioms_units_s']:.3f} s")
     if entry == "pool":
         return (f"{label} pool: _run_units of {POOL_UNITS} units "
                 f"{row['pool_s'] * 1e3:.1f} ms")
@@ -245,6 +298,7 @@ def main(argv=None) -> int:
                     help="comma-separated NTxNX lattice sizes for the kernel "
                          "layer, `contract` and `contract-l4` for the "
                          "contraction layer at lambda order 3 and 4, "
+                         "`series` for the series layer, "
                          "`pool` for the unit runner and `startup` for "
                          "start-up")
     ap.add_argument("--runs", type=int, default=3,
@@ -260,6 +314,9 @@ def main(argv=None) -> int:
         ap.error("--against-label must differ from --label")
     if args.child in CONTRACT:
         contract_child(CONTRACT[args.child])
+        return 0
+    if args.child == "series":
+        series_child()
         return 0
     if args.child == "pool":
         pool_child()
@@ -285,7 +342,7 @@ def main(argv=None) -> int:
             if entry == "startup":
                 row["writes_bytecode"] = not os.environ.get(
                     "PYTHONDONTWRITEBYTECODE")
-            if entry in CONTRACT or entry in ("pool", "startup"):
+            if entry in CONTRACT or entry in ("series", "pool", "startup"):
                 labels[name][entry] = row
             else:
                 labels[name]["sizes"][entry] = row

@@ -622,9 +622,10 @@ def cmd_axioms(cfg: dict) -> int:
 
 
 # z_values and hbar_grading leave out every coefficient with |c| at most
-# this factor times the largest stored |c| of its sampled functional: such
-# coefficients are rounding, and whether one is non-zero depends on the
-# order in which the contraction sums
+# this factor times the largest stored |c| of its sampled functional, and
+# the correlate orders every one at most this factor times the largest |c|
+# over all orders: such coefficients are rounding, and whether one is
+# non-zero depends on the order in which the contraction sums
 Z_VALUES_CUT = 2.0 ** -40
 
 
@@ -771,9 +772,12 @@ def cmd_correlate(cfg: dict) -> int:
             f"(monomial extent {rep['monomial_extent']})")
     cap = int(cc.get("lambda_cap", 2))
     series = correlation(S, V, obs, cap=cap)
-    orders = {str(n): series.coeff(n).to_json()
-              for n in range(cap + 1)}
-    report = {"config": cfg, "orders": orders, "pass": True}
+    floor = Z_VALUES_CUT * max(c.norm() for c in series.coefficients)
+    orders = {str(n): [[e, re, im] for e, re, im in c.to_json()
+                       if math.hypot(re, im) > floor]
+              for n, c in enumerate(series.coefficients)}
+    report = {"config": cfg, "orders": orders, "orders_cut": Z_VALUES_CUT,
+              "pass": True}
     path = _write_report(cfg, "correlate", report)
     for n in range(cap + 1):
         print(f"correlate order {n}: {orders[str(n)]}")

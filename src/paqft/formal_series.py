@@ -7,6 +7,16 @@ The series engine is target-agnostic: coefficients may be scalars
 scalar multiplication, and (for multiply/invert) a bilinear product passed
 explicitly.  Factor divisions go through Fraction so exact scalar targets
 stay exact.
+
+Multiply and invert form each coefficient, sum_k a_k b_(n-k), as one
+bilinear sum: a `product_sum` callable gets the coefficient's list of
+(a_k, b_(n-k)) pairs and returns their summed products.  The S-matrix
+passes the star algebra's accumulation entry
+(StarAlgebraContext.contract_sum) with tables made for that one multiply
+or invert, so each coefficient is contracted into one accumulator and
+each distinct right factor's selections and contractions are built once
+in the call and freed when it returns.  Without a product_sum the
+products are formed one by one and added up.
 """
 
 from __future__ import annotations
@@ -64,38 +74,50 @@ def series_scale(a: LambdaSeries, c) -> LambdaSeries:
     return LambdaSeries(a.order_cap, tuple(x * c for x in a.coefficients))
 
 
-def series_multiply(a: LambdaSeries, b: LambdaSeries,
-                    product: Callable = None) -> LambdaSeries:
-    """Cauchy product; factor order preserved (a-coefficient left)."""
-    _check_caps(a, b)
+def _summed_products(product: Callable, product_sum: Callable) -> Callable:
+    """The sum of the products of a list of (x, y) pairs: product_sum
+    itself, or else the products one by one (product, or *) added up."""
+    if product_sum is not None:
+        return product_sum
     mul = product if product is not None else (lambda x, y: x * y)
-    out = []
-    for n in range(a.order_cap + 1):
+
+    def total(pairs):
         acc = None
-        for k in range(n + 1):
-            term = mul(a.coeff(k), b.coeff(n - k))
+        for x, y in pairs:
+            term = mul(x, y)
             acc = term if acc is None else acc + term
-        out.append(acc)
-    return LambdaSeries(a.order_cap, tuple(out))
+        return acc
+    return total
+
+
+def series_multiply(a: LambdaSeries, b: LambdaSeries,
+                    product: Callable = None,
+                    product_sum: Callable = None) -> LambdaSeries:
+    """Cauchy product; factor order preserved (a-coefficient left).
+
+    Coefficient n is product_sum([(a_0, b_n), .., (a_n, b_0)]) when a
+    product_sum is given, else the sum of the products one by one."""
+    _check_caps(a, b)
+    total = _summed_products(product, product_sum)
+    return LambdaSeries(a.order_cap, tuple(
+        total([(a.coeff(k), b.coeff(n - k)) for k in range(n + 1)])
+        for n in range(a.order_cap + 1)))
 
 
 def series_invert(a: LambdaSeries, product: Callable = None,
-                  unit=None) -> LambdaSeries:
+                  unit=None, product_sum: Callable = None) -> LambdaSeries:
     """Two-sided inverse of a series with unit leading coefficient.
 
-    b_0 = unit, b_n = -sum_{k=1..n} a_k b_{n-k}.
+    b_0 = unit, b_n = -sum_{k=1..n} a_k b_{n-k}, the sum formed as in
+    series_multiply.
     """
-    mul = product if product is not None else (lambda x, y: x * y)
+    total = _summed_products(product, product_sum)
     u = unit if unit is not None else 1
     if not _equals(a.coeff(0), u):
         raise ValueError("leading coefficient is not the unit; not invertible")
     b = [u]
     for n in range(1, a.order_cap + 1):
-        acc = None
-        for k in range(1, n + 1):
-            term = mul(a.coeff(k), b[n - k])
-            acc = term if acc is None else acc + term
-        b.append(-acc)
+        b.append(-total([(a.coeff(k), b[n - k]) for k in range(1, n + 1)]))
     return LambdaSeries(a.order_cap, tuple(b))
 
 

@@ -309,15 +309,9 @@ class PolyFunctional:
         return frozenset(lat.point(i) for i in sites)
 
     def hbar_exponent_range(self) -> tuple[int, int] | None:
-        lo, hi = None, None
-        for t in self.terms.values():
-            for c in t.values():
-                r = c.exponent_range()
-                if r is None:
-                    continue
-                lo = r[0] if lo is None else min(lo, r[0])
-                hi = r[1] if hi is None else max(hi, r[1])
-        return None if lo is None else (lo, hi)
+        exps = {e for t in self.terms.values() for c in t.values()
+                for e in c.coeffs}
+        return (min(exps), max(exps)) if exps else None
 
     def content_key(self) -> ContentKey:
         """Hashable key of the lattice and the terms in iteration order,
@@ -340,14 +334,44 @@ class PolyFunctional:
     # -- evaluation and calculus ----------------------------------------------
 
     def evaluate(self, phi) -> HbarScalar:
-        vals = field_values(self.lattice, phi)
-        out = HbarScalar.zero()
+        return self.evaluate_many([phi])[0]
+
+    def evaluate_many(self, fields) -> list[HbarScalar]:
+        """[F(phi) for phi in fields] in one pass over the monomials.
+
+        Each value takes the operations of the sum of coeff * prod over
+        the monomials with the HbarScalar arithmetic: prod is the product
+        of the field values from 1.0 + 0j; a zero prod adds nothing; a
+        non-zero term c * prod is added to the running coefficient (0j for
+        a new exponent), and a zero sum drops its exponent.  (HbarScalar
+        forms the term as 0j + c * prod; that step only turns a -0.0 part
+        into 0.0, which the sum does too, since no running coefficient has
+        a -0.0 part.)"""
+        sites = sorted({i for t in self.terms.values() for key in t
+                        for i in key})
+        local = {s: j for j, s in enumerate(sites)}
+        values = [[complex(v) for v in
+                   field_values(self.lattice, phi)[sites].tolist()]
+                  for phi in fields]
+        outs: list[dict] = [{} for _ in values]
         for _deg, key, coeff in self.monomials():
-            prod = 1.0 + 0j
-            for i in key:
-                prod *= complex(vals[i])
-            out = out + coeff * prod
-        return out
+            slots = [local[i] for i in key]
+            cs = list(coeff.coeffs.items())
+            for vals, out in zip(values, outs):
+                prod = 1.0 + 0j
+                for j in slots:
+                    prod *= vals[j]
+                if prod == 0:
+                    continue
+                for e, c in cs:
+                    z = c * prod
+                    if z != 0:
+                        z = out.get(e, 0j) + z
+                        if z != 0:
+                            out[e] = z
+                        else:
+                            del out[e]
+        return [HbarScalar._canonical(out) for out in outs]
 
     def derivative(self, n: int, phi) -> dict[tuple, HbarScalar]:
         """Sparse symmetric n-th derivative tensor at phi.
@@ -423,28 +447,8 @@ class PolyFunctional:
     def _binop(self, other: "PolyFunctional", sign: int) -> "PolyFunctional":
         if self.lattice != other.lattice:
             raise ValueError("lattice mismatch")
-        # bucket.get(key, 0) + sign * coeff with the HbarScalar operations,
-        # one plain complex per exponent: the product term 0j + v * s (zero
-        # dropped), then 0j + z for a new exponent or prev + z
-        s = complex(sign)
         out = {d: dict(t) for d, t in self.terms.items()}
-        for deg in sorted(other.terms):
-            bucket = out.setdefault(deg, {})
-            for key, coeff in other.terms[deg].items():
-                prev = bucket.get(key)
-                acc = {} if prev is None else dict(prev.coeffs)
-                for e, v in coeff.coeffs.items():
-                    z = 0j + v * s
-                    if z != 0:
-                        acc[e] = acc.get(e, 0j) + z
-                # the exponents of both operands are inside the window;
-                # only a sum can be zero
-                if 0 in acc.values():
-                    acc = {e: v for e, v in acc.items() if v != 0}
-                if acc:
-                    bucket[key] = HbarScalar._canonical(acc)
-                elif prev is not None:
-                    del bucket[key]
+        _accumulate(out, other.terms, complex(sign))
         return PolyFunctional._canonical(
             self.lattice, {d: out[d] for d in sorted(out) if out[d]})
 
@@ -466,6 +470,26 @@ class PolyFunctional:
         # sums dropped, each exponent checked against the window
         cs = list(HbarScalar.coerce(c).coeffs.items())
         lo, hi = HBAR_WINDOW
+        if len(cs) == 1:
+            # one exponent k2: each product is 0j + v1 * v2 under its own
+            # exponent, and every shifted exponent is inside the window
+            # when the shifted range is (else the loop below raises)
+            (k2, v2), = cs
+            span = self.hbar_exponent_range() if k2 else None
+            if span is None or lo <= span[0] + k2 and span[1] + k2 <= hi:
+                terms = {}
+                for deg, t in self.terms.items():
+                    bucket = {}
+                    for key, v in t.items():
+                        out = {k1 + k2: 0j + v1 * v2
+                               for k1, v1 in v.coeffs.items()}
+                        if 0 in out.values():
+                            out = {k: z for k, z in out.items() if z != 0}
+                        if out:
+                            bucket[key] = HbarScalar._canonical(out)
+                    if bucket:
+                        terms[deg] = bucket
+                return PolyFunctional._canonical(self.lattice, terms)
         terms: dict[int, dict[tuple, HbarScalar]] = {}
         for deg, t in self.terms.items():
             bucket = {}
@@ -531,6 +555,43 @@ class PolyFunctional:
         return out
 
 
+def _accumulate(out: dict, terms: dict, s: complex) -> None:
+    """out += s * terms, in place, for {degree: {key: HbarScalar}} tables
+    whose exponents are all inside the window: a coefficient of `out` is
+    replaced, never changed, and a key whose sum is zero is deleted.
+
+    bucket.get(key, 0) + s * coeff with the HbarScalar operations, one
+    plain complex per exponent: the product term 0j + v * s (zero
+    dropped), then 0j + z for a new exponent or prev + z.  A key new to
+    the sum takes 0j + v * s alone: 0j + (0j + w) is 0j + w, and a
+    non-zero v times +-1 is not zero."""
+    for deg in sorted(terms):
+        bucket = out.get(deg)
+        if bucket is None:
+            out[deg] = {key: HbarScalar._canonical(
+                            {e: 0j + v * s for e, v in coeff.coeffs.items()})
+                        for key, coeff in terms[deg].items()}
+            continue
+        for key, coeff in terms[deg].items():
+            prev = bucket.get(key)
+            if prev is None:
+                bucket[key] = HbarScalar._canonical(
+                    {e: 0j + v * s for e, v in coeff.coeffs.items()})
+                continue
+            acc = dict(prev.coeffs)
+            for e, v in coeff.coeffs.items():
+                z = 0j + v * s
+                if z != 0:
+                    acc[e] = acc.get(e, 0j) + z
+            # only a sum can be zero
+            if 0 in acc.values():
+                acc = {e: v for e, v in acc.items() if v != 0}
+            if acc:
+                bucket[key] = HbarScalar._canonical(acc)
+            else:
+                del bucket[key]
+
+
 def poly_from_json_dict(lattice: Lattice, data: Mapping) -> PolyFunctional:
     terms: dict[int, dict[tuple, HbarScalar]] = {}
     for deg_s, rows in data.items():
@@ -575,26 +636,28 @@ def check_additivity(F: PolyFunctional, samples, tol: float = 1e-12) -> list[dic
     Checks F(phi1+phi2+phi3) = F(phi1+phi2) + F(phi2+phi3) - F(phi2), and the
     disjoint-additivity reduction (phi2 = 0 on the unit-preserving part of F).
     Samples whose phi1/phi3 supports overlap are flagged ill-formed, not
-    checked.
+    checked.  F is evaluated at every field of the call in one pass
+    (PolyFunctional.evaluate_many).
     """
     lat = F.lattice
+    fields = [np.zeros(lat.n_sites)]
     rows = []
-    F0 = F.evaluate(np.zeros(lat.n_sites))
     for i, (phi1, phi2, phi3) in enumerate(samples):
         v1 = field_values(lat, phi1)
         v2 = field_values(lat, phi2)
         v3 = field_values(lat, phi3)
         well_formed = not (set(np.flatnonzero(v1)) & set(np.flatnonzero(v3)))
-        row = {"sample-id": i, "well-formed": well_formed,
-               "eq11": None, "eq12": None, "pass": False}
+        rows.append({"sample-id": i, "well-formed": well_formed,
+                     "eq11": None, "eq12": None, "pass": False})
         if well_formed:
-            lhs = F.evaluate(v1 + v2 + v3)
-            rhs = F.evaluate(v1 + v2) + F.evaluate(v2 + v3) - F.evaluate(v2)
-            row["eq11"] = (lhs - rhs).norm()
-            padd = (F.evaluate(v1 + v3) - F0) - (F.evaluate(v1) - F0) - (F.evaluate(v3) - F0)
-            row["eq12"] = padd.norm()
-            row["pass"] = row["eq11"] <= tol and row["eq12"] <= tol
-        rows.append(row)
+            fields += [v1 + v2 + v3, v1 + v2, v2 + v3, v2, v1 + v3, v1, v3]
+    F0, *values = F.evaluate_many(fields)
+    for row in (r for r in rows if r["well-formed"]):
+        f123, f12, f23, f2, f13, f1, f3 = values[:7]
+        del values[:7]
+        row["eq11"] = (f123 - (f12 + f23 - f2)).norm()
+        row["eq12"] = ((f13 - F0) - (f1 - F0) - (f3 - F0)).norm()
+        row["pass"] = row["eq11"] <= tol and row["eq12"] <= tol
     return rows
 
 
@@ -630,6 +693,11 @@ def additivity_samples(lattice: Lattice, rng: np.random.Generator, count: int,
     return out
 
 
+# the seeded additivity samples of is_local_at_scale, by (nt, nx, seed,
+# count, separation); their arrays are read-only
+_LOCALITY_SAMPLES: dict = {}
+
+
 def is_local_at_scale(F: PolyFunctional, radius: int = 1, seed: int = 7,
                       count: int = 20, tol: float = 1e-10) -> tuple[bool, dict]:
     """Membership test for the local class at a declared stencil radius.
@@ -637,10 +705,19 @@ def is_local_at_scale(F: PolyFunctional, radius: int = 1, seed: int = 7,
     Local means: every monomial has Chebyshev extent <= radius, and the
     additivity identity holds on seeded samples whose phi1/phi3 supports are
     separated by > radius (so no radius-limited stencil straddles both).
+    The samples are drawn once per lattice shape, seed, count and radius.
     """
     ext = monomial_extent(F)
-    rng = np.random.default_rng(seed)
-    samples = additivity_samples(F.lattice, rng, count, separation=radius + 1)
+    lat = F.lattice
+    key = (lat.nt, lat.nx, seed, count, radius + 1)
+    samples = _LOCALITY_SAMPLES.get(key)
+    if samples is None:
+        samples = additivity_samples(lat, np.random.default_rng(seed), count,
+                                     separation=radius + 1)
+        for triple in samples:
+            for phi in triple:
+                phi.setflags(write=False)
+        samples = _LOCALITY_SAMPLES[key] = tuple(samples)
     rows = check_additivity(F, samples, tol=tol)
     add_ok = all(r["pass"] for r in rows)
     worst = max((r["eq11"] for r in rows if r["eq11"] is not None), default=0.0)
@@ -674,8 +751,9 @@ class GeneralizedLagrangian:
 
     lattice: Lattice
     density: tuple[DensityTerm, ...]
-    # density_at(p) by site, each built on first use
-    _densities: dict = field(default_factory=dict, init=False,
+    # {interior row: (t0, density at (t0, 0))}, each built on first use:
+    # the rows with a forward time difference (t0 = 0) and the last row
+    _templates: dict = field(default_factory=dict, init=False,
                              compare=False, repr=False)
 
     def __post_init__(self):
@@ -694,11 +772,32 @@ class GeneralizedLagrangian:
         return range(self.lattice.nt)
 
     def density_at(self, p: LatticePoint) -> PolyFunctional:
-        """The density at site p, built once per Lagrangian."""
-        density = self._densities.get(p)
-        if density is None:
-            density = self._densities[p] = self._build_density(p)
-        return density
+        """The density at site p: the density of p's row type (a row with
+        a forward time difference, or the last row), built once per
+        Lagrangian at column 0 of the first row of its type, translated to
+        p.  Translation moves the sites of every key and keeps the
+        coefficients and their order, so it equals the density built at p
+        term for term."""
+        lat = self.lattice
+        lat.site_index(p)
+        interior = p.t + 1 < lat.nt
+        template = self._templates.get(interior)
+        if template is None:
+            t0 = 0 if interior else lat.nt - 1
+            template = self._templates[interior] = (
+                t0, self._build_density(LatticePoint(t0, 0)))
+        t0, density = template
+        if p.t == t0 and p.x == 0:
+            return density
+        dt, nx = p.t - t0, lat.nx
+
+        def move(i):
+            t, x = divmod(i, nx)
+            return (t + dt) * nx + (x + p.x) % nx
+
+        return PolyFunctional._canonical(lat, {
+            deg: {tuple(sorted(map(move, key))): c for key, c in t.items()}
+            for deg, t in density.terms.items()})
 
     def _build_density(self, p: LatticePoint) -> PolyFunctional:
         lat = self.lattice
@@ -729,14 +828,17 @@ class GeneralizedLagrangian:
                 w[lat.site_index(p)] = 1.0
         else:
             w = field_values(lat, f)
-        out = PolyFunctional.zero(lat)
+        # the sum of the scaled densities, site by site, in one table
+        out: dict = {}
         for t in self._rows():
             for x in range(lat.nx):
                 p = LatticePoint(t, x)
                 c = complex(w[lat.site_index(p)])
                 if c != 0:
-                    out = out + self.density_at(p).scaled(c)
-        return out
+                    _accumulate(out, self.density_at(p).scaled(c).terms,
+                                1 + 0j)
+        return PolyFunctional._canonical(
+            lat, {d: out[d] for d in sorted(out) if out[d]})
 
 
 def local_functional_from_density(lattice: Lattice,

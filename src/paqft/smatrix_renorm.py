@@ -101,11 +101,18 @@ class SMatrix:
             for m in range(2, g.order_cap + 1)})
         return compose(self, Z).series(g.coeff(1), g.order_cap)
 
+    def star_sum(self) -> Callable:
+        """pairs -> the sum of F star G over the (F, G) pairs, contracted
+        in one accumulator; each right factor's tables live as long as the
+        returned callable."""
+        ctx, tables = self.context, {}
+        return lambda pairs: ctx.contract_sum(pairs, ctx.wightman, tables)
+
     def multiply(self, a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
-        return series_multiply(a, b, product=self.context.star)
+        return series_multiply(a, b, product_sum=self.star_sum())
 
     def invert(self, a: LambdaSeries) -> LambdaSeries:
-        return series_invert(a, product=self.context.star,
+        return series_invert(a, product_sum=self.star_sum(),
                              unit=PolyFunctional.unit(self.lattice))
 
 
@@ -700,14 +707,10 @@ def relative_smatrix(S: SMatrix, V: PolyFunctional, F: PolyFunctional,
             mixed[(a, b)] = (val * prefactor(n)) * Fraction(
                 1, math.factorial(a) * math.factorial(b))
     inv = S.invert(S.series(V, lambda_cap))
-    out = {}
-    for a in range(lambda_cap + 1):
-        for b in range(mu_cap + 1):
-            acc = None
-            for a1 in range(a + 1):
-                term = S.context.star(inv.coeff(a1), mixed[(a - a1, b)])
-                acc = term if acc is None else acc + term
-            out[(a, b)] = acc
+    star_sum = S.star_sum()
+    out = {(a, b): star_sum([(inv.coeff(a1), mixed[(a - a1, b)])
+                             for a1 in range(a + 1)])
+           for a in range(lambda_cap + 1) for b in range(mu_cap + 1)}
     return BiSeries(lambda_cap, mu_cap, out)
 
 

@@ -35,13 +35,25 @@ _row_cache).  Each exponent that a term of the result reaches is checked
 against the hbar window (an exponent of D past it is no error unless a
 term of the result lands there), and zero sums are dropped.
 
+There is one contraction entry, StarAlgebraContext.contract_sum: it
+contracts a list of (F, G) pairs along one kernel into one accumulator
+and returns their summed products as one functional.  star and
+time_ordered are its one-pair case.  A series coefficient
+sum_k a_k . b_(n-k) is one such sum (formal_series), so its products are
+neither built one by one nor added up afterwards.  A caller that
+contracts the same G in several sums passes one `tables` dict to all of
+them: G's monomials, selections and contractions D[sa] are then built
+once, held by that dict and freed with it.  The S-matrix makes one per
+multiply or invert.
+
 Each coefficient sums the terms of the per-term loop over every index
-selection, grouped and ordered differently, so the two differ by rounding
-only.  tests/test_star_algebra.py checks every coefficient against the
-same contraction in exact Gaussian-rational arithmetic on the same float
-kernel entries and coefficients: |float - exact| <= 32 * 2^-53 * sum|terms|
-+ 2^-1064, where |term| = |c_a| |c_b| perm(|K[sa, sb]|) and the floor
-covers sums in the subnormal range.
+selection (of every pair, for a sum), grouped and ordered differently, so
+the two differ by rounding only.  tests/test_star_algebra.py checks every
+coefficient against the same contraction (summed over the pairs) in exact
+Gaussian-rational arithmetic on the same float kernel entries and
+coefficients: |float - exact| <= 32 * 2^-53 * sum|terms| + 2^-1064, where
+|term| = |c_a| |c_b| perm(|K[sa, sb]|) and the floor covers sums in the
+subnormal range.
 """
 
 from __future__ import annotations
@@ -172,66 +184,90 @@ class StarAlgebraContext:
                  for K in (lattice.wightman(), lattice.feynman()))
         return cls(lattice, W, DF, lattice.pauli_jordan())
 
-    def _contract(self, F: PolyFunctional, G: PolyFunctional,
-                  kernel: Kernel) -> PolyFunctional:
-        """Exponentiated-contraction product of F and G along `kernel`.
+    def _key_selections(self, key: tuple, r: int) -> list:
+        """_site_selections(key, r), kept in this context's
+        _selection_cache: {key: [None or the selections of r sites, for r
+        in 0..len(key)]}, shared by both kernels."""
+        sels = self._selection_cache.get(key)
+        if sels is None:
+            sels = self._selection_cache[key] = [None] * (len(key) + 1)
+        if sels[r] is None:
+            sels[r] = _site_selections(key, r)
+        return sels[r]
 
-        The r = 0 terms are the pointwise products of every monomial pair.
-        For r >= 1, G's contraction D[sa] with each distinct r-site
-        multiset sa that F's keys select is formed once, and every F
-        monomial that selects sa adds its coefficient, times the
-        multiplicity, times D[sa] (module docstring).  Selections are read
-        from and stored in this context's _selection_cache, the kernel rows
-        of F's sites in its _row_cache.  Zero coefficients are dropped and
-        each exponent of the result is checked against the hbar window."""
-        if F.lattice != self.lattice or G.lattice != self.lattice:
-            raise ValueError("functionals must live on the context lattice")
-        f_monos = [(da, ka, list(ca.coeffs.items()))
-                   for da, ka, ca in F.monomials()]
-        g_monos = [(db, kb, list(cb.coeffs.items()))
-                   for db, kb, cb in G.monomials()]
+    def _g_selections(self, monos: list, g_max: int) -> list:
+        """sel[r], for r in 1..g_max, of the right operand's monomials
+        [(degree, key, [(e, c)])]: {sb: [(rest_b, [(e_b + r, m_b * c_b)])]}
+        over the monomials of degree >= r (sel[0] is None)."""
+        selections = self._key_selections
+        sel = [None]
+        for r in range(1, g_max + 1):
+            by_sb: dict = {}
+            for db, kb, cb in monos:
+                if db >= r:
+                    for sb, rb, mb in selections(kb, r):
+                        by_sb.setdefault(sb, []).append(
+                            (rb, [(e + r, mb * v) for e, v in cb]))
+            sel.append(by_sb)
+        return sel
+
+    def contract_sum(self, pairs: Iterable, kernel: Kernel,
+                     tables: dict = None) -> PolyFunctional:
+        """Sum of the exponentiated-contraction products of the (F, G)
+        pairs along `kernel`, summed in one accumulator.
+
+        For each pair, the r = 0 terms are the pointwise products of every
+        monomial pair.  For r >= 1, G's contraction D[sa] with each
+        distinct r-site multiset sa that F's keys select is formed once,
+        and every F monomial that selects sa adds its coefficient, times
+        the multiplicity, times D[sa] (module docstring).  Selections are
+        read from and stored in this context's _selection_cache, the
+        kernel rows of F's sites in its _row_cache.  Zero coefficients are
+        dropped and each exponent of the sum is checked against the hbar
+        window.
+
+        `tables`, when given, keeps each G's selection table and
+        contractions D between calls, keyed by (kernel, id(G)) and holding
+        G: a caller that contracts the same G in several sums passes one
+        dict to all of them and drops it when it is done."""
+        lat = self.lattice
+        rows = self._row_cache.setdefault(kernel, {})
+        selections = self._key_selections
         acc: dict = {}
-        for _da, ka, ca in f_monos:
-            for _db, kb, cb in g_monos:
-                key = tuple(sorted(ka + kb)) if ka and kb else ka or kb
-                coeffs = acc.get(key)
-                if coeffs is None:
-                    coeffs = acc[key] = {}
-                for ea, va in ca:
-                    for eb, vb in cb:
-                        e = ea + eb
-                        coeffs[e] = coeffs.get(e, 0) + va * vb
-        g_max = max(G.terms, default=0)
-        if g_max and max(F.terms, default=0):
-            cache = self._selection_cache
-            rows = self._row_cache.setdefault(kernel, {})
+        for F, G in pairs:
+            if F.lattice != lat or G.lattice != lat:
+                raise ValueError(
+                    "functionals must live on the context lattice")
+            # [G, its monomials, its degree, its contractions D[sa], and
+            # its selections, made when an F of degree >= 1 first needs them]
+            table = None if tables is None else tables.get((kernel, id(G)))
+            if table is None:
+                table = [G, [(db, kb, list(cb.coeffs.items()))
+                             for db, kb, cb in G.monomials()],
+                         max(G.terms, default=0), {}, None]
+                if tables is not None:
+                    tables[kernel, id(G)] = table
+            _G, g_monos, g_max, D, g_sel = table
+            f_monos = [(da, ka, list(ca.coeffs.items()))
+                       for da, ka, ca in F.monomials()]
+            for _da, ka, ca in f_monos:
+                for _db, kb, cb in g_monos:
+                    key = tuple(sorted(ka + kb)) if ka and kb else ka or kb
+                    coeffs = acc.get(key)
+                    if coeffs is None:
+                        coeffs = acc[key] = {}
+                    for ea, va in ca:
+                        for eb, vb in cb:
+                            e = ea + eb
+                            coeffs[e] = coeffs.get(e, 0) + va * vb
+            if not g_max or not max(F.terms, default=0):
+                continue
+            if g_sel is None:
+                g_sel = table[4] = self._g_selections(g_monos, g_max)
             new = list({s for _d, ka, _c in f_monos for s in ka}
                        - rows.keys())
             if new:
                 rows.update(zip(new, kernel.rows(new).tolist()))
-
-            def selections(key, r):
-                # {key: [None or _site_selections(key, r) for r in
-                # 0..len(key)]}, shared by both kernels
-                sels = cache.get(key)
-                if sels is None:
-                    sels = cache[key] = [None] * (len(key) + 1)
-                if sels[r] is None:
-                    sels[r] = _site_selections(key, r)
-                return sels[r]
-
-            # g_sel[r]: {sb: [(rest_b, [(e_b + r, m_b * c_b)])]} over G's
-            # monomials of degree >= r
-            g_sel = [None]
-            for r in range(1, g_max + 1):
-                by_sb: dict = {}
-                for db, kb, cb in g_monos:
-                    if db >= r:
-                        for sb, rb, mb in selections(kb, r):
-                            by_sb.setdefault(sb, []).append(
-                                (rb, [(e + r, mb * v) for e, v in cb]))
-                g_sel.append(by_sb)
-            D: dict = {}
             for da, ka, ca in f_monos:
                 for r in range(1, min(da, g_max) + 1):
                     for sa, rest_a, ma in selections(ka, r):
@@ -260,19 +296,19 @@ class StarAlgebraContext:
                 coeffs = {e: v for e, v in coeffs.items() if v != 0}
             if coeffs:
                 flat[key] = HbarScalar._canonical(coeffs)
-        return _poly_from_flat(self.lattice, flat)
+        return _poly_from_flat(lat, flat)
 
     def star(self, F: PolyFunctional, G: PolyFunctional) -> PolyFunctional:
         """Star product along the Wightman kernel (associative,
         noncommutative; hbar^1 commutator part is i times the Poisson
         bracket)."""
-        return self._contract(F, G, self.wightman)
+        return self.contract_sum(((F, G),), self.wightman)
 
     def time_ordered(self, F: PolyFunctional, G: PolyFunctional
                      ) -> PolyFunctional:
         """Binary time-ordered product along the Feynman kernel
         (commutative and associative since the kernel is symmetric)."""
-        return self._contract(F, G, self.feynman)
+        return self.contract_sum(((F, G),), self.feynman)
 
     def commutator(self, F: PolyFunctional, G: PolyFunctional
                    ) -> PolyFunctional:

@@ -892,6 +892,25 @@ def test_correlate_order_zero_is_free_two_point(tmp_path, lat, ctx):
     assert abs(complex(re, im) - w) < 1e-12
 
 
+def test_correlate_leaves_out_rounding_level_coefficients(tmp_path,
+                                                          monkeypatch):
+    # a coefficient at most Z_VALUES_CUT times the largest |c| over all
+    # orders is rounding: it is left out, and the report states the cut
+    from paqft.formal_series import LambdaSeries
+    from paqft.functionals import HbarScalar
+
+    series = LambdaSeries(2, (HbarScalar({1: -1.2e-2}),
+                              HbarScalar({0: 1e-3j, 1: 1e-17}),
+                              HbarScalar({2: 3.78e-19})))
+    monkeypatch.setattr(smatrix_renorm, "correlation",
+                        lambda *args, **kwargs: series)
+    assert main(["correlate", "--set", f"output={tmp_path}"]) == 0
+    rep = _read(tmp_path, "correlate")
+    assert rep["orders_cut"] == cli.Z_VALUES_CUT
+    assert rep["orders"] == {"0": [[1, -1.2e-2, 0.0]],
+                             "1": [[0, 0.0, 1e-3]], "2": []}
+
+
 def test_correlate_rejects_nonlocal_interaction(tmp_path, capsys):
     spec = ('correlate.interaction={"2": [{"points": [[2, 2], [9, 9]], '
             '"coeff": [[0, 1.0, 0.0]]}]}')

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paqft.lattice import Lattice, LatticePoint
+from paqft import functionals
 from paqft.functionals import (DensityTerm, GeneralizedLagrangian, HbarScalar,
-                               PolyFunctional, check_additivity,
+                               PolyFunctional, additivity_samples,
+                               check_additivity,
                                chebyshev_extent, decompose_L1, delta_L,
                                euler_lagrange, free_scalar_lagrangian,
                                is_local_at_scale, local_functional_from_density,
@@ -146,6 +149,89 @@ def test_is_local_at_scale(lat):
     assert not ok2 and rep2["monomial_extent"] == 7
 
 
+def _reference_evaluate(F, phi):
+    """F(phi) one field at a time through the HbarScalar arithmetic."""
+    vals = np.asarray(phi).reshape(F.lattice.n_sites)
+    out = HbarScalar.zero()
+    for _deg, key, coeff in F.monomials():
+        prod = 1.0 + 0j
+        for i in key:
+            prod *= complex(vals[i])
+        out = out + coeff * prod
+    return out
+
+
+def _reference_is_local(F, radius=1, seed=7, count=20, tol=1e-10):
+    """is_local_at_scale with fresh samples and one field at a time."""
+    lat = F.lattice
+    samples = additivity_samples(lat, np.random.default_rng(seed), count,
+                                 separation=radius + 1)
+    ev = functools.partial(_reference_evaluate, F)
+    F0 = ev(np.zeros(lat.n_sites))
+    eq11 = []
+    add_ok = True
+    for v1, v2, v3 in samples:
+        if set(np.flatnonzero(v1)) & set(np.flatnonzero(v3)):
+            add_ok = False
+            continue
+        lhs = ev(v1 + v2 + v3)
+        rhs = ev(v1 + v2) + ev(v2 + v3) - ev(v2)
+        e11 = (lhs - rhs).norm()
+        padd = (ev(v1 + v3) - F0) - (ev(v1) - F0) - (ev(v3) - F0)
+        eq11.append(e11)
+        add_ok = add_ok and e11 <= tol and padd.norm() <= tol
+    ext = monomial_extent(F)
+    return ext <= radius and add_ok, {
+        "monomial_extent": ext, "radius": radius, "additivity_pass": add_ok,
+        "worst_eq11": max(eq11, default=0.0)}
+
+
+def test_batched_locality_check_returns_the_per_field_result(lat, rng,
+                                                             monkeypatch):
+    # the samples drawn once per (nt, nx, seed, count, separation), and F
+    # evaluated at every field of a call in one pass: the (ok, report) of
+    # fresh samples evaluated one field at a time, bit for bit
+    drawn = []
+    monkeypatch.setattr(functionals, "_LOCALITY_SAMPLES", {})
+    monkeypatch.setattr(functionals, "additivity_samples",
+                        lambda *a, **k: drawn.append(a) or
+                        additivity_samples(*a, **k))
+    L = free_scalar_lagrangian(lat)
+    f = np.zeros(lat.n_sites)
+    f[[lat.site_index(LatticePoint(5, x)) for x in (3, 4)]] = [0.7, -1.3]
+    cubic = local_functional_from_density(
+        lat, (DensityTerm(0.2 + 0.1j, 3, 0, 0), DensityTerm(-0.4, 1, 1, 1)),
+        [LatticePoint(4, x) for x in range(3, 6)])
+    far = PolyFunctional.from_monomials(
+        lat, [(1.0, [LatticePoint(2, 2), LatticePoint(9, 9)]),
+              (HbarScalar({-1: 0.5, 1: 2j}), [LatticePoint(3, 3)] * 3)])
+    rand = PolyFunctional.from_monomials(lat, [
+        (rng.normal() + 1j * rng.normal(),
+         [LatticePoint(int(rng.integers(2, 10)), int(rng.integers(lat.nx)))
+          for _ in range(d)]) for d in (1, 2, 2, 3)])
+    for F in (L(f), cubic, far, rand, PolyFunctional.unit(lat)):
+        for radius in (1, 2):
+            got = is_local_at_scale(F, radius=radius)
+            want = _reference_is_local(F, radius=radius)
+            assert got == want
+            assert got[1]["worst_eq11"].hex() == want[1]["worst_eq11"].hex()
+    assert len(drawn) == 2  # one draw per radius
+    # every value bit for bit, signed zeros included; a sum that cancels
+    # exactly drops its exponent
+    fields = [rng.normal(size=lat.n_sites) for _ in range(3)]
+    fields += [np.zeros((lat.nt, lat.nx)), np.ones(lat.n_sites)]
+    cancel = PolyFunctional.from_monomials(
+        lat, [(1.0, [LatticePoint(3, 3)]), (-1.0, [LatticePoint(4, 4)])])
+    assert cancel.evaluate(np.ones(lat.n_sites)).coeffs == {}
+    for F in (cubic, far, cancel):
+        for got, phi in zip(F.evaluate_many(fields), fields):
+            want = _reference_evaluate(F, phi)
+            assert [(e, v.real.hex(), v.imag.hex())
+                    for e, v in got.coeffs.items()] == \
+                [(e, v.real.hex(), v.imag.hex())
+                 for e, v in want.coeffs.items()]
+
+
 def test_check_additivity_detects_straddling(lat):
     F = PolyFunctional.from_monomials(
         lat, [(1.0, [LatticePoint(2, 2), LatticePoint(9, 9)])])
@@ -178,6 +264,38 @@ def test_lagrangian_support_preserving(lat):
     rows = {p.t for p in L(f).support()}
     cols = {p.x for p in L(f).support()}
     assert rows <= {5, 6} and cols <= {5, 6, 7}  # forward stencil fattening
+
+
+def _per_site_lagrangian(L, w):
+    """L(w) as the fold of the densities built at every site."""
+    lat = L.lattice
+    out = PolyFunctional.zero(lat)
+    for t in L._rows():
+        for x in range(lat.nx):
+            p = LatticePoint(t, x)
+            c = complex(w[lat.site_index(p)])
+            if c != 0:
+                out = out + L._build_density(p).scaled(c)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(12, 16), (5, 7)])
+def test_translated_densities_equal_the_per_site_route(shape):
+    # one density per row type, translated, and L(f) summed in one table:
+    # the densities built at every site and their fold, bit for bit
+    lat = Lattice(*shape, 0.5)
+    rng = np.random.default_rng(11)
+    general = GeneralizedLagrangian(lat, (
+        DensityTerm(0.3, 3, 0, 1), DensityTerm(1.5j, 1, 1, 1),
+        DensityTerm(-0.25, 0, 2, 0), DensityTerm(0.75, 2, 0, 0)))
+    static = GeneralizedLagrangian(lat, (DensityTerm(0.5, 2, 0, 2),))
+    for L in (free_scalar_lagrangian(lat), general, static):
+        for p in lat.points():
+            assert _hex_key(L.density_at(p)) == \
+                _hex_key(L._build_density(p))
+        for w in (np.ones(lat.n_sites), rng.normal(size=lat.n_sites),
+                  np.where(rng.random(lat.n_sites) < 0.3, 1.0, 0.0)):
+            assert _hex_key(L(w)) == _hex_key(_per_site_lagrangian(L, w))
 
 
 def test_density_degree_cap(lat):

@@ -40,7 +40,7 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     out = tmp_path / "BENCH_kernels.json"
     run = subprocess.run(
         [sys.executable, str(SCRIPTS / "bench_kernels.py"),
-         "--sizes", "8x8,contract", "--runs", "2",
+         "--sizes", "8x8,contract,series", "--runs", "2",
          "--label", "smoke", "--src", src, "--out", str(out)],
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
@@ -54,8 +54,8 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     assert len(row["runs"]) == 2
     for key in ("build_s", "residuals_s", "peak_rss_mb"):
         assert row[key] == statistics.median(r[key] for r in row["runs"]) > 0
-    # the contract entry: _contract wrapped in the serial 12x16 units, and
-    # the units of each command timed on their own
+    # the contract entry: the contraction entry wrapped in the serial
+    # 12x16 units, and the units of each command timed on their own
     row = entry["contract"]
     assert len(row["runs"]) == 2
     for key in ("contract_s", "units_s", "axioms_units_s", "extract_units_s",
@@ -68,6 +68,13 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     assert {r["contract_calls"] for r in row["runs"]} == {
         row["contract_calls"]}
     assert row["contract_calls"] > 0
+    # the series entry: SMatrix.series, multiply and invert in the serial
+    # axioms units, the same calls every run
+    row = entry["series"]
+    for name in ("series", "multiply", "invert"):
+        assert 0 < row[f"{name}_s"] < row["axioms_units_s"]
+        assert {r[f"{name}_calls"] for r in row["runs"]} == {
+            row[f"{name}_calls"]} != {0}
     # the label run again on another size keeps what it had; the startup
     # and pool entries, with the tree alternated against itself under a
     # second label

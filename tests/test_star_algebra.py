@@ -1,6 +1,8 @@
+import functools
 import gc
 import itertools
 import math
+import operator
 import weakref
 from fractions import Fraction
 
@@ -349,6 +351,85 @@ def test_contract_multisets_match_the_per_selection_loop(lat, ctx, fm, gm):
         _assert_within_bound(product(F, G), _exact_contract(F, G, kernel))
 
 
+def _exact_sum(pairs, kernel):
+    """_exact_contract of a sum of products: the exact coefficients and the
+    sums of |terms| of every pair added up."""
+    out: dict = {}
+    for F, G in pairs:
+        for k, (v, m) in _exact_contract(F, G, kernel).items():
+            v0, m0 = out.get(k, (0, 0.0))
+            out[k] = (v + v0, m + m0)
+    return out
+
+
+def _against(other, exact):
+    """The coefficients of `other` as the reference, with the sums of
+    |terms| of `exact`."""
+    ref = {(key, e): (_Gauss(v), 0.0) for _d, key, c in other.monomials()
+           for e, v in c.coeffs.items()}
+    return {k: (ref.get(k, (0, 0.0))[0], exact.get(k, (0, 0.0))[1])
+            for k in ref.keys() | exact.keys()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_poly_terms, _poly_terms), min_size=1,
+                max_size=3))
+def test_contract_sum_is_within_the_bound_of_the_exact_sum(lat, ctx, terms):
+    # several pairs, one of them with the first pair's G again, contracted
+    # into one accumulator: every coefficient within the stated bound of
+    # the exact sum of the products
+    pairs = [(_poly(lat, fm), _poly(lat, gm)) for fm, gm in terms]
+    pairs.append((pairs[-1][0], pairs[0][1]))
+    for product, kernel in _products(ctx):
+        got = ctx.contract_sum(pairs, kernel)
+        _assert_within_bound(got, _exact_sum(pairs, kernel))
+        # tables kept between calls, one per distinct G, built in the
+        # first call and read in the second, change no bit
+        tables: dict = {}
+        assert _bits(ctx.contract_sum(pairs, kernel, tables)) == _bits(got)
+        first = dict(tables)
+        assert len(first) == len({id(G) for _F, G in pairs})
+        assert _bits(ctx.contract_sum(pairs, kernel, tables)) == _bits(got)
+        assert all(tables[k] is table for k, table in first.items())
+        F, G = pairs[0]
+        assert _bits(ctx.contract_sum([(F, G)], kernel)) == \
+            _bits(product(F, G))
+
+
+def test_smatrix_multiply_and_invert_are_within_the_bound(lat, S):
+    # each coefficient of S.multiply and S.invert is one accumulation;
+    # it, and the per-product route (each star product formed, then
+    # added), are within the stated bound of the exact sum, and of each
+    # other
+    from paqft.formal_series import series_invert, series_multiply
+
+    a, b = LatticePoint(5, 3), LatticePoint(6, 4)
+    f1 = PolyFunctional.from_monomials(lat, [(0.5, [a, a]), (0.3j, [b])])
+    f2 = PolyFunctional.from_monomials(lat, [(-0.7, [b]), (0.2, [a, b])])
+    A, B = S.series(f1, 3), S.series(f2, 3)
+    W = S.context.wightman
+    fused = S.multiply(A, B)
+    per = series_multiply(A, B, product=S.context.star)
+    for n in range(4):
+        exact = _exact_sum([(A.coeff(k), B.coeff(n - k))
+                            for k in range(n + 1)], W)
+        _assert_within_bound(fused.coeff(n), exact)
+        _assert_within_bound(per.coeff(n), exact)
+        _assert_within_bound(fused.coeff(n), _against(per.coeff(n), exact))
+    unit = PolyFunctional.unit(lat)
+    fused = S.invert(A)
+    per = series_invert(A, product=S.context.star, unit=unit)
+    assert fused.coeff(0) == unit
+    for n in range(1, 4):
+        # b_n = -sum_k a_k b_(n-k), exact on each route's own b_(n-k)
+        for inv in (fused, per):
+            exact = {k: (_Gauss(0) - v, m) for k, (v, m) in _exact_sum(
+                [(A.coeff(k), inv.coeff(n - k)) for k in range(1, n + 1)],
+                W).items()}
+            _assert_within_bound(inv.coeff(n), exact)
+        _assert_within_bound(fused.coeff(n), _against(per.coeff(n), exact))
+
+
 def test_site_selections_are_multisets_with_multiplicities():
     a, b = 3, 7
     assert _site_selections((a, a, b), 1) == [((a,), (a, b), 2),
@@ -561,9 +642,11 @@ def test_extract_z_stores_the_monomial_sets_of_the_per_term_loop(
 
     factorized = stored()
     monkeypatch.setattr(
-        StarAlgebraContext, "_contract",
-        lambda self, F, G, kernel: _reference_contract(
-            self.lattice, F, G, kernel.entries))
+        StarAlgebraContext, "contract_sum",
+        lambda self, pairs, kernel, tables=None: functools.reduce(
+            operator.add, (_reference_contract(self.lattice, F, G,
+                                               kernel.entries)
+                           for F, G in pairs)))
     per_term = stored()
     assert {n for _i, n, _p, _e in factorized[0]} == {"2", "3"}
     assert per_term == factorized
