@@ -15,7 +15,13 @@ commands' workers.  The `contract-l4` entry runs the same units at
 `caps.lambda_order=4`, where the contraction's share of the units is
 larger.  The series layer (the `series` entry): the same axioms units,
 serially, with `SMatrix.series`, `multiply` and `invert` wrapped to add
-up their seconds and calls.  The unit runner (the `pool` entry): in a fresh
+up their seconds and calls.  The extraction layer (the `extract` entry):
+the extract-z units, serially, with the outermost `extract_Z`,
+`compose_SZ` and `polarize` calls timed and counted, and the monomials
+that `PolyFunctional.scaled`, `_binop` and `weighted_sum` (where the tree
+has it) visit counted: a scaling visits its operand's monomials, a sum
+both operands' and a weighted sum every term's (the counting adds about
+1 us per call to the times).  The unit runner (the `pool` entry): in a fresh
 process that has imported `paqft.cli`, the wall of
 `cli._run_units([list] * POOL_UNITS)`, units that do no work, so it times
 what the runner itself costs: its imports, forks, dispatch and reaping.
@@ -50,8 +56,9 @@ the pairs in which it was lower:
 --src is the source tree whose `paqft` is timed (default: this checkout's
 `src/`); the wrapper uses only names the trees share (`cli.SUITES`,
 `cli._build`, `cli._extract_z_units`, `cli._run_units`, `SMatrix.series`,
-`multiply`, `invert`, and `StarAlgebraContext.contract_sum` or
-`_contract`).
+`multiply`, `invert`, `extract_Z`, `compose_SZ`, `polarize`,
+`PolyFunctional.scaled` and `_binop`, and `StarAlgebraContext.contract_sum`
+or `_contract`).
 Each label also records `src_lines`, the line count of that tree's
 `paqft/*.py`.  The mass is 0.5, the default working point.
 """
@@ -81,7 +88,10 @@ WHAT = ("seconds, median of fresh processes per entry, m = 0.5; "
         "axioms and extract-z units at 12x16, in process, collector off, "
         "and the units of each command; contract-l4: the same at "
         "caps.lambda_order=4; series: SMatrix.series, multiply and invert "
-        "in the serial axioms units, outermost calls; pool: "
+        "in the serial axioms units, outermost calls; extract: extract_Z, "
+        "compose_SZ and polarize in the serial extract-z units, outermost "
+        "calls, and the monomials PolyFunctional.scaled, _binop and "
+        "weighted_sum visit; pool: "
         f"cli._run_units of {POOL_UNITS} units that do no work, in a fresh "
         "process; startup: spawn-to-exit wall of "
         "`python -m paqft.cli propagators` at 16x32 and of "
@@ -196,6 +206,57 @@ def series_child() -> None:
     print(json.dumps(spent))
 
 
+def _visits(cls, name: str, spent: dict, key: str, operands) -> None:
+    """Wrap the method `name` of `cls` to add its calls to
+    spent[key + "_calls"] and the monomials of the functionals that
+    `operands(args)` picks to spent[key + "_visits"]; a static method
+    stays one."""
+    inner = getattr(cls, name)
+    spent[key + "_calls"] = 0
+    spent[key + "_visits"] = 0
+
+    def counted(*args):
+        spent[key + "_calls"] += 1
+        spent[key + "_visits"] += sum(len(t) for F in operands(args)
+                                      for t in F.terms.values())
+        return inner(*args)
+
+    static = isinstance(vars(cls)[name], staticmethod)
+    setattr(cls, name, staticmethod(counted) if static else counted)
+
+
+def extract_child() -> None:
+    """One timed process: the extract-z units at 12x16, serially, with the
+    outermost `extract_Z`, `compose_SZ` and `polarize` calls timed and
+    counted, and the monomials of the scalings, sums and weighted sums
+    (where the tree has `PolyFunctional.weighted_sum`) counted."""
+    from paqft import cli, formal_series, smatrix_renorm
+    from paqft.functionals import PolyFunctional
+
+    spent: dict = {}
+    _timed(smatrix_renorm, "extract_Z", spent, "extract_Z")
+    for name in ("compose_SZ", "polarize"):
+        _timed(formal_series, name, spent, name)
+    # smatrix_renorm calls the compose_SZ it imported by name
+    smatrix_renorm.compose_SZ = formal_series.compose_SZ
+    _visits(PolyFunctional, "scaled", spent, "scaled", lambda a: a[:1])
+    _visits(PolyFunctional, "_binop", spent, "binop", lambda a: a[:2])
+    if hasattr(PolyFunctional, "weighted_sum"):
+        _visits(PolyFunctional, "weighted_sum", spent, "weighted_sum",
+                lambda a: [F for _w, F in a[1]])
+    else:
+        # zero in a tree without weighted sums, so both trees have every key
+        spent["weighted_sum_calls"] = spent["weighted_sum_visits"] = 0
+    cfg = cli.load_config(None, [])
+    lat, S = cli._build(cfg)
+    f_units, z_units = cli._extract_z_units(cfg, lat, S)
+    gc.disable()  # as in the commands' workers
+    _run_serially(spent, "extract_units_s", f_units + z_units)
+    spent["visits"] = sum(spent[f"{key}_visits"]
+                          for key in ("scaled", "binop", "weighted_sum"))
+    print(json.dumps(spent))
+
+
 def pool_child() -> None:
     """One timed process: the unit runner on units that do no work."""
     from paqft import cli
@@ -278,6 +339,15 @@ def report(label: str, entry: str, row: dict) -> str:
                 f"multiply {row['multiply_s']:.3f} s, invert "
                 f"{row['invert_s']:.3f} s, axioms units "
                 f"{row['axioms_units_s']:.3f} s")
+    if entry == "extract":
+        return (f"{label} extract: extract_Z {row['extract_Z_s']:.3f} s over "
+                f"{row['extract_Z_calls']:.0f} calls, compose_SZ "
+                f"{row['compose_SZ_s']:.3f} s, polarize "
+                f"{row['polarize_s']:.3f} s, monomial visits "
+                f"{row['visits']:.0f} (scaled {row['scaled_visits']:.0f}, "
+                f"_binop {row['binop_visits']:.0f}, weighted_sum "
+                f"{row['weighted_sum_visits']:.0f}), extract-z units "
+                f"{row['extract_units_s']:.3f} s")
     if entry == "pool":
         return (f"{label} pool: _run_units of {POOL_UNITS} units "
                 f"{row['pool_s'] * 1e3:.1f} ms")
@@ -298,7 +368,8 @@ def main(argv=None) -> int:
                     help="comma-separated NTxNX lattice sizes for the kernel "
                          "layer, `contract` and `contract-l4` for the "
                          "contraction layer at lambda order 3 and 4, "
-                         "`series` for the series layer, "
+                         "`series` for the series layer, `extract` for "
+                         "the extraction layer, "
                          "`pool` for the unit runner and `startup` for "
                          "start-up")
     ap.add_argument("--runs", type=int, default=3,
@@ -317,6 +388,9 @@ def main(argv=None) -> int:
         return 0
     if args.child == "series":
         series_child()
+        return 0
+    if args.child == "extract":
+        extract_child()
         return 0
     if args.child == "pool":
         pool_child()
@@ -342,7 +416,8 @@ def main(argv=None) -> int:
             if entry == "startup":
                 row["writes_bytecode"] = not os.environ.get(
                     "PYTHONDONTWRITEBYTECODE")
-            if entry in CONTRACT or entry in ("series", "pool", "startup"):
+            if entry in CONTRACT or entry in ("series", "extract", "pool",
+                                              "startup"):
                 labels[name][entry] = row
             else:
                 labels[name]["sizes"][entry] = row

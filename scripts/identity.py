@@ -8,7 +8,8 @@ by case, the sha256 of every file the command writes (reports and the
 `.npz` sidecar), of its standard output and of its standard error, and
 the exit codes.  For a JSON report that differs it lists the row keys
 found on one side only, every pass flag that flips, every residual that
-moved (before, after, |move|), the `z_values` monomials stored on one
+moved (before, after, |move| and the relative move |move| / max(|before|,
+|after|), 0 when both are 0), the `z_values` monomials stored on one
 side only (both sides cut at the `z_values_cut` a report states) and the
 largest numeric move of any other field that differs.  Rows are matched
 by (suite, axiom, order, sample-id) and, for keys that repeat, by their
@@ -129,10 +130,16 @@ def _max_move(before, after):
     return None if None in moves else max(moves, default=0.0)
 
 
+def _relative_move(before: float, after: float) -> float:
+    """|after - before| / max(|before|, |after|), 0 when both are 0."""
+    top = max(abs(before), abs(after))
+    return abs(after - before) / top if top else 0.0
+
+
 def compare_reports(before: dict, after: dict) -> dict:
     """The differences of two JSON reports: row keys on one side only,
-    pass flips, moved residuals as (key, before, after, |move|), the
-    z_values monomials on one side only (both sides cut at the
+    pass flips, moved residuals as (key, before, after, |move|, relative
+    move), the z_values monomials on one side only (both sides cut at the
     `z_values_cut` that either report states), and the other top-level
     fields that differ, each with its largest numeric move (None where
     the shapes differ)."""
@@ -144,9 +151,10 @@ def compare_reports(before: dict, after: dict) -> dict:
             flips.append((key, rb.get("pass"), ra.get("pass")))
         xb, xa = rb.get("residual"), ra.get("residual")
         if xb != xa:
-            move = (abs(xa - xb) if isinstance(xa, (int, float))
-                    and isinstance(xb, (int, float)) else None)
-            moved.append((key, xb, xa, move))
+            numbers = (isinstance(xa, (int, float))
+                       and isinstance(xb, (int, float)))
+            moved.append((key, xb, xa, abs(xa - xb) if numbers else None,
+                          _relative_move(xb, xa) if numbers else None))
     cut = after.get("z_values_cut", before.get("z_values_cut", 0.0))
     z_b, z_a = _z_monomials(before, cut), _z_monomials(after, cut)
     return {
@@ -185,11 +193,14 @@ def compare_case(before: dict, after: dict) -> list:
         if not name.endswith(".json"):
             continue
         diff = compare_reports(json.loads(b), json.loads(a))
-        worst = max((m for *_k, m in diff["moved"] if m is not None),
+        worst = max((m for *_k, m, _r in diff["moved"] if m is not None),
                     default=0.0)
+        worst_rel = max((r for *_k, r in diff["moved"] if r is not None),
+                        default=0.0)
         lines.append(
             f"  {len(diff['moved'])} of {diff['rows']} residuals moved "
-            f"(max |move| {worst:.3g}), {len(diff['pass_flips'])} pass "
+            f"(max |move| {worst:.3g}, max relative move {worst_rel:.3g}), "
+            f"{len(diff['pass_flips'])} pass "
             f"flips, {len(diff['only_before'])} row keys only before, "
             f"{len(diff['only_after'])} only after, "
             f"{len(diff['z_only_before'])} z_values monomials only "
@@ -203,9 +214,10 @@ def compare_case(before: dict, after: dict) -> list:
             lines.append(f"  row only after: {key}")
         for key, pb, pa in diff["pass_flips"]:
             lines.append(f"  pass flips: {key} {pb} -> {pa}")
-        for key, xb, xa, move in diff["moved"]:
+        for key, xb, xa, move, rel in diff["moved"]:
             lines.append(f"  moved: {key} {xb!r} -> {xa!r} (|move| "
-                         f"{'n/a' if move is None else f'{move:.3g}'})")
+                         f"{'n/a' if move is None else f'{move:.3g}'}, "
+                         f"relative {'n/a' if rel is None else f'{rel:.3g}'})")
         for mono in diff["z_only_before"]:
             lines.append(f"  z_values only before: {mono}")
         for mono in diff["z_only_after"]:

@@ -8,6 +8,13 @@ scalar multiplication, and (for multiply/invert) a bilinear product passed
 explicitly.  Factor divisions go through Fraction so exact scalar targets
 stay exact.
 
+Polarization and compose_SZ are weighted sums of family values, and both
+go through the one summing helper, weighted_sum: a term type with a
+weighted_sum of its own (PolyFunctional.weighted_sum) sums all the
+weighted terms in one accumulation pass; other types add w * t one by
+one, so Fraction targets stay exact.  compose_SZ's weighted terms come
+from partition_terms, which extract_Z also reads.
+
 Multiply and invert form each coefficient, sum_k a_k b_(n-k), as one
 bilinear sum: a `product_sum` callable gets the coefficient's list of
 (a_k, b_(n-k)) pairs and returns their summed products.  The S-matrix
@@ -237,24 +244,37 @@ class MultilinearFamily:
         return self._memo_put(key, val)
 
 
+def weighted_sum(pairs: Sequence):
+    """sum of w * t over a non-empty list of (w, t) pairs.
+
+    A term type with a weighted_sum(lattice, pairs) (PolyFunctional) forms
+    it in one pass; otherwise the products t * w are added one by one, so
+    exact targets (Fraction) stay exact."""
+    first = pairs[0][1]
+    summed = getattr(type(first), "weighted_sum", None)
+    if summed is not None:
+        return summed(first.lattice, pairs)
+    return _summed_products(None, None)([(t, w) for w, t in pairs])
+
+
 def polarize(family: MultilinearFamily, n: int, args: Sequence):
     """Mixed values from diagonal ones for a symmetric multilinear map:
 
-    T_n(f_1..f_n) = (1/n!) sum_{nonempty S} (-1)^{n-|S|} T_n((sum_S f_i)^n).
+    T_n(f_1..f_n) = (1/n!) sum_{nonempty S} (-1)^{n-|S|} T_n((sum_S f_i)^n),
+
+    one weighted sum with the weights +-1/n!.
     """
     if len(args) != n:
         raise ValueError(f"need {n} arguments, got {len(args)}")
-    acc = None
+    w = Fraction(1, math.factorial(n))
+    pairs = []
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
             s = args[subset[0]]
             for i in subset[1:]:
                 s = s + args[i]
-            term = family.diagonal(n, s)
-            if (n - size) % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-    return acc * Fraction(1, math.factorial(n))
+            pairs.append((-w if (n - size) % 2 else w, family.diagonal(n, s)))
+    return weighted_sum(pairs)
 
 
 def set_partitions(n: int):
@@ -285,6 +305,29 @@ def _partition_classes(ids: tuple) -> tuple:
     return tuple((blocks, count) for blocks, count in classes.values())
 
 
+def partition_terms(family: MultilinearFamily,
+                    weight: Callable[[int], object],
+                    z_family: MultilinearFamily, args: Sequence) -> list:
+    """The terms of compose_SZ as (weight(|pi|) * class size,
+    T_{|pi|}(Z_{|B|}(f_B))_{B in pi}) pairs, one per class of set
+    partitions of range(len(args)) (see compose_SZ), after the Z4 check
+    of z_family's order-1 member on each distinct argument; a weight of
+    None stands for 1."""
+    keys = [arg_key(a) for a in args]
+    ids = tuple(keys.index(k) for k in keys)
+    for i in sorted(set(ids)):
+        if not _is_zero(z_family.mixed(1, [args[i]]) - args[i]):
+            raise ValueError(
+                "Z violates Z4: order-1 coefficient is not the identity")
+    terms = []
+    for blocks, count in _partition_classes(ids):
+        zvals = [z_family.mixed(len(b), [args[i] for i in b]) for b in blocks]
+        w = weight(len(blocks))
+        terms.append((count if w is None else w * count,
+                      family.mixed(len(blocks), zvals)))
+    return terms
+
+
 def compose_SZ(family: MultilinearFamily, weight: Callable[[int], object],
                z_family: MultilinearFamily, args: Sequence):
     """The set-partition (Faa di Bruno) sum
@@ -302,23 +345,9 @@ def compose_SZ(family: MultilinearFamily, weight: Callable[[int], object],
 
     Partitions whose blocks carry the same multisets of arguments (by
     arg_key) have equal terms: each such class is evaluated once, on its
-    first partition, times its size, where that partition stands.  On
-    [f] * n this is the sum over the integer partitions of n.
+    first partition, and weighted by its size, where that partition
+    stands.  On [f] * n this is the sum over the integer partitions of n.
+    The sum is the weighted_sum of partition_terms: one pass for
+    PolyFunctional values.
     """
-    keys = [arg_key(a) for a in args]
-    ids = tuple(keys.index(k) for k in keys)
-    for i in sorted(set(ids)):
-        if not _is_zero(z_family.mixed(1, [args[i]]) - args[i]):
-            raise ValueError(
-                "Z violates Z4: order-1 coefficient is not the identity")
-    acc = None
-    for blocks, count in _partition_classes(ids):
-        zvals = [z_family.mixed(len(b), [args[i] for i in b]) for b in blocks]
-        term = family.mixed(len(blocks), zvals)
-        w = weight(len(blocks))
-        if w is not None:
-            term = term * w
-        if count > 1:
-            term = term * count
-        acc = term if acc is None else acc + term
-    return acc
+    return weighted_sum(partition_terms(family, weight, z_family, args))

@@ -25,7 +25,11 @@ a second pass.  The coefficients of sums, differences and scalings are
 summed as plain complex numbers with the exact operations and order of
 the HbarScalar arithmetic, one HbarScalar per output monomial, so they are
 bitwise what the validating route gives; contraction results are within
-a stated rounding bound of it (star_algebra).
+a stated rounding bound of it (star_algebra).  A weighted sum of many
+functionals (``PolyFunctional.weighted_sum``, the one route of
+compose_SZ, polarization and extract_Z) sums every product in one pass
+and is within a stated rounding bound of the exact sum, not bitwise the
+scale-then-add route.
 """
 
 from __future__ import annotations
@@ -510,6 +514,54 @@ class PolyFunctional:
             if bucket:
                 terms[deg] = bucket
         return PolyFunctional._canonical(self.lattice, terms)
+
+    @staticmethod
+    def weighted_sum(lattice: Lattice, pairs) -> "PolyFunctional":
+        """sum of w * F over the (w, F) pairs, in one pass; each weight is
+        an HbarScalar, complex, Fraction or int.
+
+        The products v * w are summed, in pair order, into plain
+        {degree: {key: {exponent: complex}}} dicts; then one HbarScalar is
+        built per output monomial, zero sums are dropped and each exponent
+        is checked once against the window.  Degrees ascend and keys keep
+        their first-insertion order.  Each coefficient is within a
+        rounding bound of the exact sum (tests/test_functionals.py), not
+        bitwise what scaling each F and adding them up gives."""
+        acc: dict[int, dict[tuple, dict[int, complex]]] = {}
+        for w, F in pairs:
+            if F.lattice is not lattice and F.lattice != lattice:
+                raise ValueError("lattice mismatch")
+            ws = list(HbarScalar.coerce(w).coeffs.items())
+            if not ws:
+                continue
+            for deg, t in F.terms.items():
+                bucket = acc.setdefault(deg, {})
+                for key, c in t.items():
+                    cell = bucket.get(key)
+                    if cell is None:
+                        cell = bucket[key] = {}
+                    for e1, v1 in c.coeffs.items():
+                        for e2, v2 in ws:
+                            e = e1 + e2
+                            cell[e] = cell.get(e, 0j) + v1 * v2
+        exponents: set = set()
+        terms: dict[int, dict[tuple, HbarScalar]] = {}
+        for deg in sorted(acc):
+            bucket = {}
+            for key, cell in acc[deg].items():
+                exponents.update(cell)
+                if 0 in cell.values():
+                    cell = {e: z for e, z in cell.items() if z != 0}
+                if cell:
+                    bucket[key] = HbarScalar._canonical(cell)
+            if bucket:
+                terms[deg] = bucket
+        lo, hi = HBAR_WINDOW
+        if exponents and not lo <= min(exponents) <= max(exponents) <= hi:
+            bad = min(exponents) if min(exponents) < lo else max(exponents)
+            raise HbarWindowError(
+                f"hbar exponent {bad} outside window {[lo, hi]}")
+        return PolyFunctional._canonical(lattice, terms)
 
     def __mul__(self, other):
         if isinstance(other, PolyFunctional):

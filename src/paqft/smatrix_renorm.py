@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .formal_series import (LambdaSeries, MultilinearFamily, arg_key,
-                            compose_SZ, series_multiply, series_invert,
-                            series_add, series_scale)
+                            compose_SZ, partition_terms, series_multiply,
+                            series_invert, series_add, series_scale)
 from .functionals import (GeneralizedLagrangian, HbarScalar, PolyFunctional,
                           cutoff_lagrangian, is_local_at_scale)
 from .lattice import Lattice, LatticePoint, bisolution_residual, field_values
@@ -242,24 +242,26 @@ def extract_Z(S: SMatrix, S_tilde: SMatrix, f: PolyFunctional, cap: int,
     Inductively, with Z^{N-1} the map of the values found so far and a
     zero Z_N, the set-partition sum compose_SZ(S, Z^{N-1}) at [f] * N
     misses exactly the one-block term (i/hbar) Z_N(f^{tensor N}), so the
-    order-N mismatch against S_tilde(lambda f) fixes Z_N.  Values are
+    order-N mismatch against S_tilde(lambda f) fixes Z_N: one weighted
+    sum, -i hbar prefactor(N) S_tilde.T_N(f^{tensor N}) plus i hbar times
+    each weighted term of partition_terms(S, Z^{N-1}).  Values are
     stripped of the (i/hbar) weight, so they live in the functional space.
     """
     lat = S.lattice
-    ser_t = S_tilde.series(f, cap)
-    ser_s = S.series(f, cap)
-    scale = max(1.0, ser_s.coeff(1).max_norm())
-    if (ser_t.coeff(1) - ser_s.coeff(1)).max_norm() > order1_tol * scale:
+    t1 = S.family.diagonal(1, f)
+    scale = max(1.0, t1.max_norm())
+    if (S_tilde.family.diagonal(1, f) - t1).max_norm() > order1_tol * scale:
         raise ValueError(
             "order-1 coefficients of the two S-matrices differ (S3 is "
             "violated); no renormalization map with Z_1 = id relates them")
+    ihbar = HbarScalar({1: 1j})
     vals: dict = {1: f}
     for N in range(2, cap + 1):
         zfam = RenormalizationMap.from_values(lat, vals).family
-        composed = compose_SZ(S.family, prefactor, zfam, [f] * N) \
-            * Fraction(1, math.factorial(N))
-        diff = ser_t.coeff(N) - composed
-        vals[N] = diff * HbarScalar({1: -1j * math.factorial(N)})
+        terms = partition_terms(S.family, prefactor, zfam, [f] * N)
+        vals[N] = PolyFunctional.weighted_sum(lat, [
+            (-ihbar * prefactor(N), S_tilde.family.diagonal(N, f))]
+            + [(ihbar * w, t) for w, t in terms])
     return vals
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paqft.lattice import Lattice, LatticePoint
+from paqft.lattice import HbarWindowError, Lattice, LatticePoint
 from paqft import functionals
 from paqft.functionals import (DensityTerm, GeneralizedLagrangian, HbarScalar,
                                PolyFunctional, additivity_samples,
@@ -547,3 +547,110 @@ def test_arithmetic_keeps_hbar_window(lat):
     G = PolyFunctional.from_monomials(lat, [(HbarScalar.monomial(5), [a])])
     with pytest.raises(ValueError, match="outside window"):
         G * G
+
+
+# -- weighted sums against the exact sum --------------------------------
+#
+# weighted_sum forms every product v * w and sums them in one pass, so it
+# is not bitwise the scale-then-add route; it is held to the bound that the
+# contraction states (tests/test_star_algebra.py), with its own c: every
+# coefficient within WEIGHTED_C * 2^-53 * sum |w| |t| + 2^-1064 of the
+# exact Gaussian-rational sum.  A product's components are each within
+# about 2 u |w| |t| (u = 2^-53), a Fraction weight's conversion adds u,
+# and a coefficient sums at most 12 products here (4 pairs, 3 weight
+# exponents), which gives c <= 16.  The worst ratio measured over 20 000
+# examples was 1.8.
+
+WEIGHTED_C = 16
+_weight = (_scalar | st.sampled_from([0, Fraction(0), 0j, HbarScalar()]))
+
+
+def _exact(z):
+    """A complex, Fraction or int as an exact (re, im) pair of Fractions."""
+    if isinstance(z, (int, Fraction)):
+        return Fraction(z), Fraction(0)
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _exact_weighted_sum(pairs):
+    """{(key, exponent): (exact re, exact im, sum of |w| |t|)} of the sum of
+    w * F over the (w, F) pairs."""
+    out: dict = {}
+    for w, F in pairs:
+        ws = w.coeffs.items() if isinstance(w, HbarScalar) else [(0, w)]
+        for _deg, key, c in F.monomials():
+            for e1, v1 in c.coeffs.items():
+                for e2, v2 in ws:
+                    (a, b), (x, y) = _exact(v1), _exact(v2)
+                    re, im, mag = out.get((key, e1 + e2), (0, 0, 0.0))
+                    out[key, e1 + e2] = (re + a * x - b * y, im + a * y + b * x,
+                                         mag + abs(v1) * float(abs(v2)))
+    return out
+
+
+def _weighted_ratios(got, pairs):
+    """{(key, exponent): |float - exact| / (2^-53 sum|w||t| + 2^-1064 /
+    WEIGHTED_C)} over every coefficient of `got` or of the exact sum."""
+    floats = {(key, e): v for _d, key, c in got.monomials()
+              for e, v in c.coeffs.items()}
+    exact = _exact_weighted_sum(pairs)
+    ratios = {}
+    for k in floats.keys() | exact.keys():
+        re, im, mag = exact.get(k, (0, 0, 0.0))
+        x, y = _exact(floats.get(k, 0j))
+        err = math.hypot(float(re - x), float(im - y))
+        ratios[k] = err / (2.0 ** -53 * mag + 2.0 ** -1064 / WEIGHTED_C)
+    return ratios
+
+
+def _first_insertion_order(pairs, deg):
+    """The keys of degree `deg` in the order the pairs with a non-zero
+    weight first bring them."""
+    order: dict = {}
+    for w, F in pairs:
+        if HbarScalar.coerce(w).coeffs:
+            order.update(dict.fromkeys(F.terms.get(deg, {})))
+    return list(order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_weight, _monos), min_size=1, max_size=4),
+       st.booleans())
+def test_weighted_sum_is_within_the_bound_of_the_exact_sum(terms, cancel):
+    # few sites, so keys overlap; with `cancel` the first pair comes again
+    # with the opposite weight, so its keys cancel in part or in full
+    lat = Lattice(6, 6, 0.5)
+    pairs = [(w, _poly(lat, monos)) for w, monos in terms]
+    if cancel:
+        w, F = pairs[0]
+        pairs.append((-w, F))
+    got = PolyFunctional.weighted_sum(lat, pairs)
+    bad = {k: r for k, r in _weighted_ratios(got, pairs).items()
+           if r > WEIGHTED_C}
+    assert not bad, bad
+    _assert_canonical(got)
+    for deg, t in got.terms.items():
+        order = _first_insertion_order(pairs, deg)
+        assert list(t) == [key for key in order if key in t]
+    # a pair and its negation cancel exactly where the weight has one
+    # exponent, so that each coefficient is one product minus itself
+    w, F = pairs[0]
+    if len(HbarScalar.coerce(w).coeffs) <= 1:
+        assert PolyFunctional.weighted_sum(lat, [(w, F), (-w, F)]).terms == {}
+
+
+def test_weighted_sum_keeps_hbar_window(lat):
+    a = LatticePoint(5, 3)
+    F = PolyFunctional.from_monomials(
+        lat, [(HbarScalar({2: 1.0, -1: 0.5}), [a])])
+    assert PolyFunctional.weighted_sum(
+        lat, [(HbarScalar({6: 1.0}), F)]).hbar_exponent_range() == (5, 8)
+    for w in (HbarScalar({7: 1.0}), HbarScalar({-8: 1.0}),
+              HbarScalar({0: 1.0, 7: 2.0})):
+        with pytest.raises(HbarWindowError, match="outside window"):
+            PolyFunctional.weighted_sum(lat, [(1, F), (w, F)])
+    assert PolyFunctional.weighted_sum(lat, []).terms == {}
+    G = PolyFunctional.from_monomials(Lattice(6, 6, 0.5), [(1.0, [a])])
+    with pytest.raises(ValueError, match="lattice mismatch"):
+        PolyFunctional.weighted_sum(lat, [(1, F), (1, G)])

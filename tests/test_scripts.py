@@ -40,7 +40,7 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     out = tmp_path / "BENCH_kernels.json"
     run = subprocess.run(
         [sys.executable, str(SCRIPTS / "bench_kernels.py"),
-         "--sizes", "8x8,contract,series", "--runs", "2",
+         "--sizes", "8x8,contract,series,extract", "--runs", "2",
          "--label", "smoke", "--src", src, "--out", str(out)],
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
@@ -75,6 +75,19 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
         assert 0 < row[f"{name}_s"] < row["axioms_units_s"]
         assert {r[f"{name}_calls"] for r in row["runs"]} == {
             row[f"{name}_calls"]} != {0}
+    # the extract entry: extract_Z, compose_SZ and polarize in the serial
+    # extract-z units, and the monomials the scalings, sums and weighted
+    # sums visit, the same every run
+    row = entry["extract"]
+    for name in ("extract_Z", "compose_SZ", "polarize"):
+        assert 0 < row[f"{name}_s"] < row["extract_units_s"]
+        assert {r[f"{name}_calls"] for r in row["runs"]} == {
+            row[f"{name}_calls"]} != {0}
+    for r in row["runs"]:
+        assert r["visits"] == (r["scaled_visits"] + r["binop_visits"]
+                               + r["weighted_sum_visits"])
+    assert {r["visits"] for r in row["runs"]} == {row["visits"]} != {0}
+    assert row["weighted_sum_calls"] > 0
     # the label run again on another size keeps what it had; the startup
     # and pool entries, with the tree alternated against itself under a
     # second label
@@ -149,7 +162,18 @@ def test_identity_lists_what_moved_between_two_reports():
              "orders": [1.0, 2.5]}
     diff = identity.compare_reports(before, after)
     key = ("S", "S2", 2, "a", 1)
-    assert diff["moved"] == [(key, 2e-16, 5e-16, 5e-16 - 2e-16)]
+    # |move| and the relative move |move| / max(|before|, |after|)
+    assert diff["moved"] == [(key, 2e-16, 5e-16, 5e-16 - 2e-16,
+                              (5e-16 - 2e-16) / 5e-16)]
+    assert identity._relative_move(0.0, 0.0) == 0.0
+    assert identity._relative_move(-1.0, 1.0) == 2.0
+    run = {"exit": 0, "stdout": b"", "stderr": b""}
+    lines = identity.compare_case(
+        dict(run, files={"r.json": json.dumps(before).encode()}),
+        dict(run, files={"r.json": json.dumps(after).encode()}))
+    assert "max |move| 3e-16, max relative move 0.6" in lines[1]
+    assert f"  moved: {key} 2e-16 -> 5e-16 (|move| 3e-16, relative 0.6)" \
+        in lines
     assert diff["pass_flips"] == [(key, True, False)]
     assert diff["only_before"] == [("S", "S2", 2, "b", 0)]
     assert diff["only_after"] == [("S", "S2", 2, "c", 0)]

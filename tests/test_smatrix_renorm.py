@@ -1,10 +1,13 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from paqft.formal_series import LambdaSeries, MultilinearFamily
+from paqft.formal_series import (LambdaSeries, MultilinearFamily,
+                                 _partition_classes, arg_key, compose_SZ,
+                                 partition_terms, polarize)
 from paqft.functionals import (HbarScalar, PolyFunctional,
                                free_scalar_lagrangian, is_local_at_scale)
 from paqft.lattice import Lattice, LatticePoint, bisolution_residual
@@ -447,6 +450,191 @@ def test_extract_Z_rejects_order_one_mismatch(lat, S):
     f = random_local_functional(lat, np.random.default_rng(3), (4, 6))
     with pytest.raises(ValueError, match="S3"):
         extract_Z(S, S_bad, f, 2)
+
+
+# -- the one weighted-sum route against the scale-then-add route -----------
+#
+# compose_SZ, polarize and extract_Z form each of their sums as one
+# weighted_sum.  The copies below are the route they replaced: every term
+# scaled, then added one by one.  The two routes round differently, so
+# each coefficient is held to the stated bound of weighted_sum
+# (tests/test_functionals.py): ROUTE_C * 2^-53 * sum |w| |t| + 2^-1064,
+# the sum over the weighted terms.  The worst ratio measured over these
+# cases was 1.9.
+
+ROUTE_C = 16
+
+
+def _scale_then_add_compose_SZ(family, weight, z_family, args):
+    keys = [arg_key(a) for a in args]
+    ids = tuple(keys.index(k) for k in keys)
+    acc = None
+    for blocks, count in _partition_classes(ids):
+        zvals = [z_family.mixed(len(b), [args[i] for i in b]) for b in blocks]
+        term = family.mixed(len(blocks), zvals)
+        w = weight(len(blocks))
+        if w is not None:
+            term = term * w
+        if count > 1:
+            term = term * count
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _polarize_pairs(family, n, args):
+    """The weighted terms of polarize: (+-1/n!, T_n((sum_S f_i)^n))."""
+    pairs = []
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            s = args[subset[0]]
+            for i in subset[1:]:
+                s = s + args[i]
+            pairs.append((Fraction((-1) ** (n - size), math.factorial(n)),
+                          family.diagonal(n, s)))
+    return pairs
+
+
+def _scale_then_add_polarize(family, n, args):
+    acc = None
+    for w, term in _polarize_pairs(family, n, args):
+        term = -term if w < 0 else term
+        acc = term if acc is None else acc + term
+    return acc * Fraction(1, math.factorial(n))
+
+
+def _scale_then_add_extract_Z(S, S_tilde, f, cap, order1_tol=1e-9):
+    lat = S.lattice
+    ser_t = S_tilde.series(f, cap)
+    vals = {1: f}
+    for N in range(2, cap + 1):
+        zfam = RenormalizationMap.from_values(lat, vals).family
+        composed = _scale_then_add_compose_SZ(
+            S.family, prefactor, zfam, [f] * N) * Fraction(1, math.factorial(N))
+        vals[N] = (ser_t.coeff(N) - composed) \
+            * HbarScalar({1: -1j * math.factorial(N)})
+    return vals
+
+
+def _assert_routes_agree(got, want, pairs):
+    """Every coefficient of the two routes within ROUTE_C * 2^-53 * sum
+    |w| |t| + 2^-1064 of each other, the sum over the weighted terms."""
+    mags: dict = {}
+    for w, F in pairs:
+        ws = HbarScalar.coerce(w).coeffs.items()
+        for _deg, key, c in F.monomials():
+            for e1, v1 in c.coeffs.items():
+                for e2, v2 in ws:
+                    k = (key, e1 + e2)
+                    mags[k] = mags.get(k, 0.0) + abs(v1) * abs(v2)
+    a = {(key, e): v for _d, key, c in got.monomials()
+         for e, v in c.coeffs.items()}
+    b = {(key, e): v for _d, key, c in want.monomials()
+         for e, v in c.coeffs.items()}
+    bad = {}
+    for k in a.keys() | b.keys():
+        bound = ROUTE_C * 2.0 ** -53 * mags.get(k, 0.0) + 2.0 ** -1064
+        if abs(a.get(k, 0j) - b.get(k, 0j)) > bound:
+            bad[k] = (a.get(k, 0j), b.get(k, 0j), bound)
+    assert not bad, bad
+
+
+def _extraction(mode, seed=0):
+    """The lattice, S, S_tilde and sampled functionals of `paqft
+    extract-z` in `mode` at samples.seed `seed`, as the command builds
+    them."""
+    from paqft import cli
+
+    cfg = cli.load_config(None, [f"extract.mode={mode}",
+                                 f"samples.seed={seed}"])
+    lat, S = cli._build(cfg)
+    if mode == "roundtrip":
+        St = compose(S, make_handcrafted_Z(
+            lat, float(cfg["extract"]["kappa"]), cli._mid_window(lat)))
+    else:
+        St = build_smatrix(lat, site_shift=cli._perturbed_hadamard(cfg, lat))
+    rng = np.random.default_rng(seed + 4)
+    mid = lat.nt // 2
+    fs = [random_local_functional(lat, rng, (mid - 1, mid),
+                                  degree=int(cfg["caps"]["degree"]))
+          for _ in range(4)]
+    return lat, S, St, fs
+
+
+@pytest.mark.parametrize("cap", [3, 4])
+@pytest.mark.parametrize("mode", ["roundtrip", "two-hadamard"])
+def test_weighted_sum_routes_are_within_the_bound_of_scale_then_add(mode,
+                                                                    cap):
+    lat, S, St, fs = _extraction(mode)
+    f = fs[0]
+    got = extract_Z(S, St, f, cap)
+    want = _scale_then_add_extract_Z(S, St, f, cap)
+    ihbar = HbarScalar({1: 1j})
+    for N in range(2, cap + 1):
+        # extract_Z's weighted terms on its own lower orders, and
+        # compose_SZ on the same map
+        zfam = RenormalizationMap.from_values(
+            lat, {n: got[n] for n in range(1, N)}).family
+        terms = partition_terms(S.family, prefactor, zfam, [f] * N)
+        _assert_routes_agree(got[N], want[N], [
+            (-ihbar * prefactor(N), St.family.diagonal(N, f))]
+            + [(ihbar * w, t) for w, t in terms])
+        _assert_routes_agree(
+            compose_SZ(S.family, prefactor, zfam, [f] * N),
+            _scale_then_add_compose_SZ(S.family, prefactor, zfam, [f] * N),
+            terms)
+        # the relative weights of compose(S, Z), the last term unscaled
+        def relative(k):
+            return inverse_prefactor(N - k) if k < N else None
+        _assert_routes_agree(
+            compose_SZ(S.family, relative, zfam, [f] * N),
+            _scale_then_add_compose_SZ(S.family, relative, zfam, [f] * N),
+            partition_terms(S.family, relative, zfam, [f] * N))
+    args = fs[:cap]
+    _assert_routes_agree(polarize(St.family, cap, args),
+                         _scale_then_add_polarize(St.family, cap, args),
+                         _polarize_pairs(St.family, cap, args))
+
+
+def _stored_z_values(f_units):
+    """{(sample, order, points, exponent)} of the z_values that the
+    extract-z functional units store, and their hbar gradings."""
+    monos, gradings = set(), []
+    for i, unit in enumerate(f_units):
+        _rows, z_values, grading = unit()
+        gradings.append(grading)
+        monos.update((i, n, tuple(map(tuple, row["points"])), e)
+                     for n, by_degree in z_values.items()
+                     for rows in by_degree.values() for row in rows
+                     for e, _re, _im in row["coeff"])
+    return monos, gradings
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mode", ["roundtrip", "two-hadamard"])
+def test_extract_z_stores_the_monomial_sets_of_the_scale_then_add_route(
+        monkeypatch, mode, seed):
+    from paqft import cli, formal_series, smatrix_renorm
+
+    cfg = cli.load_config(None, [f"extract.mode={mode}",
+                                 f"samples.seed={seed}"])
+
+    def stored():
+        lat, S = cli._build(cfg)
+        f_units, _z_units = cli._extract_z_units(cfg, lat, S)
+        return _stored_z_values(f_units)
+
+    weighted = stored()
+    monkeypatch.setattr(smatrix_renorm, "extract_Z",
+                        _scale_then_add_extract_Z)
+    monkeypatch.setattr(smatrix_renorm, "compose_SZ",
+                        _scale_then_add_compose_SZ)
+    monkeypatch.setattr(formal_series, "polarize", _scale_then_add_polarize)
+    scale_then_add = stored()
+    # the planted roundtrip map has Z_3 = 0: its order-3 values are
+    # rounding level, and the cut leaves them out
+    orders = {"roundtrip": {"2"}, "two-hadamard": {"2", "3"}}[mode]
+    assert {n for _i, n, _p, _e in weighted[0]} == orders
+    assert scale_then_add == weighted
 
 
 def test_verify_extracted_locality_needs_enough_functionals(lat, S):
