@@ -18,9 +18,11 @@ serially, with `SMatrix.series`, `multiply` and `invert` wrapped to add
 up their seconds and calls.  The extraction layer (the `extract` entry):
 the extract-z units, serially, with the outermost `extract_Z`,
 `compose_SZ` and `polarize` calls timed and counted, and the monomials
-that `PolyFunctional.scaled`, `_binop` and `weighted_sum` (where the tree
-has it) visit counted: a scaling visits its operand's monomials, a sum
-both operands' and a weighted sum every term's (the counting adds about
+that `PolyFunctional.scaled`, the sums and differences (`__add__` and
+`__sub__`) and `weighted_sum` (where the tree has it) visit counted: a
+scaling visits its operand's monomials, a sum both operands' and a
+weighted sum every term's, each at the outermost of these calls only, so
+a sum that is itself a weighted sum counts once (the counting adds about
 1 us per call to the times).  The unit runner (the `pool` entry): in a fresh
 process that has imported `paqft.cli`, the wall of
 `cli._run_units([list] * POOL_UNITS)`, units that do no work, so it times
@@ -57,8 +59,8 @@ the pairs in which it was lower:
 `src/`); the wrapper uses only names the trees share (`cli.SUITES`,
 `cli._build`, `cli._extract_z_units`, `cli._run_units`, `SMatrix.series`,
 `multiply`, `invert`, `extract_Z`, `compose_SZ`, `polarize`,
-`PolyFunctional.scaled` and `_binop`, and `StarAlgebraContext.contract_sum`
-or `_contract`).
+`PolyFunctional.scaled`, `__add__` and `__sub__`, and
+`StarAlgebraContext.contract_sum` or `_contract`).
 Each label also records `src_lines`, the line count of that tree's
 `paqft/*.py`.  The mass is 0.5, the default working point.
 """
@@ -90,8 +92,8 @@ WHAT = ("seconds, median of fresh processes per entry, m = 0.5; "
         "caps.lambda_order=4; series: SMatrix.series, multiply and invert "
         "in the serial axioms units, outermost calls; extract: extract_Z, "
         "compose_SZ and polarize in the serial extract-z units, outermost "
-        "calls, and the monomials PolyFunctional.scaled, _binop and "
-        "weighted_sum visit; pool: "
+        "calls, and the monomials PolyFunctional.scaled, + and - and "
+        "weighted_sum visit, outermost calls; pool: "
         f"cli._run_units of {POOL_UNITS} units that do no work, in a fresh "
         "process; startup: spawn-to-exit wall of "
         "`python -m paqft.cli propagators` at 16x32 and of "
@@ -206,20 +208,28 @@ def series_child() -> None:
     print(json.dumps(spent))
 
 
-def _visits(cls, name: str, spent: dict, key: str, operands) -> None:
+def _visits(cls, name: str, spent: dict, key: str, operands,
+            depth: list) -> None:
     """Wrap the method `name` of `cls` to add its calls to
     spent[key + "_calls"] and the monomials of the functionals that
-    `operands(args)` picks to spent[key + "_visits"]; a static method
-    stays one."""
+    `operands(args)` picks to spent[key + "_visits"], counting only the
+    outermost of nested calls to the methods that share `depth`; a static
+    method stays one."""
     inner = getattr(cls, name)
     spent[key + "_calls"] = 0
     spent[key + "_visits"] = 0
 
     def counted(*args):
+        if depth[0]:
+            return inner(*args)
         spent[key + "_calls"] += 1
         spent[key + "_visits"] += sum(len(t) for F in operands(args)
                                       for t in F.terms.values())
-        return inner(*args)
+        depth[0] += 1
+        try:
+            return inner(*args)
+        finally:
+            depth[0] -= 1
 
     static = isinstance(vars(cls)[name], staticmethod)
     setattr(cls, name, staticmethod(counted) if static else counted)
@@ -239,11 +249,14 @@ def extract_child() -> None:
         _timed(formal_series, name, spent, name)
     # smatrix_renorm calls the compose_SZ it imported by name
     smatrix_renorm.compose_SZ = formal_series.compose_SZ
-    _visits(PolyFunctional, "scaled", spent, "scaled", lambda a: a[:1])
-    _visits(PolyFunctional, "_binop", spent, "binop", lambda a: a[:2])
+    depth = [0]
+    _visits(PolyFunctional, "scaled", spent, "scaled", lambda a: a[:1], depth)
+    _visits(PolyFunctional, "__add__", spent, "sum", lambda a: a[:2], depth)
+    _visits(PolyFunctional, "__sub__", spent, "difference", lambda a: a[:2],
+            depth)
     if hasattr(PolyFunctional, "weighted_sum"):
         _visits(PolyFunctional, "weighted_sum", spent, "weighted_sum",
-                lambda a: [F for _w, F in a[1]])
+                lambda a: [F for _w, F in a[1]], depth)
     else:
         # zero in a tree without weighted sums, so both trees have every key
         spent["weighted_sum_calls"] = spent["weighted_sum_visits"] = 0
@@ -253,7 +266,8 @@ def extract_child() -> None:
     gc.disable()  # as in the commands' workers
     _run_serially(spent, "extract_units_s", f_units + z_units)
     spent["visits"] = sum(spent[f"{key}_visits"]
-                          for key in ("scaled", "binop", "weighted_sum"))
+                          for key in ("scaled", "sum", "difference",
+                                      "weighted_sum"))
     print(json.dumps(spent))
 
 
@@ -345,7 +359,8 @@ def report(label: str, entry: str, row: dict) -> str:
                 f"{row['compose_SZ_s']:.3f} s, polarize "
                 f"{row['polarize_s']:.3f} s, monomial visits "
                 f"{row['visits']:.0f} (scaled {row['scaled_visits']:.0f}, "
-                f"_binop {row['binop_visits']:.0f}, weighted_sum "
+                f"+ {row['sum_visits']:.0f}, - "
+                f"{row['difference_visits']:.0f}, weighted_sum "
                 f"{row['weighted_sum_visits']:.0f}), extract-z units "
                 f"{row['extract_units_s']:.3f} s")
     if entry == "pool":

@@ -212,8 +212,10 @@ def validate_config(cfg: dict) -> None:
     deg = cfg["caps"]["degree"]
     if deg > MAX_DEGREE // 2:
         raise UsageError(
-            f"caps.degree must be <= {MAX_DEGREE // 2} so products of "
-            f"sampled functionals stay within the module degree cap, got {deg}")
+            f"caps.degree must be <= {MAX_DEGREE // 2} so a sampled "
+            f"functional and the product of two stay within the ingestion "
+            f"degree cap {MAX_DEGREE} (T-values of three or more exceed "
+            f"it), got {deg}")
     if cfg["hadamard"].get("mode") not in ("exact-bisolution", "perturbed"):
         raise UsageError(
             "hadamard.mode must be 'exact-bisolution' or 'perturbed', "

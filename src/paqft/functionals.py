@@ -10,7 +10,9 @@ HbarScalar}}``.  Multiset keys encode symmetric tensors: the stored value is
 the common value of the symmetric tensor at every permutation of the key.
 
 Degree is capped (default 8) at ingestion boundaries only (from_monomials,
-densities, JSON); internal arithmetic may exceed it transiently.
+densities, JSON).  Products are not capped, and their degree is not
+transient: at caps.degree 4, the T-values of orders 3 and 4 reach degree
+12 and 16 and are used at that degree.
 
 Canonical form: every key is sorted, its sites are in range and its length
 is its degree; every coefficient is a non-zero HbarScalar inside the hbar
@@ -18,18 +20,14 @@ window; no degree is empty, and degrees are stored in ascending order.
 ``PolyFunctional(lattice, terms)`` validates, sorts and merges its input
 into this form, and every ingestion route goes through it (from_monomials,
 JSON, shift_field_series, decompose_L1, star_algebra.beta, poly x poly
-products, external callers).  Sums,
-differences, scalings and contraction results are canonical by
-construction and are stored through ``PolyFunctional._canonical`` without
-a second pass.  The coefficients of sums, differences and scalings are
-summed as plain complex numbers with the exact operations and order of
-the HbarScalar arithmetic, one HbarScalar per output monomial, so they are
-bitwise what the validating route gives; contraction results are within
-a stated rounding bound of it (star_algebra).  A weighted sum of many
-functionals (``PolyFunctional.weighted_sum``, the one route of
-compose_SZ, polarization and extract_Z) sums every product in one pass
-and is within a stated rounding bound of the exact sum, not bitwise the
-scale-then-add route.
+products, external callers).  Every sum of functionals is a weighted sum
+(``PolyFunctional.weighted_sum``): sums, differences, negation,
+scalings, L(f), compose_SZ, polarization and extract_Z.  It sums every
+product w * v in one pass, as plain complex numbers, and each coefficient
+is within a stated rounding bound of the exact sum.  Weighted sums and
+contraction results (star_algebra, within its own stated bound) end in
+one tail, ``PolyFunctional._from_sums``, which checks the window, drops
+zero sums and stores the canonical form without a second pass.
 """
 
 from __future__ import annotations
@@ -258,6 +256,28 @@ class PolyFunctional:
         F._key = None
         return F
 
+    @classmethod
+    def _from_sums(cls, lattice: Lattice,
+                   sums: dict[tuple, dict[int, complex]]) -> "PolyFunctional":
+        """The canonical functional of {sorted in-range key: {exponent:
+        complex}} coefficient sums, the one tail of weighted_sum and
+        StarAlgebraContext.contract_sum: each exponent is checked against
+        the hbar window, zero sums are dropped, and the keys are grouped
+        by ascending degree, keeping their order within a degree."""
+        lo, hi = HBAR_WINDOW
+        terms: dict[int, dict[tuple, HbarScalar]] = {}
+        for key, cell in sums.items():
+            for e in cell:
+                if not lo <= e <= hi:
+                    raise HbarWindowError(
+                        f"hbar exponent {e} outside window {[lo, hi]}")
+            if 0 in cell.values():
+                cell = {e: v for e, v in cell.items() if v != 0}
+            if cell:
+                bucket = terms.setdefault(len(key), {})
+                bucket[key] = HbarScalar._canonical(cell)
+        return cls._canonical(lattice, {d: terms[d] for d in sorted(terms)})
+
     @staticmethod
     def zero(lattice: Lattice) -> "PolyFunctional":
         return PolyFunctional(lattice)
@@ -343,14 +363,10 @@ class PolyFunctional:
     def evaluate_many(self, fields) -> list[HbarScalar]:
         """[F(phi) for phi in fields] in one pass over the monomials.
 
-        Each value takes the operations of the sum of coeff * prod over
-        the monomials with the HbarScalar arithmetic: prod is the product
-        of the field values from 1.0 + 0j; a zero prod adds nothing; a
-        non-zero term c * prod is added to the running coefficient (0j for
-        a new exponent), and a zero sum drops its exponent.  (HbarScalar
-        forms the term as 0j + c * prod; that step only turns a -0.0 part
-        into 0.0, which the sum does too, since no running coefficient has
-        a -0.0 part.)"""
+        Each value sums coeff * prod over the monomials in their order, one
+        plain complex per exponent: prod is the product of the field
+        values from 1.0 + 0j; a zero prod or term adds nothing, and an
+        exponent whose sum is zero is dropped."""
         sites = sorted({i for t in self.terms.values() for key in t
                         for i in key})
         local = {s: j for j, s in enumerate(sites)}
@@ -411,11 +427,8 @@ class PolyFunctional:
 
     def shift_field(self, psi) -> "PolyFunctional":
         """F(. + psi) expanded exactly."""
-        rows = self.shift_field_series(psi)
-        acc = PolyFunctional.zero(self.lattice)
-        for row in rows:
-            acc = acc + row
-        return acc
+        return PolyFunctional.weighted_sum(
+            self.lattice, [(1, row) for row in self.shift_field_series(psi)])
 
     def shift_field_series(self, psi) -> list["PolyFunctional"]:
         """Rows of F(. + s*psi) by power of s: row k collects the s^k part.
@@ -448,120 +461,51 @@ class PolyFunctional:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _binop(self, other: "PolyFunctional", sign: int) -> "PolyFunctional":
-        if self.lattice != other.lattice:
-            raise ValueError("lattice mismatch")
-        out = {d: dict(t) for d, t in self.terms.items()}
-        _accumulate(out, other.terms, complex(sign))
-        return PolyFunctional._canonical(
-            self.lattice, {d: out[d] for d in sorted(out) if out[d]})
-
     def __add__(self, other):
         if not isinstance(other, PolyFunctional):
             return NotImplemented
-        return self._binop(other, 1)
+        return PolyFunctional.weighted_sum(self.lattice,
+                                           [(1, self), (1, other)])
 
     def __sub__(self, other):
         if not isinstance(other, PolyFunctional):
             return NotImplemented
-        return self._binop(other, -1)
+        return PolyFunctional.weighted_sum(self.lattice,
+                                           [(1, self), (-1, other)])
 
     def __neg__(self):
-        return self.scaled(-1.0)
+        return self.scaled(-1)
 
     def scaled(self, c) -> "PolyFunctional":
-        # v * c with the HbarScalar operations: the product sums, the zero
-        # sums dropped, each exponent checked against the window
-        cs = list(HbarScalar.coerce(c).coeffs.items())
-        lo, hi = HBAR_WINDOW
-        if len(cs) == 1:
-            # one exponent k2: each product is 0j + v1 * v2 under its own
-            # exponent, and every shifted exponent is inside the window
-            # when the shifted range is (else the loop below raises)
-            (k2, v2), = cs
-            span = self.hbar_exponent_range() if k2 else None
-            if span is None or lo <= span[0] + k2 and span[1] + k2 <= hi:
-                terms = {}
-                for deg, t in self.terms.items():
-                    bucket = {}
-                    for key, v in t.items():
-                        out = {k1 + k2: 0j + v1 * v2
-                               for k1, v1 in v.coeffs.items()}
-                        if 0 in out.values():
-                            out = {k: z for k, z in out.items() if z != 0}
-                        if out:
-                            bucket[key] = HbarScalar._canonical(out)
-                    if bucket:
-                        terms[deg] = bucket
-                return PolyFunctional._canonical(self.lattice, terms)
-        terms: dict[int, dict[tuple, HbarScalar]] = {}
-        for deg, t in self.terms.items():
-            bucket = {}
-            for key, v in t.items():
-                out: dict[int, complex] = {}
-                for k1, v1 in v.coeffs.items():
-                    for k2, v2 in cs:
-                        k = k1 + k2
-                        out[k] = out.get(k, 0j) + v1 * v2
-                if 0 in out.values():
-                    out = {k: z for k, z in out.items() if z != 0}
-                for k in out:
-                    if not lo <= k <= hi:
-                        raise HbarWindowError(
-                            f"hbar exponent {k} outside window {[lo, hi]}")
-                if out:
-                    bucket[key] = HbarScalar._canonical(out)
-            if bucket:
-                terms[deg] = bucket
-        return PolyFunctional._canonical(self.lattice, terms)
+        return PolyFunctional.weighted_sum(self.lattice, [(c, self)])
 
     @staticmethod
     def weighted_sum(lattice: Lattice, pairs) -> "PolyFunctional":
         """sum of w * F over the (w, F) pairs, in one pass; each weight is
         an HbarScalar, complex, Fraction or int.
 
-        The products v * w are summed, in pair order, into plain
-        {degree: {key: {exponent: complex}}} dicts; then one HbarScalar is
-        built per output monomial, zero sums are dropped and each exponent
-        is checked once against the window.  Degrees ascend and keys keep
-        their first-insertion order.  Each coefficient is within a
-        rounding bound of the exact sum (tests/test_functionals.py), not
-        bitwise what scaling each F and adding them up gives."""
-        acc: dict[int, dict[tuple, dict[int, complex]]] = {}
+        The products v * w are summed, in pair order, into one plain
+        {key: {exponent: complex}} dict, which _from_sums makes canonical:
+        keys keep their first-insertion order within a degree.  Each
+        coefficient is within a rounding bound of the exact sum
+        (tests/test_functionals.py)."""
+        acc: dict[tuple, dict[int, complex]] = {}
         for w, F in pairs:
             if F.lattice is not lattice and F.lattice != lattice:
                 raise ValueError("lattice mismatch")
             ws = list(HbarScalar.coerce(w).coeffs.items())
             if not ws:
                 continue
-            for deg, t in F.terms.items():
-                bucket = acc.setdefault(deg, {})
+            for t in F.terms.values():
                 for key, c in t.items():
-                    cell = bucket.get(key)
+                    cell = acc.get(key)
                     if cell is None:
-                        cell = bucket[key] = {}
+                        cell = acc[key] = {}
                     for e1, v1 in c.coeffs.items():
                         for e2, v2 in ws:
                             e = e1 + e2
                             cell[e] = cell.get(e, 0j) + v1 * v2
-        exponents: set = set()
-        terms: dict[int, dict[tuple, HbarScalar]] = {}
-        for deg in sorted(acc):
-            bucket = {}
-            for key, cell in acc[deg].items():
-                exponents.update(cell)
-                if 0 in cell.values():
-                    cell = {e: z for e, z in cell.items() if z != 0}
-                if cell:
-                    bucket[key] = HbarScalar._canonical(cell)
-            if bucket:
-                terms[deg] = bucket
-        lo, hi = HBAR_WINDOW
-        if exponents and not lo <= min(exponents) <= max(exponents) <= hi:
-            bad = min(exponents) if min(exponents) < lo else max(exponents)
-            raise HbarWindowError(
-                f"hbar exponent {bad} outside window {[lo, hi]}")
-        return PolyFunctional._canonical(lattice, terms)
+        return PolyFunctional._from_sums(lattice, acc)
 
     def __mul__(self, other):
         if isinstance(other, PolyFunctional):
@@ -605,43 +549,6 @@ class PolyFunctional:
                 })
             out[str(deg)] = rows
         return out
-
-
-def _accumulate(out: dict, terms: dict, s: complex) -> None:
-    """out += s * terms, in place, for {degree: {key: HbarScalar}} tables
-    whose exponents are all inside the window: a coefficient of `out` is
-    replaced, never changed, and a key whose sum is zero is deleted.
-
-    bucket.get(key, 0) + s * coeff with the HbarScalar operations, one
-    plain complex per exponent: the product term 0j + v * s (zero
-    dropped), then 0j + z for a new exponent or prev + z.  A key new to
-    the sum takes 0j + v * s alone: 0j + (0j + w) is 0j + w, and a
-    non-zero v times +-1 is not zero."""
-    for deg in sorted(terms):
-        bucket = out.get(deg)
-        if bucket is None:
-            out[deg] = {key: HbarScalar._canonical(
-                            {e: 0j + v * s for e, v in coeff.coeffs.items()})
-                        for key, coeff in terms[deg].items()}
-            continue
-        for key, coeff in terms[deg].items():
-            prev = bucket.get(key)
-            if prev is None:
-                bucket[key] = HbarScalar._canonical(
-                    {e: 0j + v * s for e, v in coeff.coeffs.items()})
-                continue
-            acc = dict(prev.coeffs)
-            for e, v in coeff.coeffs.items():
-                z = 0j + v * s
-                if z != 0:
-                    acc[e] = acc.get(e, 0j) + z
-            # only a sum can be zero
-            if 0 in acc.values():
-                acc = {e: v for e, v in acc.items() if v != 0}
-            if acc:
-                bucket[key] = HbarScalar._canonical(acc)
-            else:
-                del bucket[key]
 
 
 def poly_from_json_dict(lattice: Lattice, data: Mapping) -> PolyFunctional:
@@ -858,19 +765,15 @@ class GeneralizedLagrangian:
         phi = PolyFunctional.field_at(lat, p)
         dt = PolyFunctional.field_at(lat, up_t) - phi if p.t + 1 < lat.nt else None
         dx = PolyFunctional.field_at(lat, up_x) - phi
-        out = PolyFunctional.zero(lat)
+        parts = []
         for c, np_, ndt, ndx in self.density:
             if ndt and dt is None:
                 continue
             acc = PolyFunctional.constant(lat, c)
-            for _ in range(np_):
-                acc = acc * phi
-            for _ in range(ndt):
-                acc = acc * dt
-            for _ in range(ndx):
-                acc = acc * dx
-            out = out + acc
-        return out
+            for factor in [phi] * np_ + [dt] * ndt + [dx] * ndx:
+                acc = acc * factor
+            parts.append((1, acc))
+        return PolyFunctional.weighted_sum(lat, parts)
 
     def __call__(self, f) -> PolyFunctional:
         lat = self.lattice
@@ -880,17 +783,11 @@ class GeneralizedLagrangian:
                 w[lat.site_index(p)] = 1.0
         else:
             w = field_values(lat, f)
-        # the sum of the scaled densities, site by site, in one table
-        out: dict = {}
-        for t in self._rows():
-            for x in range(lat.nx):
-                p = LatticePoint(t, x)
-                c = complex(w[lat.site_index(p)])
-                if c != 0:
-                    _accumulate(out, self.density_at(p).scaled(c).terms,
-                                1 + 0j)
-        return PolyFunctional._canonical(
-            lat, {d: out[d] for d in sorted(out) if out[d]})
+        points = (LatticePoint(t, x) for t in self._rows()
+                  for x in range(lat.nx))
+        return PolyFunctional.weighted_sum(lat, [
+            (c, self.density_at(p)) for p in points
+            if (c := complex(w[lat.site_index(p)])) != 0])
 
 
 def local_functional_from_density(lattice: Lattice,

@@ -31,9 +31,11 @@ rest_a, adds m_a * c_a * D[sa][rest_b] under the sorted merge of rest_a
 and rest_b.  The r = 0 terms are the pointwise products c_a * c_b, so a
 constant operand needs no branch of its own.  The kernel rows of F's
 sites are read once per context (Kernel.rows, kept as lists in its
-_row_cache).  Each exponent that a term of the result reaches is checked
-against the hbar window (an exponent of D past it is no error unless a
-term of the result lands there), and zero sums are dropped.
+_row_cache).  The sums end in PolyFunctional._from_sums, the one
+canonicalizing tail of contractions and weighted sums: each exponent that
+a term of the result reaches is checked against the hbar window (an
+exponent of D past it is no error unless a term of the result lands
+there), and zero sums are dropped.
 
 There is one contraction entry, StarAlgebraContext.contract_sum: it
 contracts a list of (F, G) pairs along one kernel into one accumulator
@@ -66,8 +68,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .functionals import (HBAR_WINDOW, HbarScalar, HbarWindowError,
-                          PolyFunctional)
+from .functionals import HbarScalar, PolyFunctional
 from .lattice import Kernel, Lattice, Region, _transposed
 
 
@@ -91,18 +92,6 @@ def _site_selections(key: tuple, r: int) -> list:
         pair = (tuple(map(get, sel)), tuple(map(get, rem)))
         counts[pair] = counts.get(pair, 0) + 1
     return [(sel, rem, m) for (sel, rem), m in counts.items()]
-
-
-def _poly_from_flat(lattice: Lattice, flat: dict) -> PolyFunctional:
-    """{sorted in-range key: HbarScalar} grouped by degree, in ascending
-    degree order, stored without validation; zero coefficients and the
-    degrees left empty are dropped."""
-    nested: dict[int, dict] = {}
-    for key, coeff in flat.items():
-        if coeff.coeffs:
-            nested.setdefault(len(key), {})[key] = coeff
-    return PolyFunctional._canonical(
-        lattice, {d: nested[d] for d in sorted(nested)})
 
 
 def _permanent(rows: list, cols: tuple) -> complex:
@@ -222,9 +211,10 @@ class StarAlgebraContext:
         and every F monomial that selects sa adds its coefficient, times
         the multiplicity, times D[sa] (module docstring).  Selections are
         read from and stored in this context's _selection_cache, the
-        kernel rows of F's sites in its _row_cache.  Zero coefficients are
-        dropped and each exponent of the sum is checked against the hbar
-        window.
+        kernel rows of F's sites in its _row_cache.  The sums go through
+        PolyFunctional._from_sums, the tail weighted sums share: zero
+        coefficients are dropped and each exponent of the sum is checked
+        against the hbar window.
 
         `tables`, when given, keeps each G's selection table and
         contractions D between calls, keyed by (kernel, id(G)) and holding
@@ -285,18 +275,7 @@ class StarAlgebraContext:
                             for ea, va in mca:
                                 e = ea + ed
                                 coeffs[e] = coeffs.get(e, 0) + va * vd
-        lo, hi = HBAR_WINDOW
-        flat = {}
-        for key, coeffs in acc.items():
-            for e in coeffs:
-                if not lo <= e <= hi:
-                    raise HbarWindowError(
-                        f"hbar exponent {e} outside window {[lo, hi]}")
-            if 0 in coeffs.values():
-                coeffs = {e: v for e, v in coeffs.items() if v != 0}
-            if coeffs:
-                flat[key] = HbarScalar._canonical(coeffs)
-        return _poly_from_flat(lat, flat)
+        return PolyFunctional._from_sums(lat, acc)
 
     def star(self, F: PolyFunctional, G: PolyFunctional) -> PolyFunctional:
         """Star product along the Wightman kernel (associative,

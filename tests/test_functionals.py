@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paqft.lattice import HbarWindowError, Lattice, LatticePoint
+from paqft.lattice import HBAR_WINDOW, HbarWindowError, Lattice, LatticePoint
 from paqft import functionals
 from paqft.functionals import (DensityTerm, GeneralizedLagrangian, HbarScalar,
                                PolyFunctional, additivity_samples,
@@ -266,23 +266,19 @@ def test_lagrangian_support_preserving(lat):
     assert rows <= {5, 6} and cols <= {5, 6, 7}  # forward stencil fattening
 
 
-def _per_site_lagrangian(L, w):
-    """L(w) as the fold of the densities built at every site."""
+def _per_site_pairs(L, w):
+    """The (weight, density built at the site) pairs of L(w)."""
     lat = L.lattice
-    out = PolyFunctional.zero(lat)
-    for t in L._rows():
-        for x in range(lat.nx):
-            p = LatticePoint(t, x)
-            c = complex(w[lat.site_index(p)])
-            if c != 0:
-                out = out + L._build_density(p).scaled(c)
-    return out
+    points = [LatticePoint(t, x) for t in L._rows() for x in range(lat.nx)]
+    return [(complex(w[lat.site_index(p)]), L._build_density(p))
+            for p in points if w[lat.site_index(p)] != 0]
 
 
 @pytest.mark.parametrize("shape", [(12, 16), (5, 7)])
 def test_translated_densities_equal_the_per_site_route(shape):
-    # one density per row type, translated, and L(f) summed in one table:
-    # the densities built at every site and their fold, bit for bit
+    # one density per row type, translated: the densities built at every
+    # site, bit for bit; L(f) summed in one pass has the keys of the fold
+    # of those densities, every coefficient within the weighted-sum bound
     lat = Lattice(*shape, 0.5)
     rng = np.random.default_rng(11)
     general = GeneralizedLagrangian(lat, (
@@ -295,7 +291,15 @@ def test_translated_densities_equal_the_per_site_route(shape):
                 _hex_key(L._build_density(p))
         for w in (np.ones(lat.n_sites), rng.normal(size=lat.n_sites),
                   np.where(rng.random(lat.n_sites) < 0.3, 1.0, 0.0)):
-            assert _hex_key(L(w)) == _hex_key(_per_site_lagrangian(L, w))
+            pairs = _per_site_pairs(L, w)
+            fold = PolyFunctional.zero(lat)
+            for c, density in pairs:
+                fold = fold + density.scaled(c)
+            got = L(w)
+            assert ({(d, k) for d, k, _c in got.monomials()}
+                    == {(d, k) for d, k, _c in fold.monomials()})
+            ratios = _weighted_ratios(got, pairs)
+            assert max(ratios.values()) <= WEIGHTED_C, max(ratios.values())
 
 
 def test_density_degree_cap(lat):
@@ -418,31 +422,13 @@ def test_add_scale_properties(seed):
     assert ((F.scaled(c)).evaluate(phi) - F.evaluate(phi) * c).norm() < 1e-10
 
 
-# -- bitwise oracle: arithmetic through the validating constructor --------
-#
-# The references are the arithmetic as it was written before sums,
-# scalings and contraction results skipped validation: one HbarScalar per
-# term, every result rebuilt by PolyFunctional.__init__.
+# -- bitwise oracle: the canonical tail against the validating constructor --
 
 
-def _reference_binop(F, G, sign):
-    out = {d: dict(t) for d, t in F.terms.items()}
-    for deg, key, coeff in G.monomials():
-        bucket = out.setdefault(deg, {})
-        bucket[key] = bucket.get(key, HbarScalar.zero()) + sign * coeff
-    return PolyFunctional(F.lattice, out)
-
-
-def _reference_scaled(F, c):
-    c = HbarScalar.coerce(c)
-    return PolyFunctional(F.lattice, {
-        d: {k: v * c for k, v in t.items()} for d, t in F.terms.items()})
-
-
-def _reference_poly_from_flat(lattice, flat):
+def _reference_from_sums(lattice, sums):
     nested = {}
-    for key, coeff in flat.items():
-        nested.setdefault(len(key), {})[key] = coeff
+    for key, cell in sums.items():
+        nested.setdefault(len(key), {})[key] = HbarScalar(cell)
     return PolyFunctional(lattice, nested)
 
 
@@ -502,31 +488,42 @@ def _poly(lat, monos):
 
 @settings(max_examples=150, deadline=None)
 @given(_monos, _monos, _scalar)
-def test_arithmetic_bitwise_matches_validating_reference(fm, gm, c):
+def test_arithmetic_is_within_the_bound_of_the_exact_sum(fm, gm, c):
+    # sums, differences, negation and scalings are weighted sums, each
+    # coefficient within the bound below of the exact one
     lat = Lattice(6, 6, 0.5)
     F, G = _poly(lat, fm), _poly(lat, gm)
-    cases = [(F + G, _reference_binop(F, G, 1)),
-             (G + F, _reference_binop(G, F, 1)),
-             (F + F, _reference_binop(F, F, 1)),
-             (F - G, _reference_binop(F, G, -1)),
-             (F - F, _reference_binop(F, F, -1)),
-             (-F, _reference_scaled(F, -1.0)),
-             (F.scaled(c), _reference_scaled(F, c)),
-             (F * c, _reference_scaled(F, c))]
-    for got, want in cases:
-        assert _hex_key(got) == _hex_key(want)
+    cases = [(F + G, [(1, F), (1, G)]),
+             (G + F, [(1, G), (1, F)]),
+             (F + F, [(1, F), (1, F)]),
+             (F - G, [(1, F), (-1, G)]),
+             (-F, [(-1, F)]),
+             (F.scaled(c), [(c, F)]),
+             (F * c, [(c, F)])]
+    for got, pairs in cases:
+        bad = {k: r for k, r in _weighted_ratios(got, pairs).items()
+               if r > WEIGHTED_C}
+        assert not bad, bad
         _assert_canonical(got)
     assert (F - F).terms == {}
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.dictionaries(_key, _hbar.map(HbarScalar), max_size=6))
-def test_poly_from_flat_bitwise_matches_validating_reference(flat):
-    from paqft.star_algebra import _poly_from_flat
+@given(st.dictionaries(_key, _hbar, max_size=6))
+def test_from_sums_bitwise_matches_validating_reference(sums):
     lat = Lattice(6, 6, 0.5)
-    got = _poly_from_flat(lat, flat)
-    assert _hex_key(got) == _hex_key(_reference_poly_from_flat(lat, flat))
+    got = PolyFunctional._from_sums(lat, sums)
+    assert _hex_key(got) == _hex_key(_reference_from_sums(lat, sums))
     _assert_canonical(got)
+
+
+def test_from_sums_keeps_hbar_window(lat):
+    lo, hi = HBAR_WINDOW
+    F = PolyFunctional._from_sums(lat, {(0,): {hi: 1j}, (): {lo: 2.0}})
+    assert F.hbar_exponent_range() == (lo, hi)
+    for e in (hi + 1, lo - 1):
+        with pytest.raises(HbarWindowError, match=f"exponent {e} outside"):
+            PolyFunctional._from_sums(lat, {(0,): {0: 1.0, e: 0.5}})
 
 
 # -- guards of the validating constructor and the window -----------------

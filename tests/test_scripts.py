@@ -84,7 +84,8 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
         assert {r[f"{name}_calls"] for r in row["runs"]} == {
             row[f"{name}_calls"]} != {0}
     for r in row["runs"]:
-        assert r["visits"] == (r["scaled_visits"] + r["binop_visits"]
+        assert r["visits"] == (r["scaled_visits"] + r["sum_visits"]
+                               + r["difference_visits"]
                                + r["weighted_sum_visits"])
     assert {r["visits"] for r in row["runs"]} == {row["visits"]} != {0}
     assert row["weighted_sum_calls"] > 0
