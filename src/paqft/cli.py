@@ -451,8 +451,7 @@ def _suite_hammerstein(cfg, lat, S):
     tol = float(cfg["tolerances"]["series"])
 
     def dist(A, B):
-        return max((A.coeff(n) - B.coeff(n)).max_norm()
-                   for n in range(cap + 1))
+        return max(A.coeff(n).distance(B.coeff(n)) for n in range(cap + 1))
 
     def one(i, triple):
         rows = check_hammerstein(
@@ -682,13 +681,13 @@ def _extract_z_units(cfg: dict, lat: Lattice, S):
         target = St.series(f, cap)
         rows = []
         for n in range(1, cap + 1):
-            res = (back.coeff(n) - target.coeff(n)).max_norm()
+            res = back.coeff(n).distance(target.coeff(n))
             rows.append({"suite": "extract", "axiom": "roundtrip",
                          "order": n, "sample-id": sid, "residual": res,
                          "pass": bool(res <= tol)})
         if Z is not None:
             for n in range(2, cap + 1):
-                res = (vals[n] - Z.family.diagonal(n, f)).max_norm()
+                res = vals[n].distance(Z.family.diagonal(n, f))
                 rows.append({"suite": "extract", "axiom": "planted-match",
                              "order": n, "sample-id": sid, "residual": res,
                              "pass": bool(res <= tol)})

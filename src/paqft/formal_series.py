@@ -4,9 +4,9 @@ compose_SZ, the set-partition sum that is the one route to S compose Z.
 
 The series engine is target-agnostic: coefficients may be scalars
 (complex, Fraction), HbarScalar, or PolyFunctional; they need addition,
-scalar multiplication, and (for multiply/invert) a bilinear product passed
-explicitly.  Factor divisions go through Fraction so exact scalar targets
-stay exact.
+scalar multiplication, and (for multiply/invert) a bilinear product, their
+own `*` or a product_sum passed explicitly.  Factor divisions go through
+Fraction so exact scalar targets stay exact.
 
 Polarization and compose_SZ are weighted sums of family values, and both
 go through the one summing helper, weighted_sum: a term type with a
@@ -23,7 +23,7 @@ passes the star algebra's accumulation entry
 or invert, so each coefficient is contracted into one accumulator and
 each distinct right factor's selections and contractions are built once
 in the call and freed when it returns.  Without a product_sum the
-products are formed one by one and added up.
+products x * y are formed one by one and added up.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,44 +82,36 @@ def series_scale(a: LambdaSeries, c) -> LambdaSeries:
     return LambdaSeries(a.order_cap, tuple(x * c for x in a.coefficients))
 
 
-def _summed_products(product: Callable, product_sum: Callable) -> Callable:
+def _summed_products(product_sum: Callable) -> Callable:
     """The sum of the products of a list of (x, y) pairs: product_sum
-    itself, or else the products one by one (product, or *) added up."""
+    itself, or else the products x * y one by one added up."""
     if product_sum is not None:
         return product_sum
-    mul = product if product is not None else (lambda x, y: x * y)
-
-    def total(pairs):
-        acc = None
-        for x, y in pairs:
-            term = mul(x, y)
-            acc = term if acc is None else acc + term
-        return acc
-    return total
+    return lambda pairs: functools.reduce(operator.add,
+                                          (x * y for x, y in pairs))
 
 
 def series_multiply(a: LambdaSeries, b: LambdaSeries,
-                    product: Callable = None,
                     product_sum: Callable = None) -> LambdaSeries:
     """Cauchy product; factor order preserved (a-coefficient left).
 
     Coefficient n is product_sum([(a_0, b_n), .., (a_n, b_0)]) when a
     product_sum is given, else the sum of the products one by one."""
     _check_caps(a, b)
-    total = _summed_products(product, product_sum)
+    total = _summed_products(product_sum)
     return LambdaSeries(a.order_cap, tuple(
         total([(a.coeff(k), b.coeff(n - k)) for k in range(n + 1)])
         for n in range(a.order_cap + 1)))
 
 
-def series_invert(a: LambdaSeries, product: Callable = None,
-                  unit=None, product_sum: Callable = None) -> LambdaSeries:
+def series_invert(a: LambdaSeries, unit=None,
+                  product_sum: Callable = None) -> LambdaSeries:
     """Two-sided inverse of a series with unit leading coefficient.
 
     b_0 = unit, b_n = -sum_{k=1..n} a_k b_{n-k}, the sum formed as in
     series_multiply.
     """
-    total = _summed_products(product, product_sum)
+    total = _summed_products(product_sum)
     u = unit if unit is not None else 1
     if not _equals(a.coeff(0), u):
         raise ValueError("leading coefficient is not the unit; not invertible")
@@ -254,7 +247,7 @@ def weighted_sum(pairs: Sequence):
     summed = getattr(type(first), "weighted_sum", None)
     if summed is not None:
         return summed(first.lattice, pairs)
-    return _summed_products(None, None)([(t, w) for w, t in pairs])
+    return _summed_products(None)([(t, w) for w, t in pairs])
 
 
 def polarize(family: MultilinearFamily, n: int, args: Sequence):

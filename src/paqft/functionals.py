@@ -17,17 +17,16 @@ transient: at caps.degree 4, the T-values of orders 3 and 4 reach degree
 Canonical form: every key is sorted, its sites are in range and its length
 is its degree; every coefficient is a non-zero HbarScalar inside the hbar
 window; no degree is empty, and degrees are stored in ascending order.
-``PolyFunctional(lattice, terms)`` validates, sorts and merges its input
-into this form, and every ingestion route goes through it (from_monomials,
-JSON, shift_field_series, decompose_L1, star_algebra.beta, poly x poly
-products, external callers).  Every sum of functionals is a weighted sum
-(``PolyFunctional.weighted_sum``): sums, differences, negation,
-scalings, L(f), compose_SZ, polarization and extract_Z.  It sums every
-product w * v in one pass, as plain complex numbers, and each coefficient
-is within a stated rounding bound of the exact sum.  Weighted sums and
-contraction results (star_algebra, within its own stated bound) end in
-one tail, ``PolyFunctional._from_sums``, which checks the window, drops
-zero sums and stores the canonical form without a second pass.
+Three accumulators build every functional, and all end in one tail,
+``PolyFunctional._from_sums``, which checks the window, drops zero sums
+and stores the canonical form without a second pass.
+``PolyFunctional.from_terms`` adds (key, coefficient) items in order: the
+constructor, from_monomials, JSON, shift_field_series, poly x poly
+products, derivative and smatrix_renorm's site derivative.
+``PolyFunctional.weighted_sum`` forms every sum of functionals (sums,
+differences, negation, scalings, L(f), compose_SZ, polarization and
+extract_Z), each coefficient within a stated rounding bound of the exact
+sum; ``StarAlgebraContext.contract_sum`` forms contractions.
 """
 
 from __future__ import annotations
@@ -201,11 +200,12 @@ class PolyFunctional:
     """Polynomial functional F(phi) with HbarScalar coefficients.
 
     ``terms`` is ``{degree: {sorted site-index key: HbarScalar}}`` in
-    canonical form (see the module docstring); the constructor validates,
-    ``_canonical`` trusts its caller.  Degrees ascend; the order of the
-    keys within a degree is part of the value: ``content_key`` and every
-    later summation follow it.  A functional is not changed after it is
-    built, so its content key is built once and kept.
+    canonical form (see the module docstring).  The constructor checks
+    each key's length against its degree and builds through
+    ``from_terms``; ``_canonical`` trusts its caller.  Degrees ascend; the
+    order of the keys within a degree is part of the value: ``content_key``
+    and every later summation follow it.  A functional is not changed
+    after it is built, so its content key is built once and kept.
 
     >>> lat = Lattice(4, 4, 0.5)
     >>> F = PolyFunctional.from_monomials(lat, [(2.0, [LatticePoint(1, 1)])])
@@ -218,30 +218,15 @@ class PolyFunctional:
 
     def __init__(self, lattice: Lattice,
                  terms: Mapping[int, Mapping[tuple, HbarScalar]] | None = None):
-        self.lattice = lattice
-        self._key = None
-        clean: dict[int, dict[tuple, HbarScalar]] = {}
-        for deg, tensor in (terms or {}).items():
-            for key, coeff in tensor.items():
-                key = tuple(sorted(int(i) for i in key))
+        terms = terms or {}
+        for deg, tensor in terms.items():
+            for key in tensor:
                 if len(key) != deg:
-                    raise ValueError(f"key {key} has length != degree {deg}")
-                for i in key:
-                    if not (0 <= i < lattice.n_sites):
-                        raise ValueError(f"site index {i} out of range")
-                coeff = HbarScalar.coerce(coeff)
-                if coeff.is_zero():
-                    continue
-                bucket = clean.setdefault(deg, {})
-                if key in bucket:
-                    merged = bucket[key] + coeff
-                    if merged.is_zero():
-                        del bucket[key]
-                    else:
-                        bucket[key] = merged
-                else:
-                    bucket[key] = coeff
-        self.terms = {d: clean[d] for d in sorted(clean) if clean[d]}
+                    raise ValueError(
+                        f"key {tuple(sorted(key))} has length != degree {deg}")
+        self.lattice, self._key = lattice, None
+        self.terms = PolyFunctional.from_terms(lattice, (
+            item for t in terms.values() for item in t.items())).terms
 
     # -- constructors --------------------------------------------------------
 
@@ -260,10 +245,10 @@ class PolyFunctional:
     def _from_sums(cls, lattice: Lattice,
                    sums: dict[tuple, dict[int, complex]]) -> "PolyFunctional":
         """The canonical functional of {sorted in-range key: {exponent:
-        complex}} coefficient sums, the one tail of weighted_sum and
-        StarAlgebraContext.contract_sum: each exponent is checked against
-        the hbar window, zero sums are dropped, and the keys are grouped
-        by ascending degree, keeping their order within a degree."""
+        complex}} coefficient sums, the one tail of from_terms, weighted_sum
+        and contract_sum: each exponent is checked against the hbar window,
+        zero sums are dropped, and the keys are grouped by ascending
+        degree, keeping their order within a degree."""
         lo, hi = HBAR_WINDOW
         terms: dict[int, dict[tuple, HbarScalar]] = {}
         for key, cell in sums.items():
@@ -278,13 +263,38 @@ class PolyFunctional:
                 bucket[key] = HbarScalar._canonical(cell)
         return cls._canonical(lattice, {d: terms[d] for d in sorted(terms)})
 
+    @classmethod
+    def from_terms(cls, lattice: Lattice, items: Iterable) -> "PolyFunctional":
+        """The functional of (site-index key, coefficient) items, in one
+        pass: each key is sorted and range-checked, and each coefficient,
+        through HbarScalar.coerce, is added in item order into the sums for
+        _from_sums.  A zero coefficient adds no key; a key met once keeps
+        its coefficient bit for bit."""
+        n = lattice.n_sites
+        acc: dict[tuple, dict[int, complex]] = {}
+        for key, coeff in items:
+            key = tuple(sorted(int(i) for i in key))
+            if key and (key[0] < 0 or key[-1] >= n):
+                bad = next(i for i in key if not 0 <= i < n)
+                raise ValueError(f"site index {bad} out of range")
+            coeffs = HbarScalar.coerce(coeff).coeffs
+            if not coeffs:
+                continue
+            cell = acc.get(key)
+            if cell is None:
+                acc[key] = dict(coeffs)
+            else:
+                for e, v in coeffs.items():
+                    cell[e] = cell[e] + v if e in cell else v
+        return cls._from_sums(lattice, acc)
+
     @staticmethod
     def zero(lattice: Lattice) -> "PolyFunctional":
         return PolyFunctional(lattice)
 
     @staticmethod
     def constant(lattice: Lattice, c) -> "PolyFunctional":
-        return PolyFunctional(lattice, {0: {(): HbarScalar.coerce(c)}})
+        return PolyFunctional(lattice, {0: {(): c}})
 
     @staticmethod
     def unit(lattice: Lattice) -> "PolyFunctional":
@@ -301,15 +311,15 @@ class PolyFunctional:
 
         Enforces the configured degree cap.
         """
-        terms: dict[int, dict[tuple, HbarScalar]] = {}
-        for coeff, points in monomials:
-            deg = len(points)
-            if deg > MAX_DEGREE:
-                raise ValueError(f"monomial degree {deg} exceeds cap {MAX_DEGREE}")
-            key = tuple(sorted(lattice.site_index(p) for p in points))
-            bucket = terms.setdefault(deg, {})
-            bucket[key] = bucket.get(key, HbarScalar.zero()) + HbarScalar.coerce(coeff)
-        return PolyFunctional(lattice, terms)
+        def items():
+            for coeff, points in monomials:
+                deg = len(points)
+                if deg > MAX_DEGREE:
+                    raise ValueError(
+                        f"monomial degree {deg} exceeds cap {MAX_DEGREE}")
+                yield [lattice.site_index(p) for p in points], coeff
+
+        return PolyFunctional.from_terms(lattice, items())
 
     # -- structure -----------------------------------------------------------
 
@@ -324,7 +334,16 @@ class PolyFunctional:
                    default=0.0)
 
     def distance(self, other: "PolyFunctional") -> float:
-        return (self - other).max_norm()
+        """(self - other).max_norm() bit for bit (x + (-1)y is x - y),
+        without building the difference."""
+        if other.lattice is not self.lattice and other.lattice != self.lattice:
+            raise ValueError("lattice mismatch")
+        a, b = ({k: c.coeffs for t in F.terms.values() for k, c in t.items()}
+                for F in (self, other))
+        return max((abs(a.get(k, {}).get(e, 0j) - b.get(k, {}).get(e, 0j))
+                    for k in a.keys() | b.keys()
+                    for e in a.get(k, {}).keys() | b.get(k, {}).keys()),
+                   default=0.0)
 
     def support(self) -> Region:
         lat = self.lattice
@@ -402,28 +421,26 @@ class PolyFunctional:
         if n < 1:
             raise ValueError("derivative order must be >= 1")
         vals = field_values(self.lattice, phi)
-        out: dict[tuple, HbarScalar] = {}
-        for deg, key, coeff in self.monomials():
-            if deg < n:
-                continue
-            counts = Counter(key)
-            pts = sorted(counts)
-            bounds = [counts[p] for p in pts]
-            for m in _bounded_compositions(n, bounds):
-                factor = 1.0 + 0j
-                dkey = []
-                for p, n_p, m_p in zip(pts, bounds, m):
-                    factor *= math.perm(n_p, m_p)
-                    if n_p - m_p:
-                        factor *= complex(vals[p]) ** (n_p - m_p)
-                    dkey.extend([p] * m_p)
-                dkey = tuple(dkey)
-                cur = out.get(dkey, HbarScalar.zero()) + coeff * factor
-                if cur.is_zero():
-                    out.pop(dkey, None)
-                else:
-                    out[dkey] = cur
-        return out
+
+        def items():
+            for deg, key, coeff in self.monomials():
+                if deg < n:
+                    continue
+                counts = Counter(key)
+                pts = sorted(counts)
+                bounds = [counts[p] for p in pts]
+                for m in _bounded_compositions(n, bounds):
+                    factor = 1.0 + 0j
+                    dkey = []
+                    for p, n_p, m_p in zip(pts, bounds, m):
+                        factor *= math.perm(n_p, m_p)
+                        if n_p - m_p:
+                            factor *= complex(vals[p]) ** (n_p - m_p)
+                        dkey.extend([p] * m_p)
+                    yield dkey, coeff * factor
+
+        F = PolyFunctional.from_terms(self.lattice, items())
+        return F.terms.get(n, {})
 
     def shift_field(self, psi) -> "PolyFunctional":
         """F(. + psi) expanded exactly."""
@@ -437,8 +454,7 @@ class PolyFunctional:
         arguments whose shift carries the expansion parameter.
         """
         vals = field_values(self.lattice, psi)
-        rows: list[dict[int, dict[tuple, HbarScalar]]] = [
-            {} for _ in range(self.degree() + 1)]
+        rows: list[list] = [[] for _ in range(self.degree() + 1)]
         for deg, key, coeff in self.monomials():
             counts = Counter(key)
             pts = sorted(counts)
@@ -454,10 +470,8 @@ class PolyFunctional:
                     newkey.extend([p] * (n_p - m_p))
                 if factor == 0:
                     continue
-                newkey = tuple(newkey)
-                bucket = rows[k].setdefault(len(newkey), {})
-                bucket[newkey] = bucket.get(newkey, HbarScalar.zero()) + coeff * factor
-        return [PolyFunctional(self.lattice, r) for r in rows]
+                rows[k].append((newkey, coeff * factor))
+        return [PolyFunctional.from_terms(self.lattice, r) for r in rows]
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -511,13 +525,9 @@ class PolyFunctional:
         if isinstance(other, PolyFunctional):
             if self.lattice != other.lattice:
                 raise ValueError("lattice mismatch")
-            out: dict[int, dict[tuple, HbarScalar]] = {}
-            for da, ka, ca in self.monomials():
-                for db, kb, cb in other.monomials():
-                    key = tuple(sorted(ka + kb))
-                    bucket = out.setdefault(da + db, {})
-                    bucket[key] = bucket.get(key, HbarScalar.zero()) + ca * cb
-            return PolyFunctional(self.lattice, out)
+            return PolyFunctional.from_terms(self.lattice, (
+                (ka + kb, ca * cb) for _da, ka, ca in self.monomials()
+                for _db, kb, cb in other.monomials()))
         return self.scaled(other)
 
     __rmul__ = __mul__
@@ -552,19 +562,22 @@ class PolyFunctional:
 
 
 def poly_from_json_dict(lattice: Lattice, data: Mapping) -> PolyFunctional:
-    terms: dict[int, dict[tuple, HbarScalar]] = {}
-    for deg_s, rows in data.items():
-        deg = int(deg_s)
-        if deg > MAX_DEGREE:
-            raise ValueError(f"degree {deg} exceeds cap {MAX_DEGREE}")
-        bucket = terms.setdefault(deg, {})
-        for row in rows:
-            key = tuple(sorted(
-                lattice.site_index(LatticePoint(int(t), int(x)))
-                for t, x in row["points"]))
-            coeff = HbarScalar.from_json(row["coeff"])
-            bucket[key] = bucket.get(key, HbarScalar.zero()) + coeff
-    return PolyFunctional(lattice, terms)
+    """The functional of a to_json_dict mapping from outside the program:
+    degrees are capped, and each row has as many points as its degree."""
+    def items():
+        for deg_s, rows in data.items():
+            deg = int(deg_s)
+            if deg > MAX_DEGREE:
+                raise ValueError(f"degree {deg} exceeds cap {MAX_DEGREE}")
+            for row in rows:
+                key = [lattice.site_index(LatticePoint(int(t), int(x)))
+                       for t, x in row["points"]]
+                if len(key) != deg:
+                    raise ValueError(
+                        f"key {tuple(sorted(key))} has length != degree {deg}")
+                yield key, HbarScalar.from_json(row["coeff"])
+
+    return PolyFunctional.from_terms(lattice, items())
 
 
 # -- locality -------------------------------------------------------------------
@@ -927,12 +940,8 @@ def decompose_L1(g: PolyFunctional, F1: Region, F2: Region,
             f"{t2_min - t1_max})")
     cuts = [t1_max + R + 1 + i * spacing for i in range(N - 1)]
 
-    parts_terms: list[dict[int, dict[tuple, HbarScalar]]] = [{} for _ in range(N)]
-    for deg, key, coeff in g.monomials():
-        if deg == 0:
-            band = 0
-        else:
-            max_row = max(lat.point(i).t for i in key)
-            band = bisect_right(cuts, max_row)
-        parts_terms[band].setdefault(deg, {})[key] = coeff
-    return [PolyFunctional(lat, t) for t in parts_terms]
+    parts: list[list] = [[] for _ in range(N)]
+    for _deg, key, coeff in g.monomials():
+        rows = [lat.point(i).t for i in key]
+        parts[bisect_right(cuts, max(rows)) if rows else 0].append((key, coeff))
+    return [PolyFunctional.from_terms(lat, items) for items in parts]

@@ -271,8 +271,6 @@ def _default_distance(a, b) -> float:
     diff = a - b
     if hasattr(diff, "norm"):
         return float(diff.norm())
-    if hasattr(diff, "max_norm"):
-        return float(diff.max_norm())
     return abs(diff)
 
 

@@ -170,21 +170,12 @@ class RenormalizationMap:
 def _partial(F: PolyFunctional, site: int) -> PolyFunctional:
     """Symbolic field derivative of F at one site (product rule on
     monomials)."""
-    flat: dict = {}
+    items = []
     for _deg, key, coeff in F.monomials():
-        cnt = key.count(site)
-        if not cnt:
-            continue
-        k2 = list(key)
-        k2.remove(site)
-        k2 = tuple(k2)
-        prev = flat.get(k2)
-        term = coeff * cnt
-        flat[k2] = term if prev is None else prev + term
-    nested: dict = {}
-    for key, coeff in flat.items():
-        nested.setdefault(len(key), {})[key] = coeff
-    return PolyFunctional(F.lattice, nested)
+        if site in key:
+            i = key.index(site)
+            items.append((key[:i] + key[i + 1:], coeff * key.count(site)))
+    return PolyFunctional.from_terms(F.lattice, items)
 
 
 def make_handcrafted_Z(lattice: Lattice, kappa, window) -> RenormalizationMap:
@@ -250,7 +241,7 @@ def extract_Z(S: SMatrix, S_tilde: SMatrix, f: PolyFunctional, cap: int,
     lat = S.lattice
     t1 = S.family.diagonal(1, f)
     scale = max(1.0, t1.max_norm())
-    if (S_tilde.family.diagonal(1, f) - t1).max_norm() > order1_tol * scale:
+    if S_tilde.family.diagonal(1, f).distance(t1) > order1_tol * scale:
         raise ValueError(
             "order-1 coefficients of the two S-matrices differ (S3 is "
             "violated); no renormalization map with Z_1 = id relates them")
@@ -441,9 +432,9 @@ def check_S_axioms(S: SMatrix, plan: dict) -> list:
     for n in range(cap + 1):
         target = unit if n == 0 else zerof
         rows.append(_row("S", "S1", n, "s1",
-                         (zser.coeff(n) - target).max_norm(), kernel_tol))
+                         zser.coeff(n).distance(target), kernel_tol))
     for i, f in enumerate(singles):
-        res = (S.series(f, 1).coeff(1) - f * prefactor(1)).max_norm()
+        res = S.series(f, 1).coeff(1).distance(f * prefactor(1))
         rows.append(_row("S", "S3", 1, f"s3-{i:02d}", res, kernel_tol))
     phi = functools.partial(S.series, cap=cap)
     for i, (f1, fm, f2) in enumerate(triples):
@@ -453,7 +444,7 @@ def check_S_axioms(S: SMatrix, plan: dict) -> list:
                                          S.invert, f1, mid, f2)
             for n in range(1, cap + 1):
                 rows.append(_row("S", "S2", n, f"{tag}-{i:02d}",
-                                 (lhs.coeff(n) - rhs.coeff(n)).max_norm(),
+                                 lhs.coeff(n).distance(rhs.coeff(n)),
                                  series_tol))
         ser1 = S.series(f1, cap)
         ser2 = S.series(f2, cap)
@@ -476,7 +467,7 @@ def check_S_axioms(S: SMatrix, plan: dict) -> list:
             left = S.family.mixed(k, chain[:k]) if k > 1 else chain[0]
             right = S.family.mixed(n - k, chain[k:]) if n - k > 1 \
                 else chain[k]
-            res = (full - S.context.star(left, right)).max_norm()
+            res = full.distance(S.context.star(left, right))
             rows.append(_row("S", "T1", n, f"t1-{i:02d}-k{k}", res,
                              kernel_tol))
     return rows
@@ -504,7 +495,7 @@ def z_axiom_units(Z: RenormalizationMap, lattice: Lattice,
         rows = [_row("Z", "Z1", n, "z1", zser.coeff(n).max_norm(), tol)
                 for n in range(cap + 1)]
         for i, f in enumerate(singles):
-            res = (Z.family.diagonal(1, f) - f).max_norm()
+            res = Z.family.diagonal(1, f).distance(f)
             rows.append(_row("Z", "Z4", 1, f"z4-{i:02d}", res, tol))
         return rows
 
@@ -514,7 +505,7 @@ def z_axiom_units(Z: RenormalizationMap, lattice: Lattice,
             lhs, rhs = hammerstein_sides(phi, operator.add, series_add,
                                          _negate, f1, mid, f2)
             for n in range(cap + 1):
-                res = (lhs.coeff(n) - rhs.coeff(n)).max_norm()
+                res = lhs.coeff(n).distance(rhs.coeff(n))
                 rows.append(_row("Z", "Z3", n, f"z3-{i:02d}-{tag}", res, tol))
             # the relative maps, from the memo entries the identity made
             b, c, d = phi(mid + f1), phi(mid), phi(f2 + mid)
@@ -601,7 +592,7 @@ def extracted_locality_units(Z: RenormalizationMap, lattice: Lattice,
         lin_lhs = fam.mixed(n, [fs[0] + fs[1]] + list(fs[1:n]))
         lin_rhs = fam.mixed(n, list(fs[:n])) + \
             fam.mixed(n, [fs[1]] + list(fs[1:n]))
-        res = (lin_lhs - lin_rhs).max_norm() / scale
+        res = lin_lhs.distance(lin_rhs) / scale
         return [_row("Z", "multilinearity", n, f"polar-{n}", res, tol)]
 
     return (z_axiom_units(Z, lattice, plan)
@@ -670,7 +661,7 @@ def check_schwinger_dyson(S: SMatrix, L: GeneralizedLagrangian,
     right = S.multiply(B, A)
     for n in range(cap + 1):
         for sid, prod in (("left", left), ("right", right)):
-            res = (prod.coeff(n) - M.coeff(n)).max_norm()
+            res = prod.coeff(n).distance(M.coeff(n))
             row = _row("SD", "S6", n, sid, res, bound)
             row["bound"] = float(bound)
             rows.append(row)

@@ -345,7 +345,7 @@ def beta(F: PolyFunctional, regions: Sequence[Iterable]) -> list:
     prod = factors[0]
     for g in factors[1:]:
         prod = prod * g
-    if (prod - F).max_norm() > 1e-10 * max(1.0, F.max_norm()):
+    if prod.distance(F) > 1e-10 * max(1.0, F.max_norm()):
         raise ValueError(
             "functional is not the pointwise product of per-region factors")
     return factors

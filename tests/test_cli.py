@@ -924,3 +924,14 @@ def test_correlate_rejects_bad_functional_spec(tmp_path, capsys):
                  "--set", 'correlate.observables=[{"x": 1}]'])
     assert code == 2
     assert "bad functional spec" in capsys.readouterr().err
+
+
+def test_correlate_rejects_a_row_unlike_its_degree(tmp_path, capsys):
+    # one point under the degree key "2": the spec comes from outside the
+    # program, so a row's length does not stand in for its degree
+    spec = ('correlate.observables=[{"2": [{"points": [[2, 2]], '
+            '"coeff": [[0, 1.0, 0.0]]}]}]')
+    code = main(["correlate", "--set", f"output={tmp_path}", "--set", spec])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad functional spec" in err and "length != degree 2" in err

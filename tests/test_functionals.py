@@ -1,5 +1,6 @@
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -422,14 +423,37 @@ def test_add_scale_properties(seed):
     assert ((F.scaled(c)).evaluate(phi) - F.evaluate(phi) * c).norm() < 1e-10
 
 
-# -- bitwise oracle: the canonical tail against the validating constructor --
+# -- bitwise oracle: the builders against an independent merge loop ------
+
+
+def _reference_build(lattice, items):
+    """The functional of (key, coefficient) items by the merge loop the
+    constructor ran before from_terms: HbarScalar additions, a zero
+    coefficient skipped, and a key whose sum is zero deleted (and put at
+    the end if it comes again)."""
+    clean = {}
+    for key, coeff in items:
+        key = tuple(sorted(int(i) for i in key))
+        assert all(0 <= i < lattice.n_sites for i in key)
+        coeff = HbarScalar.coerce(coeff)
+        if coeff.is_zero():
+            continue
+        bucket = clean.setdefault(len(key), {})
+        if key in bucket:
+            merged = bucket[key] + coeff
+            if merged.is_zero():
+                del bucket[key]
+            else:
+                bucket[key] = merged
+        else:
+            bucket[key] = coeff
+    return PolyFunctional._canonical(
+        lattice, {d: clean[d] for d in sorted(clean) if clean[d]})
 
 
 def _reference_from_sums(lattice, sums):
-    nested = {}
-    for key, cell in sums.items():
-        nested.setdefault(len(key), {})[key] = HbarScalar(cell)
-    return PolyFunctional(lattice, nested)
+    return _reference_build(
+        lattice, [(key, HbarScalar(cell)) for key, cell in sums.items()])
 
 
 def _hex_key(F):
@@ -515,6 +539,83 @@ def test_from_sums_bitwise_matches_validating_reference(sums):
     got = PolyFunctional._from_sums(lat, sums)
     assert _hex_key(got) == _hex_key(_reference_from_sums(lat, sums))
     _assert_canonical(got)
+
+
+# unsorted keys over few sites, so that keys repeat in either form
+_site_list = st.lists(st.sampled_from(_SITES), max_size=3).map(tuple)
+
+
+@st.composite
+def _items(draw):
+    """(key, coefficient) items with repeated keys; some items come back
+    negated with their sites reversed, so that sums cancel exactly."""
+    items = draw(st.lists(st.tuples(_site_list,
+                                    _hbar.map(HbarScalar) | _complex),
+                          max_size=6))
+    for key, c in list(items):
+        if draw(st.booleans()):
+            items.append((key[::-1], -c))
+    return items
+
+
+def _hex(c):
+    return [(e, v.real.hex(), v.imag.hex()) for e, v in c.coeffs.items()]
+
+
+def _assert_matches_reference(got, ref, items):
+    # the same keys per degree and equal sums; bit for bit where a key
+    # occurs once (a zero coefficient does not count)
+    assert {d: set(t) for d, t in got.terms.items()} == \
+        {d: set(t) for d, t in ref.terms.items()}
+    seen = Counter(tuple(sorted(k)) for k, c in items
+                   if HbarScalar.coerce(c).coeffs)
+    for d, t in got.terms.items():
+        for key, c in t.items():
+            want = ref.terms[d][key]
+            assert c.coeffs == want.coeffs
+            if seen[key] == 1:
+                assert _hex(c) == _hex(want)
+    _assert_canonical(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_items())
+def test_builders_match_the_merge_loop_reference(items):
+    lat = Lattice(6, 6, 0.5)
+    _assert_matches_reference(PolyFunctional.from_terms(lat, items),
+                              _reference_build(lat, items), items)
+    # the constructor, on the items a {degree: {key: coefficient}} keeps
+    terms = {}
+    for key, c in items:
+        terms.setdefault(len(key), {})[key] = c
+    kept = [item for t in terms.values() for item in t.items()]
+    _assert_matches_reference(PolyFunctional(lat, terms),
+                              _reference_build(lat, kept), kept)
+
+
+def test_from_terms_keeps_a_single_coefficient_bitwise(lat):
+    c = HbarScalar({1: complex(-0.0, 1.0), -2: complex(0.5, -0.0)})
+    F = PolyFunctional.from_terms(lat, [((3, 1), c), ((1, 3, 5), 0j)])
+    assert list(F.terms) == [2] and _hex(F.terms[2][(1, 3)]) == _hex(c)
+    with pytest.raises(ValueError, match="site index -1 out of range"):
+        PolyFunctional.from_terms(lat, [((0, -1), 1.0)])
+    with pytest.raises(ValueError, match=f"site index {lat.n_sites} out"):
+        PolyFunctional.from_terms(lat, [((lat.n_sites, 2, lat.n_sites + 1),
+                                         1.0)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monos, _monos)
+def test_distance_bitwise_matches_the_difference_norm(fm, gm):
+    # shared and disjoint keys, several hbar exponents, signed zeros and
+    # exact cancellation (F against F, and F + G against F)
+    lat = Lattice(6, 6, 0.5)
+    F, G = _poly(lat, fm), _poly(lat, gm)
+    zero = PolyFunctional.zero(lat)
+    for a, b in [(F, G), (G, F), (F, F), (F + G, F), (F, -F), (F, zero),
+                 (zero, G)]:
+        assert a.distance(b).hex() == (a - b).max_norm().hex()
+    assert F.distance(F) == 0.0
 
 
 def test_from_sums_keeps_hbar_window(lat):
