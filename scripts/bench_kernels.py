@@ -19,11 +19,12 @@ up their seconds and calls.  The extraction layer (the `extract` entry):
 the extract-z units, serially, with the outermost `extract_Z`,
 `compose_SZ` and `polarize` calls timed and counted, and the monomials
 that `PolyFunctional.scaled`, the sums and differences (`__add__` and
-`__sub__`) and `weighted_sum` (where the tree has it) visit counted: a
-scaling visits its operand's monomials, a sum both operands' and a
-weighted sum every term's, each at the outermost of these calls only, so
-a sum that is itself a weighted sum counts once (the counting adds about
-1 us per call to the times).  The unit runner (the `pool` entry): in a fresh
+`__sub__`), `weighted_sum` and `distance` (each where the tree has it)
+visit counted: a scaling visits its operand's monomials, a sum, a
+difference and a distance both operands' and a weighted sum every
+term's, each at the outermost of these calls only, so a sum that is
+itself a weighted sum counts once (the counting adds about 1 us per call
+to the times).  The unit runner (the `pool` entry): in a fresh
 process that has imported `paqft.cli`, the wall of
 `cli._run_units([list] * POOL_UNITS)`, units that do no work, so it times
 what the runner itself costs: its imports, forks, dispatch and reaping.
@@ -34,7 +35,12 @@ this process (the floor skips interpreter teardown, as `paqft.cli.run`
 does with `os._exit`; a floor that paid for teardown could read above
 the CLI); the entry records whether the children write bytecode
 (PYTHONDONTWRITEBYTECODE unset), since a child that cannot cache it
-compiles every module it loads.
+compiles every module it loads.  The test suite (the `tier1` entry): the
+wall of `python -m pytest -q -p no:cacheprovider <tree>/tests` with
+PYTHONPATH=<tree>/src, where <tree> is the parent directory of the timed
+`src`, run from an empty temporary directory so that no cache lands in
+the tree; it records the passed count, and any failed test fails the
+entry.
 
 Each entry runs in --runs fresh processes (default 3), one after another;
 the figures are the medians over those processes.  The result is stored in
@@ -60,7 +66,8 @@ the pairs in which it was lower:
 `cli._build`, `cli._extract_z_units`, `cli._run_units`, `SMatrix.series`,
 `multiply`, `invert`, `extract_Z`, `compose_SZ`, `polarize`,
 `PolyFunctional.scaled`, `__add__` and `__sub__`, and
-`StarAlgebraContext.contract_sum` or `_contract`).
+`StarAlgebraContext.contract_sum` or `_contract`; `weighted_sum` and
+`distance` count zero in a tree without them).
 Each label also records `src_lines`, the line count of that tree's
 `paqft/*.py`.  The mass is 0.5, the default working point.
 """
@@ -70,6 +77,7 @@ import gc
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -92,13 +100,15 @@ WHAT = ("seconds, median of fresh processes per entry, m = 0.5; "
         "caps.lambda_order=4; series: SMatrix.series, multiply and invert "
         "in the serial axioms units, outermost calls; extract: extract_Z, "
         "compose_SZ and polarize in the serial extract-z units, outermost "
-        "calls, and the monomials PolyFunctional.scaled, + and - and "
-        "weighted_sum visit, outermost calls; pool: "
+        "calls, and the monomials PolyFunctional.scaled, + and -, "
+        "weighted_sum and distance visit, outermost calls; pool: "
         f"cli._run_units of {POOL_UNITS} units that do no work, in a fresh "
         "process; startup: spawn-to-exit wall of "
         "`python -m paqft.cli propagators` at 16x32 and of "
         "`python -c 'import numpy, os; os._exit(0)'` (no teardown, as "
-        "the CLI)")
+        "the CLI); tier1: wall of `python -m pytest -q -p no:cacheprovider "
+        "<tree>/tests` from an empty working directory, and the passed "
+        "count")
 # the contraction entries and the caps.lambda_order each sets (None: the
 # default)
 CONTRACT = {"contract": None, "contract-l4": 4}
@@ -238,8 +248,9 @@ def _visits(cls, name: str, spent: dict, key: str, operands,
 def extract_child() -> None:
     """One timed process: the extract-z units at 12x16, serially, with the
     outermost `extract_Z`, `compose_SZ` and `polarize` calls timed and
-    counted, and the monomials of the scalings, sums and weighted sums
-    (where the tree has `PolyFunctional.weighted_sum`) counted."""
+    counted, and the monomials of the scalings, sums, weighted sums and
+    distances (where the tree has `PolyFunctional.weighted_sum` and
+    `distance`) counted."""
     from paqft import cli, formal_series, smatrix_renorm
     from paqft.functionals import PolyFunctional
 
@@ -254,12 +265,13 @@ def extract_child() -> None:
     _visits(PolyFunctional, "__add__", spent, "sum", lambda a: a[:2], depth)
     _visits(PolyFunctional, "__sub__", spent, "difference", lambda a: a[:2],
             depth)
-    if hasattr(PolyFunctional, "weighted_sum"):
-        _visits(PolyFunctional, "weighted_sum", spent, "weighted_sum",
-                lambda a: [F for _w, F in a[1]], depth)
-    else:
-        # zero in a tree without weighted sums, so both trees have every key
-        spent["weighted_sum_calls"] = spent["weighted_sum_visits"] = 0
+    for name, operands in (("weighted_sum", lambda a: [F for _w, F in a[1]]),
+                           ("distance", lambda a: a[:2])):
+        if hasattr(PolyFunctional, name):
+            _visits(PolyFunctional, name, spent, name, operands, depth)
+        else:
+            # zero in a tree without it, so both trees have every key
+            spent[name + "_calls"] = spent[name + "_visits"] = 0
     cfg = cli.load_config(None, [])
     lat, S = cli._build(cfg)
     f_units, z_units = cli._extract_z_units(cfg, lat, S)
@@ -267,7 +279,7 @@ def extract_child() -> None:
     _run_serially(spent, "extract_units_s", f_units + z_units)
     spent["visits"] = sum(spent[f"{key}_visits"]
                           for key in ("scaled", "sum", "difference",
-                                      "weighted_sum"))
+                                      "weighted_sum", "distance"))
     print(json.dumps(spent))
 
 
@@ -316,10 +328,29 @@ def startup(env: dict) -> dict:
     return walls
 
 
+def tier1(src: Path, env: dict) -> dict:
+    """One wall of the test suite of the tree that holds `src`, run from an
+    empty working directory; a failed test raises."""
+    with tempfile.TemporaryDirectory() as cwd:
+        t0 = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             str(src.parent / "tests")],
+            env=env, cwd=cwd, capture_output=True, text=True)
+        wall = time.perf_counter() - t0
+    summary = run.stdout.strip().splitlines()[-1:]
+    if run.returncode != 0:
+        raise RuntimeError(f"tier1 in {src.parent} failed: {summary}")
+    return {"tier1_s": wall,
+            "passed": int(re.search(r"(\d+) passed", summary[0])[1])}
+
+
 def run_once(entry: str, src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     if entry == "startup":
         return startup(env)
+    if entry == "tier1":
+        return tier1(src, env)
     out = subprocess.run(
         [sys.executable, __file__, "--child", entry], env=env,
         capture_output=True, text=True, check=True)
@@ -361,7 +392,8 @@ def report(label: str, entry: str, row: dict) -> str:
                 f"{row['visits']:.0f} (scaled {row['scaled_visits']:.0f}, "
                 f"+ {row['sum_visits']:.0f}, - "
                 f"{row['difference_visits']:.0f}, weighted_sum "
-                f"{row['weighted_sum_visits']:.0f}), extract-z units "
+                f"{row['weighted_sum_visits']:.0f}, distance "
+                f"{row['distance_visits']:.0f}), extract-z units "
                 f"{row['extract_units_s']:.3f} s")
     if entry == "pool":
         return (f"{label} pool: _run_units of {POOL_UNITS} units "
@@ -369,6 +401,9 @@ def report(label: str, entry: str, row: dict) -> str:
     if entry == "startup":
         return (f"{label} startup: propagators 16x32 {row['startup_s']:.3f} s"
                 f", import numpy {row['numpy_s']:.3f} s")
+    if entry == "tier1":
+        return (f"{label} tier1: {row['tier1_s']:.2f} s, "
+                f"{row['passed']:.0f} passed")
     return (f"{label} {entry}: build {row['build_s']:.3f} s, "
             f"kernel_residuals {row['residuals_s']:.3f} s, "
             f"peak RSS {row['peak_rss_mb']:.0f} MB")
@@ -385,8 +420,8 @@ def main(argv=None) -> int:
                          "contraction layer at lambda order 3 and 4, "
                          "`series` for the series layer, `extract` for "
                          "the extraction layer, "
-                         "`pool` for the unit runner and `startup` for "
-                         "start-up")
+                         "`pool` for the unit runner, `startup` for "
+                         "start-up and `tier1` for the test suite")
     ap.add_argument("--runs", type=int, default=3,
                     help="fresh processes per entry and tree")
     ap.add_argument("--against", type=Path,
@@ -432,7 +467,7 @@ def main(argv=None) -> int:
                 row["writes_bytecode"] = not os.environ.get(
                     "PYTHONDONTWRITEBYTECODE")
             if entry in CONTRACT or entry in ("series", "extract", "pool",
-                                              "startup"):
+                                              "startup", "tier1"):
                 labels[name][entry] = row
             else:
                 labels[name]["sizes"][entry] = row

@@ -113,17 +113,12 @@ def series_invert(a: LambdaSeries, unit=None,
     """
     total = _summed_products(product_sum)
     u = unit if unit is not None else 1
-    if not _equals(a.coeff(0), u):
+    if not a.coeff(0) == u:
         raise ValueError("leading coefficient is not the unit; not invertible")
     b = [u]
     for n in range(1, a.order_cap + 1):
         b.append(-total([(a.coeff(k), b[n - k]) for k in range(1, n + 1)]))
     return LambdaSeries(a.order_cap, tuple(b))
-
-
-def _equals(x, y) -> bool:
-    eq = (x == y)
-    return bool(eq)
 
 
 def _is_zero(x) -> bool:
@@ -192,10 +187,6 @@ class MultilinearFamily:
     def _memo_get(self, key):
         return self._memo.get(key)
 
-    def _memo_put(self, key, value):
-        self._memo[key] = value
-        return value
-
     def _mixed_key(self, n: int, keys) -> tuple:
         return ("mixed", n, frozenset(Counter(keys).items()))
 
@@ -214,7 +205,8 @@ class MultilinearFamily:
             val = self._diagonal(n, f)
         else:
             val = self._mixed(n, [f] * n)
-        return self._memo_put(key, val)
+        self._memo[key] = val
+        return val
 
     def mixed(self, n: int, args: Sequence):
         """T_n(f_1,...,f_n), by direct evaluation or polarization; without
@@ -234,7 +226,8 @@ class MultilinearFamily:
             val = self._mixed(n, list(args))
         else:
             val = polarize(self, n, args)
-        return self._memo_put(key, val)
+        self._memo[key] = val
+        return val
 
 
 def weighted_sum(pairs: Sequence):

@@ -182,20 +182,6 @@ def _bounded_compositions(total: int, bounds: Sequence[int]):
             yield (m,) + tail
 
 
-class ContentKey(tuple):
-    """The (lattice, terms) tuple of PolyFunctional.content_key with its
-    hash computed once (a tuple rehashes every item on each call); it
-    equals and hashes like the plain tuple."""
-
-    def __new__(cls, items):
-        key = super().__new__(cls, items)
-        key._hash = tuple.__hash__(key)
-        return key
-
-    def __hash__(self):
-        return self._hash
-
-
 class PolyFunctional:
     """Polynomial functional F(phi) with HbarScalar coefficients.
 
@@ -205,7 +191,8 @@ class PolyFunctional:
     ``from_terms``; ``_canonical`` trusts its caller.  Degrees ascend; the
     order of the keys within a degree is part of the value: ``content_key``
     and every later summation follow it.  A functional is not changed
-    after it is built, so its content key is built once and kept.
+    after it is built, so its content key, a plain tuple, is built once
+    and kept.
 
     >>> lat = Lattice(4, 4, 0.5)
     >>> F = PolyFunctional.from_monomials(lat, [(2.0, [LatticePoint(1, 1)])])
@@ -356,17 +343,18 @@ class PolyFunctional:
                 for e in c.coeffs}
         return (min(exps), max(exps)) if exps else None
 
-    def content_key(self) -> ContentKey:
-        """Hashable key of the lattice and the terms in iteration order,
-        built on the first call and returned by every later one.
+    def content_key(self) -> tuple:
+        """Hashable (lattice, terms) tuple of the lattice and the terms in
+        iteration order, built on the first call and returned by every
+        later one.
 
         Equal keys mean equal coefficients met in the same order, so any
         computation over the terms sums them in the same order."""
         if self._key is None:
-            self._key = ContentKey((self.lattice, tuple(
+            self._key = (self.lattice, tuple(
                 (deg, tuple((key, tuple(c.coeffs.items()))
                             for key, c in t.items()))
-                for deg, t in self.terms.items())))
+                for deg, t in self.terms.items()))
         return self._key
 
     def monomials(self):

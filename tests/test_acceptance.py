@@ -1,8 +1,8 @@
 """Acceptance battery at desk scale (12x16 lattice, m = 0.5).
 
 One test per headline property, with the tolerance pinned next to the
-assertion.  Derived quantities are checked against oracles built inside
-this file (direct cone masks, pairing enumerations, brute-force relation
+assertion.  Derived quantities are checked against oracles built in the
+tests (direct cone masks, pairing enumerations, brute-force relation
 semantics) rather than against the module's own reporting helpers.
 """
 
@@ -23,6 +23,8 @@ from paqft.smatrix_renorm import (RenormalizationMap, build_smatrix,
                                   default_z_plan, extract_Z,
                                   make_handcrafted_Z, random_local_functional,
                                   verify_extracted_locality)
+
+from oracles import pairing_contract
 
 # -- shared samplers -------------------------------------------------------
 
@@ -269,31 +271,6 @@ def test_roundtrip_recovers_planted_map_to_order_four(lat, S, rng):
           f"recomposed {worst_round:.2e} through order 4 (tol 1e-8)")
 
 
-def _pairing_t2(lat, entries, F, G):
-    """Binary time-ordered product by direct pairing enumeration."""
-    flat = {}
-    for _da, ka, ca in F.monomials():
-        for _db, kb, cb in G.monomials():
-            pa, pb = list(ka), list(kb)
-            for r in range(0, min(len(pa), len(pb)) + 1):
-                for ia in itertools.combinations(range(len(pa)), r):
-                    rest_a = [pa[i] for i in range(len(pa)) if i not in ia]
-                    for ib in itertools.permutations(range(len(pb)), r):
-                        w = 1.0 + 0j
-                        for sa, sb in zip(ia, ib):
-                            w *= complex(entries[pa[sa], pb[sb]])
-                        rest_b = [pb[i] for i in range(len(pb))
-                                  if i not in ib]
-                        key = tuple(sorted(rest_a + rest_b))
-                        term = ca * cb * HbarScalar.monomial(r, w)
-                        prev = flat.get(key)
-                        flat[key] = term if prev is None else prev + term
-    nested = {}
-    for key, coeff in flat.items():
-        nested.setdefault(len(key), {})[key] = coeff
-    return PolyFunctional(lat, nested)
-
-
 def test_two_hadamard_extraction_matches_kernel_difference(lat, S, rng):
     cap = 2
     St = build_smatrix(lat, site_shift=_site_shift(lat, 11, 5e-3),
@@ -307,7 +284,7 @@ def test_two_hadamard_extraction_matches_kernel_difference(lat, S, rng):
         fs.append(f)
         z2 = extract_Z(S, St, f, cap)[2]
         assert z2.max_norm() > 1e-6
-        diff = _pairing_t2(lat, FKt, f, f) - _pairing_t2(lat, FK, f, f)
+        diff = pairing_contract(lat, FKt, f, f) - pairing_contract(lat, FK, f, f)
         oracle = diff * HbarScalar({-1: 1j})
         worst = max(worst, (z2 - oracle).max_norm())
     assert worst < 1e-8
@@ -460,23 +437,6 @@ def test_relations_exhaustive_and_planted_violations():
 # -- correlations -------------------------------------------------------------
 
 
-def _isserlis(W, F, G):
-    """Cross-pairing Gaussian moment of two polynomials at phi = 0."""
-    total = HbarScalar.zero()
-    for _da, ka, ca in F.monomials():
-        for _db, kb, cb in G.monomials():
-            if len(ka) != len(kb) or not ka:
-                continue
-            s = 0j
-            for perm in itertools.permutations(kb):
-                term = 1.0 + 0j
-                for i, j in zip(ka, perm):
-                    term *= complex(W[i, j])
-                s += term
-            total = total + ca * cb * HbarScalar.monomial(len(ka), s)
-    return total
-
-
 def test_free_field_correlations_match_wick_oracle(lat, S, rng):
     W = lat.wightman().entries
     a, b = LatticePoint(5, 3), LatticePoint(6, 9)
@@ -492,7 +452,7 @@ def test_free_field_correlations_match_wick_oracle(lat, S, rng):
     w = complex(W[ia, ib])
     assert (sq - HbarScalar({2: 2 * w * w})).norm() < 1e-10
 
-    worst = 0.0
+    worst, phi0 = 0.0, np.zeros(lat.n_sites)
     for _ in range(6):
         A = _window_poly(lat, rng, int(rng.integers(1, lat.nt - 2)),
                          int(rng.integers(0, lat.nx)), scale=0.4, n_terms=3)
@@ -500,7 +460,9 @@ def test_free_field_correlations_match_wick_oracle(lat, S, rng):
                          int(rng.integers(0, lat.nx)), scale=0.4, n_terms=3)
         got = correlation(S, V, [A, B], 0).coeff(0)
         assert got.norm() > 0
-        worst = max(worst, (got - _isserlis(W, A, B)).norm())
+        # the cross-pairing Gaussian moment: the contraction at phi = 0
+        moment = pairing_contract(lat, W, A, B).evaluate(phi0)
+        worst = max(worst, (got - moment).norm())
     assert worst < 1e-10
     print(f"[acceptance] free correlations: two-point exact; degree-2 vs "
           f"pairing oracle worst {worst:.2e} (tol 1e-10)")

@@ -22,6 +22,8 @@ from paqft.functionals import (DensityTerm, GeneralizedLagrangian,
 from paqft.lattice import Kernel, Lattice, LatticePoint
 from paqft.smatrix_renorm import RenormalizationMap, default_s_plan
 
+from oracles import bits
+
 SMALL = ["--set", "samples.count=2", "--set", "caps.lambda_order=2",
          "--set", "caps.locality_order=2", "--set", "caps.sd_order=1"]
 
@@ -533,17 +535,6 @@ def test_axioms_perturbed_hadamard_flags_sd(tmp_path):
 # -- worker pool -------------------------------------------------------------
 
 
-def _hex(obj):
-    """Rows with every float as float.hex: equal means equal bits."""
-    if isinstance(obj, float):
-        return obj.hex()
-    if isinstance(obj, dict):
-        return {k: _hex(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_hex(v) for v in obj]
-    return obj
-
-
 def _units(command, cfg):
     lat, S = cli._build(cfg)
     if command == "extract-z":
@@ -563,11 +554,11 @@ def _units(command, cfg):
 ], ids=["axioms", "extract-z", "extract-z-two-hadamard"])
 def test_axioms_unit_rows_do_not_depend_on_schedule(command, sets):
     cfg = load_config(None, sets)
-    serial = [_hex(u()) for u in _units(command, cfg)]
+    serial = [bits(u()) for u in _units(command, cfg)]
     assert len(serial) > 4
     for i, rows in enumerate(serial):
         # unit i alone, on a fresh S with an empty memo
-        assert _hex(_units(command, cfg)[i]()) == rows, f"unit {i}"
+        assert bits(_units(command, cfg)[i]()) == rows, f"unit {i}"
 
 
 # the commands that run their units on forked workers, as (test id

@@ -13,6 +13,8 @@ from paqft.lattice import LatticePoint
 from paqft.smatrix_renorm import (RenormalizationMap, build_smatrix, compose,
                                   make_handcrafted_Z, prefactor)
 
+from oracles import bits
+
 F = Fraction
 
 
@@ -303,14 +305,6 @@ def _per_partition_sum(family, weight, z_family, args):
     return acc
 
 
-def _bits(F):
-    """Every coefficient as float.hex pairs, in term order."""
-    return [(deg, [(key, [(e, v.real.hex(), v.imag.hex())
-                          for e, v in c.coeffs.items()])
-                   for key, c in t.items()])
-            for deg, t in F.terms.items()]
-
-
 def _pointwise_Z(lat, z3):
     """Z_1 = id, Z_2(a, b) = a b / 2, Z_3(a, b, c) = z3 a b c (pointwise
     products) and Z_m = 0 above."""
@@ -344,7 +338,7 @@ def test_compose_SZ_grouped_sum_matches_per_partition_sum(lat, case):
     want = _per_partition_sum(S.family, prefactor, zfam, args)
     got = compose_SZ(S.family, prefactor, zfam, args)
     if kind == "distinct" or case == "equal-3":
-        assert _bits(got) == _bits(want)
+        assert bits(got) == bits(want)
         return
     # grouping reorders the sum of the terms; each of the two sums is
     # within (B_n - 1) u sum_pi |term_pi| of the exact one per component

@@ -1,5 +1,4 @@
 import functools
-import math
 from collections import Counter
 from fractions import Fraction
 
@@ -18,6 +17,8 @@ from paqft.functionals import (DensityTerm, GeneralizedLagrangian, HbarScalar,
                                is_local_at_scale, local_functional_from_density,
                                monomial_extent, poly_from_json_dict,
                                MAX_DEGREE)
+
+from oracles import assert_within_bound, bits, exact_weighted_sum, poly
 
 
 # -- HbarScalar ----------------------------------------------------------
@@ -227,10 +228,7 @@ def test_batched_locality_check_returns_the_per_field_result(lat, rng,
     for F in (cubic, far, cancel):
         for got, phi in zip(F.evaluate_many(fields), fields):
             want = _reference_evaluate(F, phi)
-            assert [(e, v.real.hex(), v.imag.hex())
-                    for e, v in got.coeffs.items()] == \
-                [(e, v.real.hex(), v.imag.hex())
-                 for e, v in want.coeffs.items()]
+            assert bits(got) == bits(want)
 
 
 def test_check_additivity_detects_straddling(lat):
@@ -288,8 +286,7 @@ def test_translated_densities_equal_the_per_site_route(shape):
     static = GeneralizedLagrangian(lat, (DensityTerm(0.5, 2, 0, 2),))
     for L in (free_scalar_lagrangian(lat), general, static):
         for p in lat.points():
-            assert _hex_key(L.density_at(p)) == \
-                _hex_key(L._build_density(p))
+            assert bits(L.density_at(p)) == bits(L._build_density(p))
         for w in (np.ones(lat.n_sites), rng.normal(size=lat.n_sites),
                   np.where(rng.random(lat.n_sites) < 0.3, 1.0, 0.0)):
             pairs = _per_site_pairs(L, w)
@@ -299,8 +296,7 @@ def test_translated_densities_equal_the_per_site_route(shape):
             got = L(w)
             assert ({(d, k) for d, k, _c in got.monomials()}
                     == {(d, k) for d, k, _c in fold.monomials()})
-            ratios = _weighted_ratios(got, pairs)
-            assert max(ratios.values()) <= WEIGHTED_C, max(ratios.values())
+            assert_within_bound(got, exact_weighted_sum(pairs), WEIGHTED_C)
 
 
 def test_density_degree_cap(lat):
@@ -456,16 +452,6 @@ def _reference_from_sums(lattice, sums):
         lattice, [(key, HbarScalar(cell)) for key, cell in sums.items()])
 
 
-def _hex_key(F):
-    """content_key() with every coefficient as float.hex pairs: equal means
-    equal bits (signed zeros too), degree order and key order."""
-    lattice, terms = F.content_key()
-    return lattice, [(deg, [(key, [(e, v.real.hex(), v.imag.hex())
-                                   for e, v in coeffs])
-                            for key, coeffs in t])
-                     for deg, t in terms]
-
-
 def _assert_canonical(R):
     assert all(R.terms.values()), "empty degree"
     assert PolyFunctional(R.lattice, R.terms).content_key() == R.content_key()
@@ -502,21 +488,13 @@ _scalar = (_complex | st.fractions(-4, 4, max_denominator=7)
            | _hbar.map(HbarScalar) | st.integers(-2, 2))
 
 
-def _poly(lat, monos):
-    """Validating constructor with degrees in order of first appearance."""
-    terms = {}
-    for key, coeffs in monos:
-        terms.setdefault(len(key), {})[key] = HbarScalar(coeffs)
-    return PolyFunctional(lat, terms)
-
-
 @settings(max_examples=150, deadline=None)
 @given(_monos, _monos, _scalar)
 def test_arithmetic_is_within_the_bound_of_the_exact_sum(fm, gm, c):
     # sums, differences, negation and scalings are weighted sums, each
     # coefficient within the bound below of the exact one
     lat = Lattice(6, 6, 0.5)
-    F, G = _poly(lat, fm), _poly(lat, gm)
+    F, G = poly(lat, fm), poly(lat, gm)
     cases = [(F + G, [(1, F), (1, G)]),
              (G + F, [(1, G), (1, F)]),
              (F + F, [(1, F), (1, F)]),
@@ -525,9 +503,7 @@ def test_arithmetic_is_within_the_bound_of_the_exact_sum(fm, gm, c):
              (F.scaled(c), [(c, F)]),
              (F * c, [(c, F)])]
     for got, pairs in cases:
-        bad = {k: r for k, r in _weighted_ratios(got, pairs).items()
-               if r > WEIGHTED_C}
-        assert not bad, bad
+        assert_within_bound(got, exact_weighted_sum(pairs), WEIGHTED_C)
         _assert_canonical(got)
     assert (F - F).terms == {}
 
@@ -537,7 +513,7 @@ def test_arithmetic_is_within_the_bound_of_the_exact_sum(fm, gm, c):
 def test_from_sums_bitwise_matches_validating_reference(sums):
     lat = Lattice(6, 6, 0.5)
     got = PolyFunctional._from_sums(lat, sums)
-    assert _hex_key(got) == _hex_key(_reference_from_sums(lat, sums))
+    assert bits(got) == bits(_reference_from_sums(lat, sums))
     _assert_canonical(got)
 
 
@@ -558,10 +534,6 @@ def _items(draw):
     return items
 
 
-def _hex(c):
-    return [(e, v.real.hex(), v.imag.hex()) for e, v in c.coeffs.items()]
-
-
 def _assert_matches_reference(got, ref, items):
     # the same keys per degree and equal sums; bit for bit where a key
     # occurs once (a zero coefficient does not count)
@@ -574,7 +546,7 @@ def _assert_matches_reference(got, ref, items):
             want = ref.terms[d][key]
             assert c.coeffs == want.coeffs
             if seen[key] == 1:
-                assert _hex(c) == _hex(want)
+                assert bits(c) == bits(want)
     _assert_canonical(got)
 
 
@@ -596,7 +568,7 @@ def test_builders_match_the_merge_loop_reference(items):
 def test_from_terms_keeps_a_single_coefficient_bitwise(lat):
     c = HbarScalar({1: complex(-0.0, 1.0), -2: complex(0.5, -0.0)})
     F = PolyFunctional.from_terms(lat, [((3, 1), c), ((1, 3, 5), 0j)])
-    assert list(F.terms) == [2] and _hex(F.terms[2][(1, 3)]) == _hex(c)
+    assert list(F.terms) == [2] and bits(F.terms[2][(1, 3)]) == bits(c)
     with pytest.raises(ValueError, match="site index -1 out of range"):
         PolyFunctional.from_terms(lat, [((0, -1), 1.0)])
     with pytest.raises(ValueError, match=f"site index {lat.n_sites} out"):
@@ -610,7 +582,7 @@ def test_distance_bitwise_matches_the_difference_norm(fm, gm):
     # shared and disjoint keys, several hbar exponents, signed zeros and
     # exact cancellation (F against F, and F + G against F)
     lat = Lattice(6, 6, 0.5)
-    F, G = _poly(lat, fm), _poly(lat, gm)
+    F, G = poly(lat, fm), poly(lat, gm)
     zero = PolyFunctional.zero(lat)
     for a, b in [(F, G), (G, F), (F, F), (F + G, F), (F, -F), (F, zero),
                  (zero, G)]:
@@ -651,7 +623,7 @@ def test_arithmetic_keeps_hbar_window(lat):
 #
 # weighted_sum forms every product v * w and sums them in one pass, so it
 # is not bitwise the scale-then-add route; it is held to the bound that the
-# contraction states (tests/test_star_algebra.py), with its own c: every
+# contraction states (tests/oracles.py), with its own c: every
 # coefficient within WEIGHTED_C * 2^-53 * sum |w| |t| + 2^-1064 of the
 # exact Gaussian-rational sum.  A product's components are each within
 # about 2 u |w| |t| (u = 2^-53), a Fraction weight's conversion adds u,
@@ -661,45 +633,6 @@ def test_arithmetic_keeps_hbar_window(lat):
 
 WEIGHTED_C = 16
 _weight = (_scalar | st.sampled_from([0, Fraction(0), 0j, HbarScalar()]))
-
-
-def _exact(z):
-    """A complex, Fraction or int as an exact (re, im) pair of Fractions."""
-    if isinstance(z, (int, Fraction)):
-        return Fraction(z), Fraction(0)
-    z = complex(z)
-    return Fraction(z.real), Fraction(z.imag)
-
-
-def _exact_weighted_sum(pairs):
-    """{(key, exponent): (exact re, exact im, sum of |w| |t|)} of the sum of
-    w * F over the (w, F) pairs."""
-    out: dict = {}
-    for w, F in pairs:
-        ws = w.coeffs.items() if isinstance(w, HbarScalar) else [(0, w)]
-        for _deg, key, c in F.monomials():
-            for e1, v1 in c.coeffs.items():
-                for e2, v2 in ws:
-                    (a, b), (x, y) = _exact(v1), _exact(v2)
-                    re, im, mag = out.get((key, e1 + e2), (0, 0, 0.0))
-                    out[key, e1 + e2] = (re + a * x - b * y, im + a * y + b * x,
-                                         mag + abs(v1) * float(abs(v2)))
-    return out
-
-
-def _weighted_ratios(got, pairs):
-    """{(key, exponent): |float - exact| / (2^-53 sum|w||t| + 2^-1064 /
-    WEIGHTED_C)} over every coefficient of `got` or of the exact sum."""
-    floats = {(key, e): v for _d, key, c in got.monomials()
-              for e, v in c.coeffs.items()}
-    exact = _exact_weighted_sum(pairs)
-    ratios = {}
-    for k in floats.keys() | exact.keys():
-        re, im, mag = exact.get(k, (0, 0, 0.0))
-        x, y = _exact(floats.get(k, 0j))
-        err = math.hypot(float(re - x), float(im - y))
-        ratios[k] = err / (2.0 ** -53 * mag + 2.0 ** -1064 / WEIGHTED_C)
-    return ratios
 
 
 def _first_insertion_order(pairs, deg):
@@ -719,14 +652,12 @@ def test_weighted_sum_is_within_the_bound_of_the_exact_sum(terms, cancel):
     # few sites, so keys overlap; with `cancel` the first pair comes again
     # with the opposite weight, so its keys cancel in part or in full
     lat = Lattice(6, 6, 0.5)
-    pairs = [(w, _poly(lat, monos)) for w, monos in terms]
+    pairs = [(w, poly(lat, monos)) for w, monos in terms]
     if cancel:
         w, F = pairs[0]
         pairs.append((-w, F))
     got = PolyFunctional.weighted_sum(lat, pairs)
-    bad = {k: r for k, r in _weighted_ratios(got, pairs).items()
-           if r > WEIGHTED_C}
-    assert not bad, bad
+    assert_within_bound(got, exact_weighted_sum(pairs), WEIGHTED_C)
     _assert_canonical(got)
     for deg, t in got.terms.items():
         order = _first_insertion_order(pairs, deg)

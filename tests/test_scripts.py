@@ -86,9 +86,11 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     for r in row["runs"]:
         assert r["visits"] == (r["scaled_visits"] + r["sum_visits"]
                                + r["difference_visits"]
-                               + r["weighted_sum_visits"])
+                               + r["weighted_sum_visits"]
+                               + r["distance_visits"])
     assert {r["visits"] for r in row["runs"]} == {row["visits"]} != {0}
     assert row["weighted_sum_calls"] > 0
+    assert row["distance_calls"] > 0
     # the label run again on another size keeps what it had; the startup
     # and pool entries, with the tree alternated against itself under a
     # second label
@@ -119,6 +121,31 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
         assert against["label"] == "smoke-against" and against["pairs"] == 1
         assert set(against["lower_in"]) == keys
         assert all(0 <= n <= 1 for n in against["lower_in"].values())
+
+
+def test_bench_kernels_times_the_test_suite_of_a_tree(tmp_path):
+    # a fake tree with one trivial test, timed with its src on PYTHONPATH
+    # from an empty working directory; a failing test fails the entry
+    tree = tmp_path / "tree"
+    (tree / "src").mkdir(parents=True)
+    (tree / "tests").mkdir()
+    test = tree / "tests" / "test_one.py"
+    test.write_text("def test_one():\n    assert True\n")
+    out = tmp_path / "BENCH_kernels.json"
+    cmd = [sys.executable, str(SCRIPTS / "bench_kernels.py"), "--sizes",
+           "tier1", "--runs", "1", "--label", "smoke", "--src",
+           str(tree / "src"), "--out", str(out)]
+    run = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    row = json.loads(out.read_text())["labels"]["smoke"]["tier1"]
+    assert row["passed"] == row["runs"][0]["passed"] == 1
+    assert row["tier1_s"] == row["runs"][0]["tier1_s"] > 0
+    assert sorted(p.name for p in tree.rglob("*")
+                  if "__pycache__" not in p.parts) == [
+        "src", "test_one.py", "tests"]
+    test.write_text("def test_one():\n    assert False\n")
+    run = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert run.returncode != 0 and "1 failed" in run.stderr
 
 
 def _identity_module():

@@ -26,44 +26,13 @@ from paqft.smatrix_renorm import (RenormalizationMap, SMatrix,
                                   verify_extracted_locality, z_axiom_units)
 from paqft.star_algebra import StarAlgebraContext
 
+from oracles import (against, assert_within_bound, exact_weighted_sum,
+                     pairing_contract, stored_z_monomials, time_ordered_fold)
+
 
 def _mid_window(lat):
     return [LatticePoint(t, x) for t in range(lat.nt // 3, 2 * lat.nt // 3 + 2)
             for x in range(lat.nx)]
-
-
-def _time_ordered_fold(ctx, factors):
-    """n-ary time-ordered product as a left fold of the binary one; the
-    empty product is the unit functional."""
-    out = None
-    for f in factors:
-        out = f if out is None else ctx.time_ordered(out, f)
-    if out is None:
-        return PolyFunctional.unit(ctx.lattice)
-    return out
-
-
-def _pairing_oracle(lat, entries, pts1, pts2):
-    """Binary contraction product of two field monomials, by explicit
-    enumeration of partial pairings (independent of the permanent-based
-    implementation)."""
-    s1 = [lat.site_index(p) for p in pts1]
-    s2 = [lat.site_index(p) for p in pts2]
-    flat = {}
-    for k in range(min(len(s1), len(s2)) + 1):
-        for sel1 in itertools.combinations(range(len(s1)), k):
-            rest1 = [s1[i] for i in range(len(s1)) if i not in sel1]
-            for sel2 in itertools.permutations(range(len(s2)), k):
-                rest2 = [s2[j] for j in range(len(s2)) if j not in set(sel2)]
-                w = 1.0 + 0.0j
-                for i, j in zip(sel1, sel2):
-                    w *= entries[s1[i], s2[j]]
-                key = tuple(sorted(rest1 + rest2))
-                flat[key] = flat.get(key, HbarScalar.zero()) + HbarScalar({k: w})
-    nested = {}
-    for key, c in flat.items():
-        nested.setdefault(len(key), {})[key] = c
-    return PolyFunctional(lat, nested)
 
 
 # -- series construction ---------------------------------------------------
@@ -79,9 +48,9 @@ def test_products_match_pairing_oracle(lat, ctx):
     pts2 = [LatticePoint(7, 2), LatticePoint(8, 2)]
     F1 = PolyFunctional.from_monomials(lat, [(1.0, pts1)])
     F2 = PolyFunctional.from_monomials(lat, [(1.0, pts2)])
-    want_t = _pairing_oracle(lat, ctx.feynman.entries, pts1, pts2)
+    want_t = pairing_contract(lat, ctx.feynman.entries, F1, F2)
     assert ctx.time_ordered(F1, F2).distance(want_t) < 1e-12
-    want_s = _pairing_oracle(lat, ctx.wightman.entries, pts1, pts2)
+    want_s = pairing_contract(lat, ctx.wightman.entries, F1, F2)
     assert ctx.star(F1, F2).distance(want_s) < 1e-12
 
 
@@ -416,7 +385,7 @@ def test_series_builds_each_order_on_the_previous(lat, ctx, monkeypatch):
     f = random_local_functional(lat, np.random.default_rng(11), (4, 7))
     ser = S_fresh.series(f, 4)
     assert len(calls) == 3
-    fold = _time_ordered_fold(ctx, [f] * 4)
+    fold = time_ordered_fold(ctx, [f] * 4)
     assert ser.coeff(4) == (fold * prefactor(4)) * Fraction(1, 24)
 
 
@@ -518,24 +487,8 @@ def _scale_then_add_extract_Z(S, S_tilde, f, cap, order1_tol=1e-9):
 def _assert_routes_agree(got, want, pairs):
     """Every coefficient of the two routes within ROUTE_C * 2^-53 * sum
     |w| |t| + 2^-1064 of each other, the sum over the weighted terms."""
-    mags: dict = {}
-    for w, F in pairs:
-        ws = HbarScalar.coerce(w).coeffs.items()
-        for _deg, key, c in F.monomials():
-            for e1, v1 in c.coeffs.items():
-                for e2, v2 in ws:
-                    k = (key, e1 + e2)
-                    mags[k] = mags.get(k, 0.0) + abs(v1) * abs(v2)
-    a = {(key, e): v for _d, key, c in got.monomials()
-         for e, v in c.coeffs.items()}
-    b = {(key, e): v for _d, key, c in want.monomials()
-         for e, v in c.coeffs.items()}
-    bad = {}
-    for k in a.keys() | b.keys():
-        bound = ROUTE_C * 2.0 ** -53 * mags.get(k, 0.0) + 2.0 ** -1064
-        if abs(a.get(k, 0j) - b.get(k, 0j)) > bound:
-            bad[k] = (a.get(k, 0j), b.get(k, 0j), bound)
-    assert not bad, bad
+    assert_within_bound(got, against(want, exact_weighted_sum(pairs)),
+                        ROUTE_C)
 
 
 def _extraction(mode, seed=0):
@@ -595,20 +548,6 @@ def test_weighted_sum_routes_are_within_the_bound_of_scale_then_add(mode,
                          _polarize_pairs(St.family, cap, args))
 
 
-def _stored_z_values(f_units):
-    """{(sample, order, points, exponent)} of the z_values that the
-    extract-z functional units store, and their hbar gradings."""
-    monos, gradings = set(), []
-    for i, unit in enumerate(f_units):
-        _rows, z_values, grading = unit()
-        gradings.append(grading)
-        monos.update((i, n, tuple(map(tuple, row["points"])), e)
-                     for n, by_degree in z_values.items()
-                     for rows in by_degree.values() for row in rows
-                     for e, _re, _im in row["coeff"])
-    return monos, gradings
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("mode", ["roundtrip", "two-hadamard"])
 def test_extract_z_stores_the_monomial_sets_of_the_scale_then_add_route(
@@ -621,7 +560,7 @@ def test_extract_z_stores_the_monomial_sets_of_the_scale_then_add_route(
     def stored():
         lat, S = cli._build(cfg)
         f_units, _z_units = cli._extract_z_units(cfg, lat, S)
-        return _stored_z_values(f_units)
+        return stored_z_monomials(f_units)
 
     weighted = stored()
     monkeypatch.setattr(smatrix_renorm, "extract_Z",

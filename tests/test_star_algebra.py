@@ -1,10 +1,7 @@
 import functools
 import gc
-import itertools
-import math
 import operator
 import weakref
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +12,10 @@ from paqft.functionals import HbarScalar, PolyFunctional
 from paqft.lattice import Kernel, Lattice, LatticePoint
 from paqft.smatrix_renorm import build_smatrix
 from paqft.star_algebra import StarAlgebraContext, _site_selections, beta
+
+from oracles import (against, assert_within_bound, bits, exact_contract,
+                     poly, reference_permanent, reference_selections,
+                     stored_z_monomials, time_ordered_fold)
 
 
 def _phi(lat, t, x):
@@ -30,17 +31,6 @@ def _random_poly(lat, rng, degree=2, n_terms=4, t_lo=2, t_hi=9, scale=0.5):
                for _ in range(d)]
         terms.append((scale * rng.normal(), pts))
     return PolyFunctional.from_monomials(lat, terms)
-
-
-def _time_ordered_fold(ctx, factors):
-    """n-ary time-ordered product as a left fold of the binary one; the
-    empty product is the unit functional."""
-    out = None
-    for f in factors:
-        out = f if out is None else ctx.time_ordered(out, f)
-    if out is None:
-        return PolyFunctional.unit(ctx.lattice)
-    return out
 
 
 # -- Wick-formula oracles --------------------------------------------------
@@ -114,13 +104,13 @@ def test_star_noncommutative_time_ordered_commutative(lat, ctx):
 
 
 def test_time_ordered_n_fold(lat, ctx, rng):
-    assert _time_ordered_fold(ctx, []).distance(PolyFunctional.unit(lat)) == 0.0
+    assert time_ordered_fold(ctx, []).distance(PolyFunctional.unit(lat)) == 0.0
     F = _random_poly(lat, rng)
-    assert _time_ordered_fold(ctx, [F]).distance(F) == 0.0
+    assert time_ordered_fold(ctx, [F]).distance(F) == 0.0
     G = _random_poly(lat, rng, n_terms=3)
     H = _random_poly(lat, rng, n_terms=3)
-    a = _time_ordered_fold(ctx, [F, G, H])
-    b = _time_ordered_fold(ctx, [H, F, G])
+    a = time_ordered_fold(ctx, [F, G, H])
+    b = time_ordered_fold(ctx, [H, F, G])
     assert a.distance(b) < 1e-10
 
 
@@ -133,24 +123,7 @@ def test_classical_limit_is_pointwise_product(lat, ctx, rng):
     assert abs(ctx.time_ordered(F, G).evaluate(phi).at(0) - classical) < 1e-12
 
 
-# -- reference contractions: the per-term loop and its exact twin ----------
-
-
-def _reference_permanent(mat):
-    """Permanent by the sum over every permutation, with only + and *, so
-    it is exact on exact entries."""
-    total = 0
-    for perm in itertools.permutations(range(len(mat))):
-        p = 1
-        for i, j in enumerate(perm):
-            p = p * mat[i][j]
-        total = total + p
-    return total
-
-
-def _reference_selections(degree, r):
-    return [(sel, tuple(i for i in range(degree) if i not in sel))
-            for sel in itertools.combinations(range(degree), r)]
+# -- the per-term contraction loop (its exact twin is in tests/oracles.py) --
 
 
 def _reference_contract(lat, F, G, entries):
@@ -170,11 +143,11 @@ def _reference_contract(lat, F, G, entries):
                     add(tuple(sorted(ka + kb)), cc)
                     continue
                 weight = HbarScalar({r: 1.0})
-                for sa, ra in _reference_selections(da, r):
+                for sa, ra in reference_selections(da, r):
                     rows = [ka[i] for i in sa]
-                    for sb, rb in _reference_selections(db, r):
+                    for sb, rb in reference_selections(db, r):
                         cols = [kb[j] for j in sb]
-                        per = complex(_reference_permanent(
+                        per = complex(reference_permanent(
                             entries[np.ix_(rows, cols)]))
                         if per == 0:
                             continue
@@ -187,91 +160,9 @@ def _reference_contract(lat, F, G, entries):
     return PolyFunctional(lat, nested)
 
 
-class _Gauss:
-    """An exact complex number: a pair of Fractions."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, z):
-        z = complex(z)
-        self.re, self.im = Fraction(z.real), Fraction(z.imag)
-
-    @classmethod
-    def _of(cls, re, im):
-        g = object.__new__(cls)
-        g.re, g.im = re, im
-        return g
-
-    def __add__(self, o):
-        o = o if isinstance(o, _Gauss) else _Gauss(o)
-        return _Gauss._of(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        o = o if isinstance(o, _Gauss) else _Gauss(o)
-        return _Gauss._of(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, o):
-        o = o if isinstance(o, _Gauss) else _Gauss(o)
-        return _Gauss._of(self.re * o.re - self.im * o.im,
-                          self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __abs__(self):
-        # rounded once each way; only compared against the bound
-        return math.hypot(float(self.re), float(self.im))
-
-
-def _exact_contract(F, G, kernel):
-    """{(key, exponent): (exact coefficient, sum of |terms|)} of the
-    contraction of F and G along `kernel`, in Gaussian rationals on the
-    float kernel entries and coefficients: every index selection, one
-    _reference_permanent each, and |term| = |c_a| |c_b| perm(|K[sa, sb]|)
-    (r = 0 included, with the empty permanent 1)."""
-    K = kernel.entries
-    out: dict = {}
-    for da, ka, ca in F.monomials():
-        for db, kb, cb in G.monomials():
-            for r in range(min(da, db) + 1):
-                for sa, ra in _reference_selections(da, r):
-                    for sb, rb in _reference_selections(db, r):
-                        sub = [[K[ka[i], kb[j]] for j in sb] for i in sa]
-                        per = _reference_permanent(
-                            [[_Gauss(v) for v in row] for row in sub])
-                        mag = _reference_permanent(
-                            [[abs(v) for v in row] for row in sub])
-                        key = tuple(sorted(
-                            [ka[i] for i in ra] + [kb[j] for j in rb]))
-                        for ea, va in ca.coeffs.items():
-                            for eb, vb in cb.coeffs.items():
-                                k = (key, ea + eb + r)
-                                v, m = out.get(k, (0, 0.0))
-                                out[k] = (v + _Gauss(va) * _Gauss(vb) * per,
-                                          m + abs(va) * abs(vb) * mag)
-    return out
-
-
 # the stated bound of every float coefficient against the exact one:
-# BOUND_C units of 2^-53 of the sum of |terms|, plus a floor for sums in
-# the subnormal range (the smallest subnormal is 2^-1074)
+# BOUND_C units of 2^-53 of the sum of |terms|, plus the subnormal floor
 BOUND_C = 32
-SUBNORMAL_FLOOR = 2.0 ** -1064
-
-
-def _bound_ratios(got, exact):
-    """{(key, exponent): |float - exact| / (2^-53 sum|terms| + floor /
-    BOUND_C)} over every coefficient of `got` or `exact`; the stated
-    bound holds where the ratio is at most BOUND_C."""
-    floats = {(key, e): v for _d, key, c in got.monomials()
-              for e, v in c.coeffs.items()}
-    ratios = {}
-    for k in floats.keys() | exact.keys():
-        v, mag = exact.get(k, (0, 0.0))
-        err = abs(v - floats.get(k, 0j))
-        ratios[k] = err / (2.0 ** -53 * mag + SUBNORMAL_FLOOR / BOUND_C)
-    return ratios
 
 
 # a few neighbouring sites, so keys share sites and may repeat them
@@ -289,24 +180,8 @@ _distinct_terms = st.lists(
 _constant_terms = _hbar.map(lambda c: [([], c)])
 
 
-def _poly(lat, monos):
-    terms: dict = {}
-    for sites, coeffs in monos:
-        terms.setdefault(len(sites), {})[tuple(sorted(sites))] = \
-            HbarScalar(coeffs)
-    return PolyFunctional(lat, terms)
-
-
 def _products(ctx):
     return ((ctx.star, ctx.wightman), (ctx.time_ordered, ctx.feynman))
-
-
-def _assert_within_bound(got, exact):
-    """Every coefficient of `got`, and every exact coefficient that it
-    lacks, within the stated bound of the exact contraction."""
-    ratios = _bound_ratios(got, exact)
-    bad = {k: r for k, r in ratios.items() if r > BOUND_C}
-    assert not bad, bad
 
 
 # The three checks below asserted, before the contraction was factorized,
@@ -321,12 +196,12 @@ def _assert_within_bound(got, exact):
 def test_contract_bitwise_matches_per_term_hbar_loop(lat, ctx, fm, gm):
     # keys with no repeated site: the engine and the per-term loop both
     # within the stated bound of the exact contraction
-    F, G = _poly(lat, fm), _poly(lat, gm)
+    F, G = poly(lat, fm), poly(lat, gm)
     for product, kernel in _products(ctx):
-        exact = _exact_contract(F, G, kernel)
-        _assert_within_bound(product(F, G), exact)
-        _assert_within_bound(
-            _reference_contract(lat, F, G, kernel.entries), exact)
+        exact = exact_contract([(F, G)], kernel)
+        assert_within_bound(product(F, G), exact, BOUND_C)
+        assert_within_bound(
+            _reference_contract(lat, F, G, kernel.entries), exact, BOUND_C)
 
 
 @settings(max_examples=60, deadline=None)
@@ -334,10 +209,11 @@ def test_contract_bitwise_matches_per_term_hbar_loop(lat, ctx, fm, gm):
 def test_contract_bitwise_with_a_constant_operand(lat, ctx, cm, gm):
     # F constant, G constant, or both, with one or several hbar exponents
     # each: the r = 0 loop alone
-    C, G = _poly(lat, cm), _poly(lat, gm)
+    C, G = poly(lat, cm), poly(lat, gm)
     for product, kernel in _products(ctx):
         for F, H in ((C, G), (G, C)):
-            _assert_within_bound(product(F, H), _exact_contract(F, H, kernel))
+            assert_within_bound(product(F, H),
+                                exact_contract([(F, H)], kernel), BOUND_C)
 
 
 @settings(max_examples=100, deadline=None)
@@ -346,29 +222,10 @@ def test_contract_multisets_match_the_per_selection_loop(lat, ctx, fm, gm):
     # keys that repeat sites: each distinct site multiset is summed once,
     # times its multiplicity, against every index selection of the exact
     # contraction
-    F, G = _poly(lat, fm), _poly(lat, gm)
+    F, G = poly(lat, fm), poly(lat, gm)
     for product, kernel in _products(ctx):
-        _assert_within_bound(product(F, G), _exact_contract(F, G, kernel))
-
-
-def _exact_sum(pairs, kernel):
-    """_exact_contract of a sum of products: the exact coefficients and the
-    sums of |terms| of every pair added up."""
-    out: dict = {}
-    for F, G in pairs:
-        for k, (v, m) in _exact_contract(F, G, kernel).items():
-            v0, m0 = out.get(k, (0, 0.0))
-            out[k] = (v + v0, m + m0)
-    return out
-
-
-def _against(other, exact):
-    """The coefficients of `other` as the reference, with the sums of
-    |terms| of `exact`."""
-    ref = {(key, e): (_Gauss(v), 0.0) for _d, key, c in other.monomials()
-           for e, v in c.coeffs.items()}
-    return {k: (ref.get(k, (0, 0.0))[0], exact.get(k, (0, 0.0))[1])
-            for k in ref.keys() | exact.keys()}
+        assert_within_bound(product(F, G), exact_contract([(F, G)], kernel),
+                            BOUND_C)
 
 
 @settings(max_examples=40, deadline=None)
@@ -378,22 +235,22 @@ def test_contract_sum_is_within_the_bound_of_the_exact_sum(lat, ctx, terms):
     # several pairs, one of them with the first pair's G again, contracted
     # into one accumulator: every coefficient within the stated bound of
     # the exact sum of the products
-    pairs = [(_poly(lat, fm), _poly(lat, gm)) for fm, gm in terms]
+    pairs = [(poly(lat, fm), poly(lat, gm)) for fm, gm in terms]
     pairs.append((pairs[-1][0], pairs[0][1]))
     for product, kernel in _products(ctx):
         got = ctx.contract_sum(pairs, kernel)
-        _assert_within_bound(got, _exact_sum(pairs, kernel))
+        assert_within_bound(got, exact_contract(pairs, kernel), BOUND_C)
         # tables kept between calls, one per distinct G, built in the
         # first call and read in the second, change no bit
         tables: dict = {}
-        assert _bits(ctx.contract_sum(pairs, kernel, tables)) == _bits(got)
+        assert bits(ctx.contract_sum(pairs, kernel, tables)) == bits(got)
         first = dict(tables)
         assert len(first) == len({id(G) for _F, G in pairs})
-        assert _bits(ctx.contract_sum(pairs, kernel, tables)) == _bits(got)
+        assert bits(ctx.contract_sum(pairs, kernel, tables)) == bits(got)
         assert all(tables[k] is table for k, table in first.items())
         F, G = pairs[0]
-        assert _bits(ctx.contract_sum([(F, G)], kernel)) == \
-            _bits(product(F, G))
+        assert bits(ctx.contract_sum([(F, G)], kernel)) == \
+            bits(product(F, G))
 
 
 def test_smatrix_multiply_and_invert_are_within_the_bound(lat, S):
@@ -416,11 +273,12 @@ def test_smatrix_multiply_and_invert_are_within_the_bound(lat, S):
 
     per = series_multiply(A, B, product_sum=per_product)
     for n in range(4):
-        exact = _exact_sum([(A.coeff(k), B.coeff(n - k))
-                            for k in range(n + 1)], W)
-        _assert_within_bound(fused.coeff(n), exact)
-        _assert_within_bound(per.coeff(n), exact)
-        _assert_within_bound(fused.coeff(n), _against(per.coeff(n), exact))
+        exact = exact_contract([(A.coeff(k), B.coeff(n - k))
+                                for k in range(n + 1)], W)
+        assert_within_bound(fused.coeff(n), exact, BOUND_C)
+        assert_within_bound(per.coeff(n), exact, BOUND_C)
+        assert_within_bound(fused.coeff(n), against(per.coeff(n), exact),
+                            BOUND_C)
     unit = PolyFunctional.unit(lat)
     fused = S.invert(A)
     per = series_invert(A, unit=unit, product_sum=per_product)
@@ -428,11 +286,12 @@ def test_smatrix_multiply_and_invert_are_within_the_bound(lat, S):
     for n in range(1, 4):
         # b_n = -sum_k a_k b_(n-k), exact on each route's own b_(n-k)
         for inv in (fused, per):
-            exact = {k: (_Gauss(0) - v, m) for k, (v, m) in _exact_sum(
+            exact = {k: (v * -1, m) for k, (v, m) in exact_contract(
                 [(A.coeff(k), inv.coeff(n - k)) for k in range(1, n + 1)],
                 W).items()}
-            _assert_within_bound(inv.coeff(n), exact)
-        _assert_within_bound(fused.coeff(n), _against(per.coeff(n), exact))
+            assert_within_bound(inv.coeff(n), exact, BOUND_C)
+        assert_within_bound(fused.coeff(n), against(per.coeff(n), exact),
+                            BOUND_C)
 
 
 def test_site_selections_are_multisets_with_multiplicities():
@@ -481,14 +340,6 @@ def test_contract_keeps_hbar_window_with_a_constant_operand(lat, ctx,
 # -- the selection cache -----------------------------------------------------
 
 
-def _bits(F):
-    """Every term with its coefficient's exponents and float bit patterns,
-    in iteration order (signed zeros and dict order included)."""
-    return [(deg, key, [(e, v.real.hex(), v.imag.hex())
-                        for e, v in c.coeffs.items()])
-            for deg, t in F.terms.items() for key, c in t.items()]
-
-
 def test_selection_cache_does_not_change_products(lat, ctx, rng):
     F = _random_poly(lat, rng, degree=4, n_terms=5, t_lo=5, t_hi=6)
     G = _random_poly(lat, rng, degree=4, n_terms=5, t_lo=5, t_hi=6)
@@ -502,7 +353,7 @@ def test_selection_cache_does_not_change_products(lat, ctx, rng):
     assert fresh == warm  # the cache takes no part in equality
     for one, other in ((fresh.star, warm.star),
                        (fresh.time_ordered, warm.time_ordered)):
-        assert _bits(one(F, G)) == _bits(other(F, G))
+        assert bits(one(F, G)) == bits(other(F, G))
 
 
 def test_a_dropped_smatrix_frees_its_selection_cache():
@@ -615,22 +466,6 @@ def test_beta_rejects_bad_inputs(lat):
 # -- stored extract-z values do not depend on the summation order -------------
 
 
-def _stored_monomials(f_units):
-    """{(sample, order, points, exponent)} of the z_values that the
-    extract-z functional units store, and their hbar gradings."""
-    monos, gradings = set(), []
-    for i, unit in enumerate(f_units):
-        _rows, z_values, grading = unit()
-        gradings.append(grading)
-        for n, by_degree in z_values.items():
-            for rows in by_degree.values():
-                for row in rows:
-                    points = tuple(map(tuple, row["points"]))
-                    monos.update((i, n, points, e) for e, _re, _im
-                                 in row["coeff"])
-    return monos, gradings
-
-
 def test_extract_z_stores_the_monomial_sets_of_the_per_term_loop(
         monkeypatch):
     # two-hadamard at the default point: order-3 coefficients at rounding
@@ -643,7 +478,7 @@ def test_extract_z_stores_the_monomial_sets_of_the_per_term_loop(
     def stored():
         lat, S = cli._build(cfg)
         f_units, _z_units = cli._extract_z_units(cfg, lat, S)
-        return _stored_monomials(f_units)
+        return stored_z_monomials(f_units)
 
     factorized = stored()
     monkeypatch.setattr(
