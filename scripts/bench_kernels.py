@@ -33,9 +33,7 @@ Start-up (the `startup` entry): the spawn-to-exit wall of
 `python -c "import numpy, os; os._exit(0)"` as its floor, both timed from
 this process (the floor skips interpreter teardown, as `paqft.cli.run`
 does with `os._exit`; a floor that paid for teardown could read above
-the CLI); the entry records whether the children write bytecode
-(PYTHONDONTWRITEBYTECODE unset), since a child that cannot cache it
-compiles every module it loads.  The test suite (the `tier1` entry): the
+the CLI).  The test suite (the `tier1` entry): the
 wall of `python -m pytest -q -p no:cacheprovider <tree>/tests` with
 PYTHONPATH=<tree>/src, where <tree> is the parent directory of the timed
 `src`, run from an empty temporary directory so that no cache lands in
@@ -46,7 +44,10 @@ Each entry runs in --runs fresh processes (default 3), one after another;
 the figures are the medians over those processes.  The result is stored in
 --out under --label, next to the labels already there, with the machine it
 ran on, so one file can hold a before and an after; a label run again on
-other entries keeps the ones it had:
+other entries keeps the ones it had.  The machine block also records
+whether the timed children write bytecode (`writes_bytecode`:
+PYTHONDONTWRITEBYTECODE unset in the environment they inherit), since a
+child that cannot cache it compiles every paqft module it loads:
 
     python3 scripts/bench_kernels.py --label parent --src /path/to/old/src
     python3 scripts/bench_kernels.py --label change
@@ -304,7 +305,8 @@ def machine() -> dict:
     except OSError:
         pass
     return {"cpu_model": cpu, "nproc": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(), "numpy": numpy.__version__}
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "writes_bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def src_lines(src: Path) -> int:
@@ -463,9 +465,6 @@ def main(argv=None) -> int:
     for entry in args.sizes.split(","):
         rows = measure(entry, trees, args.runs)
         for name, row in rows.items():
-            if entry == "startup":
-                row["writes_bytecode"] = not os.environ.get(
-                    "PYTHONDONTWRITEBYTECODE")
             if entry in CONTRACT or entry in ("series", "extract", "pool",
                                               "startup", "tier1"):
                 labels[name][entry] = row

@@ -392,11 +392,16 @@ def _suite_Z(cfg, lat, S):
         cap=int(cfg["caps"]["lambda_order"]),
         degree=int(cfg["caps"]["degree"]),
         tol=float(cfg["tolerances"]["series"]))
-    shared = {k: plan[k] for k in ("cap", "tol", "locality_radius")}
+    shared = {k: plan[k] for k in ("cap", "tol")}
     units = [dict(shared, singles=plan["singles"])]
     for t in plan["causal_triples"]:
         units.append(dict(shared, causal_triples=[t]))
     return [functools.partial(check_Z_axioms, Z, lat, u) for u in units]
+
+
+def _sd_rows(nt: int) -> tuple:
+    """The rows _suite_SD puts phi0 and F on: the middle two."""
+    return nt // 2 - 1, nt // 2
 
 
 def _suite_SD(cfg, lat, S):
@@ -407,7 +412,7 @@ def _suite_SD(cfg, lat, S):
     L = free_scalar_lagrangian(lat)
     cap = int(cfg["caps"]["sd_order"])
     tol = float(cfg["tolerances"]["extraction"])
-    mid = lat.nt // 2
+    rows = _sd_rows(lat.nt)
     count = max(2, int(cfg["samples"]["count"]) // 3)
 
     def one(i, F, phi0):
@@ -422,11 +427,11 @@ def _suite_SD(cfg, lat, S):
         # sample 00's F sits on phi0's first two columns, so F(. + lambda
         # phi0) has orders above 0 and series_on weighs them; the others
         # miss phi0
-        F = random_local_functional(lat, rng, (mid - 1, mid),
+        F = random_local_functional(lat, rng, rows,
                                     degree=int(cfg["caps"]["degree"]),
                                     column=3 if i == 0 else None)
         phi0 = np.zeros(lat.n_sites)
-        for t in (mid - 1, mid):
+        for t in rows:
             for dx in range(3):
                 x = (3 + 4 * i + dx) % lat.nx
                 phi0[lat.site_index(LatticePoint(t, x))] = rng.normal() * 0.3
@@ -436,8 +441,7 @@ def _suite_SD(cfg, lat, S):
 
 def _suite_hammerstein(cfg, lat, S):
     from .functionals import PolyFunctional
-    from .relations import (BinaryRelation, CausalityStructure,
-                            check_hammerstein)
+    from .relations import check_hammerstein
     from .smatrix_renorm import default_z_plan
 
     cap = int(cfg["caps"]["lambda_order"])
@@ -445,9 +449,6 @@ def _suite_hammerstein(cfg, lat, S):
                           count=int(cfg["samples"]["count"]), cap=cap,
                           degree=int(cfg["caps"]["degree"]))
     triples = plan["causal_triples"]
-    # check_hammerstein reads only the predicate, so the universe is empty
-    structure = CausalityStructure(BinaryRelation((), holds=lambda a, b: (
-        lat.not_later_than(a.support(), b.support()))))
     tol = float(cfg["tolerances"]["series"])
 
     def dist(A, B):
@@ -460,7 +461,8 @@ def _suite_hammerstein(cfg, lat, S):
             zero=PolyFunctional.zero(lat),
             mult=S.multiply,
             inverse=S.invert,
-            structure=structure,
+            precedes=lambda a, b: lat.not_later_than(a.support(),
+                                                     b.support()),
             samples=[triple],
             distance=dist,
             tol=tol)
@@ -600,8 +602,18 @@ def cmd_axioms(cfg: dict) -> int:
         raise UsageError(
             f"suite(s) {sorted(needy)} sample causal triples and need "
             f"lattice.nt >= 11, got {nt}")
-    if "SD" in suites and cfg["caps"]["sd_order"] < 1:
-        raise UsageError("the SD suite needs caps.sd_order >= 1, got 0")
+    if "SD" in suites:
+        from .smatrix_renorm import sd_interior_rows
+
+        least = nt
+        while not set(_sd_rows(least)) <= set(sd_interior_rows(least)):
+            least += 1
+        if least > nt:
+            raise UsageError(
+                f"the SD suite puts phi0 on rows {list(_sd_rows(nt))}, "
+                f"outside 2..nt-3: it needs lattice.nt >= {least}, got {nt}")
+        if cfg["caps"]["sd_order"] < 1:
+            raise UsageError("the SD suite needs caps.sd_order >= 1, got 0")
     lat, S = _build(cfg)
     suite_units = [(name, SUITES[name](cfg, lat, S)) for name in suites]
     unit_rows = iter(_run_units([u for _, us in suite_units for u in us]))
@@ -666,8 +678,7 @@ def _extract_z_units(cfg: dict, lat: Lattice, S):
                                _mid_window(lat))
         St = compose(S, Z)
     else:
-        St = build_smatrix(lat, site_shift=_perturbed_hadamard(cfg, lat),
-                           label="S-tilde")
+        St = build_smatrix(lat, site_shift=_perturbed_hadamard(cfg, lat))
         Z = None
     # one extraction cache per process, read by every unit
     extracted = extracted_map(S, St, cap)

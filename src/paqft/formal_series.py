@@ -19,11 +19,9 @@ Multiply and invert form each coefficient, sum_k a_k b_(n-k), as one
 bilinear sum: a `product_sum` callable gets the coefficient's list of
 (a_k, b_(n-k)) pairs and returns their summed products.  The S-matrix
 passes the star algebra's accumulation entry
-(StarAlgebraContext.contract_sum) with tables made for that one multiply
-or invert, so each coefficient is contracted into one accumulator and
-each distinct right factor's selections and contractions are built once
-in the call and freed when it returns.  Without a product_sum the
-products x * y are formed one by one and added up.
+(StarAlgebraContext.contract_sum), so each coefficient is contracted into
+one accumulator.  Without a product_sum the products x * y are formed one
+by one and added up.
 """
 
 from __future__ import annotations

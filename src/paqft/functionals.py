@@ -103,8 +103,8 @@ class HbarScalar:
     def norm(self) -> float:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm() <= tol
+    def is_zero(self) -> bool:
+        return self.norm() == 0.0
 
     def exponent_range(self) -> tuple[int, int] | None:
         if not self.coeffs:
@@ -313,8 +313,8 @@ class PolyFunctional:
     def degree(self) -> int:
         return max(self.terms, default=0)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_norm() <= tol
+    def is_zero(self) -> bool:
+        return self.max_norm() == 0.0
 
     def max_norm(self) -> float:
         return max((c.norm() for t in self.terms.values() for c in t.values()),
@@ -622,7 +622,7 @@ def check_additivity(F: PolyFunctional, samples, tol: float = 1e-12) -> list[dic
 
 
 def additivity_samples(lattice: Lattice, rng: np.random.Generator, count: int,
-                       separation: int, scale: float = 1.0) -> list[tuple]:
+                       separation: int) -> list[tuple]:
     """Seeded (phi1, phi2, phi3) triples with supp phi1, phi3 at Chebyshev
     distance >= separation (torus in x) and phi2 supported everywhere."""
     lat = lattice
@@ -645,40 +645,41 @@ def additivity_samples(lattice: Lattice, rng: np.random.Generator, count: int,
         phi1 = np.zeros(lat.n_sites)
         phi3 = np.zeros(lat.n_sites)
         for p in A:
-            phi1[lat.site_index(p)] = scale * rng.standard_normal()
+            phi1[lat.site_index(p)] = rng.standard_normal()
         for p in B:
-            phi3[lat.site_index(p)] = scale * rng.standard_normal()
-        phi2 = scale * rng.standard_normal(lat.n_sites)
+            phi3[lat.site_index(p)] = rng.standard_normal()
+        phi2 = rng.standard_normal(lat.n_sites)
         out.append((phi1, phi2, phi3))
     return out
 
 
-# the seeded additivity samples of is_local_at_scale, by (nt, nx, seed,
-# count, separation); their arrays are read-only
+# is_local_at_scale's sample seed and count, its additivity tolerance, and
+# its seeded samples by (nt, nx, separation), their arrays read-only
+_LOCALITY_SEED, _LOCALITY_COUNT, _LOCALITY_TOL = 7, 20, 1e-10
 _LOCALITY_SAMPLES: dict = {}
 
 
-def is_local_at_scale(F: PolyFunctional, radius: int = 1, seed: int = 7,
-                      count: int = 20, tol: float = 1e-10) -> tuple[bool, dict]:
+def is_local_at_scale(F: PolyFunctional, radius: int = 1) -> tuple[bool, dict]:
     """Membership test for the local class at a declared stencil radius.
 
     Local means: every monomial has Chebyshev extent <= radius, and the
     additivity identity holds on seeded samples whose phi1/phi3 supports are
     separated by > radius (so no radius-limited stencil straddles both).
-    The samples are drawn once per lattice shape, seed, count and radius.
+    The samples are drawn once per lattice shape and radius.
     """
     ext = monomial_extent(F)
     lat = F.lattice
-    key = (lat.nt, lat.nx, seed, count, radius + 1)
+    key = (lat.nt, lat.nx, radius + 1)
     samples = _LOCALITY_SAMPLES.get(key)
     if samples is None:
-        samples = additivity_samples(lat, np.random.default_rng(seed), count,
-                                     separation=radius + 1)
+        samples = additivity_samples(
+            lat, np.random.default_rng(_LOCALITY_SEED), _LOCALITY_COUNT,
+            separation=radius + 1)
         for triple in samples:
             for phi in triple:
                 phi.setflags(write=False)
         samples = _LOCALITY_SAMPLES[key] = tuple(samples)
-    rows = check_additivity(F, samples, tol=tol)
+    rows = check_additivity(F, samples, tol=_LOCALITY_TOL)
     add_ok = all(r["pass"] for r in rows)
     worst = max((r["eq11"] for r in rows if r["eq11"] is not None), default=0.0)
     ok = ext <= radius and add_ok

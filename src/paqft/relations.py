@@ -291,21 +291,21 @@ def hammerstein_sides(phi: Callable, add: Callable, mult: Callable,
 
 def check_hammerstein(phi: Callable, add: Callable, zero,
                       mult: Callable, inverse: Callable,
-                      structure, samples: Sequence[tuple],
+                      precedes: Callable, samples: Sequence[tuple],
                       distance: Callable = None, tol: float = 1e-9) -> list:
     """hammerstein_sides on each sample (f1, f, f2), for a map phi from an
     additive carrier to a (possibly noncommutative) multiplicative target.
 
     Each row reports the residual at f ("hammerstein") and at f = zero
     ("padd", disjoint additivity of the pair), so padd holds whenever the
-    full property does.  Samples violating the relation precondition are
+    full property does.  Samples whose f1 does not precede f2
+    (precedes(f1, f2), a causality structure's relation.predicate) are
     flagged as rejected, not silently checked.
     """
     dist = distance if distance is not None else _default_distance
-    rel = structure.relation
     rows = []
     for sid, (f1, f, f2) in enumerate(samples):
-        if not rel.predicate(f1, f2):
+        if not precedes(f1, f2):
             rows.append({"sample-id": sid, "rejected": True,
                          "hammerstein": None, "padd": None, "pass": False})
             continue

@@ -21,7 +21,7 @@ import operator
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,11 +58,9 @@ class SMatrix:
 
     context: StarAlgebraContext
     family: MultilinearFamily
-    label: str = "S"
 
     @classmethod
-    def standard(cls, context: StarAlgebraContext, label: str = "S"
-                 ) -> "SMatrix":
+    def standard(cls, context: StarAlgebraContext) -> "SMatrix":
         def mixed(n, args):
             # T_n = T(T_{n-1}(f_1..f_{n-1}), f_n): the inner value is the
             # memo entry of the shorter product, so each order folds once
@@ -75,7 +73,7 @@ class SMatrix:
         # a weak reference, so no cycle keeps a dropped SMatrix, its memo
         # and its context's selection cache alive
         family = weakref.ref(fam)
-        return cls(context=context, family=fam, label=label)
+        return cls(context=context, family=fam)
 
     @property
     def lattice(self) -> Lattice:
@@ -101,30 +99,27 @@ class SMatrix:
             for m in range(2, g.order_cap + 1)})
         return compose(self, Z).series(g.coeff(1), g.order_cap)
 
-    def star_sum(self) -> Callable:
-        """pairs -> the sum of F star G over the (F, G) pairs, contracted
-        in one accumulator; each right factor's tables live as long as the
-        returned callable."""
-        ctx, tables = self.context, {}
-        return lambda pairs: ctx.contract_sum(pairs, ctx.wightman, tables)
+    def star_sum(self, pairs) -> PolyFunctional:
+        """The sum of F star G over the (F, G) pairs, contracted in one
+        accumulator."""
+        return self.context.contract_sum(pairs, self.context.wightman)
 
     def multiply(self, a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
-        return series_multiply(a, b, product_sum=self.star_sum())
+        return series_multiply(a, b, product_sum=self.star_sum)
 
     def invert(self, a: LambdaSeries) -> LambdaSeries:
-        return series_invert(a, product_sum=self.star_sum(),
+        return series_invert(a, product_sum=self.star_sum,
                              unit=PolyFunctional.unit(self.lattice))
 
 
-def build_smatrix(lattice: Lattice, site_shift: np.ndarray = None,
-                  label: str = "S") -> SMatrix:
+def build_smatrix(lattice: Lattice, site_shift: np.ndarray = None) -> SMatrix:
     """Standard S-matrix for a lattice, optionally over a Hadamard part
     shifted by a real site vector on its diagonal."""
     if site_shift is None:
         ctx = StarAlgebraContext.default(lattice)
     else:
         ctx = StarAlgebraContext.from_site_shift(lattice, site_shift)
-    return SMatrix.standard(ctx, label=label)
+    return SMatrix.standard(ctx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +129,6 @@ class RenormalizationMap:
     with Z_1 expected to be the identity (axiom Z4)."""
 
     family: MultilinearFamily
-    label: str = "Z"
 
     @classmethod
     def identity(cls) -> "RenormalizationMap":
@@ -142,7 +136,7 @@ class RenormalizationMap:
             if n == 1:
                 return args[0]
             return PolyFunctional.zero(args[0].lattice)
-        return cls(family=MultilinearFamily(evaluate_mixed=mixed), label="id")
+        return cls(family=MultilinearFamily(evaluate_mixed=mixed))
 
     @classmethod
     def from_values(cls, lattice: Lattice, vals: dict) -> "RenormalizationMap":
@@ -156,7 +150,7 @@ class RenormalizationMap:
                 return g
             return vals.get(n, PolyFunctional.zero(lattice))
 
-        return cls(MultilinearFamily(evaluate_diagonal=diag), label="extracted")
+        return cls(MultilinearFamily(evaluate_diagonal=diag))
 
     def z_series(self, f: PolyFunctional, cap: int) -> LambdaSeries:
         lat = f.lattice
@@ -205,8 +199,7 @@ def make_handcrafted_Z(lattice: Lattice, kappa, window) -> RenormalizationMap:
             return acc.scaled(kappa)
         return PolyFunctional.zero(lattice)
 
-    return RenormalizationMap(
-        family=MultilinearFamily(evaluate_mixed=mixed), label="Z-pairing")
+    return RenormalizationMap(family=MultilinearFamily(evaluate_mixed=mixed))
 
 
 def compose(S: SMatrix, Z: RenormalizationMap) -> SMatrix:
@@ -220,13 +213,12 @@ def compose(S: SMatrix, Z: RenormalizationMap) -> SMatrix:
         return compose_SZ(S.family, lambda k: inverse_prefactor(n - k)
                           if k < n else None, Z.family, args)
 
-    fam = MultilinearFamily(evaluate_mixed=mixed)
-    return SMatrix(context=S.context, family=fam,
-                   label=f"{S.label}.{Z.label}")
+    return SMatrix(context=S.context,
+                   family=MultilinearFamily(evaluate_mixed=mixed))
 
 
-def extract_Z(S: SMatrix, S_tilde: SMatrix, f: PolyFunctional, cap: int,
-              order1_tol: float = 1e-9) -> dict:
+def extract_Z(S: SMatrix, S_tilde: SMatrix, f: PolyFunctional,
+              cap: int) -> dict:
     """Order-by-order values Z_n(f^{tensor n}) of the renormalization map
     relating two S-matrices: S_tilde = S compose Z.
 
@@ -241,7 +233,7 @@ def extract_Z(S: SMatrix, S_tilde: SMatrix, f: PolyFunctional, cap: int,
     lat = S.lattice
     t1 = S.family.diagonal(1, f)
     scale = max(1.0, t1.max_norm())
-    if S_tilde.family.diagonal(1, f).distance(t1) > order1_tol * scale:
+    if S_tilde.family.diagonal(1, f).distance(t1) > 1e-9 * scale:
         raise ValueError(
             "order-1 coefficients of the two S-matrices differ (S3 is "
             "violated); no renormalization map with Z_1 = id relates them")
@@ -260,9 +252,8 @@ def extract_Z(S: SMatrix, S_tilde: SMatrix, f: PolyFunctional, cap: int,
 
 
 def random_local_functional(lattice: Lattice, rng, t_range: tuple,
-                            degree: int = 2, n_terms: int = 3,
-                            scale: float = 0.4,
-                            column: int = None) -> PolyFunctional:
+                            degree: int = 2, column: int = None
+                            ) -> PolyFunctional:
     """Unit-preserving random polynomial supported on a 2x2 window whose
     rows lie within t_range (inclusive).  A given `column` fixes the
     window's first column; the column is drawn all the same, so the
@@ -271,8 +262,7 @@ def random_local_functional(lattice: Lattice, rng, t_range: tuple,
     x0 = int(rng.integers(0, lattice.nx))
     if column is not None:
         x0 = column
-    return _window_functional(lattice, rng, t0, x0, t_range[1], degree=degree,
-                              n_terms=n_terms, scale=scale)
+    return _window_functional(lattice, rng, t0, x0, t_range[1], degree=degree)
 
 
 class SamplingError(RuntimeError):
@@ -294,9 +284,9 @@ def _spacelike_pair(lattice: Lattice, rng, **kw):
 
 
 def _window_functional(lattice: Lattice, rng, t0: int, x0: int,
-                       t_last: int = None, degree: int = 2, n_terms: int = 3,
+                       t_last: int = None, degree: int = 2,
                        scale: float = 0.4) -> PolyFunctional:
-    """Random polynomial of n_terms monomials of degree 1..degree on the
+    """Random polynomial of three monomials of degree 1..degree on the
     2x2 window at (t0, x0), its rows clamped to t_last (default the last
     lattice row) and its columns wrapped."""
     if t_last is None:
@@ -304,7 +294,7 @@ def _window_functional(lattice: Lattice, rng, t0: int, x0: int,
     window = [LatticePoint(min(t0 + dt, t_last), (x0 + dx) % lattice.nx)
               for dt in (0, 1) for dx in (0, 1)]
     monos = []
-    for _ in range(n_terms):
+    for _ in range(3):
         d = int(rng.integers(1, degree + 1))
         pts = [window[int(rng.integers(0, len(window)))] for _ in range(d)]
         monos.append((complex(rng.normal() * scale), pts))
@@ -361,13 +351,11 @@ def default_s_plan(lattice: Lattice, seed: int = 0, count: int = 10,
 
 
 def default_z_plan(lattice: Lattice, seed: int = 1, count: int = 6,
-                   cap: int = 3, tol: float = 1e-9, degree: int = 2,
-                   locality_radius: int = 2) -> dict:
+                   cap: int = 3, tol: float = 1e-9, degree: int = 2) -> dict:
     rng = np.random.default_rng(seed)
     return {
         "cap": cap,
         "tol": tol,
-        "locality_radius": locality_radius,
         "singles": [random_local_functional(lattice, rng, (3, lattice.nt - 4),
                                             degree=degree)
                     for _ in range(max(3, count // 2))],
@@ -483,7 +471,6 @@ def z_axiom_units(Z: RenormalizationMap, lattice: Lattice,
     lat = lattice
     cap = int(plan.get("cap", 3))
     tol = float(plan.get("tol", 1e-9))
-    radius = int(plan.get("locality_radius", 2))
     triples = plan.get("causal_triples", [])
     singles = plan.get("singles", [])
     _check_causal_triples(lat, triples)
@@ -524,7 +511,7 @@ def z_axiom_units(Z: RenormalizationMap, lattice: Lattice,
         for i, f in enumerate(singles):
             for n in range(2, cap + 1):
                 val = Z.family.diagonal(n, f)
-                ok, rep = is_local_at_scale(val, radius=radius)
+                ok, rep = is_local_at_scale(val, radius=2)
                 res = float(rep.get("worst_eq11", 0.0))
                 row = _row("Z", "additivity", n, f"loc-{i:02d}", res, tol)
                 row["pass"] = bool(ok)
@@ -542,7 +529,7 @@ def check_Z_axioms(Z: RenormalizationMap, lattice: Lattice,
     Hammerstein identity: relations.hammerstein_sides with series
     addition as the product and negation as the inverse), Z2 (support of
     relative-map coefficients), and membership of the per-order outputs
-    in the local functionals (additivity at the configured radius).
+    in the local functionals (additivity at radius 2).
 
     Z3 and Z2 are checked both at the sampled middle functional and at
     f = 0 (whose residual the general case should track).  The rows are
@@ -566,13 +553,12 @@ def extracted_map(S: SMatrix, S_tilde: SMatrix, cap: int
             cache[key] = extract_Z(S, S_tilde, g, cap)
         return cache[key][n]
 
-    return RenormalizationMap(MultilinearFamily(evaluate_diagonal=diag),
-                              label="extracted")
+    return RenormalizationMap(MultilinearFamily(evaluate_diagonal=diag))
 
 
 def extracted_locality_units(Z: RenormalizationMap, lattice: Lattice,
                              fs: Sequence[PolyFunctional], cap: int,
-                             plan: dict = None, seed: int = 101) -> list:
+                             plan: dict) -> list:
     """The independent units of verify_extracted_locality for the
     extracted map Z (extracted_map), in row order: the z_axiom_units of
     Z, then one multilinearity unit per order n = 2..cap, which polarizes
@@ -583,8 +569,6 @@ def extracted_locality_units(Z: RenormalizationMap, lattice: Lattice,
             f"need at least {cap} functionals to polarize order {cap}; "
             f"got {len(fs)}")
     fam = Z.family
-    if plan is None:
-        plan = default_z_plan(lattice, seed=seed, cap=cap)
     tol = float(plan.get("tol", 1e-9))
     scale = max(1.0, max(f.max_norm() for f in fs))
 
@@ -602,7 +586,7 @@ def extracted_locality_units(Z: RenormalizationMap, lattice: Lattice,
 
 def verify_extracted_locality(S: SMatrix, S_tilde: SMatrix,
                               fs: Sequence[PolyFunctional], cap: int,
-                              plan: dict = None, seed: int = 101) -> list:
+                              plan: dict) -> list:
     """Reconstruct the multilinear Z from diagonal extractions (by
     polarization over sums of the given family) and run the Z suite on
     it, plus explicit multilinearity rows.  The rows are those of
@@ -611,11 +595,16 @@ def verify_extracted_locality(S: SMatrix, S_tilde: SMatrix,
 
     Needs at least cap functionals to polarize order cap."""
     units = extracted_locality_units(extracted_map(S, S_tilde, cap),
-                                     S.lattice, fs, cap, plan=plan, seed=seed)
+                                     S.lattice, fs, cap, plan)
     return [row for unit in units for row in unit()]
 
 
 # -- Schwinger-Dyson -----------------------------------------------------
+
+
+def sd_interior_rows(nt: int) -> range:
+    """The rows 2..nt-3 that a phi0 of check_schwinger_dyson may touch."""
+    return range(2, nt - 2)
 
 
 def check_schwinger_dyson(S: SMatrix, L: GeneralizedLagrangian,
@@ -633,8 +622,8 @@ def check_schwinger_dyson(S: SMatrix, L: GeneralizedLagrangian,
         raise ValueError("Lagrangian and observable must live on the "
                          "S-matrix lattice")
     phi0v = np.asarray(field_values(lat, phi0), dtype=float)
-    touched = sorted({lat.point(int(i)).t for i in np.flatnonzero(phi0v)})
-    if touched and (touched[0] < 2 or touched[-1] > lat.nt - 3):
+    touched = {lat.point(int(i)).t for i in np.flatnonzero(phi0v)}
+    if not touched <= set(sd_interior_rows(lat.nt)):
         raise ValueError(
             "phi0 must be supported on rows 2..nt-3, away from the time "
             "boundary (the bisolution identity only holds on interior rows)")
@@ -700,9 +689,8 @@ def relative_smatrix(S: SMatrix, V: PolyFunctional, F: PolyFunctional,
             mixed[(a, b)] = (val * prefactor(n)) * Fraction(
                 1, math.factorial(a) * math.factorial(b))
     inv = S.invert(S.series(V, lambda_cap))
-    star_sum = S.star_sum()
-    out = {(a, b): star_sum([(inv.coeff(a1), mixed[(a - a1, b)])
-                             for a1 in range(a + 1)])
+    out = {(a, b): S.star_sum([(inv.coeff(a1), mixed[(a - a1, b)])
+                               for a1 in range(a + 1)])
            for a in range(lambda_cap + 1) for b in range(mu_cap + 1)}
     return BiSeries(lambda_cap, mu_cap, out)
 
@@ -718,13 +706,11 @@ def interacting_observable(S: SMatrix, V: PolyFunctional,
 
 
 def correlation(S: SMatrix, V: PolyFunctional,
-                observables: Sequence[PolyFunctional], cap: int,
-                phi0=None) -> LambdaSeries:
-    """Star-product chain of interacting observables evaluated at phi0
-    (default 0: expectation in the quasifree state)."""
-    lat = S.lattice
-    if phi0 is None:
-        phi0 = np.zeros(lat.n_sites)
+                observables: Sequence[PolyFunctional], cap: int
+                ) -> LambdaSeries:
+    """Star-product chain of interacting observables evaluated at phi = 0:
+    the expectation in the quasifree state."""
+    phi0 = np.zeros(S.lattice.n_sites)
     ints = [interacting_observable(S, V, F, cap) for F in observables]
     prod = ints[0]
     for nxt in ints[1:]:

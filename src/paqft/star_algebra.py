@@ -42,11 +42,8 @@ contracts a list of (F, G) pairs along one kernel into one accumulator
 and returns their summed products as one functional.  star and
 time_ordered are its one-pair case.  A series coefficient
 sum_k a_k . b_(n-k) is one such sum (formal_series), so its products are
-neither built one by one nor added up afterwards.  A caller that
-contracts the same G in several sums passes one `tables` dict to all of
-them: G's monomials, selections and contractions D[sa] are then built
-once, held by that dict and freed with it.  The S-matrix makes one per
-multiply or invert.
+neither built one by one nor added up afterwards.  D[sa] belongs to one
+pair's G, so each pair forms its own.
 
 Each coefficient sums the terms of the per-term loop over every index
 selection (of every pair, for a sum), grouped and ordered differently, so
@@ -200,8 +197,8 @@ class StarAlgebraContext:
             sel.append(by_sb)
         return sel
 
-    def contract_sum(self, pairs: Iterable, kernel: Kernel,
-                     tables: dict = None) -> PolyFunctional:
+    def contract_sum(self, pairs: Iterable, kernel: Kernel
+                     ) -> PolyFunctional:
         """Sum of the exponentiated-contraction products of the (F, G)
         pairs along `kernel`, summed in one accumulator.
 
@@ -214,12 +211,7 @@ class StarAlgebraContext:
         kernel rows of F's sites in its _row_cache.  The sums go through
         PolyFunctional._from_sums, the tail weighted sums share: zero
         coefficients are dropped and each exponent of the sum is checked
-        against the hbar window.
-
-        `tables`, when given, keeps each G's selection table and
-        contractions D between calls, keyed by (kernel, id(G)) and holding
-        G: a caller that contracts the same G in several sums passes one
-        dict to all of them and drops it when it is done."""
+        against the hbar window."""
         lat = self.lattice
         rows = self._row_cache.setdefault(kernel, {})
         selections = self._key_selections
@@ -228,16 +220,8 @@ class StarAlgebraContext:
             if F.lattice != lat or G.lattice != lat:
                 raise ValueError(
                     "functionals must live on the context lattice")
-            # [G, its monomials, its degree, its contractions D[sa], and
-            # its selections, made when an F of degree >= 1 first needs them]
-            table = None if tables is None else tables.get((kernel, id(G)))
-            if table is None:
-                table = [G, [(db, kb, list(cb.coeffs.items()))
-                             for db, kb, cb in G.monomials()],
-                         max(G.terms, default=0), {}, None]
-                if tables is not None:
-                    tables[kernel, id(G)] = table
-            _G, g_monos, g_max, D, g_sel = table
+            g_monos = [(db, kb, list(cb.coeffs.items()))
+                       for db, kb, cb in G.monomials()]
             f_monos = [(da, ka, list(ca.coeffs.items()))
                        for da, ka, ca in F.monomials()]
             for _da, ka, ca in f_monos:
@@ -250,14 +234,15 @@ class StarAlgebraContext:
                         for eb, vb in cb:
                             e = ea + eb
                             coeffs[e] = coeffs.get(e, 0) + va * vb
+            g_max = max(G.terms, default=0)
             if not g_max or not max(F.terms, default=0):
                 continue
-            if g_sel is None:
-                g_sel = table[4] = self._g_selections(g_monos, g_max)
+            g_sel = self._g_selections(g_monos, g_max)
             new = list({s for _d, ka, _c in f_monos for s in ka}
                        - rows.keys())
             if new:
                 rows.update(zip(new, kernel.rows(new).tolist()))
+            D: dict = {}
             for da, ka, ca in f_monos:
                 for r in range(1, min(da, g_max) + 1):
                     for sa, rest_a, ma in selections(ka, r):

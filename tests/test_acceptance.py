@@ -229,8 +229,7 @@ def test_schwinger_dyson_exact_and_perturbed_kernel(lat, S, rng):
         worst = max(worst, max(r["residual"] for r in rows))
     assert worst < 1e-8
 
-    Sp = build_smatrix(lat, site_shift=_site_shift(lat, 7, 1e-3),
-                       label="S-pert")
+    Sp = build_smatrix(lat, site_shift=_site_shift(lat, 7, 1e-3))
     h2 = bisolution_residual(lat, Sp.context.wightman)
     assert h2 > 1e-10  # the perturbation must actually break the bisolution
     F, phi0 = sample(3)
@@ -273,8 +272,7 @@ def test_roundtrip_recovers_planted_map_to_order_four(lat, S, rng):
 
 def test_two_hadamard_extraction_matches_kernel_difference(lat, S, rng):
     cap = 2
-    St = build_smatrix(lat, site_shift=_site_shift(lat, 11, 5e-3),
-                       label="S-tilde")
+    St = build_smatrix(lat, site_shift=_site_shift(lat, 11, 5e-3))
     FK = S.context.feynman.entries
     FKt = St.context.feynman.entries
     worst = 0.0
@@ -301,7 +299,7 @@ def test_two_hadamard_extraction_matches_kernel_difference(lat, S, rng):
 def test_relative_map_residuals_track_zero_reference(lat, rng):
     Z = make_handcrafted_Z(lat, 0.25, _mid_window(lat))
     plan = {
-        "cap": 3, "tol": 1e-9, "locality_radius": 2,
+        "cap": 3, "tol": 1e-9,
         "causal_triples": [_causal_triple(lat, rng, scale=0.3)
                            for _ in range(10)],
         "singles": [random_local_functional(lat, rng, (4, 7))
@@ -404,7 +402,8 @@ def test_relations_exhaustive_and_planted_violations():
                (frozenset({0, 1}), frozenset({4}), frozenset({5}))]
     rows = check_hammerstein(
         total, lambda a, b: a | b, frozenset(),
-        lambda a, b: a + b, lambda v: -v, struct, samples)
+        lambda a, b: a + b, lambda v: -v, struct.relation.predicate,
+        samples)
     assert all(not r["rejected"] and r["hammerstein"] == 0.0
                and r["padd"] == 0.0 and r["pass"] for r in rows)
 
@@ -421,12 +420,12 @@ def test_relations_exhaustive_and_planted_violations():
                  CausalityStructure(sym_caus).invariant_violations())
     bad_rows = check_hammerstein(
         lambda u: float(sum(u)) ** 2, lambda a, b: a | b, frozenset(),
-        lambda a, b: a + b, lambda v: -v, struct,
+        lambda a, b: a + b, lambda v: -v, struct.relation.predicate,
         [(frozenset({1}), frozenset({4}), frozenset({5}))])
     flaws += not bad_rows[0]["pass"]
     misordered = check_hammerstein(
         total, lambda a, b: a | b, frozenset(),
-        lambda a, b: a + b, lambda v: -v, struct,
+        lambda a, b: a + b, lambda v: -v, struct.relation.predicate,
         [(frozenset({5}), frozenset(), frozenset({0}))])
     flaws += bool(misordered[0]["rejected"])
     assert flaws == 5

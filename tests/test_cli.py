@@ -306,6 +306,31 @@ def test_undersized_lattice_for_sampled_suites_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sd_refuses_a_lattice_too_short_for_phi0_before_any_kernel(
+        tmp_path, capsys, monkeypatch):
+    # phi0 sits on the middle two rows, which must be interior (2..nt-3):
+    # nt 4 and 5 exit 2 before any kernel is built, nt 6 runs
+    built = []
+    build = cli._build
+    monkeypatch.setattr(cli, "_build",
+                        lambda cfg: built.append(cfg) or build(cfg))
+
+    def run(nt):
+        return main(["axioms", "--set", f"output={tmp_path}",
+                     "--set", f"lattice.nt={nt}",
+                     "--set", 'suites=["SD"]'] + SMALL)
+
+    for nt in (4, 5):
+        assert run(nt) == 2
+        err = capsys.readouterr().err
+        assert f"it needs lattice.nt >= 6, got {nt}" in err
+        assert "Traceback" not in err
+    assert not built and not any(tmp_path.iterdir())
+    assert run(6) == 0
+    assert len(built) == 1
+    capsys.readouterr()
+
+
 # -- propagators ------------------------------------------------------------
 
 

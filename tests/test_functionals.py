@@ -190,7 +190,7 @@ def _reference_is_local(F, radius=1, seed=7, count=20, tol=1e-10):
 
 def test_batched_locality_check_returns_the_per_field_result(lat, rng,
                                                              monkeypatch):
-    # the samples drawn once per (nt, nx, seed, count, separation), and F
+    # the samples drawn once per (nt, nx, separation), and F
     # evaluated at every field of a call in one pass: the (ok, report) of
     # fresh samples evaluated one field at a time, bit for bit
     drawn = []

@@ -227,7 +227,7 @@ def test_hammerstein_linear_map_passes():
     rows = check_hammerstein(
         phi=lambda x: 3.0 * x, add=lambda a, b: a + b, zero=0,
         mult=lambda a, b: a + b, inverse=lambda x: -x,
-        structure=lt,
+        precedes=lt.relation.predicate,
         samples=[(-2, 0, 1), (-1, 2, 3), (0, -3, 2)])
     assert all(r["pass"] and not r["rejected"] for r in rows)
     assert all(r["hammerstein"] == 0.0 and r["padd"] == 0.0 for r in rows)
@@ -239,7 +239,7 @@ def test_hammerstein_rejects_misordered_sample():
     rows = check_hammerstein(
         phi=lambda x: x, add=lambda a, b: a + b, zero=0,
         mult=lambda a, b: a + b, inverse=lambda x: -x,
-        structure=lt, samples=[(3, 0, -3)])
+        precedes=lt.relation.predicate, samples=[(3, 0, -3)])
     assert rows[0]["rejected"] and not rows[0]["pass"]
     assert rows[0]["hammerstein"] is None and rows[0]["padd"] is None
 
@@ -250,7 +250,7 @@ def test_hammerstein_detects_nonadditive_map():
     rows = check_hammerstein(
         phi=lambda x: x * x, add=lambda a, b: a + b, zero=0,
         mult=lambda a, b: a + b, inverse=lambda x: -x,
-        structure=lt, samples=[(-2, 1, 3)])
+        precedes=lt.relation.predicate, samples=[(-2, 1, 3)])
     assert not rows[0]["pass"]
     assert rows[0]["hammerstein"] > 1.0
 

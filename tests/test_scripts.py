@@ -45,7 +45,11 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     entry = json.loads(out.read_text())["labels"]["smoke"]
-    assert set(entry["machine"]) == {"cpu_model", "nproc", "python", "numpy"}
+    assert set(entry["machine"]) == {"cpu_model", "nproc", "python", "numpy",
+                                     "writes_bytecode"}
+    # the children inherit this environment
+    assert entry["machine"]["writes_bytecode"] == (
+        not os.environ.get("PYTHONDONTWRITEBYTECODE"))
     # the line count of the timed tree, as `wc -l src/paqft/*.py` gives it
     assert entry["src_lines"] == sum(
         len(path.read_text().splitlines())

@@ -321,8 +321,7 @@ def _nonlocal_pairing_Z(lat, kappa=0.3):
             return (grad_sum(args[0]) * grad_sum(args[1])).scaled(kappa)
         return PolyFunctional.zero(lat)
 
-    return RenormalizationMap(MultilinearFamily(evaluate_mixed=mixed),
-                              label="Z-nonlocal")
+    return RenormalizationMap(MultilinearFamily(evaluate_mixed=mixed))
 
 
 def test_planted_nonlocal_Z_fails_the_z3_rows(lat):
@@ -334,6 +333,19 @@ def test_planted_nonlocal_Z_fails_the_z3_rows(lat):
     assert max(r["residual"] for r in failed) > 0.1
 
 
+def test_z_additivity_rows_check_locality_at_radius_two(lat):
+    # a map whose order-2 value has monomial extent 2: local at the Z
+    # suite's radius 2, so its additivity rows pass, though not at radius 1
+    wide = PolyFunctional.from_monomials(
+        lat, [(0.1, [LatticePoint(5, 3), LatticePoint(5, 5)])])
+    Z = RenormalizationMap(MultilinearFamily(
+        evaluate_mixed=lambda n, args: args[0] if n == 1 else wide))
+    assert not is_local_at_scale(wide, radius=1)[0]
+    rows = [r for r in check_Z_axioms(Z, lat, default_z_plan(lat, cap=2))
+            if r["axiom"] == "additivity"]
+    assert rows and all(r["pass"] for r in rows)
+
+
 def test_planted_star_ordered_S_fails_s2_and_mult_rows(lat, ctx):
     # T_n folded with the star product in place of the time-ordered one:
     # still a unit-preserving series, but not causally factorizing
@@ -343,7 +355,7 @@ def test_planted_star_ordered_S_fails_s2_and_mult_rows(lat, ctx):
         return ctx.star(fam.mixed(n - 1, args[:-1]), args[-1])
 
     fam = MultilinearFamily(evaluate_mixed=mixed)
-    S_bad = SMatrix(context=ctx, family=fam, label="S-star")
+    S_bad = SMatrix(context=ctx, family=fam)
     cap = 3
     triples = default_s_plan(lat, seed=0, count=2, cap=cap)["causal_triples"]
     rows = check_S_axioms(S_bad, {"cap": cap, "causal_triples": triples})
@@ -415,7 +427,7 @@ def test_roundtrip_extraction_matches_planted(lat, S):
 def test_extract_Z_rejects_order_one_mismatch(lat, S):
     fam2 = MultilinearFamily(
         evaluate_mixed=lambda n, args: S.family.mixed(n, list(args)).scaled(2.0))
-    S_bad = SMatrix(context=S.context, family=fam2, label="bad")
+    S_bad = SMatrix(context=S.context, family=fam2)
     f = random_local_functional(lat, np.random.default_rng(3), (4, 6))
     with pytest.raises(ValueError, match="S3"):
         extract_Z(S, S_bad, f, 2)
@@ -578,8 +590,9 @@ def test_extract_z_stores_the_monomial_sets_of_the_scale_then_add_route(
 
 def test_verify_extracted_locality_needs_enough_functionals(lat, S):
     f = random_local_functional(lat, np.random.default_rng(3), (4, 6))
+    plan = default_z_plan(lat, seed=3, count=1, cap=2)
     with pytest.raises(ValueError, match="at least 2 functionals"):
-        verify_extracted_locality(S, S, [f], 2)
+        verify_extracted_locality(S, S, [f], 2, plan)
 
 
 def _rows_unit_by_unit(make_units):
@@ -605,8 +618,7 @@ def test_z_suite_rows_are_the_rows_of_its_units(lat):
 
 def test_extracted_locality_rows_are_the_rows_of_its_units(lat, S):
     rng = np.random.default_rng(5)
-    St = build_smatrix(lat, site_shift=rng.normal(size=lat.n_sites) * 5e-3,
-                       label="S-tilde")
+    St = build_smatrix(lat, site_shift=rng.normal(size=lat.n_sites) * 5e-3)
     fs = [random_local_functional(lat, rng, (5, 6)) for _ in range(3)]
     plan = default_z_plan(lat, seed=6, count=1, cap=3)
     plan["singles"] = plan["singles"][:1]
@@ -618,8 +630,7 @@ def test_extracted_locality_rows_are_the_rows_of_its_units(lat, S):
 
 def test_two_hadamard_extraction_is_local(lat, S):
     rng = np.random.default_rng(23)
-    St = build_smatrix(lat, site_shift=rng.normal(size=lat.n_sites) * 5e-3,
-                       label="S-tilde")
+    St = build_smatrix(lat, site_shift=rng.normal(size=lat.n_sites) * 5e-3)
     f = random_local_functional(lat, rng, (4, 6))
     vals = extract_Z(S, St, f, 2)
     z2 = vals[2]

@@ -240,14 +240,6 @@ def test_contract_sum_is_within_the_bound_of_the_exact_sum(lat, ctx, terms):
     for product, kernel in _products(ctx):
         got = ctx.contract_sum(pairs, kernel)
         assert_within_bound(got, exact_contract(pairs, kernel), BOUND_C)
-        # tables kept between calls, one per distinct G, built in the
-        # first call and read in the second, change no bit
-        tables: dict = {}
-        assert bits(ctx.contract_sum(pairs, kernel, tables)) == bits(got)
-        first = dict(tables)
-        assert len(first) == len({id(G) for _F, G in pairs})
-        assert bits(ctx.contract_sum(pairs, kernel, tables)) == bits(got)
-        assert all(tables[k] is table for k, table in first.items())
         F, G = pairs[0]
         assert bits(ctx.contract_sum([(F, G)], kernel)) == \
             bits(product(F, G))
@@ -483,7 +475,7 @@ def test_extract_z_stores_the_monomial_sets_of_the_per_term_loop(
     factorized = stored()
     monkeypatch.setattr(
         StarAlgebraContext, "contract_sum",
-        lambda self, pairs, kernel, tables=None: functools.reduce(
+        lambda self, pairs, kernel: functools.reduce(
             operator.add, (_reference_contract(self.lattice, F, G,
                                                kernel.entries)
                            for F, G in pairs)))
