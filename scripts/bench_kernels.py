@@ -14,17 +14,24 @@ sum; the units run with the cyclic garbage collector off, as in the
 commands' workers.  The `contract-l4` entry runs the same units at
 `caps.lambda_order=4`, where the contraction's share of the units is
 larger.  The series layer (the `series` entry): the same axioms units,
-serially, with `SMatrix.series`, `multiply` and `invert` wrapped to add
-up their seconds and calls.  The extraction layer (the `extract` entry):
-the extract-z units, serially, with the outermost `extract_Z`,
-`compose_SZ` and `polarize` calls timed and counted, and the monomials
+serially, with `SMatrix.series`, `multiply` and `invert` and the parts
+entry `terms_at_sum` (where the tree has it) wrapped to add up their
+seconds and calls.  The extraction layer (the `extract` entry): the
+extract-z units, serially, with the outermost calls of the extracted
+map's evaluator (`extracted`: the family evaluator of the map that
+`extracted_map` returns, mixed or diagonal, whichever the tree gives it)
+and of `extract_Z`, `compose_SZ` and `polarize` timed and counted (a
+tree that no longer calls one counts zero for it), and the monomials
 that `PolyFunctional.scaled`, the sums and differences (`__add__` and
 `__sub__`), `weighted_sum` and `distance` (each where the tree has it)
 visit counted: a scaling visits its operand's monomials, a sum, a
 difference and a distance both operands' and a weighted sum every
 term's, each at the outermost of these calls only, so a sum that is
 itself a weighted sum counts once (the counting adds about 1 us per call
-to the times).  The unit runner (the `pool` entry): in a fresh
+to the times).  Both entries also count `contract_pairs`, the monomial
+pairs that the contraction entry receives (the product of the two
+operands' monomial counts, summed over its pairs), a count that does
+not depend on timing.  The unit runner (the `pool` entry): in a fresh
 process that has imported `paqft.cli`, the wall of
 `cli._run_units([list] * POOL_UNITS)`, units that do no work, so it times
 what the runner itself costs: its imports, forks, dispatch and reaping.
@@ -65,10 +72,10 @@ the pairs in which it was lower:
 --src is the source tree whose `paqft` is timed (default: this checkout's
 `src/`); the wrapper uses only names the trees share (`cli.SUITES`,
 `cli._build`, `cli._extract_z_units`, `cli._run_units`, `SMatrix.series`,
-`multiply`, `invert`, `extract_Z`, `compose_SZ`, `polarize`,
-`PolyFunctional.scaled`, `__add__` and `__sub__`, and
-`StarAlgebraContext.contract_sum` or `_contract`; `weighted_sum` and
-`distance` count zero in a tree without them).
+`multiply`, `invert`, `extracted_map`, `extract_Z`, `compose_SZ`,
+`polarize`, `PolyFunctional.scaled`, `__add__` and `__sub__`, and
+`StarAlgebraContext.contract_sum` or `_contract`; `terms_at_sum`,
+`weighted_sum` and `distance` count zero in a tree without them).
 Each label also records `src_lines`, the line count of that tree's
 `paqft/*.py`.  The mass is 0.5, the default working point.
 """
@@ -98,11 +105,14 @@ WHAT = ("seconds, median of fresh processes per entry, m = 0.5; "
         "StarAlgebraContext.contract_sum (or _contract) in the serial "
         "axioms and extract-z units at 12x16, in process, collector off, "
         "and the units of each command; contract-l4: the same at "
-        "caps.lambda_order=4; series: SMatrix.series, multiply and invert "
-        "in the serial axioms units, outermost calls; extract: extract_Z, "
-        "compose_SZ and polarize in the serial extract-z units, outermost "
-        "calls, and the monomials PolyFunctional.scaled, + and -, "
-        "weighted_sum and distance visit, outermost calls; pool: "
+        "caps.lambda_order=4; series: SMatrix.series, multiply, invert "
+        "and terms_at_sum in the serial axioms units, outermost calls, and "
+        "the monomial pairs the contraction entry receives; extract: the "
+        "extracted map's evaluator, extract_Z, compose_SZ and polarize in "
+        "the serial extract-z units, outermost calls, the monomials "
+        "PolyFunctional.scaled, + and -, weighted_sum and distance visit, "
+        "outermost calls, and the monomial pairs the contraction entry "
+        "receives; pool: "
         f"cli._run_units of {POOL_UNITS} units that do no work, in a fresh "
         "process; startup: spawn-to-exit wall of "
         "`python -m paqft.cli propagators` at 16x32 and of "
@@ -137,12 +147,16 @@ def child(size: str) -> None:
 
 
 def _timed(cls, name: str, spent: dict, key: str) -> None:
-    """Wrap the method `name` of `cls` to add its seconds to
-    spent[key + "_s"] and its calls to spent[key + "_calls"], counting
-    only the outermost of nested calls."""
-    inner = getattr(cls, name)
-    spent[key + "_s"] = 0.0
-    spent[key + "_calls"] = 0
+    """Wrap the method `name` of `cls` with _timer."""
+    setattr(cls, name, _timer(getattr(cls, name), spent, key))
+
+
+def _timer(inner, spent: dict, key: str):
+    """`inner` wrapped to add its seconds to spent[key + "_s"] and its
+    calls to spent[key + "_calls"] (both from 0 if not there yet),
+    counting only the outermost of nested calls."""
+    spent.setdefault(key + "_s", 0.0)
+    spent.setdefault(key + "_calls", 0)
     depth = [0]
 
     def timed(*args, **kwargs):
@@ -157,7 +171,38 @@ def _timed(cls, name: str, spent: dict, key: str) -> None:
             spent[key + "_calls"] += 1
             depth[0] -= 1
 
-    setattr(cls, name, timed)
+    return timed
+
+
+def _contraction_entry() -> str:
+    """The contraction entry of the tree: `contract_sum` (pairs of operands
+    into one sum), or the older `_contract` (one pair)."""
+    from paqft.star_algebra import StarAlgebraContext
+
+    return ("contract_sum" if hasattr(StarAlgebraContext, "contract_sum")
+            else "_contract")
+
+
+def _count_contract_pairs(spent: dict) -> None:
+    """Wrap the contraction entry to add the monomial pairs it receives,
+    the product of the operands' monomial counts over its pairs, to
+    spent["contract_pairs"]."""
+    from paqft.star_algebra import StarAlgebraContext
+
+    name = _contraction_entry()
+    inner = getattr(StarAlgebraContext, name)
+    spent["contract_pairs"] = 0
+
+    def monomials(F):
+        return sum(len(t) for t in F.terms.values())
+
+    def counted(self, *args):
+        pairs = args[0] if name == "contract_sum" else [args[:2]]
+        spent["contract_pairs"] += sum(monomials(F) * monomials(G)
+                                       for F, G in pairs)
+        return inner(self, *args)
+
+    setattr(StarAlgebraContext, name, counted)
 
 
 def _axioms_units(sets: list) -> list:
@@ -185,9 +230,7 @@ def contract_child(lambda_order: int | None = None) -> None:
     from paqft.star_algebra import StarAlgebraContext
 
     spent: dict = {}
-    entry = ("contract_sum" if hasattr(StarAlgebraContext, "contract_sum")
-             else "_contract")
-    _timed(StarAlgebraContext, entry, spent, "contract")
+    _timed(StarAlgebraContext, _contraction_entry(), spent, "contract")
     sets = [f"samples.count={SAMPLES}"]
     if lambda_order is not None:
         sets.append(f"caps.lambda_order={lambda_order}")
@@ -206,13 +249,23 @@ def contract_child(lambda_order: int | None = None) -> None:
 
 def series_child() -> None:
     """One timed process: the axioms units (samples.count=SAMPLES) at
-    12x16, serially, with `SMatrix.series`, `multiply` and `invert` each
-    wrapped to add up its seconds and calls (outermost calls only)."""
+    12x16, serially, with `SMatrix.series`, `multiply` and `invert` and
+    the parts entry `terms_at_sum` (zero in a tree without it) each
+    wrapped to add up its seconds and calls (outermost calls only), and
+    the monomial pairs of the contraction entry counted."""
+    from paqft import formal_series, smatrix_renorm
     from paqft.smatrix_renorm import SMatrix
 
     spent: dict = {}
     for name in ("series", "multiply", "invert"):
         _timed(SMatrix, name, spent, name)
+    if hasattr(formal_series, "terms_at_sum"):
+        _timed(formal_series, "terms_at_sum", spent, "terms_at_sum")
+        # smatrix_renorm calls the terms_at_sum it imported by name
+        smatrix_renorm.terms_at_sum = formal_series.terms_at_sum
+    else:
+        spent["terms_at_sum_s"] = spent["terms_at_sum_calls"] = 0
+    _count_contract_pairs(spent)
     units = _axioms_units([f"samples.count={SAMPLES}"])
     gc.disable()  # as in the commands' workers
     _run_serially(spent, "axioms_units_s", units)
@@ -246,16 +299,36 @@ def _visits(cls, name: str, spent: dict, key: str, operands,
     setattr(cls, name, staticmethod(counted) if static else counted)
 
 
+def _time_extracted_map(spent: dict) -> None:
+    """Wrap `extracted_map` so that the evaluator of each map it returns,
+    mixed or diagonal, adds its seconds and calls to spent["extracted_s"]
+    and spent["extracted_calls"] (outermost calls only)."""
+    from paqft import smatrix_renorm
+
+    make = smatrix_renorm.extracted_map
+
+    def extracted_map(*args, **kwargs):
+        Z = make(*args, **kwargs)
+        fam = Z.family
+        name = "_mixed" if fam._mixed is not None else "_diagonal"
+        setattr(fam, name, _timer(getattr(fam, name), spent, "extracted"))
+        return Z
+
+    smatrix_renorm.extracted_map = extracted_map
+
+
 def extract_child() -> None:
     """One timed process: the extract-z units at 12x16, serially, with the
-    outermost `extract_Z`, `compose_SZ` and `polarize` calls timed and
-    counted, and the monomials of the scalings, sums, weighted sums and
-    distances (where the tree has `PolyFunctional.weighted_sum` and
-    `distance`) counted."""
+    outermost calls of the extracted map's evaluator and of `extract_Z`,
+    `compose_SZ` and `polarize` timed and counted, the monomials of the
+    scalings, sums, weighted sums and distances (where the tree has
+    `PolyFunctional.weighted_sum` and `distance`) counted, and the
+    monomial pairs of the contraction entry counted."""
     from paqft import cli, formal_series, smatrix_renorm
     from paqft.functionals import PolyFunctional
 
     spent: dict = {}
+    _time_extracted_map(spent)
     _timed(smatrix_renorm, "extract_Z", spent, "extract_Z")
     for name in ("compose_SZ", "polarize"):
         _timed(formal_series, name, spent, name)
@@ -273,6 +346,7 @@ def extract_child() -> None:
         else:
             # zero in a tree without it, so both trees have every key
             spent[name + "_calls"] = spent[name + "_visits"] = 0
+    _count_contract_pairs(spent)
     cfg = cli.load_config(None, [])
     lat, S = cli._build(cfg)
     f_units, z_units = cli._extract_z_units(cfg, lat, S)
@@ -383,11 +457,15 @@ def report(label: str, entry: str, row: dict) -> str:
                 f"{row['extract_units_s']:.3f} s)")
     if entry == "series":
         return (f"{label} series: SMatrix.series {row['series_s']:.3f} s, "
+                f"terms_at_sum {row['terms_at_sum_s']:.3f} s, "
                 f"multiply {row['multiply_s']:.3f} s, invert "
-                f"{row['invert_s']:.3f} s, axioms units "
+                f"{row['invert_s']:.3f} s, contraction monomial pairs "
+                f"{row['contract_pairs']:.0f}, axioms units "
                 f"{row['axioms_units_s']:.3f} s")
     if entry == "extract":
-        return (f"{label} extract: extract_Z {row['extract_Z_s']:.3f} s over "
+        return (f"{label} extract: extracted map {row['extracted_s']:.3f} s "
+                f"over {row['extracted_calls']:.0f} calls, extract_Z "
+                f"{row['extract_Z_s']:.3f} s over "
                 f"{row['extract_Z_calls']:.0f} calls, compose_SZ "
                 f"{row['compose_SZ_s']:.3f} s, polarize "
                 f"{row['polarize_s']:.3f} s, monomial visits "
@@ -395,7 +473,8 @@ def report(label: str, entry: str, row: dict) -> str:
                 f"+ {row['sum_visits']:.0f}, - "
                 f"{row['difference_visits']:.0f}, weighted_sum "
                 f"{row['weighted_sum_visits']:.0f}, distance "
-                f"{row['distance_visits']:.0f}), extract-z units "
+                f"{row['distance_visits']:.0f}), contraction monomial pairs "
+                f"{row['contract_pairs']:.0f}, extract-z units "
                 f"{row['extract_units_s']:.3f} s")
     if entry == "pool":
         return (f"{label} pool: _run_units of {POOL_UNITS} units "

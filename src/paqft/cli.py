@@ -17,11 +17,11 @@ them in forked worker processes, one per usable CPU
 sample, or per causal triple, spacelike pair or T1 chain; `extract-z` one
 per sampled functional, then the units of the extracted map's Z suite
 (its Z1/Z4 head, one per causal triple, its additivity tail) and one per
-multilinearity order; every `extract-z` unit reads one extraction cache
-per worker, and the workers take them last first, so the multilinearity
-units go first, highest order first.  The workers are plain forks
-(`_run_units`, no process pool): they read unit indices one at a time
-from one shared pipe and send their rows back through a pipe each.
+multilinearity order; every `extract-z` unit reads the extracted map's
+family memo of its worker.  The workers are plain forks (`_run_units`,
+no process pool): they take the units in unit order, reading their
+indices one at a time from one shared pipe, and send their rows back
+through a pipe each.
 Rows come back in unit order, so reports and standard output do not
 depend on the CPU count or the dispatch order.  A worker that dies
 without reporting (killed, out of memory) makes the command raise a
@@ -307,8 +307,10 @@ def _json_default(obj):
 
 def _summary_line(tag: str, rows) -> str:
     fails = sum(1 for r in rows if not r["pass"])
-    worst = max((float(r["residual"]) for r in rows
-                 if r.get("residual") is not None), default=0.0)
+    # np.max, unlike max(), keeps a NaN wherever it stands
+    residuals = [float(r["residual"]) for r in rows
+                 if r.get("residual") is not None]
+    worst = float(np.max(residuals)) if residuals else 0.0
     status = "PASS" if fails == 0 else "FAIL"
     return (f"{tag}: {len(rows)} rows, {fails} failures, "
             f"worst residual {worst:.3e} -> {status}")
@@ -440,7 +442,6 @@ def _suite_SD(cfg, lat, S):
 
 
 def _suite_hammerstein(cfg, lat, S):
-    from .functionals import PolyFunctional
     from .relations import check_hammerstein
     from .smatrix_renorm import default_z_plan
 
@@ -452,18 +453,23 @@ def _suite_hammerstein(cfg, lat, S):
     tol = float(cfg["tolerances"]["series"])
 
     def dist(A, B):
-        return max(A.coeff(n).distance(B.coeff(n)) for n in range(cap + 1))
+        # a NaN at any order is the residual (np.max, unlike max())
+        return float(np.max([A.coeff(n).distance(B.coeff(n))
+                             for n in range(cap + 1)]))
 
+    def support(parts):
+        return frozenset().union(*(f.support() for f in parts))
+
+    # the arguments are tuples of parts (relations.hammerstein_sides)
     def one(i, triple):
         rows = check_hammerstein(
-            phi=lambda f: S.series(f, cap),
+            phi=lambda parts: S.series(parts, cap),
             add=lambda a, b: a + b,
-            zero=PolyFunctional.zero(lat),
+            zero=(),
             mult=S.multiply,
             inverse=S.invert,
-            precedes=lambda a, b: lat.not_later_than(a.support(),
-                                                     b.support()),
-            samples=[triple],
+            precedes=lambda a, b: lat.not_later_than(support(a), support(b)),
+            samples=[tuple((f,) for f in triple)],
             distance=dist,
             tol=tol)
         return [{"suite": "hammerstein", "axiom": "S2",
@@ -680,7 +686,7 @@ def _extract_z_units(cfg: dict, lat: Lattice, S):
     else:
         St = build_smatrix(lat, site_shift=_perturbed_hadamard(cfg, lat))
         Z = None
-    # one extraction cache per process, read by every unit
+    # one map, whose family memo every unit of a process reads
     extracted = extracted_map(S, St, cap)
 
     def one(i, f):
@@ -737,12 +743,7 @@ def cmd_extract_z(cfg: dict) -> int:
     lat, S = _build(cfg)
     mode = cfg["extract"]["mode"]
     f_units, z_units = _extract_z_units(cfg, lat, S)
-    units = f_units + z_units
-    # the workers take the units last first: the multilinearity units, at
-    # the end, polarize orders cap down to 2, and the order-n one
-    # extracts about 3 (2^n - 1) sums, so the costliest go first and the
-    # run does not end on one of them
-    results = _run_units(units, range(len(units))[::-1])
+    results = _run_units(f_units + z_units)
     rows, z_values, grading = [], {}, {}
     for i, (out, vals, grades) in enumerate(results[:len(f_units)]):
         rows.extend(out)

@@ -13,7 +13,11 @@ go through the one summing helper, weighted_sum: a term type with a
 weighted_sum of its own (PolyFunctional.weighted_sum) sums all the
 weighted terms in one accumulation pass; other types add w * t one by
 one, so Fraction targets stay exact.  compose_SZ's weighted terms come
-from partition_terms, which extract_Z also reads.
+from partition_terms, which the extracted renormalization map also reads.
+
+A value at a sum of parts, T_n((f_1 + ... + f_k)^{tensor n}), is never
+evaluated at the summed argument: terms_at_sum lists it as mixed values
+of the parts, so the sums that share parts share their memo entries.
 
 Multiply and invert form each coefficient, sum_k a_k b_(n-k), as one
 bilinear sum: a `product_sum` callable gets the coefficient's list of
@@ -226,6 +230,33 @@ class MultilinearFamily:
             val = polarize(self, n, args)
         self._memo[key] = val
         return val
+
+
+def terms_at_sum(family: MultilinearFamily, n: int, parts: Sequence) -> list:
+    """The terms of T_n((f_1 + ... + f_k)^{tensor n}) for the parts f_i:
+
+        T_n((f_1 + ... + f_k)^{tensor n}) = sum over the multisets m of n
+            part indices of n!/prod_i m_i! T_n(f_m),
+
+    with m_i the multiplicity of part i in m and f_m the parts m lists, as
+    (n!/prod_i m_i!, T_n(f_m)) pairs in the order of
+    itertools.combinations_with_replacement.  A multiset of one part is
+    that part's diagonal value, so one part gives the one term
+    (1, family.diagonal(n, f)), whatever f; of several parts the zero ones
+    are dropped, as a multilinear T_n vanishes on them, and no parts give
+    no terms."""
+    if len(parts) > 1:
+        parts = [p for p in parts if not _is_zero(p)]
+    terms = []
+    for m in itertools.combinations_with_replacement(range(len(parts)), n):
+        if m[0] == m[-1]:
+            terms.append((1, family.diagonal(n, parts[m[0]])))
+            continue
+        count = math.factorial(n)
+        for mult in Counter(m).values():
+            count //= math.factorial(mult)
+        terms.append((count, family.mixed(n, [parts[i] for i in m])))
+    return terms
 
 
 def weighted_sum(pairs: Sequence):

@@ -24,8 +24,8 @@ and stores the canonical form without a second pass.
 constructor, from_monomials, JSON, shift_field_series, poly x poly
 products, derivative and smatrix_renorm's site derivative.
 ``PolyFunctional.weighted_sum`` forms every sum of functionals (sums,
-differences, negation, scalings, L(f), compose_SZ, polarization and
-extract_Z), each coefficient within a stated rounding bound of the exact
+differences, negation, scalings, L(f), the series at sums of parts,
+compose_SZ, polarization and the extracted map), each coefficient within a stated rounding bound of the exact
 sum; ``StarAlgebraContext.contract_sum`` forms contractions.
 """
 
@@ -101,7 +101,15 @@ class HbarScalar:
         return HbarScalar({e + k: v for e, v in self.coeffs.items()})
 
     def norm(self) -> float:
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
+        """The largest |c|, 0.0 for zero; a NaN coefficient makes it NaN."""
+        m = 0.0
+        for v in self.coeffs.values():
+            a = abs(v)
+            if a > m:
+                m = a
+            elif a != a:
+                return a
+        return m
 
     def is_zero(self) -> bool:
         return self.norm() == 0.0
@@ -317,20 +325,44 @@ class PolyFunctional:
         return self.max_norm() == 0.0
 
     def max_norm(self) -> float:
-        return max((c.norm() for t in self.terms.values() for c in t.values()),
-                   default=0.0)
+        """The largest |c| over all coefficients, 0.0 for zero; a NaN
+        coefficient makes it NaN."""
+        m = 0.0
+        for t in self.terms.values():
+            for c in t.values():
+                for v in c.coeffs.values():
+                    a = abs(v)
+                    if a > m:
+                        m = a
+                    elif a != a:
+                        return a
+        return m
 
     def distance(self, other: "PolyFunctional") -> float:
         """(self - other).max_norm() bit for bit (x + (-1)y is x - y),
-        without building the difference."""
+        without building the difference; a NaN coefficient on either side
+        makes it NaN.  A coefficient on one side only contributes its |c|,
+        which is |c - 0| and |0 - c| bit for bit."""
         if other.lattice is not self.lattice and other.lattice != self.lattice:
             raise ValueError("lattice mismatch")
         a, b = ({k: c.coeffs for t in F.terms.values() for k, c in t.items()}
                 for F in (self, other))
-        return max((abs(a.get(k, {}).get(e, 0j) - b.get(k, {}).get(e, 0j))
-                    for k in a.keys() | b.keys()
-                    for e in a.get(k, {}).keys() | b.get(k, {}).keys()),
-                   default=0.0)
+        m = 0.0
+        for k in a.keys() | b.keys():
+            ca, cb = a.get(k), b.get(k)
+            if ca is None or cb is None:
+                diffs = [abs(v) for v in (ca if cb is None else cb).values()]
+            elif ca.keys() == cb.keys():
+                diffs = [abs(v - cb[e]) for e, v in ca.items()]
+            else:
+                diffs = [abs(ca.get(e, 0j) - cb.get(e, 0j))
+                         for e in ca.keys() | cb.keys()]
+            for d in diffs:
+                if d > m:
+                    m = d
+                elif d != d:
+                    return d
+        return m
 
     def support(self) -> Region:
         lat = self.lattice

@@ -9,7 +9,9 @@ identity first, then equality.
 
 hammerstein_sides is the one place the generalized Hammerstein identity
 is formed; check_hammerstein and the S2, multiplicativity and Z3 rows of
-the S and Z suites all evaluate it there.
+the S and Z suites all evaluate it there.  They pass tuples of parts, so
+the four sums of the identity are tuple concatenations and phi forms each
+value at a sum from the mixed values of its parts, which the sides share.
 """
 
 from __future__ import annotations
@@ -282,7 +284,11 @@ def hammerstein_sides(phi: Callable, add: Callable, mult: Callable,
         phi(f1 + f + f2) = phi(f2 + f) . phi(f)^{-1} . phi(f + f1)
 
     S2 is the case phi = S over star-product series, its multiplicativity
-    corollary the same at f = 0; Z3 is the abelian case mult = +.
+    corollary the same at f = 0; Z3 is the abelian case mult = +.  The
+    arguments may be tuples of parts with add the concatenation and () the
+    zero: phi then evaluates at sums it is given as parts (SMatrix.series,
+    RenormalizationMap.z_series), and the four sides, (f1, f, f2),
+    (f2, f), (f) and (f, f1), share the mixed values of their parts.
     """
     lhs = phi(add(add(f1, f), f2))
     rhs = mult(mult(phi(add(f2, f)), inverse(phi(f))), phi(add(f, f1)))

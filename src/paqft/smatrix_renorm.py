@@ -4,7 +4,9 @@ theorem of renormalization.
 An S-matrix here is the generating series S(lambda f) = 1 +
 sum_n (i/hbar)^n lambda^n/n! T_n(f^{tensor n}) built from the time-ordered
 product engine.  Renormalization maps Z act by composition on the series
-argument; extract_Z inverts that action order by order.  All axiom
+argument; extracted_map inverts that action order by order, at mixed
+arguments.  A series at a sum takes the sum as a tuple of parts and
+forms it from the parts' mixed values (terms_at_sum).  All axiom
 checkers emit report rows {suite, axiom, order, sample-id, residual,
 pass} with configurable tolerances.
 
@@ -25,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .formal_series import (LambdaSeries, MultilinearFamily, arg_key,
-                            compose_SZ, partition_terms, series_multiply,
-                            series_invert, series_add, series_scale)
+from .formal_series import (LambdaSeries, MultilinearFamily, compose_SZ,
+                            partition_terms, series_multiply, series_invert,
+                            series_add, series_scale, terms_at_sum)
 from .functionals import (GeneralizedLagrangian, HbarScalar, PolyFunctional,
                           cutoff_lagrangian, is_local_at_scale)
 from .lattice import Lattice, LatticePoint, bisolution_residual, field_values
@@ -79,13 +81,19 @@ class SMatrix:
     def lattice(self) -> Lattice:
         return self.context.lattice
 
-    def series(self, f: PolyFunctional, cap: int) -> LambdaSeries:
-        """Coefficients of S(lambda f) through lambda^cap: T_n(f^{tensor n})
-        scaled once, by prefactor(n)/n!."""
+    def series(self, f, cap: int) -> LambdaSeries:
+        """Coefficients of S(lambda f) through lambda^cap, f a functional or
+        a tuple of parts that stands for their sum (the empty tuple for
+        zero).  Order n is one weighted sum of the terms_at_sum of the
+        parts, the term (c, T) weighted prefactor(n) c/n!; one part gives
+        T_n(f^{tensor n}) scaled once, by prefactor(n)/n!."""
+        parts = f if isinstance(f, tuple) else (f,)
         rows = [PolyFunctional.unit(self.lattice)]
         for n in range(1, cap + 1):
-            val = self.family.diagonal(n, f)
-            rows.append(val * (prefactor(n) * Fraction(1, math.factorial(n))))
+            w, nf = prefactor(n), math.factorial(n)
+            rows.append(PolyFunctional.weighted_sum(self.lattice, [
+                (w * Fraction(c, nf), t)
+                for c, t in terms_at_sum(self.family, n, parts)]))
         return LambdaSeries(cap, tuple(rows))
 
     def series_on(self, g: LambdaSeries) -> LambdaSeries:
@@ -152,12 +160,20 @@ class RenormalizationMap:
 
         return cls(MultilinearFamily(evaluate_diagonal=diag))
 
-    def z_series(self, f: PolyFunctional, cap: int) -> LambdaSeries:
-        lat = f.lattice
+    def z_series(self, f, cap: int, lattice: Lattice = None) -> LambdaSeries:
+        """Coefficients of Z(lambda f) through lambda^cap, f a functional or
+        a tuple of parts that stands for their sum (the empty tuple for
+        zero) on `lattice`, by default the first part's.  Order n is one
+        weighted sum of the terms_at_sum of the parts, the term (c, Z)
+        weighted c/n!; one part gives Z_n(f^{tensor n})/n!."""
+        parts = f if isinstance(f, tuple) else (f,)
+        lat = lattice if lattice is not None else parts[0].lattice
         rows = [PolyFunctional.zero(lat)]
         for n in range(1, cap + 1):
-            rows.append(self.family.diagonal(n, f)
-                        * Fraction(1, math.factorial(n)))
+            nf = math.factorial(n)
+            rows.append(PolyFunctional.weighted_sum(lat, [
+                (Fraction(c, nf), t)
+                for c, t in terms_at_sum(self.family, n, parts)]))
         return LambdaSeries(cap, tuple(rows))
 
 
@@ -219,33 +235,13 @@ def compose(S: SMatrix, Z: RenormalizationMap) -> SMatrix:
 
 def extract_Z(S: SMatrix, S_tilde: SMatrix, f: PolyFunctional,
               cap: int) -> dict:
-    """Order-by-order values Z_n(f^{tensor n}) of the renormalization map
-    relating two S-matrices: S_tilde = S compose Z.
-
-    Inductively, with Z^{N-1} the map of the values found so far and a
-    zero Z_N, the set-partition sum compose_SZ(S, Z^{N-1}) at [f] * N
-    misses exactly the one-block term (i/hbar) Z_N(f^{tensor N}), so the
-    order-N mismatch against S_tilde(lambda f) fixes Z_N: one weighted
-    sum, -i hbar prefactor(N) S_tilde.T_N(f^{tensor N}) plus i hbar times
-    each weighted term of partition_terms(S, Z^{N-1}).  Values are
-    stripped of the (i/hbar) weight, so they live in the functional space.
-    """
-    lat = S.lattice
-    t1 = S.family.diagonal(1, f)
-    scale = max(1.0, t1.max_norm())
-    if S_tilde.family.diagonal(1, f).distance(t1) > 1e-9 * scale:
-        raise ValueError(
-            "order-1 coefficients of the two S-matrices differ (S3 is "
-            "violated); no renormalization map with Z_1 = id relates them")
-    ihbar = HbarScalar({1: 1j})
-    vals: dict = {1: f}
-    for N in range(2, cap + 1):
-        zfam = RenormalizationMap.from_values(lat, vals).family
-        terms = partition_terms(S.family, prefactor, zfam, [f] * N)
-        vals[N] = PolyFunctional.weighted_sum(lat, [
-            (-ihbar * prefactor(N), S_tilde.family.diagonal(N, f))]
-            + [(ihbar * w, t) for w, t in terms])
-    return vals
+    """Order-by-order values Z_n(f^{tensor n}), n = 1..cap, of the
+    renormalization map relating two S-matrices, S_tilde = S compose Z:
+    the diagonal values of extracted_map(S, S_tilde, cap), whose
+    evaluator holds the extraction formula.  Values are stripped of the
+    (i/hbar) weight, so they live in the functional space."""
+    fam = extracted_map(S, S_tilde, cap).family
+    return {n: fam.diagonal(n, f) for n in range(1, cap + 1)}
 
 
 # -- sample plans --------------------------------------------------------
@@ -426,10 +422,11 @@ def check_S_axioms(S: SMatrix, plan: dict) -> list:
         rows.append(_row("S", "S3", 1, f"s3-{i:02d}", res, kernel_tol))
     phi = functools.partial(S.series, cap=cap)
     for i, (f1, fm, f2) in enumerate(triples):
-        # S2 at the middle term, then its multiplicativity corollary at 0
-        for tag, mid in (("s2", fm), ("mult", zerof)):
+        # S2 at the middle term, then its multiplicativity corollary at 0,
+        # on tuples of parts: the four sides share their mixed values
+        for tag, mid in (("s2", (fm,)), ("mult", ())):
             lhs, rhs = hammerstein_sides(phi, operator.add, S.multiply,
-                                         S.invert, f1, mid, f2)
+                                         S.invert, (f1,), mid, (f2,))
             for n in range(1, cap + 1):
                 rows.append(_row("S", "S2", n, f"{tag}-{i:02d}",
                                  lhs.coeff(n).distance(rhs.coeff(n)),
@@ -475,7 +472,7 @@ def z_axiom_units(Z: RenormalizationMap, lattice: Lattice,
     singles = plan.get("singles", [])
     _check_causal_triples(lat, triples)
     zerof = PolyFunctional.zero(lat)
-    phi = functools.partial(Z.z_series, cap=cap)
+    phi = functools.partial(Z.z_series, cap=cap, lattice=lat)
 
     def head():
         zser = Z.z_series(zerof, cap)
@@ -488,14 +485,15 @@ def z_axiom_units(Z: RenormalizationMap, lattice: Lattice,
 
     def triple(i, f1, fm, f2):
         rows = []
-        for tag, mid in (("gen", fm), ("f0", zerof)):
+        # on tuples of parts, as in check_S_axioms
+        for tag, mid in (("gen", (fm,)), ("f0", ())):
             lhs, rhs = hammerstein_sides(phi, operator.add, series_add,
-                                         _negate, f1, mid, f2)
+                                         _negate, (f1,), mid, (f2,))
             for n in range(cap + 1):
                 res = lhs.coeff(n).distance(rhs.coeff(n))
                 rows.append(_row("Z", "Z3", n, f"z3-{i:02d}-{tag}", res, tol))
             # the relative maps, from the memo entries the identity made
-            b, c, d = phi(mid + f1), phi(mid), phi(f2 + mid)
+            b, c, d = phi(mid + (f1,)), phi(mid), phi((f2,) + mid)
             supp1, supp2 = f1.support(), f2.support()
             for n in range(1, cap + 1):
                 rel1 = b.coeff(n) - c.coeff(n)
@@ -538,22 +536,65 @@ def check_Z_axioms(Z: RenormalizationMap, lattice: Lattice,
             for row in unit()]
 
 
+class _BelowOrder:
+    """The map of the extraction's induction at order n: the extracted
+    family's values below order n, and zero at order n itself."""
+
+    __slots__ = ("family", "n", "zero")
+
+    def __init__(self, family: MultilinearFamily, n: int,
+                 zero: PolyFunctional):
+        self.family, self.n, self.zero = family, n, zero
+
+    def mixed(self, k: int, args: Sequence):
+        return self.zero if k == self.n else self.family.mixed(k, args)
+
+
 def extracted_map(S: SMatrix, S_tilde: SMatrix, cap: int
                   ) -> RenormalizationMap:
-    """The map Z with S_tilde = S compose Z, known by its diagonal values:
-    Z_n(g^{tensor n}) is extract_Z(S, S_tilde, g, cap)[n] for n = 1..cap.
-    Each argument is extracted once, all orders at a time, and kept in one
-    cache on the map, which every caller of its family in a process
-    shares; mixed values come by polarization."""
-    cache: dict = {}
+    """The map Z with S_tilde = S compose Z, orders 1..cap, extracted at
+    mixed arguments directly.
 
-    def diag(n, g):
-        key = arg_key(g)
-        if key not in cache:
-            cache[key] = extract_Z(S, S_tilde, g, cap)
-        return cache[key][n]
+    Z_1 is the identity, once the order-1 values of S and S_tilde are
+    checked to agree at the argument (S3; a mismatch raises ValueError).
+    For n >= 2, the set-partition sum compose_SZ(S, Z) at f_1..f_n is
+    prefactor(n) S_tilde.T_n(f_1..f_n), and its one-block term is (i/hbar)
+    Z_n(f_1..f_n); with the map's own lower orders and a zero order n it
+    misses exactly that term, so Z_n(f_1..f_n) is one weighted sum,
+    -i hbar prefactor(n) S_tilde.T_n(f_1..f_n) plus i hbar times each
+    weighted term of partition_terms(S, that map).  Nothing polarizes: the
+    values at sums come through terms_at_sum as mixed values, and the
+    family memo keeps every value for the callers of the map in a
+    process."""
+    lat = S.lattice
+    zero = PolyFunctional.zero(lat)
+    ihbar = HbarScalar({1: 1j})
 
-    return RenormalizationMap(MultilinearFamily(evaluate_diagonal=diag))
+    def mixed(n, args):
+        if n > cap:
+            raise ValueError(f"the map is extracted through order {cap}, "
+                             f"not {n}")
+        if n == 1:
+            f = args[0]
+            t1 = S.family.mixed(1, [f])
+            scale = max(1.0, t1.max_norm())
+            if S_tilde.family.mixed(1, [f]).distance(t1) > 1e-9 * scale:
+                raise ValueError(
+                    "order-1 coefficients of the two S-matrices differ (S3 "
+                    "is violated); no renormalization map with Z_1 = id "
+                    "relates them")
+            return f
+        terms = partition_terms(S.family, prefactor,
+                                _BelowOrder(family(), n, zero), args)
+        return PolyFunctional.weighted_sum(lat, [
+            (-ihbar * prefactor(n), S_tilde.family.mixed(n, args))]
+            + [(ihbar * w, t) for w, t in terms])
+
+    fam = MultilinearFamily(evaluate_mixed=mixed)
+    # a weak reference, as in SMatrix.standard: the workers run without
+    # the cyclic collector
+    family = weakref.ref(fam)
+    return RenormalizationMap(fam)
 
 
 def extracted_locality_units(Z: RenormalizationMap, lattice: Lattice,
@@ -561,12 +602,14 @@ def extracted_locality_units(Z: RenormalizationMap, lattice: Lattice,
                              plan: dict) -> list:
     """The independent units of verify_extracted_locality for the
     extracted map Z (extracted_map), in row order: the z_axiom_units of
-    Z, then one multilinearity unit per order n = 2..cap, which polarizes
-    over sums of fs.  A unit that runs after others in the same process
-    reuses the extractions in Z's cache; its rows do not depend on that."""
+    Z, then one multilinearity unit per order n = 2..cap, which compares
+    mixed extractions, Z_n(f_0 + f_1, f_1..f_{n-1}) against Z_n(f_0..f_{n-1})
+    + Z_n(f_1, f_1..f_{n-1}), for the first n functionals of fs.  A unit
+    that runs after others in the same process reuses the values in Z's
+    family memo; its rows do not depend on that."""
     if len(fs) < cap:
         raise ValueError(
-            f"need at least {cap} functionals to polarize order {cap}; "
+            f"need at least {cap} functionals to check order {cap}; "
             f"got {len(fs)}")
     fam = Z.family
     tol = float(plan.get("tol", 1e-9))
@@ -587,13 +630,12 @@ def extracted_locality_units(Z: RenormalizationMap, lattice: Lattice,
 def verify_extracted_locality(S: SMatrix, S_tilde: SMatrix,
                               fs: Sequence[PolyFunctional], cap: int,
                               plan: dict) -> list:
-    """Reconstruct the multilinear Z from diagonal extractions (by
-    polarization over sums of the given family) and run the Z suite on
-    it, plus explicit multilinearity rows.  The rows are those of
-    extracted_locality_units of extracted_map(S, S_tilde, cap), run one
-    after another.
+    """Extract the multilinear Z at mixed arguments (extracted_map) and run
+    the Z suite on it, plus explicit multilinearity rows over the given
+    functionals.  The rows are those of extracted_locality_units of
+    extracted_map(S, S_tilde, cap), run one after another.
 
-    Needs at least cap functionals to polarize order cap."""
+    Needs at least cap functionals to check order cap."""
     units = extracted_locality_units(extracted_map(S, S_tilde, cap),
                                      S.lattice, fs, cap, plan)
     return [row for unit in units for row in unit()]

@@ -667,6 +667,29 @@ def test_units_leave_no_cyclic_garbage(command, sets):
         gc.enable()
 
 
+def test_a_nan_residual_fails_its_hammerstein_row_and_tops_the_summary():
+    # T_2 carries a NaN coefficient, so the residual is NaN at order 2
+    # only, after the finite orders 0 and 1
+    cfg = load_config(None, ["caps.lambda_order=2", "samples.count=1"])
+    lat, S = cli._build(cfg)
+    nan_part = PolyFunctional(lat, {1: {(0,): HbarScalar({0: np.nan})}})
+
+    def mixed(n, args):
+        if n == 1:
+            return args[0]
+        return S.context.time_ordered(*args) + nan_part
+
+    S_nan = smatrix_renorm.SMatrix(
+        context=S.context, family=MultilinearFamily(evaluate_mixed=mixed))
+    rows = [r for unit in cli._suite_hammerstein(cfg, lat, S_nan)
+            for r in unit()]
+    assert rows and all(np.isnan(r["residual"]) and not r["pass"]
+                        for r in rows)
+    line = cli._summary_line("axioms[hammerstein]",
+                             [{"residual": 1.0, "pass": True}] + rows)
+    assert "worst residual nan -> FAIL" in line
+
+
 def _plant_non_spacelike_pair(monkeypatch):
     def malformed_plan(lat, **kw):
         plan = default_s_plan(lat, **kw)

@@ -7,7 +7,8 @@ import pytest
 
 from paqft.formal_series import (LambdaSeries, MultilinearFamily, compose_SZ,
                                  polarize, series_add, series_invert,
-                                 series_multiply, series_scale, set_partitions)
+                                 series_multiply, series_scale, set_partitions,
+                                 terms_at_sum)
 from paqft.functionals import PolyFunctional
 from paqft.lattice import LatticePoint
 from paqft.smatrix_renorm import (RenormalizationMap, build_smatrix, compose,
@@ -215,6 +216,27 @@ def test_memo_never_reuses_ids_of_dead_arguments():
         evaluate_mixed=lambda n, args: float(sum(a.sum() for a in args)))
     for i in range(200):
         assert mixed.mixed(2, [np.full(2, float(i)), np.ones(2)]) == 2.0 * i + 2
+
+
+# -- values at sums of parts -----------------------------------------------
+
+
+def test_terms_at_sum_expand_the_power_of_the_sum():
+    # T_n(x_1..x_n) = x_1 ... x_n, so the terms add up to (sum of parts)^n
+    fam = _product_family()
+    parts = (F(1, 2), F(-3), F(5, 7))
+    for n in range(1, 5):
+        terms = terms_at_sum(fam, n, parts)
+        assert len(terms) == math.comb(len(parts) + n - 1, n)
+        assert sum(c * t for c, t in terms) == sum(parts) ** n
+    # the multinomial counts of two parts at order 3, in the order of
+    # combinations_with_replacement
+    assert terms_at_sum(fam, 3, (F(2), F(3))) == [
+        (1, F(8)), (3, F(12)), (3, F(18)), (1, F(27))]
+    # zero parts of several are dropped; a lone part is its diagonal value
+    assert terms_at_sum(fam, 2, (F(0), F(2), F(0))) == [(1, F(4))]
+    assert terms_at_sum(fam, 2, (F(0),)) == [(1, F(0))]
+    assert terms_at_sum(fam, 2, ()) == []
 
 
 # -- composition by set partitions ----------------------------------------

@@ -590,6 +590,31 @@ def test_distance_bitwise_matches_the_difference_norm(fm, gm):
     assert F.distance(F) == 0.0
 
 
+def test_norms_keep_a_nan_wherever_it_stands(lat):
+    # max() over a generator keeps a NaN only when it comes first; the
+    # norms make any NaN the result, so a NaN residual fails its row
+    nan = float("nan")
+    for coeffs in ({0: nan, 1: 1.0}, {0: 1.0, 1: nan}, {0: 2.0, 1: nan}):
+        assert np.isnan(HbarScalar(coeffs).norm())
+    keys = [(3,), (4, 5)]
+    for first, later in ((nan, 1.0), (1.0, nan), (2.0, nan)):
+        F = poly(lat, [((3,), {0: first}), ((4, 5), {0: later})])
+        assert np.isnan(F.max_norm())
+        assert np.isnan(F.distance(PolyFunctional.zero(lat)))
+    # the pair of the report: a NaN at the first key, a larger difference
+    # at the later one, in either operand order, and on either side alone
+    F = poly(lat, [(k, {0: 1.0}) for k in keys])
+    for bad in ([nan, 2.0], [1.0, nan], [nan, 1.0]):
+        G = poly(lat, [(k, {0: v}) for k, v in zip(keys, bad)])
+        assert np.isnan(F.distance(G)) and np.isnan(G.distance(F))
+    G = poly(lat, [((3,), {0: nan})])
+    H = poly(lat, [((4, 5), {0: 2.0})])
+    assert np.isnan(G.distance(H)) and np.isnan(H.distance(G))
+    # finite values keep their largest difference
+    assert F.distance(poly(lat, [(k, {0: v})
+                                 for k, v in zip(keys, [1.0, 2.0])])) == 1.0
+
+
 def test_from_sums_keeps_hbar_window(lat):
     lo, hi = HBAR_WINDOW
     F = PolyFunctional._from_sums(lat, {(0,): {hi: 1j}, (): {lo: 2.0}})

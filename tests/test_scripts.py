@@ -72,21 +72,31 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     assert {r["contract_calls"] for r in row["runs"]} == {
         row["contract_calls"]}
     assert row["contract_calls"] > 0
-    # the series entry: SMatrix.series, multiply and invert in the serial
-    # axioms units, the same calls every run
+    # the series entry: SMatrix.series, multiply, invert and the parts
+    # entry terms_at_sum in the serial axioms units, the same calls every
+    # run
     row = entry["series"]
-    for name in ("series", "multiply", "invert"):
+    for name in ("series", "terms_at_sum", "multiply", "invert"):
         assert 0 < row[f"{name}_s"] < row["axioms_units_s"]
         assert {r[f"{name}_calls"] for r in row["runs"]} == {
             row[f"{name}_calls"]} != {0}
-    # the extract entry: extract_Z, compose_SZ and polarize in the serial
-    # extract-z units, and the monomials the scalings, sums and weighted
-    # sums visit, the same every run
+    # the extract entry: the extracted map's evaluator and compose_SZ in
+    # the serial extract-z units, and the monomials the scalings, sums and
+    # weighted sums visit, the same every run; this tree calls neither
+    # extract_Z nor polarize there, and both count zero
     row = entry["extract"]
-    for name in ("extract_Z", "compose_SZ", "polarize"):
+    for name in ("extracted", "compose_SZ"):
         assert 0 < row[f"{name}_s"] < row["extract_units_s"]
         assert {r[f"{name}_calls"] for r in row["runs"]} == {
             row[f"{name}_calls"]} != {0}
+    for name in ("extract_Z", "polarize"):
+        assert row[f"{name}_s"] == row[f"{name}_calls"] == 0
+    # both entries count the monomial pairs the contraction receives, a
+    # count that is the same every run
+    for row in (entry["series"], entry["extract"]):
+        assert {r["contract_pairs"] for r in row["runs"]} == {
+            row["contract_pairs"]} != {0}
+    row = entry["extract"]
     for r in row["runs"]:
         assert r["visits"] == (r["scaled_visits"] + r["sum_visits"]
                                + r["difference_visits"]

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paqft.formal_series import (LambdaSeries, MultilinearFamily,
                                  _partition_classes, arg_key, compose_SZ,
-                                 partition_terms, polarize)
+                                 partition_terms, polarize, terms_at_sum)
 from paqft.functionals import (HbarScalar, PolyFunctional,
                                free_scalar_lagrangian, is_local_at_scale)
 from paqft.lattice import Lattice, LatticePoint, bisolution_residual
@@ -26,7 +28,7 @@ from paqft.smatrix_renorm import (RenormalizationMap, SMatrix,
                                   verify_extracted_locality, z_axiom_units)
 from paqft.star_algebra import StarAlgebraContext
 
-from oracles import (against, assert_within_bound, exact_weighted_sum,
+from oracles import (against, assert_within_bound, bits, exact_weighted_sum,
                      pairing_contract, stored_z_monomials, time_ordered_fold)
 
 
@@ -238,17 +240,18 @@ def test_z_suite_passes_on_handcrafted(lat):
 
 def _old_s2_and_mult(S, f1, fm, f2, cap):
     """Residuals of the S2 and multiplicativity blocks as check_S_axioms
-    wrote them out by hand, orders 1..cap."""
+    wrote them out by hand, on the summed arguments, orders 1..cap, with
+    the larger coefficient norm of the two sides compared."""
     lhs = S.series(f1 + fm + f2, cap)
     rhs = S.multiply(
         S.multiply(S.series(f2 + fm, cap), S.invert(S.series(fm, cap))),
         S.series(fm + f1, cap))
     both = S.series(f1 + f2, cap)
     prod = S.multiply(S.series(f2, cap), S.series(f1, cap))
-    return ([(lhs.coeff(n) - rhs.coeff(n)).max_norm()
-             for n in range(1, cap + 1)],
-            [(both.coeff(n) - prod.coeff(n)).max_norm()
-             for n in range(1, cap + 1)])
+    return [[((a.coeff(n) - b.coeff(n)).max_norm(),
+              max(a.coeff(n).max_norm(), b.coeff(n).max_norm()))
+             for n in range(1, cap + 1)]
+            for a, b in ((lhs, rhs), (both, prod))]
 
 
 def _old_z3(Z, f1, mid, f2, cap):
@@ -266,8 +269,12 @@ def _old_z3(Z, f1, mid, f2, cap):
     return out
 
 
-def test_s2_and_mult_rows_equal_the_hand_written_blocks(lat, S):
+def test_s2_and_mult_rows_match_the_hand_written_blocks(lat, S):
+    # the rows evaluate S at sums given as parts, the hand-written block
+    # at the summed functionals: the two round differently.  The worst
+    # move measured on six plans (seeds 0..5) was 1.4 eps times the scale.
     cap = 3
+    eps = np.finfo(float).eps
     triples = default_s_plan(lat, seed=0, count=3, cap=cap)["causal_triples"]
     rows = check_S_axioms(S, {"cap": cap, "causal_triples": triples})
     got = {(r["sample-id"], r["order"]): r["residual"] for r in rows
@@ -275,9 +282,9 @@ def test_s2_and_mult_rows_equal_the_hand_written_blocks(lat, S):
     assert len(got) == 2 * cap * len(triples)
     for i, (f1, fm, f2) in enumerate(triples):
         s2, mult = _old_s2_and_mult(S, f1, fm, f2, cap)
-        for n in range(1, cap + 1):
-            assert got[f"s2-{i:02d}", n] == s2[n - 1]
-            assert got[f"mult-{i:02d}", n] == mult[n - 1]
+        for tag, block in (("s2", s2), ("mult", mult)):
+            for n, (res, scale) in enumerate(block, start=1):
+                assert abs(got[f"{tag}-{i:02d}", n] - res) <= 8 * eps * scale
 
 
 def test_z3_rows_match_the_hand_written_block(lat):
@@ -301,6 +308,85 @@ def test_z3_rows_match_the_hand_written_block(lat):
                     assert new == res
                 else:
                     assert abs(new - res) <= 8 * eps * scale
+
+
+# -- values at sums of parts -------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [3, 4, None])
+def test_one_part_series_are_the_scaled_diagonal_values(lat, ctx, S, seed):
+    # a functional or a one-part tuple (None: the zero functional) gives
+    # the series of the parent: S's the time-ordered fold, Z's the
+    # diagonal values, each scaled once, bit for bit
+    f = (PolyFunctional.zero(lat) if seed is None else
+         random_local_functional(lat, np.random.default_rng(seed), (3, 8)))
+    Z = make_handcrafted_Z(lat, 0.3, _mid_window(lat))
+    cap = 3
+    for arg in (f, (f,)):
+        ser, zser = S.series(arg, cap), Z.z_series(arg, cap)
+        assert bits(ser.coeff(0)) == bits(PolyFunctional.unit(lat))
+        assert bits(zser.coeff(0)) == bits(PolyFunctional.zero(lat))
+        for n in range(1, cap + 1):
+            weight = Fraction(1, math.factorial(n))
+            assert bits(ser.coeff(n)) == bits(
+                time_ordered_fold(ctx, [f] * n) * (prefactor(n) * weight))
+            assert bits(zser.coeff(n)) == bits(
+                Z.family.diagonal(n, f) * weight)
+
+
+# the parts route against the summed route: each order-n coefficient
+# within PARTS_C * 2^-52 * scale of the other, the scale the sum over the
+# terms_at_sum (c, T) of c |w_n| max|T| / n!, w_n the series weight.  The
+# worst ratio measured over 60 draws of 2-3 parts was 1.4 (S) and 0.8 (Z).
+PARTS_C = 8
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3))
+def test_series_of_parts_are_within_the_bound_of_the_summed_series(
+        lat, S, seed, k):
+    rng = np.random.default_rng(seed)
+    parts = tuple(random_local_functional(lat, rng, (3, lat.nt - 4))
+                  for _ in range(k))
+    total = parts[0]
+    for p in parts[1:]:
+        total = total + p
+    Z = make_handcrafted_Z(lat, 0.3, _mid_window(lat))
+    cap = 3
+    for got, want, fam, weight in (
+            (S.series(parts, cap), S.series(total, cap), S.family, prefactor),
+            (Z.z_series(parts, cap), Z.z_series(total, cap), Z.family,
+             lambda n: HbarScalar.one())):
+        for n in range(1, cap + 1):
+            scale = sum(c * t.max_norm()
+                        for c, t in terms_at_sum(fam, n, parts)) \
+                * weight(n).norm() / math.factorial(n)
+            assert got.coeff(n).distance(want.coeff(n)) <= \
+                PARTS_C * 2.0 ** -52 * scale
+
+
+def test_planted_non_multilinear_T2_fails_the_s2_rows(lat, ctx):
+    # T_2(F, G) plus eps F F G (pointwise): quadratic in F, so the values
+    # at sums that the rows expand into mixed values do not add up
+    eps = 1e-3
+
+    def mixed(n, args):
+        if n == 1:
+            return args[0]
+        if n == 2:
+            F, G = args
+            return ctx.time_ordered(F, G) + (F * F * G).scaled(eps)
+        return ctx.time_ordered(fam.mixed(n - 1, args[:-1]), args[-1])
+
+    fam = MultilinearFamily(evaluate_mixed=mixed)
+    S_bad = SMatrix(context=ctx, family=fam)
+    triples = default_s_plan(lat, seed=0, count=2, cap=2)["causal_triples"]
+    rows = check_S_axioms(S_bad, {"cap": 2, "causal_triples": triples})
+    s2 = {r["sample-id"]: r for r in rows
+          if r["axiom"] == "S2" and r["order"] == 2}
+    assert set(s2) == {"s2-00", "s2-01", "mult-00", "mult-01"}
+    assert not any(r["pass"] for r in s2.values())
+    assert min(r["residual"] for r in s2.values()) > 1e-6
 
 
 def _nonlocal_pairing_Z(lat, kappa=0.3):
@@ -433,6 +519,59 @@ def test_extract_Z_rejects_order_one_mismatch(lat, S):
         extract_Z(S, S_bad, f, 2)
 
 
+def _inductive_extract_Z(S, S_tilde, f, cap):
+    """Z_n(f^{tensor n}) by the induction on a map of diagonal values
+    (RenormalizationMap.from_values), one weighted sum per order: the
+    route extract_Z took before the extracted map had a mixed evaluator."""
+    lat = S.lattice
+    ihbar = HbarScalar({1: 1j})
+    vals = {1: f}
+    for N in range(2, cap + 1):
+        zfam = RenormalizationMap.from_values(lat, vals).family
+        terms = partition_terms(S.family, prefactor, zfam, [f] * N)
+        vals[N] = PolyFunctional.weighted_sum(lat, [
+            (-ihbar * prefactor(N), S_tilde.family.diagonal(N, f))]
+            + [(ihbar * w, t) for w, t in terms])
+    return vals
+
+
+# the mixed extraction against polarize over diagonal extractions: within
+# POLAR_C * 2^-52 * sum over the subsets S of |T~_n((sum_S f_i)^n)| / n!,
+# T~ the S_tilde family; the worst ratio measured, cap 2-4, seeds 0-2,
+# both modes, was 1.2
+POLAR_C = 8
+
+
+@pytest.mark.parametrize("mode", ["roundtrip", "two-hadamard"])
+def test_mixed_extraction_matches_the_diagonal_routes(mode):
+    lat, S, St, fs = _extraction(mode)
+    cap = 3
+    fam = extracted_map(S, St, cap).family
+    # at equal arguments: bit for bit the induction on diagonal values
+    for f in fs[:2]:
+        want = _inductive_extract_Z(S, St, f, cap)
+        assert bits(extract_Z(S, St, f, cap)) == bits(want)
+        for n in range(1, cap + 1):
+            assert bits(fam.mixed(n, [f] * n)) == bits(want[n])
+    # at mixed ones, overlapping so that the local map does not vanish:
+    # polarize over the diagonal extractions
+    diag = MultilinearFamily(
+        evaluate_diagonal=lambda n, g: extract_Z(S, St, g, cap)[n])
+    for n in range(2, cap + 1):
+        args = [fs[0]] + [fs[0] + g for g in fs[1:n]]
+        got = fam.mixed(n, args)
+        assert got.max_norm() > 0.0
+        scale = 0.0
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(args, size):
+                total = subset[0]
+                for g in subset[1:]:
+                    total = total + g
+                scale += St.family.diagonal(n, total).max_norm()
+        assert got.distance(polarize(diag, n, args)) <= \
+            POLAR_C * 2.0 ** -52 * scale / math.factorial(n)
+
+
 # -- the one weighted-sum route against the scale-then-add route -----------
 #
 # compose_SZ, polarize and extract_Z form each of their sums as one
@@ -494,6 +633,14 @@ def _scale_then_add_extract_Z(S, S_tilde, f, cap, order1_tol=1e-9):
         vals[N] = (ser_t.coeff(N) - composed) \
             * HbarScalar({1: -1j * math.factorial(N)})
     return vals
+
+
+def _scale_then_add_extracted_map(S, S_tilde, cap):
+    """The map of _scale_then_add_extract_Z, known by its diagonal
+    values."""
+    return RenormalizationMap(MultilinearFamily(
+        evaluate_diagonal=lambda n, g: _scale_then_add_extract_Z(
+            S, S_tilde, g, cap)[n]))
 
 
 def _assert_routes_agree(got, want, pairs):
@@ -575,8 +722,9 @@ def test_extract_z_stores_the_monomial_sets_of_the_scale_then_add_route(
         return stored_z_monomials(f_units)
 
     weighted = stored()
-    monkeypatch.setattr(smatrix_renorm, "extract_Z",
-                        _scale_then_add_extract_Z)
+    # the extract-z units read the map of extracted_map, not extract_Z
+    monkeypatch.setattr(smatrix_renorm, "extracted_map",
+                        _scale_then_add_extracted_map)
     monkeypatch.setattr(smatrix_renorm, "compose_SZ",
                         _scale_then_add_compose_SZ)
     monkeypatch.setattr(formal_series, "polarize", _scale_then_add_polarize)
