@@ -31,10 +31,15 @@ itself a weighted sum counts once (the counting adds about 1 us per call
 to the times).  Both entries also count `contract_pairs`, the monomial
 pairs that the contraction entry receives (the product of the two
 operands' monomial counts, summed over its pairs), a count that does
-not depend on timing.  The unit runner (the `pool` entry): in a fresh
-process that has imported `paqft.cli`, the wall of
-`cli._run_units([list] * POOL_UNITS)`, units that do no work, so it times
-what the runner itself costs: its imports, forks, dispatch and reaping.
+not depend on timing.  Each of these four entries named with the suffix
+`:1` (`contract:1`, `contract-l4:1`, `series:1`, `extract:1`) runs only
+the first unit of each axioms suite and of each list of extract-z units
+(the sampled functionals, the extracted map's suite): the same fields
+in a fraction of the time, for checking their shape.  The unit runner
+(the `pool` entry): in a fresh process that has imported `paqft.cli`,
+the wall of `cli._run_units([list] * POOL_UNITS)`, units that do no
+work, so it times what the runner itself costs: its imports, forks,
+dispatch and reaping.
 Start-up (the `startup` entry): the spawn-to-exit wall of
 `python -m paqft.cli propagators` at 16x32, and of
 `python -c "import numpy, os; os._exit(0)"` as its floor, both timed from
@@ -123,6 +128,9 @@ WHAT = ("seconds, median of fresh processes per entry, m = 0.5; "
 # the contraction entries and the caps.lambda_order each sets (None: the
 # default)
 CONTRACT = {"contract": None, "contract-l4": 4}
+# the suffix of a units entry that runs one unit per suite (module
+# docstring)
+ONE = ":1"
 KERNELS = ("green_retarded", "green_advanced", "pauli_jordan",
            "hadamard_kernel", "wightman", "feynman")
 
@@ -205,12 +213,22 @@ def _count_contract_pairs(spent: dict) -> None:
     setattr(StarAlgebraContext, name, counted)
 
 
-def _axioms_units(sets: list) -> list:
+def _axioms_units(sets: list, one: bool) -> list:
     from paqft import cli
 
     cfg = cli.load_config(None, sets)
     lat, S = cli._build(cfg)
-    return [u for name in cfg["suites"] for u in cli.SUITES[name](cfg, lat, S)]
+    return [u for name in cfg["suites"]
+            for u in cli.SUITES[name](cfg, lat, S)[:1 if one else None]]
+
+
+def _extract_units(sets: list, one: bool) -> list:
+    from paqft import cli
+
+    cfg = cli.load_config(None, sets)
+    lat, S = cli._build(cfg)
+    return [u for units in cli._extract_z_units(cfg, lat, S)
+            for u in units[:1 if one else None]]
 
 
 def _run_serially(spent: dict, key: str, units: list) -> None:
@@ -220,13 +238,13 @@ def _run_serially(spent: dict, key: str, units: list) -> None:
     spent[key] = time.perf_counter() - t0
 
 
-def contract_child(lambda_order: int | None = None) -> None:
+def contract_child(lambda_order: int | None, one: bool) -> None:
     """One timed process: the axioms (samples.count=SAMPLES) and extract-z
-    units at 12x16, serially, each command on its own S-matrix; at the
-    default caps.lambda_order, or at `lambda_order`.  The contraction entry
-    timed is whichever the tree has: `contract_sum` (pairs of operands into
-    one sum), or the older `_contract` (one pair)."""
-    from paqft import cli
+    units at 12x16 (the first of each suite and list if `one`), serially,
+    each command on its own S-matrix; at the default caps.lambda_order, or
+    at `lambda_order`.  The contraction entry timed is whichever the tree
+    has: `contract_sum` (pairs of operands into one sum), or the older
+    `_contract` (one pair)."""
     from paqft.star_algebra import StarAlgebraContext
 
     spent: dict = {}
@@ -234,25 +252,24 @@ def contract_child(lambda_order: int | None = None) -> None:
     sets = [f"samples.count={SAMPLES}"]
     if lambda_order is not None:
         sets.append(f"caps.lambda_order={lambda_order}")
-    axioms = _axioms_units(sets)
-    cfg = cli.load_config(None, sets)
-    lat, S = cli._build(cfg)
-    f_units, z_units = cli._extract_z_units(cfg, lat, S)
+    axioms = _axioms_units(sets, one)
+    extract = _extract_units(sets, one)
     gc.disable()  # as in the commands' workers
     _run_serially(spent, "axioms_units_s", axioms)
-    _run_serially(spent, "extract_units_s", f_units + z_units)
+    _run_serially(spent, "extract_units_s", extract)
     spent["units_s"] = spent["axioms_units_s"] + spent["extract_units_s"]
     spent["peak_rss_mb"] = \
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps(spent))
 
 
-def series_child() -> None:
+def series_child(one: bool) -> None:
     """One timed process: the axioms units (samples.count=SAMPLES) at
-    12x16, serially, with `SMatrix.series`, `multiply` and `invert` and
-    the parts entry `terms_at_sum` (zero in a tree without it) each
-    wrapped to add up its seconds and calls (outermost calls only), and
-    the monomial pairs of the contraction entry counted."""
+    12x16 (the first of each suite if `one`), serially, with
+    `SMatrix.series`, `multiply` and `invert` and the parts entry
+    `terms_at_sum` (zero in a tree without it) each wrapped to add up its
+    seconds and calls (outermost calls only), and the monomial pairs of
+    the contraction entry counted."""
     from paqft import formal_series, smatrix_renorm
     from paqft.smatrix_renorm import SMatrix
 
@@ -266,7 +283,7 @@ def series_child() -> None:
     else:
         spent["terms_at_sum_s"] = spent["terms_at_sum_calls"] = 0
     _count_contract_pairs(spent)
-    units = _axioms_units([f"samples.count={SAMPLES}"])
+    units = _axioms_units([f"samples.count={SAMPLES}"], one)
     gc.disable()  # as in the commands' workers
     _run_serially(spent, "axioms_units_s", units)
     print(json.dumps(spent))
@@ -317,14 +334,15 @@ def _time_extracted_map(spent: dict) -> None:
     smatrix_renorm.extracted_map = extracted_map
 
 
-def extract_child() -> None:
-    """One timed process: the extract-z units at 12x16, serially, with the
-    outermost calls of the extracted map's evaluator and of `extract_Z`,
-    `compose_SZ` and `polarize` timed and counted, the monomials of the
-    scalings, sums, weighted sums and distances (where the tree has
-    `PolyFunctional.weighted_sum` and `distance`) counted, and the
-    monomial pairs of the contraction entry counted."""
-    from paqft import cli, formal_series, smatrix_renorm
+def extract_child(one: bool) -> None:
+    """One timed process: the extract-z units at 12x16 (the first of each
+    list if `one`), serially, with the outermost calls of the extracted
+    map's evaluator and of `extract_Z`, `compose_SZ` and `polarize` timed
+    and counted, the monomials of the scalings, sums, weighted sums and
+    distances (where the tree has `PolyFunctional.weighted_sum` and
+    `distance`) counted, and the monomial pairs of the contraction entry
+    counted."""
+    from paqft import formal_series, smatrix_renorm
     from paqft.functionals import PolyFunctional
 
     spent: dict = {}
@@ -347,11 +365,9 @@ def extract_child() -> None:
             # zero in a tree without it, so both trees have every key
             spent[name + "_calls"] = spent[name + "_visits"] = 0
     _count_contract_pairs(spent)
-    cfg = cli.load_config(None, [])
-    lat, S = cli._build(cfg)
-    f_units, z_units = cli._extract_z_units(cfg, lat, S)
+    units = _extract_units([], one)
     gc.disable()  # as in the commands' workers
-    _run_serially(spent, "extract_units_s", f_units + z_units)
+    _run_serially(spent, "extract_units_s", units)
     spent["visits"] = sum(spent[f"{key}_visits"]
                           for key in ("scaled", "sum", "difference",
                                       "weighted_sum", "distance"))
@@ -449,21 +465,22 @@ def measure(entry: str, trees: dict, runs: int) -> dict:
 
 
 def report(label: str, entry: str, row: dict) -> str:
-    if entry in CONTRACT:
+    kind = entry.removesuffix(ONE)
+    if kind in CONTRACT:
         return (f"{label} {entry}: contraction {row['contract_s']:.3f} s over "
                 f"{row['contract_calls']:.0f} calls, units "
                 f"{row['units_s']:.3f} s (axioms "
                 f"{row['axioms_units_s']:.3f} s, extract-z "
                 f"{row['extract_units_s']:.3f} s)")
-    if entry == "series":
-        return (f"{label} series: SMatrix.series {row['series_s']:.3f} s, "
+    if kind == "series":
+        return (f"{label} {entry}: SMatrix.series {row['series_s']:.3f} s, "
                 f"terms_at_sum {row['terms_at_sum_s']:.3f} s, "
                 f"multiply {row['multiply_s']:.3f} s, invert "
                 f"{row['invert_s']:.3f} s, contraction monomial pairs "
                 f"{row['contract_pairs']:.0f}, axioms units "
                 f"{row['axioms_units_s']:.3f} s")
-    if entry == "extract":
-        return (f"{label} extract: extracted map {row['extracted_s']:.3f} s "
+    if kind == "extract":
+        return (f"{label} {entry}: extracted map {row['extracted_s']:.3f} s "
                 f"over {row['extracted_calls']:.0f} calls, extract_Z "
                 f"{row['extract_Z_s']:.3f} s over "
                 f"{row['extract_Z_calls']:.0f} calls, compose_SZ "
@@ -500,7 +517,8 @@ def main(argv=None) -> int:
                          "layer, `contract` and `contract-l4` for the "
                          "contraction layer at lambda order 3 and 4, "
                          "`series` for the series layer, `extract` for "
-                         "the extraction layer, "
+                         "the extraction layer (each with the suffix "
+                         f"`{ONE}` for one unit per suite), "
                          "`pool` for the unit runner, `startup` for "
                          "start-up and `tier1` for the test suite")
     ap.add_argument("--runs", type=int, default=3,
@@ -514,20 +532,18 @@ def main(argv=None) -> int:
         ap.error("--runs must be at least 1")
     if args.against is not None and args.against_label == args.label:
         ap.error("--against-label must differ from --label")
-    if args.child in CONTRACT:
-        contract_child(CONTRACT[args.child])
-        return 0
-    if args.child == "series":
-        series_child()
-        return 0
-    if args.child == "extract":
-        extract_child()
-        return 0
-    if args.child == "pool":
-        pool_child()
-        return 0
     if args.child:
-        child(args.child)
+        name, one = args.child.removesuffix(ONE), args.child.endswith(ONE)
+        if name in CONTRACT:
+            contract_child(CONTRACT[name], one)
+        elif name == "series":
+            series_child(one)
+        elif name == "extract":
+            extract_child(one)
+        elif name == "pool":
+            pool_child()
+        else:
+            child(name)
         return 0
 
     bench = json.loads(args.out.read_text()) if args.out.exists() else {
@@ -544,8 +560,8 @@ def main(argv=None) -> int:
     for entry in args.sizes.split(","):
         rows = measure(entry, trees, args.runs)
         for name, row in rows.items():
-            if entry in CONTRACT or entry in ("series", "extract", "pool",
-                                              "startup", "tier1"):
+            if entry.removesuffix(ONE) in (*CONTRACT, "series", "extract",
+                                           "pool", "startup", "tier1"):
                 labels[name][entry] = row
             else:
                 labels[name]["sizes"][entry] = row

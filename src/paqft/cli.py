@@ -149,7 +149,7 @@ def load_config(path: str | None, sets) -> dict:
 _INT_FIELDS = (
     ("lattice", "nt", 4), ("lattice", "nx", 4),
     ("caps", "lambda_order", 0), ("caps", "locality_order", 0),
-    ("caps", "sd_order", 0), ("caps", "degree", 0),
+    ("caps", "sd_order", 0), ("caps", "degree", 1),
     ("hadamard", "perturbation-seed", 0),
     ("samples", "count", 1), ("samples", "seed", 0),
     ("extract", "functionals", 1),
@@ -291,18 +291,9 @@ def _write_report(cfg: dict, name: str, report: dict) -> Path:
     out = Path(cfg["output"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}.json"
-    text = json.dumps(report, sort_keys=True, indent=2,
-                      default=_json_default) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     _write_new(path, lambda p: p.write_text(text))
     return path
-
-
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 def _summary_line(tag: str, rows) -> str:

@@ -59,15 +59,6 @@ class LambdaSeries:
     def coeff(self, n: int):
         return self.coefficients[n]
 
-    @staticmethod
-    def from_list(coeffs: Sequence) -> "LambdaSeries":
-        return LambdaSeries(len(coeffs) - 1, tuple(coeffs))
-
-    def truncated(self, cap: int) -> "LambdaSeries":
-        if cap > self.order_cap:
-            raise ValueError(f"cannot extend cap {self.order_cap} to {cap}")
-        return LambdaSeries(cap, self.coefficients[:cap + 1])
-
 
 def _check_caps(a: LambdaSeries, b: LambdaSeries):
     if a.order_cap != b.order_cap:
@@ -129,36 +120,16 @@ def _is_zero(x) -> bool:
     return bool(x == 0)
 
 
-class _Identity:
-    """Memo key of an argument compared by identity.  It holds the argument,
-    so the id cannot be reused by another object while the entry lives."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __hash__(self):
-        return id(self.obj)
-
-    def __eq__(self, other):
-        return isinstance(other, _Identity) and other.obj is self.obj
-
-
 def arg_key(a):
     """Content key of one multilinear argument.
 
     An object with a ``content_key()`` method (PolyFunctional) is keyed by
-    it, a hashable value by its type and value, anything else by identity.
-    Equal keys mean arguments that every evaluator treats alike.
+    it, any other (hashable) value by its type and value.  Equal keys mean
+    arguments that every evaluator treats alike.
     """
     content_key = getattr(a, "content_key", None)
     if content_key is not None:
         return content_key()
-    try:
-        hash(a)
-    except TypeError:
-        return _Identity(a)
     return (type(a), a)
 
 

@@ -1,8 +1,8 @@
 """Polynomial functionals of lattice fields.
 
-Supports, Bastiani-style derivatives (exact for polynomials), additivity and
-locality checks, generalized Lagrangians with cutoffs, the variation delta_L,
-the Euler-Lagrange gradient, and the causal band decomposition (property L1).
+Supports, exact field shifts, additivity and locality checks, and
+generalized Lagrangians with cutoffs and the variation delta L(psi)
+(cutoff_lagrangian).
 
 Representation: a functional is a finite sum of monomials
 ``coeff * prod phi(p_i)`` stored as ``{degree: {sorted site-index tuple:
@@ -22,7 +22,7 @@ Three accumulators build every functional, and all end in one tail,
 and stores the canonical form without a second pass.
 ``PolyFunctional.from_terms`` adds (key, coefficient) items in order: the
 constructor, from_monomials, JSON, shift_field_series, poly x poly
-products, derivative and smatrix_renorm's site derivative.
+products and smatrix_renorm's site derivative.
 ``PolyFunctional.weighted_sum`` forms every sum of functionals (sums,
 differences, negation, scalings, L(f), the series at sums of parts,
 compose_SZ, polarization and the extracted map), each coefficient within a stated rounding bound of the exact
@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -50,7 +49,7 @@ class HbarScalar:
     The exponent window (default [-8, 8]) is a guard rail: breaching it
     signals runaway prefactor accounting, so construction raises.
 
-    >>> (HbarScalar.monomial(1) * HbarScalar.monomial(-1)).coeffs
+    >>> (HbarScalar({1: 1.0}) * HbarScalar({-1: 1.0})).coeffs
     {0: (1+0j)}
     """
 
@@ -77,28 +76,14 @@ class HbarScalar:
         return c
 
     @staticmethod
-    def zero() -> "HbarScalar":
-        return HbarScalar()
-
-    @staticmethod
     def one() -> "HbarScalar":
         return HbarScalar({0: 1.0})
-
-    @staticmethod
-    def monomial(exponent: int, coeff=1.0) -> "HbarScalar":
-        return HbarScalar({exponent: coeff})
 
     @staticmethod
     def coerce(z) -> "HbarScalar":
         if isinstance(z, HbarScalar):
             return z
         return HbarScalar({0: complex(z)})
-
-    def at(self, exponent: int) -> complex:
-        return self.coeffs.get(exponent, 0j)
-
-    def shifted(self, k: int) -> "HbarScalar":
-        return HbarScalar({e + k: v for e, v in self.coeffs.items()})
 
     def norm(self) -> float:
         """The largest |c|, 0.0 for zero; a NaN coefficient makes it NaN."""
@@ -110,14 +95,6 @@ class HbarScalar:
             elif a != a:
                 return a
         return m
-
-    def is_zero(self) -> bool:
-        return self.norm() == 0.0
-
-    def exponent_range(self) -> tuple[int, int] | None:
-        if not self.coeffs:
-            return None
-        return min(self.coeffs), max(self.coeffs)
 
     def __add__(self, other):
         try:
@@ -178,18 +155,6 @@ class HbarScalar:
         return HbarScalar({int(k): complex(re, im) for k, re, im in data})
 
 
-def _bounded_compositions(total: int, bounds: Sequence[int]):
-    """All (m_1..m_k) with 0 <= m_i <= bounds_i and sum = total."""
-    if not bounds:
-        if total == 0:
-            yield ()
-        return
-    first = bounds[0]
-    for m in range(min(first, total), -1, -1):
-        for tail in _bounded_compositions(total - m, bounds[1:]):
-            yield (m,) + tail
-
-
 class PolyFunctional:
     """Polynomial functional F(phi) with HbarScalar coefficients.
 
@@ -205,8 +170,8 @@ class PolyFunctional:
     >>> lat = Lattice(4, 4, 0.5)
     >>> F = PolyFunctional.from_monomials(lat, [(2.0, [LatticePoint(1, 1)])])
     >>> phi = np.zeros(lat.n_sites); phi[lat.site_index(LatticePoint(1, 1))] = 3.0
-    >>> F.evaluate(phi).at(0)
-    (6+0j)
+    >>> F.evaluate(phi).coeffs
+    {0: (6+0j)}
     """
 
     __slots__ = ("lattice", "terms", "_key")
@@ -431,36 +396,6 @@ class PolyFunctional:
                         else:
                             del out[e]
         return [HbarScalar._canonical(out) for out in outs]
-
-    def derivative(self, n: int, phi) -> dict[tuple, HbarScalar]:
-        """Sparse symmetric n-th derivative tensor at phi.
-
-        Keys are sorted site-index n-tuples (multisets); the value at a key
-        is the tensor value at every permutation of that key.
-        """
-        if n < 1:
-            raise ValueError("derivative order must be >= 1")
-        vals = field_values(self.lattice, phi)
-
-        def items():
-            for deg, key, coeff in self.monomials():
-                if deg < n:
-                    continue
-                counts = Counter(key)
-                pts = sorted(counts)
-                bounds = [counts[p] for p in pts]
-                for m in _bounded_compositions(n, bounds):
-                    factor = 1.0 + 0j
-                    dkey = []
-                    for p, n_p, m_p in zip(pts, bounds, m):
-                        factor *= math.perm(n_p, m_p)
-                        if n_p - m_p:
-                            factor *= complex(vals[p]) ** (n_p - m_p)
-                        dkey.extend([p] * m_p)
-                    yield dkey, coeff * factor
-
-        F = PolyFunctional.from_terms(self.lattice, items())
-        return F.terms.get(n, {})
 
     def shift_field(self, psi) -> "PolyFunctional":
         """F(. + psi) expanded exactly."""
@@ -811,25 +746,12 @@ class GeneralizedLagrangian:
 
     def __call__(self, f) -> PolyFunctional:
         lat = self.lattice
-        if isinstance(f, frozenset | set):
-            w = np.zeros(lat.n_sites)
-            for p in f:
-                w[lat.site_index(p)] = 1.0
-        else:
-            w = field_values(lat, f)
+        w = field_values(lat, f)
         points = (LatticePoint(t, x) for t in self._rows()
                   for x in range(lat.nx))
         return PolyFunctional.weighted_sum(lat, [
             (c, self.density_at(p)) for p in points
             if (c := complex(w[lat.site_index(p)])) != 0])
-
-
-def local_functional_from_density(lattice: Lattice,
-                                  density: Sequence[DensityTerm],
-                                  window: Region) -> PolyFunctional:
-    """Sum of the density over the window (indicator cutoff)."""
-    return GeneralizedLagrangian(lattice, tuple(DensityTerm(*d) for d in density))(
-        frozenset(window))
 
 
 def free_scalar_lagrangian(lattice: Lattice) -> GeneralizedLagrangian:
@@ -883,86 +805,3 @@ def cutoff_lagrangian(L: GeneralizedLagrangian, psi_vals: np.ndarray):
         raise ValueError("delta_L depends on the cutoff choice: "
                          f"residual {gap:.3e}")
     return L1, variation
-
-
-def delta_L(L: GeneralizedLagrangian, psi, phi=None):
-    """delta L(psi)[phi] = L(f)[phi+psi] - L(f)[phi] for any cutoff f
-    that is 1 on a stencil neighborhood of supp psi (cutoff_lagrangian).
-    Returns (value at phi, the functional phi -> delta L(psi)[phi]).
-    """
-    lat = L.lattice
-    checked = cutoff_lagrangian(L, field_values(lat, psi))
-    if checked is None:
-        return HbarScalar.zero(), PolyFunctional.zero(lat)
-    functional = checked[1]
-    if phi is None:
-        phi = np.zeros(lat.n_sites)
-    return functional.evaluate(phi), functional
-
-
-def euler_lagrange(L: GeneralizedLagrangian, phi) -> np.ndarray:
-    """Gradient field dL(phi): <dL(phi), psi> = d/dt L(1)[phi + t psi]|_0,
-    a flat (n_sites,) array, real when every entry is.
-
-    For the free density this equals the wave operator applied to phi on
-    interior rows.
-    """
-    lat = L.lattice
-    full = L(np.ones(lat.n_sites))
-    grad = full.derivative(1, phi)
-    out = np.zeros(lat.n_sites, dtype=complex)
-    for (i,), coeff in grad.items():
-        rng = coeff.exponent_range()
-        if rng is not None and rng != (0, 0):
-            raise ValueError("Lagrangian carries hbar-weighted coefficients")
-        out[i] = coeff.at(0)
-    return out.real if np.max(np.abs(out.imag)) == 0.0 else out
-
-
-# -- causal band decomposition (property L1) ---------------------------------------
-
-
-def decompose_L1(g: PolyFunctional, F1: Region, F2: Region,
-                 N: int) -> list[PolyFunctional]:
-    """Split g into N parts by time bands between the supports of F1 and F2.
-
-    Requires F1 not later than F2 (a separating time slab exists between
-    them).  The parts satisfy, with R the largest monomial time extent of g:
-    parts 1..N-1 are not later than F2; F1 is not later than parts 2..N;
-    part i is not later than part j whenever j >= i+2.  Sum is exact at
-    the coefficient level, and each part inherits g's locality.
-    """
-    lat = g.lattice
-    if N <= 3:
-        raise ValueError(f"band count N must exceed 3, got {N}")
-    F1 = frozenset(F1)
-    F2 = frozenset(F2)
-    if not F1 or not F2:
-        raise ValueError("empty support region; no separating slab exists")
-    if not lat.not_later_than(F1, F2):
-        if lat.not_later_than(F2, F1):
-            raise ValueError("regions are in the reverse causal order: F1 "
-                             "must be not later than F2")
-        raise ValueError("F1 is not 'not later than' F2; no decomposition")
-
-    R = 0
-    for deg, key, _coeff in g.monomials():
-        if deg >= 1:
-            rows = [lat.point(i).t for i in key]
-            R = max(R, max(rows) - min(rows))
-    t1_max = max(p.t for p in F1)
-    t2_min = min(p.t for p in F2)
-    spacing = max(R, 1)
-    width_required = R + 1 + (N - 2) * spacing
-    if t1_max + width_required > t2_min:
-        raise ValueError(
-            f"separating time slab too narrow: need width {width_required} "
-            f"between row {t1_max} and row {t2_min} (available "
-            f"{t2_min - t1_max})")
-    cuts = [t1_max + R + 1 + i * spacing for i in range(N - 1)]
-
-    parts: list[list] = [[] for _ in range(N)]
-    for _deg, key, coeff in g.monomials():
-        rows = [lat.point(i).t for i in key]
-        parts[bisect_right(cuts, max(rows)) if rows else 0].append((key, coeff))
-    return [PolyFunctional.from_terms(lat, items) for items in parts]

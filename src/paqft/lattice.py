@@ -119,11 +119,6 @@ class Lattice:
             raise ValueError(f"site index {idx} out of range")
         return LatticePoint(idx // self.nx, idx % self.nx)
 
-    def points(self):
-        for t in range(self.nt):
-            for x in range(self.nx):
-                yield LatticePoint(t, x)
-
     def torus_dist(self, x1: int, x2: int) -> int:
         d = abs(x1 - x2) % self.nx
         return min(d, self.nx - d)
@@ -219,15 +214,15 @@ class Lattice:
 
     def poisson_bracket(self, F: "PolyFunctional", G: "PolyFunctional",
                         phi: np.ndarray) -> "HbarScalar":
-        """{F, G} = <F^(1)(phi), Delta G^(1)(phi)>."""
+        """{F, G} = <F^(1)(phi), Delta G^(1)(phi)>, the first derivatives
+        read as the degree-1 parts of F(. + phi) and G(. + phi)."""
         from .functionals import HbarScalar
 
         if F.lattice != self or G.lattice != self:
             raise ValueError("functionals live on a different lattice")
-        dF = F.derivative(1, phi)
-        dG = G.derivative(1, phi)
+        dF, dG = (H.shift_field(phi).terms.get(1, {}) for H in (F, G))
         D = self.pauli_jordan().rows([i for (i,) in dF])
-        out = HbarScalar.zero()
+        out = HbarScalar()
         for ((i,), ci), Di in zip(dF.items(), D):
             for (j,), cj in dG.items():
                 out = out + ci * cj * complex(Di[j])
@@ -307,10 +302,6 @@ class Kernel:
         if self.diagonal is not None:
             K[np.arange(len(s)), s] += self.diagonal[s]
         return K
-
-    def entry(self, p: LatticePoint, q: LatticePoint) -> complex:
-        i, j = self.lattice.site_index(p), self.lattice.site_index(q)
-        return complex(self.columns([j])[i, 0])
 
 
 _MODE_EPS = 1e-12

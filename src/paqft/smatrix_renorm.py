@@ -139,14 +139,6 @@ class RenormalizationMap:
     family: MultilinearFamily
 
     @classmethod
-    def identity(cls) -> "RenormalizationMap":
-        def mixed(n, args):
-            if n == 1:
-                return args[0]
-            return PolyFunctional.zero(args[0].lattice)
-        return cls(family=MultilinearFamily(evaluate_mixed=mixed))
-
-    @classmethod
     def from_values(cls, lattice: Lattice, vals: dict) -> "RenormalizationMap":
         """Map replaying extracted diagonal values: Z_1 is the identity and
         Z_n(f^{tensor n}) = vals[n] for n >= 2 (zero where absent), whatever
@@ -669,7 +661,7 @@ def check_schwinger_dyson(S: SMatrix, L: GeneralizedLagrangian,
         raise ValueError(
             "phi0 must be supported on rows 2..nt-3, away from the time "
             "boundary (the bisolution identity only holds on interior rows)")
-    # the delta_L checks, and the cutoff Lagrangian the rows expand
+    # the cutoff check of delta L, and the cutoff Lagrangian the rows expand
     checked = cutoff_lagrangian(L, phi0v)
     zerof = PolyFunctional.zero(lat)
     b_rows = [zerof] * (cap + 1)

@@ -1,6 +1,5 @@
 """Deformation quantization on the lattice: star product from the Wightman
-two-point kernel, time-ordered product from the Feynman kernel, and the
-classical-limit bridges.
+two-point kernel and time-ordered product from the Feynman kernel.
 
 Both products expand a polynomial functional pair as
 
@@ -61,12 +60,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .functionals import HbarScalar, PolyFunctional
-from .lattice import Kernel, Lattice, Region, _transposed
+from .functionals import PolyFunctional
+from .lattice import Kernel, Lattice, _transposed
 
 
 @functools.cache
@@ -273,74 +272,3 @@ class StarAlgebraContext:
         """Binary time-ordered product along the Feynman kernel
         (commutative and associative since the kernel is symmetric)."""
         return self.contract_sum(((F, G),), self.feynman)
-
-    def commutator(self, F: PolyFunctional, G: PolyFunctional
-                   ) -> PolyFunctional:
-        return self.star(F, G) - self.star(G, F)
-
-def beta(F: PolyFunctional, regions: Sequence[Iterable]) -> list:
-    """Split a pointwise product of local factors with pairwise disjoint
-    supports back into the factors, one per region, in the given order.
-
-    Every monomial key of F is partitioned by region membership; the
-    coefficient table must then be rank one across regions (the defining
-    property of a product).  Functionals that are not such products, or
-    regions that overlap or miss support sites, are rejected.  The overall
-    normalization is attached to the first factor.
-    """
-    if not regions:
-        raise ValueError("need at least one region")
-    lat = F.lattice
-    region_sets = [frozenset(map(lat.site_index, reg)) for reg in regions]
-    for (i, a), (j, b) in itertools.combinations(enumerate(region_sets), 2):
-        if a & b:
-            raise ValueError(f"regions {i} and {j} overlap")
-    m = len(region_sets)
-    table: dict[tuple, HbarScalar] = {}
-    parts_seen: list[set] = [set() for _ in range(m)]
-    for _deg, key, coeff in F.monomials():
-        parts = [[] for _ in range(m)]
-        for s in key:
-            hits = [i for i, rs in enumerate(region_sets) if s in rs]
-            if not hits:
-                raise ValueError(f"site {lat.point(s)} lies in no region")
-            parts[hits[0]].append(s)
-        split = tuple(tuple(sorted(p)) for p in parts)
-        for i in range(m):
-            parts_seen[i].add(split[i])
-        table[split] = coeff
-    n_expected = math.prod(len(p) for p in parts_seen)
-    if len(table) != n_expected:
-        raise ValueError(
-            "functional is not a pointwise product over the regions: "
-            "monomial grid is not a full rectangle")
-    refs = tuple(min(p) for p in parts_seen)
-    c_ref = table[refs]
-    inv_ref = _invert_hbar_monomial(c_ref)
-    factors = []
-    for i in range(m):
-        terms: dict[int, dict] = {}
-        for part in sorted(parts_seen[i]):
-            probe = refs[:i] + (part,) + refs[i + 1:]
-            coeff = table[probe]
-            if i > 0:
-                coeff = coeff * inv_ref
-            terms.setdefault(len(part), {})[part] = coeff
-        factors.append(PolyFunctional(lat, terms))
-    prod = factors[0]
-    for g in factors[1:]:
-        prod = prod * g
-    if prod.distance(F) > 1e-10 * max(1.0, F.max_norm()):
-        raise ValueError(
-            "functional is not the pointwise product of per-region factors")
-    return factors
-
-
-def _invert_hbar_monomial(c: HbarScalar) -> HbarScalar:
-    items = [(e, z) for e, z in c.coeffs.items()]
-    if len(items) != 1:
-        raise ValueError(
-            "cannot normalize factors: reference coefficient is not a "
-            "single hbar monomial")
-    e, z = items[0]
-    return HbarScalar({-e: 1.0 / z})

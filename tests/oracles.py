@@ -183,7 +183,7 @@ def pairing_contract(lat, entries, F, G):
                         rest_b = [pb[i] for i in range(len(pb))
                                   if i not in ib]
                         key = tuple(sorted(rest_a + rest_b))
-                        term = ca * cb * HbarScalar.monomial(r, w)
+                        term = ca * cb * HbarScalar({r: w})
                         prev = flat.get(key)
                         flat[key] = term if prev is None else prev + term
     nested = {}

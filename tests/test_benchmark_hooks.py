@@ -41,7 +41,7 @@ def test_traced_functions_exist(traced_cli):
         assert callable(getattr(mod, name, None)), f"{mod.__name__}.{name}"
 
 
-def test_wrapped_attributes_exist(traced_cli):
+def test_wrapped_attributes_exist(traced_cli, ctx):
     from paqft.formal_series import MultilinearFamily
     from paqft.functionals import PolyFunctional
     from paqft.lattice import Lattice
@@ -60,6 +60,11 @@ def test_wrapped_attributes_exist(traced_cli):
             assert callable(getattr(cls, name, None)), f"{cls.__name__}.{name}"
     fam = MultilinearFamily(evaluate_mixed=lambda n, args: args[0])
     assert hasattr(fam, "_mixed") and hasattr(fam, "_diagonal")
+    # contract_hook keys each kernel by the id of its dense entries, which
+    # no command reads
+    for K in (ctx.wightman, ctx.feynman):
+        assert K.entries is K.entries
+        assert K.entries.shape == (ctx.lattice.n_sites,) * 2
 
 
 def test_poly_terms_have_the_shape_the_digest_reads(traced_cli, lat, ctx):

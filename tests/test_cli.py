@@ -54,6 +54,8 @@ def test_load_config_overrides_and_defaults():
     ("lattice.nt=3", "lattice.nt"),
     ("lattice.mass=-1", "lattice.mass"),
     ("caps.degree=9", "caps.degree"),
+    # every sampler draws degrees from 1 to caps.degree
+    ("caps.degree=0", "caps.degree"),
     ("hadamard.mode=weird", "hadamard.mode"),
     ("extract.mode=weird", "extract.mode"),
     ("samples.count=0", "samples.count"),
@@ -926,7 +928,8 @@ def test_correlate_order_zero_is_free_two_point(tmp_path, lat, ctx):
     rep = _read(tmp_path, "correlate")
     assert set(rep["orders"]) == {"0", "1", "2"}
     (exp, re, im), = rep["orders"]["0"]
-    w = ctx.wightman.entry(LatticePoint(5, 3), LatticePoint(6, 9))
+    w = ctx.wightman.entries[lat.site_index(LatticePoint(5, 3)),
+                             lat.site_index(LatticePoint(6, 9))]
     assert exp == 1
     assert abs(complex(re, im) - w) < 1e-12
 

@@ -46,20 +46,17 @@ def _product_family():
 def test_series_shape_errors():
     with pytest.raises(ValueError, match="need 3 coefficients"):
         LambdaSeries(2, (1, 2))
-    a = LambdaSeries.from_list([1, 2, 3])
-    b = LambdaSeries.from_list([1, 2])
+    a = LambdaSeries(2, (1, 2, 3))
+    b = LambdaSeries(1, (1, 2))
     with pytest.raises(ValueError, match="order_cap mismatch"):
         series_add(a, b)
     with pytest.raises(ValueError, match="order_cap mismatch"):
         series_multiply(a, b)
-    assert a.truncated(1).coefficients == (1, 2)
-    with pytest.raises(ValueError, match="cannot extend"):
-        b.truncated(5)
 
 
 def test_series_ring_ops_exact():
-    a = LambdaSeries.from_list([F(1), F(2), F(3)])
-    b = LambdaSeries.from_list([F(0), F(1), F(-1)])
+    a = LambdaSeries(2, (F(1), F(2), F(3)))
+    b = LambdaSeries(2, (F(0), F(1), F(-1)))
     assert series_add(a, b).coefficients == (1, 3, 2)
     # (1 + 2x + 3x^2)(x - x^2) truncates to x + x^2
     assert series_multiply(a, b).coefficients == (0, 1, 1)
@@ -67,13 +64,13 @@ def test_series_ring_ops_exact():
 
 
 def test_series_invert_geometric():
-    a = LambdaSeries.from_list([F(1), F(-1), F(0), F(0), F(0), F(0)])
+    a = LambdaSeries(5, (F(1), F(-1), F(0), F(0), F(0), F(0)))
     inv = series_invert(a)
     assert all(c == 1 for c in inv.coefficients)
 
 
 def test_series_invert_exact_two_sided_commutative():
-    a = LambdaSeries.from_list([F(1), F(1, 2), F(-2, 3), F(5, 7)])
+    a = LambdaSeries(3, (F(1), F(1, 2), F(-2, 3), F(5, 7)))
     inv = series_invert(a)
     unit = (F(1), F(0), F(0), F(0))
     assert series_multiply(a, inv).coefficients == unit
@@ -81,7 +78,7 @@ def test_series_invert_exact_two_sided_commutative():
 
 
 def test_series_invert_rejects_non_unit_leading():
-    a = LambdaSeries.from_list([F(2), F(1)])
+    a = LambdaSeries(1, (F(2), F(1)))
     with pytest.raises(ValueError, match="not the unit"):
         series_invert(a)
 
@@ -111,7 +108,7 @@ def test_series_invert_noncommutative_two_sided():
     m1 = _M(F(0), F(1), F(0), F(0))
     m2 = _M(F(0), F(0), F(1), F(2))
     assert m1 * m2 != m2 * m1
-    a = LambdaSeries.from_list([unit, m1, m2, m1])
+    a = LambdaSeries(3, (unit, m1, m2, m1))
     inv = series_invert(a, unit=unit)
     zero = _M(F(0), F(0), F(0), F(0))
     want = (unit, zero, zero, zero)
@@ -141,15 +138,6 @@ def test_polarize_matches_direct_product():
     assert diag_only.mixed(3, args3) == direct.mixed(3, args3)
     args4 = [F(1), F(2), F(3), F(-1, 3)]
     assert diag_only.mixed(4, args4) == direct.mixed(4, args4)
-
-
-def test_polarize_vector_arguments(rng):
-    w = rng.normal(size=6)
-    fam = MultilinearFamily(
-        evaluate_diagonal=lambda n, f: float(np.dot(w, f)) ** n)
-    fs = [rng.normal(size=6) for _ in range(3)]
-    want = float(np.prod([np.dot(w, f) for f in fs]))
-    assert abs(float(fam.mixed(3, fs)) - want) < 1e-9
 
 
 def test_mixed_memo_is_order_insensitive():
@@ -204,18 +192,6 @@ def test_diagonal_after_mixed_calls_no_evaluator():
     assert fam.mixed(3, [F(2)] * 3) == 8
     assert fam.diagonal(3, F(2)) == 8
     assert calls == [3]
-
-
-def test_memo_never_reuses_ids_of_dead_arguments():
-    # vectors built in the loop die after each call; their ids are free to
-    # be reused, and a key on the bare id would hand out a stale value
-    fam = MultilinearFamily(evaluate_diagonal=lambda n, v: float(v.sum()) * n)
-    for i in range(200):
-        assert fam.diagonal(2, np.full(3, float(i))) == 6.0 * i
-    mixed = MultilinearFamily(
-        evaluate_mixed=lambda n, args: float(sum(a.sum() for a in args)))
-    for i in range(200):
-        assert mixed.mixed(2, [np.full(2, float(i)), np.ones(2)]) == 2.0 * i + 2
 
 
 # -- values at sums of parts -----------------------------------------------
@@ -395,7 +371,7 @@ def test_series_on_requires_vanishing_leading_term(lat):
     S = build_smatrix(lat)
     unit = PolyFunctional.unit(lat)
     with pytest.raises(ValueError, match="vanish at order 0"):
-        S.series_on(LambdaSeries.from_list([unit, unit]))
+        S.series_on(LambdaSeries(1, (unit, unit)))
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -11,12 +11,10 @@ from paqft.lattice import HBAR_WINDOW, HbarWindowError, Lattice, LatticePoint
 from paqft import functionals
 from paqft.functionals import (DensityTerm, GeneralizedLagrangian, HbarScalar,
                                PolyFunctional, additivity_samples,
-                               check_additivity,
-                               chebyshev_extent, decompose_L1, delta_L,
-                               euler_lagrange, free_scalar_lagrangian,
-                               is_local_at_scale, local_functional_from_density,
-                               monomial_extent, poly_from_json_dict,
-                               MAX_DEGREE)
+                               check_additivity, chebyshev_extent,
+                               cutoff_lagrangian, free_scalar_lagrangian,
+                               is_local_at_scale, monomial_extent,
+                               poly_from_json_dict, MAX_DEGREE)
 
 from oracles import assert_within_bound, bits, exact_weighted_sum, poly
 
@@ -27,11 +25,10 @@ from oracles import assert_within_bound, bits, exact_weighted_sum, poly
 def test_hbar_scalar_arithmetic():
     a = HbarScalar({0: 2.0, 1: 1j})
     b = HbarScalar({-1: 0.5})
-    assert (a * b).at(-1) == 1.0
-    assert (a * b).at(0) == 0.5j
+    assert (a * b).coeffs.get(-1, 0j) == 1.0
+    assert (a * b).coeffs.get(0, 0j) == 0.5j
     assert (a + b - b) == a
-    assert a.shifted(2).at(2) == 2.0
-    assert HbarScalar.coerce(Fraction(1, 4)).at(0) == 0.25
+    assert HbarScalar.coerce(Fraction(1, 4)).coeffs.get(0, 0j) == 0.25
 
 
 def test_hbar_scalar_window_guard():
@@ -52,7 +49,7 @@ def test_monomial_normalization(lat):
     a, b = LatticePoint(2, 3), LatticePoint(5, 7)
     F = PolyFunctional.from_monomials(lat, [(1.0, [b, a]), (2.0, [a, b])])
     (deg, key, coeff), = list(F.monomials())
-    assert deg == 2 and coeff.at(0) == 3.0
+    assert deg == 2 and coeff.coeffs.get(0, 0j) == 3.0
     assert key == tuple(sorted((lat.site_index(a), lat.site_index(b))))
 
 
@@ -68,24 +65,8 @@ def test_evaluate_matches_manual(lat, rng):
         lat, [(2.0, [a, a]), (0.5, [a, b]), (-1.0, [b])])
     phi = rng.normal(size=lat.n_sites)
     va, vb = phi[lat.site_index(a)], phi[lat.site_index(b)]
-    assert F.evaluate(phi).at(0) == pytest.approx(
+    assert F.evaluate(phi).coeffs.get(0, 0j) == pytest.approx(
         2 * va * va + 0.5 * va * vb - vb, rel=1e-14)
-
-
-def test_derivative_matches_finite_difference(lat, rng):
-    a, b = LatticePoint(3, 4), LatticePoint(4, 5)
-    F = PolyFunctional.from_monomials(
-        lat, [(1.5, [a, a, b]), (-0.5, [b, b])])
-    phi = rng.normal(size=lat.n_sites)
-    grad = F.derivative(1, phi)
-    eps = 1e-6
-    for site in (lat.site_index(a), lat.site_index(b)):
-        up, dn = phi.copy(), phi.copy()
-        up[site] += eps
-        dn[site] -= eps
-        fd = (F.evaluate(up).at(0) - F.evaluate(dn).at(0)) / (2 * eps)
-        got = grad.get((site,), HbarScalar.zero()).at(0)
-        assert got == pytest.approx(fd, rel=1e-7, abs=1e-7)
 
 
 def test_support_variational_oracle(lat, rng):
@@ -94,11 +75,11 @@ def test_support_variational_oracle(lat, rng):
     supp = F.support()
     assert supp == frozenset({a, b})
     phi = rng.normal(size=lat.n_sites)
-    base = F.evaluate(phi).at(0)
+    base = F.evaluate(phi).coeffs.get(0, 0j)
     for p in (a, b, LatticePoint(8, 2)):
         bumped = phi.copy()
         bumped[lat.site_index(p)] += 1.0
-        changed = F.evaluate(bumped).at(0) != base
+        changed = F.evaluate(bumped).coeffs.get(0, 0j) != base
         assert changed == (p in supp)
 
 
@@ -109,8 +90,9 @@ def test_shift_field_series_consistency(lat, rng):
     phi = rng.normal(size=lat.n_sites)
     rows = F.shift_field_series(psi)
     s = 0.7
-    direct = F.evaluate(phi + s * psi).at(0)
-    series = sum(r.evaluate(phi).at(0) * s ** k for k, r in enumerate(rows))
+    direct = F.evaluate(phi + s * psi).coeffs.get(0, 0j)
+    series = sum(r.evaluate(phi).coeffs.get(0, 0j) * s ** k
+                 for k, r in enumerate(rows))
     assert series == pytest.approx(direct, rel=1e-13)
     assert (F.shift_field(psi) - sum(rows[1:], rows[0])).max_norm() == 0.0
 
@@ -125,7 +107,7 @@ def test_json_roundtrip(lat):
 
 def test_unit_and_zero(lat):
     unit = PolyFunctional.unit(lat)
-    assert unit.evaluate(np.zeros(lat.n_sites)).at(0) == 1.0
+    assert unit.evaluate(np.zeros(lat.n_sites)).coeffs.get(0, 0j) == 1.0
     assert unit.support() == frozenset()
     assert PolyFunctional.zero(lat).is_zero()
 
@@ -154,7 +136,7 @@ def test_is_local_at_scale(lat):
 def _reference_evaluate(F, phi):
     """F(phi) one field at a time through the HbarScalar arithmetic."""
     vals = np.asarray(phi).reshape(F.lattice.n_sites)
-    out = HbarScalar.zero()
+    out = HbarScalar()
     for _deg, key, coeff in F.monomials():
         prod = 1.0 + 0j
         for i in key:
@@ -201,9 +183,9 @@ def test_batched_locality_check_returns_the_per_field_result(lat, rng,
     L = free_scalar_lagrangian(lat)
     f = np.zeros(lat.n_sites)
     f[[lat.site_index(LatticePoint(5, x)) for x in (3, 4)]] = [0.7, -1.3]
-    cubic = local_functional_from_density(
-        lat, (DensityTerm(0.2 + 0.1j, 3, 0, 0), DensityTerm(-0.4, 1, 1, 1)),
-        [LatticePoint(4, x) for x in range(3, 6)])
+    cubic = GeneralizedLagrangian(
+        lat, (DensityTerm(0.2 + 0.1j, 3, 0, 0), DensityTerm(-0.4, 1, 1, 1)))(
+        _indicator(lat, [LatticePoint(4, x) for x in range(3, 6)]))
     far = PolyFunctional.from_monomials(
         lat, [(1.0, [LatticePoint(2, 2), LatticePoint(9, 9)]),
               (HbarScalar({-1: 0.5, 1: 2j}), [LatticePoint(3, 3)] * 3)])
@@ -246,9 +228,13 @@ def test_check_additivity_detects_straddling(lat):
 
 
 def test_free_lagrangian_euler_lagrange_is_wave_operator(lat, rng):
+    # the gradient of L(1) at phi is the degree-1 part of L(1)(. + phi)
     L = free_scalar_lagrangian(lat)
     phi = rng.normal(size=lat.n_sites)
-    grad = euler_lagrange(L, phi)
+    grad = np.zeros(lat.n_sites, dtype=complex)
+    for (i,), c in L(np.ones(lat.n_sites)).shift_field(phi).terms[1].items():
+        assert set(c.coeffs) == {0}
+        grad[i] = c.coeffs[0]
     Pphi = lat.klein_gordon_apply(phi)
     interior = lat.interior_mask()
     assert np.max(np.abs((grad - Pphi)[interior])) < 1e-12
@@ -285,7 +271,7 @@ def test_translated_densities_equal_the_per_site_route(shape):
         DensityTerm(-0.25, 0, 2, 0), DensityTerm(0.75, 2, 0, 0)))
     static = GeneralizedLagrangian(lat, (DensityTerm(0.5, 2, 0, 2),))
     for L in (free_scalar_lagrangian(lat), general, static):
-        for p in lat.points():
+        for p in map(lat.point, range(lat.n_sites)):
             assert bits(L.density_at(p)) == bits(L._build_density(p))
         for w in (np.ones(lat.n_sites), rng.normal(size=lat.n_sites),
                   np.where(rng.random(lat.n_sites) < 0.3, 1.0, 0.0)):
@@ -311,85 +297,39 @@ def test_delta_L_cutoff_independence_and_value(lat, rng):
         for x in (7, 8):
             psi[lat.site_index(LatticePoint(t, x))] = rng.normal()
     phi = rng.normal(size=lat.n_sites)
-    val, func = delta_L(L, psi, phi)
+    _Lf, func = cutoff_lagrangian(L, psi)
     # oracle: evaluate L with a manual cutoff wide enough to be exact
     f = np.zeros(lat.n_sites)
-    for p in lat.points():
+    for p in map(lat.point, range(lat.n_sites)):
         if any(abs(p.t - q.t) <= 3 and lat.torus_dist(p.x, q.x) <= 3
                for q in (LatticePoint(5, 7), LatticePoint(6, 8))):
             f[lat.site_index(p)] = 1.0
     Lf = L(f)
-    oracle = Lf.evaluate(phi + psi).at(0) - Lf.evaluate(phi).at(0)
-    assert val.at(0) == pytest.approx(oracle, rel=1e-12)
-    assert func.evaluate(phi).at(0) == pytest.approx(oracle, rel=1e-12)
+    oracle = (Lf.evaluate(phi + psi).coeffs.get(0, 0j)
+              - Lf.evaluate(phi).coeffs.get(0, 0j))
+    assert func.evaluate(phi).coeffs.get(0, 0j) == pytest.approx(
+        oracle, rel=1e-12)
 
 
 def test_delta_L_full_support_rejected(lat):
     L = free_scalar_lagrangian(lat)
     with pytest.raises(ValueError, match="no compactly supported cutoff"):
-        delta_L(L, np.ones(lat.n_sites))
+        cutoff_lagrangian(L, np.ones(lat.n_sites))
+
+
+def _indicator(lat, points):
+    w = np.zeros(lat.n_sites)
+    w[[lat.site_index(p) for p in points]] = 1.0
+    return w
 
 
 def test_local_functional_from_density(lat):
     window = [LatticePoint(4, x) for x in range(3, 6)]
-    F = local_functional_from_density(
-        lat, (DensityTerm(0.2, 3, 0, 0),), window)
+    F = GeneralizedLagrangian(lat, (DensityTerm(0.2, 3, 0, 0),))(
+        _indicator(lat, window))
     ok, _ = is_local_at_scale(F, radius=1)
     assert ok
     assert {p.t for p in F.support()} == {4}
-
-
-# -- causal band decomposition (L1) ---------------------------------------
-
-
-def test_decompose_L1_bands(lat):
-    g = PolyFunctional.from_monomials(
-        lat, [(1.0, [LatticePoint(t, 3), LatticePoint(t, 4)])
-              for t in range(2, 10)])
-    F1 = frozenset({LatticePoint(1, 0)})
-    F2 = frozenset({LatticePoint(10, 0)})
-    parts = decompose_L1(g, F1, F2, 4)
-    assert len(parts) == 4
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    assert (total - g).max_norm() == 0.0
-    for i, gi in enumerate(parts[:-1], start=1):
-        if gi.support():
-            assert lat.not_later_than(gi.support(), F2)
-    for gi in parts[1:]:
-        if gi.support():
-            assert lat.not_later_than(F1, gi.support())
-    for i in range(4):
-        for j in range(i + 2, 4):
-            if parts[i].support() and parts[j].support():
-                assert lat.not_later_than(parts[i].support(),
-                                          parts[j].support())
-
-
-def test_decompose_L1_single_band(lat):
-    g = PolyFunctional.from_monomials(
-        lat, [(1.0, [LatticePoint(5, 3), LatticePoint(5, 4)])])
-    F1 = frozenset({LatticePoint(1, 0)})
-    F2 = frozenset({LatticePoint(10, 0)})
-    parts = decompose_L1(g, F1, F2, 4)
-    nonzero = [i for i, p in enumerate(parts) if not p.is_zero()]
-    assert len(nonzero) == 1
-    assert (parts[nonzero[0]] - g).max_norm() == 0.0
-
-
-def test_decompose_L1_errors(lat):
-    g = PolyFunctional.from_monomials(
-        lat, [(1.0, [LatticePoint(5, 3)])])
-    late = frozenset({LatticePoint(10, 0)})
-    early = frozenset({LatticePoint(1, 0)})
-    with pytest.raises(ValueError, match="band count"):
-        decompose_L1(g, early, late, 3)
-    with pytest.raises(ValueError, match="reverse causal order"):
-        decompose_L1(g, late, early, 4)
-    with pytest.raises(ValueError, match="too narrow"):
-        decompose_L1(g, frozenset({LatticePoint(5, 0)}),
-                     frozenset({LatticePoint(6, 0)}), 4)
 
 
 # -- algebraic properties ------------------------------------------------
@@ -432,12 +372,12 @@ def _reference_build(lattice, items):
         key = tuple(sorted(int(i) for i in key))
         assert all(0 <= i < lattice.n_sites for i in key)
         coeff = HbarScalar.coerce(coeff)
-        if coeff.is_zero():
+        if coeff.norm() == 0.0:
             continue
         bucket = clean.setdefault(len(key), {})
         if key in bucket:
             merged = bucket[key] + coeff
-            if merged.is_zero():
+            if merged.norm() == 0.0:
                 del bucket[key]
             else:
                 bucket[key] = merged
@@ -636,10 +576,10 @@ def test_constructor_rejects_bad_keys(lat):
 
 def test_arithmetic_keeps_hbar_window(lat):
     a = LatticePoint(5, 3)
-    F = PolyFunctional.from_monomials(lat, [(HbarScalar.monomial(1), [a])])
+    F = PolyFunctional.from_monomials(lat, [(HbarScalar({1: 1.0}), [a])])
     with pytest.raises(ValueError, match="outside window"):
-        F.scaled(HbarScalar.monomial(8))
-    G = PolyFunctional.from_monomials(lat, [(HbarScalar.monomial(5), [a])])
+        F.scaled(HbarScalar({8: 1.0}))
+    G = PolyFunctional.from_monomials(lat, [(HbarScalar({5: 1.0}), [a])])
     with pytest.raises(ValueError, match="outside window"):
         G * G
 

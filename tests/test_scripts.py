@@ -40,7 +40,7 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     out = tmp_path / "BENCH_kernels.json"
     run = subprocess.run(
         [sys.executable, str(SCRIPTS / "bench_kernels.py"),
-         "--sizes", "8x8,contract,series,extract", "--runs", "2",
+         "--sizes", "8x8,contract:1,series:1,extract:1", "--runs", "2",
          "--label", "smoke", "--src", src, "--out", str(out)],
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
@@ -58,9 +58,10 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     assert len(row["runs"]) == 2
     for key in ("build_s", "residuals_s", "peak_rss_mb"):
         assert row[key] == statistics.median(r[key] for r in row["runs"]) > 0
-    # the contract entry: the contraction entry wrapped in the serial
-    # 12x16 units, and the units of each command timed on their own
-    row = entry["contract"]
+    # the contract entry, on the first unit of each suite: the
+    # contraction entry wrapped in the serial 12x16 units, and the units of
+    # each command timed on their own
+    row = entry["contract:1"]
     assert len(row["runs"]) == 2
     for key in ("contract_s", "units_s", "axioms_units_s", "extract_units_s",
                 "peak_rss_mb"):
@@ -75,7 +76,7 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     # the series entry: SMatrix.series, multiply, invert and the parts
     # entry terms_at_sum in the serial axioms units, the same calls every
     # run
-    row = entry["series"]
+    row = entry["series:1"]
     for name in ("series", "terms_at_sum", "multiply", "invert"):
         assert 0 < row[f"{name}_s"] < row["axioms_units_s"]
         assert {r[f"{name}_calls"] for r in row["runs"]} == {
@@ -84,7 +85,7 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     # the serial extract-z units, and the monomials the scalings, sums and
     # weighted sums visit, the same every run; this tree calls neither
     # extract_Z nor polarize there, and both count zero
-    row = entry["extract"]
+    row = entry["extract:1"]
     for name in ("extracted", "compose_SZ"):
         assert 0 < row[f"{name}_s"] < row["extract_units_s"]
         assert {r[f"{name}_calls"] for r in row["runs"]} == {
@@ -93,10 +94,10 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
         assert row[f"{name}_s"] == row[f"{name}_calls"] == 0
     # both entries count the monomial pairs the contraction receives, a
     # count that is the same every run
-    for row in (entry["series"], entry["extract"]):
+    for row in (entry["series:1"], entry["extract:1"]):
         assert {r["contract_pairs"] for r in row["runs"]} == {
             row["contract_pairs"]} != {0}
-    row = entry["extract"]
+    row = entry["extract:1"]
     for r in row["runs"]:
         assert r["visits"] == (r["scaled_visits"] + r["sum_visits"]
                                + r["difference_visits"]
@@ -120,7 +121,7 @@ def test_bench_kernels_writes_medians_and_the_machine(tmp_path):
     assert sorted(again["sizes"]) == ["6x6", "8x8"]
     assert again["sizes"]["8x8"] == entry["sizes"]["8x8"]
     assert len(again["sizes"]["6x6"]["runs"]) == 1
-    assert again["contract"] == entry["contract"]
+    assert again["contract:1"] == entry["contract:1"]
     for name in ("smoke", "smoke-against"):
         row = labels[name]["startup"]
         assert len(row["runs"]) == 1
@@ -227,3 +228,17 @@ def test_identity_lists_what_moved_between_two_reports():
     del after["z_values_cut"]
     diff = identity.compare_reports(before, after)
     assert diff["z_only_before"] == [("f-00", "2", ((5, 2),), 1)]
+
+
+def test_reachability_allows_exactly_the_functions_no_command_calls():
+    # every src/paqft function that the identity matrix's commands leave
+    # uncalled is allow-listed with its reason, and no allow-listed one is
+    # called or gone; the commands themselves end as they do in the matrix
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reachability.py"), "--quick"],
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    codes = dict(line.split(": exit ") for line in run.stdout.splitlines()
+                 if ": exit " in line)
+    assert codes == {case: "2" if case == "usage-error" else "0"
+                     for case in _identity_module().CASES}

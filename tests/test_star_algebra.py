@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from paqft.functionals import HbarScalar, PolyFunctional
 from paqft.lattice import Kernel, Lattice, LatticePoint
 from paqft.smatrix_renorm import build_smatrix
-from paqft.star_algebra import StarAlgebraContext, _site_selections, beta
+from paqft.star_algebra import StarAlgebraContext, _site_selections
 
 from oracles import (against, assert_within_bound, bits, exact_contract,
                      poly, reference_permanent, reference_selections,
@@ -39,7 +39,7 @@ def _random_poly(lat, rng, degree=2, n_terms=4, t_lo=2, t_hi=9, scale=0.5):
 def test_phi_star_phi_pair(lat, ctx):
     a, b = LatticePoint(3, 4), LatticePoint(7, 4)
     fa, fb = _phi(lat, *a), _phi(lat, *b)
-    w = ctx.wightman.entry(a, b)
+    w = ctx.wightman.entries[lat.site_index(a), lat.site_index(b)]
     want = fa * fb + PolyFunctional.constant(lat, HbarScalar({1: w}))
     assert ctx.star(fa, fb).distance(want) < 1e-12
 
@@ -47,7 +47,7 @@ def test_phi_star_phi_pair(lat, ctx):
 def test_time_ordered_pair(lat, ctx):
     a, b = LatticePoint(3, 4), LatticePoint(7, 4)
     fa, fb = _phi(lat, *a), _phi(lat, *b)
-    df = ctx.feynman.entry(a, b)
+    df = ctx.feynman.entries[lat.site_index(a), lat.site_index(b)]
     want = fa * fb + PolyFunctional.constant(lat, HbarScalar({1: df}))
     assert ctx.time_ordered(fa, fb).distance(want) < 1e-12
 
@@ -55,7 +55,7 @@ def test_time_ordered_pair(lat, ctx):
 def test_wick_square_star(lat, ctx):
     a, b = LatticePoint(2, 1), LatticePoint(8, 2)
     fa, fb = _phi(lat, *a), _phi(lat, *b)
-    w = ctx.wightman.entry(a, b)
+    w = ctx.wightman.entries[lat.site_index(a), lat.site_index(b)]
     got = ctx.star(fa * fa, fb * fb)
     want = (fa * fa) * (fb * fb) \
         + (fa * fb).scaled(HbarScalar({1: 4.0 * w})) \
@@ -78,10 +78,10 @@ def test_commutator_hbar1_is_poisson_bracket(lat, ctx, rng):
     for _ in range(6):
         F = _random_poly(lat, rng)
         G = _random_poly(lat, rng)
-        comm = ctx.commutator(F, G)
+        comm = ctx.star(F, G) - ctx.star(G, F)
         phi = rng.normal(size=lat.n_sites)
-        got = comm.evaluate(phi).at(1)
-        want = 1j * lat.poisson_bracket(F, G, phi).at(0)
+        got = comm.evaluate(phi).coeffs.get(1, 0j)
+        want = 1j * lat.poisson_bracket(F, G, phi).coeffs.get(0, 0j)
         assert abs(got - want) < 1e-10
 
 
@@ -118,9 +118,10 @@ def test_classical_limit_is_pointwise_product(lat, ctx, rng):
     F = _random_poly(lat, rng)
     G = _random_poly(lat, rng)
     phi = rng.normal(size=lat.n_sites)
-    classical = (F * G).evaluate(phi).at(0)
-    assert abs(ctx.star(F, G).evaluate(phi).at(0) - classical) < 1e-12
-    assert abs(ctx.time_ordered(F, G).evaluate(phi).at(0) - classical) < 1e-12
+    classical = (F * G).evaluate(phi).coeffs.get(0, 0j)
+    for product in (ctx.star, ctx.time_ordered):
+        got = product(F, G).evaluate(phi).coeffs.get(0, 0j)
+        assert abs(got - classical) < 1e-12
 
 
 # -- the per-term contraction loop (its exact twin is in tests/oracles.py) --
@@ -407,52 +408,6 @@ def test_contract_rejects_foreign_functional(lat, ctx):
     F = PolyFunctional.field_at(other, LatticePoint(1, 1))
     with pytest.raises(ValueError, match="context lattice"):
         ctx.star(F, F)
-
-
-# -- factorization of pointwise products ------------------------------------
-
-
-def _region(lat, rows, cols):
-    return [LatticePoint(t, x) for t in rows for x in cols]
-
-
-def test_beta_roundtrip(lat):
-    g1 = _phi(lat, 1, 2) * _phi(lat, 1, 3)
-    g2 = _phi(lat, 5, 8).scaled(2.0) + _phi(lat, 5, 9)
-    g3 = _phi(lat, 10, 1) * _phi(lat, 10, 1)
-    F = (g1 * g2) * g3
-    regions = [_region(lat, [1], range(lat.nx)),
-               _region(lat, [5], range(lat.nx)),
-               _region(lat, [10], range(lat.nx))]
-    factors = beta(F, regions)
-    assert len(factors) == 3
-    prod = factors[0] * factors[1] * factors[2]
-    assert prod.distance(F) < 1e-12
-    for fac, reg in zip(factors, regions):
-        allowed = {lat.site_index(p) for p in reg}
-        assert {lat.site_index(p) for p in fac.support()} <= allowed
-
-
-def test_beta_rejects_bad_inputs(lat):
-    fa, fb = _phi(lat, 1, 2), _phi(lat, 8, 2)
-    F = fa * fb
-    r_early = _region(lat, [1], range(lat.nx))
-    r_late = _region(lat, [8], range(lat.nx))
-    with pytest.raises(ValueError, match="overlap"):
-        beta(F, [r_early, r_early])
-    with pytest.raises(ValueError, match="lies in no region"):
-        beta(F, [r_early, _region(lat, [9], range(lat.nx))])
-    # sum of two cross products is not a single product: grid not full
-    G = fa * fb + _phi(lat, 2, 2) * _phi(lat, 9, 2)
-    with pytest.raises(ValueError, match="not a pointwise product"):
-        beta(G, [_region(lat, [1, 2], range(lat.nx)),
-                 _region(lat, [8, 9], range(lat.nx))])
-    # full rectangle but rank-two coefficients: caught by reconstruction
-    H = fa * fb + fa * _phi(lat, 9, 2) + _phi(lat, 2, 2) * fb \
-        + (_phi(lat, 2, 2) * _phi(lat, 9, 2)).scaled(2.0)
-    with pytest.raises(ValueError, match="not the pointwise product"):
-        beta(H, [_region(lat, [1, 2], range(lat.nx)),
-                 _region(lat, [8, 9], range(lat.nx))])
 
 
 # -- stored extract-z values do not depend on the summation order -------------
