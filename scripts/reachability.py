@@ -13,10 +13,8 @@ and the commands' standard output and error are discarded.
 Every unreached function must be in ALLOWED with its reason, one of:
     (a) runs only in a forked worker or at process exit;
     (b) wrapped or read by the benchmark's tracer, `perfbench/traced_cli.py`;
-    (c) a relation structure or check of `relations.py` that waits for
-        report rows of its own, or for deletion;
-    (d) the reference a test compares a command's route against;
-    (e) a Python protocol method.
+    (c) the reference a test compares a command's route against;
+    (d) a Python protocol method.
 A function that only an exit-2 path reaches gets a case in the identity
 matrix, not an entry.  --quick runs `axioms` at samples.count=1 and
 `propagators` at 11x8, which reach the same functions as the full sizes
@@ -49,7 +47,6 @@ QUICK = {case: ["--set", "samples.count=1"]
 QUICK["propagators-16x32"] = ["--set", "lattice.nt=11",
                               "--set", "lattice.nx=8"]
 
-_RELATIONS = "(c) waits for report rows of its own, or for deletion"
 ALLOWED = {
     "paqft.cli._run_units": "(a) forks the workers",
     "paqft.cli._work": "(a) the forked worker's body",
@@ -59,31 +56,12 @@ ALLOWED = {
     "paqft.smatrix_renorm.extract_Z": "(b) a span of the tracer",
     "paqft.smatrix_renorm.verify_extracted_locality":
         "(b) a span of the tracer",
-    **dict.fromkeys((
-        "paqft.relations.BinaryRelation.__init__",
-        "paqft.relations.BinaryRelation.contains",
-        "paqft.relations.BinaryRelation.holds",
-        "paqft.relations.BinaryRelation.index",
-        "paqft.relations.BinaryRelation.pair_indices",
-        "paqft.relations.BinaryRelation.predicate",
-        "paqft.relations.CausalityStructure.invariant_violations",
-        "paqft.relations.LocalityStructure.invariant_violations",
-        "paqft.relations._check_subset",
-        "paqft.relations._default_distance",
-        "paqft.relations._safe_eq",
-        "paqft.relations.check_group_with_causality",
-        "paqft.relations.check_group_with_locality",
-        "paqft.relations.mutually_independent",
-        "paqft.relations.polar",
-        "paqft.relations.polar_left",
-        "paqft.relations.polar_right",
-        "paqft.relations.symmetrize"), _RELATIONS),
     "paqft.lattice.Lattice.poisson_bracket":
-        "(d) the hbar^1 commutator's reference",
-    "paqft.functionals.HbarScalar.__eq__": "(e) protocol",
-    "paqft.functionals.HbarScalar.__repr__": "(e) protocol",
-    "paqft.functionals.HbarScalar.__rsub__": "(e) protocol",
-    "paqft.functionals.PolyFunctional.__repr__": "(e) protocol",
+        "(c) the hbar^1 commutator's reference",
+    "paqft.functionals.HbarScalar.__eq__": "(d) protocol",
+    "paqft.functionals.HbarScalar.__repr__": "(d) protocol",
+    "paqft.functionals.HbarScalar.__rsub__": "(d) protocol",
+    "paqft.functionals.PolyFunctional.__repr__": "(d) protocol",
 }
 
 
@@ -152,9 +130,9 @@ def main(argv=None) -> int:
            for name in unreached if name not in ALLOWED]
     bad += [f"allowed but {'reached' if name in defined.values() else 'gone'}"
             f": {name}" for name in sorted(ALLOWED.keys() - set(unreached))]
-    bad += [f"allowed without a reason (a)-(e): {name}"
+    bad += [f"allowed without a reason (a)-(d): {name}"
             for name, why in sorted(ALLOWED.items())
-            if why[:3] not in ("(a)", "(b)", "(c)", "(d)", "(e)")]
+            if why[:3] not in ("(a)", "(b)", "(c)", "(d)")]
     for line in bad:
         print(line)
     return 1 if bad else 0

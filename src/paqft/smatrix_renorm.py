@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +32,7 @@ from .formal_series import (LambdaSeries, MultilinearFamily, compose_SZ,
 from .functionals import (GeneralizedLagrangian, HbarScalar, PolyFunctional,
                           cutoff_lagrangian, is_local_at_scale)
 from .lattice import Lattice, LatticePoint, bisolution_residual, field_values
-from .relations import hammerstein_sides
+from .relations import check_hammerstein
 from .star_algebra import StarAlgebraContext
 
 
@@ -374,8 +373,8 @@ def _check_causal_triples(lattice: Lattice, triples) -> None:
 
 def check_S_axioms(S: SMatrix, plan: dict) -> list:
     """S1 (unit), S3 (order-1 identity), S2 (causal factorization with
-    middle term, plus the pairwise multiplicativity corollary, both
-    through relations.hammerstein_sides), S4
+    middle term, plus the pairwise multiplicativity corollary at f = 0,
+    both from relations.check_hammerstein on tuples of parts), S4
     (support of series coefficients, exact on the lattice), the locality
     corollary on spacelike pairs, and T1 (two-block causal factorization
     of the time-ordered product)."""
@@ -414,14 +413,12 @@ def check_S_axioms(S: SMatrix, plan: dict) -> list:
         rows.append(_row("S", "S3", 1, f"s3-{i:02d}", res, kernel_tol))
     phi = functools.partial(S.series, cap=cap)
     for i, (f1, fm, f2) in enumerate(triples):
-        # S2 at the middle term, then its multiplicativity corollary at 0,
-        # on tuples of parts: the four sides share their mixed values
-        for tag, mid in (("s2", (fm,)), ("mult", ())):
-            lhs, rhs = hammerstein_sides(phi, operator.add, S.multiply,
-                                         S.invert, (f1,), mid, (f2,))
-            for n in range(1, cap + 1):
-                rows.append(_row("S", "S2", n, f"{tag}-{i:02d}",
-                                 lhs.coeff(n).distance(rhs.coeff(n)),
+        # S2 at the middle term, then its multiplicativity corollary at 0
+        s2 = check_hammerstein(phi, S.multiply, S.invert, (f1,), (f2,),
+                               {"s2": (fm,), "mult": ()}, range(1, cap + 1))
+        for tag, residuals in s2.items():
+            for n, res in enumerate(residuals, start=1):
+                rows.append(_row("S", "S2", n, f"{tag}-{i:02d}", res,
                                  series_tol))
         ser1 = S.series(f1, cap)
         ser2 = S.series(f2, cap)
@@ -477,16 +474,15 @@ def z_axiom_units(Z: RenormalizationMap, lattice: Lattice,
 
     def triple(i, f1, fm, f2):
         rows = []
-        # on tuples of parts, as in check_S_axioms
-        for tag, mid in (("gen", (fm,)), ("f0", ())):
-            lhs, rhs = hammerstein_sides(phi, operator.add, series_add,
-                                         _negate, (f1,), mid, (f2,))
-            for n in range(cap + 1):
-                res = lhs.coeff(n).distance(rhs.coeff(n))
+        middles = {"gen": (fm,), "f0": ()}
+        z3 = check_hammerstein(phi, series_add, _negate, (f1,), (f2,),
+                               middles, range(cap + 1))
+        supp1, supp2 = f1.support(), f2.support()
+        for tag, mid in middles.items():
+            for n, res in enumerate(z3[tag]):
                 rows.append(_row("Z", "Z3", n, f"z3-{i:02d}-{tag}", res, tol))
             # the relative maps, from the memo entries the identity made
             b, c, d = phi(mid + (f1,)), phi(mid), phi((f2,) + mid)
-            supp1, supp2 = f1.support(), f2.support()
             for n in range(1, cap + 1):
                 rel1 = b.coeff(n) - c.coeff(n)
                 rel2 = d.coeff(n) - c.coeff(n)
@@ -516,14 +512,15 @@ def z_axiom_units(Z: RenormalizationMap, lattice: Lattice,
 def check_Z_axioms(Z: RenormalizationMap, lattice: Lattice,
                    plan: dict) -> list:
     """Z1 (zero preserving), Z4 (identity at order 1), Z3 (the abelian
-    Hammerstein identity: relations.hammerstein_sides with series
+    Hammerstein identity: relations.check_hammerstein with series
     addition as the product and negation as the inverse), Z2 (support of
     relative-map coefficients), and membership of the per-order outputs
     in the local functionals (additivity at radius 2).
 
     Z3 and Z2 are checked both at the sampled middle functional and at
-    f = 0 (whose residual the general case should track).  The rows are
-    those of z_axiom_units, run one after another."""
+    f = 0 (whose residual the general case should track); the Z2 rows of
+    each read the values the identity's sides put in the family memo.
+    The rows are those of z_axiom_units, run one after another."""
     return [row for unit in z_axiom_units(Z, lattice, plan)
             for row in unit()]
 

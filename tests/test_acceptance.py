@@ -2,8 +2,8 @@
 
 One test per headline property, with the tolerance pinned next to the
 assertion.  Derived quantities are checked against oracles built in the
-tests (direct cone masks, pairing enumerations, brute-force relation
-semantics) rather than against the module's own reporting helpers.
+tests (direct cone masks, pairing enumerations) rather than against the
+module's own reporting helpers.
 """
 
 import itertools
@@ -13,11 +13,9 @@ import numpy as np
 from paqft.functionals import (HbarScalar, PolyFunctional,
                                free_scalar_lagrangian)
 from paqft.lattice import LatticePoint, bisolution_residual
-from paqft.relations import (BinaryRelation, CausalityStructure,
-                             LocalityStructure, check_hammerstein,
-                             mutually_independent, polar, polar_left,
-                             polar_right, symmetrize)
-from paqft.smatrix_renorm import (RenormalizationMap, build_smatrix,
+from paqft.relations import hammerstein_sides
+from paqft.smatrix_renorm import (RenormalizationMap, _check_causal_triples,
+                                  build_smatrix,
                                   check_schwinger_dyson, check_Z_axioms,
                                   compose, correlation,
                                   default_z_plan, extract_Z,
@@ -324,112 +322,41 @@ def test_relative_map_residuals_track_zero_reference(lat, rng):
           f"on {len(grouped)} rows (bound 10x + 1e-12)")
 
 
-# -- relation algebra ---------------------------------------------------------
+# -- the Hammerstein identity -------------------------------------------------
 
 
-def _tables(n):
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    for bits in range(1 << (n * n)):
-        t = [[False] * n for _ in range(n)]
-        for b, (i, j) in enumerate(cells):
-            t[i][j] = bool(bits >> b & 1)
-        yield t
+def test_hammerstein_on_the_support_model_and_planted_violations(lat):
+    # an additive map on the support model: finite site sets, their union
+    # the sum, given as tuples of parts; the identity holds exactly
+    def total(parts):
+        return float(sum(frozenset().union(*parts)))
 
+    def sides(phi, f1, f, f2):
+        return hammerstein_sides(phi, lambda a, b: a + b, lambda v: -v,
+                                 (f1,), f, (f2,))
 
-def test_relations_exhaustive_and_planted_violations():
-    universe = [0, 1, 2]
-    subsets = [list(s) for r in range(4)
-               for s in itertools.combinations(universe, r)]
-    checked = 0
-    for t in _tables(3):
-        rel = BinaryRelation(universe, holds=lambda x, y, t=t: t[x][y])
-        sym_ok = all(t[i][j] == t[j][i] for i in range(3) for j in range(3))
-        assert (LocalityStructure(rel).invariant_violations() == []) == sym_ok
-        irref = not any(t[i][i] for i in range(3))
-        asym = any(t[i][j] and not t[j][i]
-                   for i in range(3) for j in range(3) if i != j)
-        caus = CausalityStructure(rel)
-        assert (caus.invariant_violations() == []) == (irref and asym)
-        loc = LocalityStructure(rel)
-        for U in subsets:
-            want = [x for x in universe if all(t[x][y] for y in U)]
-            assert polar(U, loc) == want
-            assert polar_left(U, caus) == want
-            assert polar_right(U, caus) == \
-                [x for x in universe if all(t[y][x] for y in U)]
-        lifted = CausalityStructure(rel, check_asymmetric_pair=False)
-        got = symmetrize(lifted).relation.pair_indices()
-        want_pairs = frozenset((i, j) for i in range(3) for j in range(3)
-                               if t[i][j] and t[j][i])
-        assert got == want_pairs
-        checked += 1
-    assert checked == 512
-
-    # structured five-element battery: precedence/disjointness on supports
-    five = [frozenset(s) for s in ({0}, {1}, {2}, {4}, {5})]
-    table = {(a, b): (a is not b and max(a) < min(b))
-             for a in five for b in five}
-    before = BinaryRelation(five, holds=lambda a, b: table[(a, b)])
-    caus5 = CausalityStructure(before)
-    assert caus5.invariant_violations() == []
-    apart = BinaryRelation(five, holds=lambda a, b: not (a & b) and a != b)
-    loc5 = LocalityStructure(apart)
-    assert loc5.invariant_violations() == []
-    for r in range(6):
-        for U in itertools.combinations(five, r):
-            assert polar_left(U, caus5) == \
-                [x for x in five if all(table[(x, y)] for y in U)]
-            assert polar_right(U, caus5) == \
-                [x for x in five if all(table[(y, x)] for y in U)]
-            assert polar(U, loc5) == \
-                [x for x in five if all(not (x & y) and x != y for y in U)]
-    sym5 = symmetrize(caus5)
-    assert sym5.relation.pair_indices() == frozenset()
-    for trip in itertools.combinations(five, 3):
-        assert mutually_independent(trip, loc5) == \
-            all(not (a & b) for a, b in itertools.combinations(trip, 2))
-
-    # Hammerstein on the support model: additive map, exact zeros
-    sets = [frozenset(s) for s in
-            ((), (0,), (1,), (4,), (5,), (0, 1), (4, 5))]
-    urel = BinaryRelation(
-        sets, holds=lambda a, b: (not a or not b) or max(a) < min(b))
-    struct = CausalityStructure(urel, check_asymmetric_pair=False)
-    total = lambda u: float(sum(u))
     samples = [(frozenset({0}), frozenset({1}), frozenset({4})),
                (frozenset({1}), frozenset(), frozenset({5})),
                (frozenset({0, 1}), frozenset({4}), frozenset({5}))]
-    rows = check_hammerstein(
-        total, lambda a, b: a | b, frozenset(),
-        lambda a, b: a + b, lambda v: -v, struct.relation.predicate,
-        samples)
-    assert all(not r["rejected"] and r["hammerstein"] == 0.0
-               and r["padd"] == 0.0 and r["pass"] for r in rows)
+    for f1, f, f2 in samples:
+        for mid in ((f,), ()):
+            lhs, rhs = sides(total, f1, mid, f2)
+            assert lhs - rhs == 0.0
 
-    # planted violations must all be caught
+    # planted violations must all be caught: a map that is not additive
+    # fails the identity, and a misordered triple is refused
     flaws = 0
-    asym_loc = BinaryRelation(universe,
-                              holds=lambda x, y: (x, y) == (0, 1))
-    flaws += LocalityStructure(asym_loc).invariant_violations() != []
-    selfloop = BinaryRelation(universe, holds=lambda x, y: x <= y)
-    flaws += any("not reflexive" in v for v in
-                 CausalityStructure(selfloop).invariant_violations())
-    sym_caus = BinaryRelation(universe, holds=lambda x, y: x != y)
-    flaws += any("asymmetric" in v for v in
-                 CausalityStructure(sym_caus).invariant_violations())
-    bad_rows = check_hammerstein(
-        lambda u: float(sum(u)) ** 2, lambda a, b: a | b, frozenset(),
-        lambda a, b: a + b, lambda v: -v, struct.relation.predicate,
-        [(frozenset({1}), frozenset({4}), frozenset({5}))])
-    flaws += not bad_rows[0]["pass"]
-    misordered = check_hammerstein(
-        total, lambda a, b: a | b, frozenset(),
-        lambda a, b: a + b, lambda v: -v, struct.relation.predicate,
-        [(frozenset({5}), frozenset(), frozenset({0}))])
-    flaws += bool(misordered[0]["rejected"])
-    assert flaws == 5
-    print("[acceptance] relations: 512/512 three-element relations match "
-          "brute force; five-element battery clean; 5/5 planted flaws caught")
+    lhs, rhs = sides(lambda parts: total(parts) ** 2, frozenset({1}),
+                     (frozenset({4}),), frozenset({5}))
+    flaws += abs(lhs - rhs) > 1.0
+    f1, f, f2 = default_z_plan(lat, seed=3, count=1, cap=1)["causal_triples"][0]
+    try:
+        _check_causal_triples(lat, [(f2, f, f1)])
+    except ValueError as e:
+        flaws += "not causally ordered" in str(e)
+    assert flaws == 2
+    print("[acceptance] hammerstein: exact on the support model; "
+          "2/2 planted flaws caught")
 
 
 # -- correlations -------------------------------------------------------------

@@ -118,6 +118,20 @@ def test_missing_config_file():
         load_config("/no/such/config.json", [])
 
 
+def test_unreadable_config_files_exit_2(tmp_path, capsys):
+    # these used to escape as IsADirectoryError and UnicodeDecodeError
+    # tracebacks with exit 1
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"output": "r\xe9ports"}'.encode("latin-1"))
+    for path in (tmp_path, latin1):
+        assert main(["propagators", "--config", str(path),
+                     "--set", f"output={tmp_path / 'out'}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and str(path) in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     out = f"output={tmp_path}"
     assert main(["axioms", "--set", "lattice.nt=3", "--set", out]) == 2
@@ -242,6 +256,8 @@ def test_hbar_window_error_pickles_as_itself():
                 'suites=["S"]'], "lattice.nx"),
     # the m^4 refusal again, where the SD rows would otherwise turn NaN
     ("axioms", ["lattice.mass=1e150", 'suites=["SD"]'], "lattice.mass"),
+    # a repeated suite used to run twice, repeating its row keys, exit 0
+    ("axioms", ['suites=["SD","SD"]', "samples.count=1"], "suites"),
 ])
 def test_config_values_that_break_the_run_exit_2(tmp_path, capsys, command,
                                                  sets, field):
